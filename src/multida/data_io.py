@@ -248,7 +248,7 @@ def save_model(model: FittedModel, path: str | Path) -> None:
         "admissible": [bool(v) for v in model.admissible],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def _require(doc: dict, key: str):

@@ -129,3 +129,29 @@ def numeric_mle_single_group(g: np.ndarray) -> tuple[float, float]:
         options={"xatol": 1e-11, "fatol": 1e-13, "maxiter": 100000, "maxfev": 100000},
     )
     return float(res.x[0]), float(np.exp(res.x[1]))
+
+
+def slotwise_eta(model, X: np.ndarray) -> np.ndarray:
+    """Discriminant scores by one pass per partition slot: for slot ``a`` of
+    hypothesis ``m`` the weighted Gaussian log density of every feature is
+    summed and added to each class mapped to that slot, then the class
+    prior term is added."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    parts = model.parts
+    slot_col = np.repeat(np.arange(parts.M), parts.G)
+    a0 = parts.A - 1
+    if model.prior_term_mode == "log":
+        prior = np.log(model.pi)
+    else:
+        prior = model.pi * np.log(model.pi)
+    eta = np.zeros((X.shape[0], parts.K))
+    for a in range(parts.n_slots):
+        m = slot_col[a]
+        w = model.gamma[:, m]
+        var = model.sigma2[:, m] if model.variance_mode == "equal" else model.sigma2[:, a]
+        const = -0.5 * float(((np.log(2.0 * np.pi) + np.log(var)) * w).sum())
+        dev = X - model.mu[:, a][None, :]
+        scores = (np.square(dev) * (w / (-2.0 * var))[None, :]).sum(axis=1) + const
+        for k in np.flatnonzero(a0[:, m] == a):
+            eta[:, k] += scores
+    return eta + prior[None, :]

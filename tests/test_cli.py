@@ -168,6 +168,23 @@ class TestPredict:
         assert [r[0] for r in rows[1:]] == ["a", "b"]
 
 
+    @pytest.mark.parametrize("field, value", [("mu", float("nan")),
+                                              ("sigma2", float("inf"))])
+    def test_non_finite_model_exits_3(self, runner, toy_csv, tmp_path, field, value):
+        model_path = self.fitted(runner, toy_csv, tmp_path)
+        doc = json.loads(model_path.read_text())
+        doc[field][0][1] = value
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        result = runner.invoke(
+            main, ["predict", toy_csv, "--model", str(model_path),
+                   "--out", str(out), "--seed", "1"],
+        )
+        assert result.exit_code == 3, result.output
+        assert "query row 1" in result.stderr
+        assert not out.exists()
+
+
 class TestCv:
     def test_table_shape(self, runner, wide_csv, tmp_path):
         out = tmp_path / "cv.csv"

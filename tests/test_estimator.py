@@ -20,7 +20,12 @@ from multida.estimator import (
 )
 from multida.partitions import build_partition_set
 
-from oracles import bruteforce_posterior, numeric_mle_equal_var, numeric_mle_single_group
+from oracles import (
+    bruteforce_posterior,
+    numeric_mle_equal_var,
+    numeric_mle_single_group,
+    slotwise_eta,
+)
 
 TOY_X = np.array([[0.0], [2.0], [4.0], [6.0]])
 TOY_Y = ["a", "a", "b", "b"]
@@ -403,15 +408,41 @@ class TestPredict:
         with pytest.raises(ValidationError, match="non-finite"):
             predict(model, np.array([[np.inf]]))
 
-    def test_row_chunking_identical(self, toy_data):
+    def test_row_chunking_identical(self):
         rng = np.random.default_rng(31)
         data = random_dataset(rng, 60, 40, 3, min_per_class=6)
-        model = fit(data)
         q = rng.normal(size=(37, 40))
-        a = predict(model, q, threads=1)
-        b = predict(model, q, threads=4)
-        assert np.array_equal(a.probabilities, b.probabilities)
-        assert np.array_equal(a.eta, b.eta)
+        for variance_mode in ("equal", "unequal"):
+            model = fit(data, variance_mode=variance_mode)
+            a = predict(model, q, threads=1)
+            b = predict(model, q, threads=4)
+            assert np.array_equal(a.probabilities, b.probabilities)
+            assert np.array_equal(a.eta, b.eta)
+            # more threads than rows: every chunk is a single row
+            c = predict(model, q[:5], threads=8)
+            assert np.array_equal(a.eta[:5], c.eta)
+            assert np.array_equal(a.probabilities[:5], c.probabilities)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    @pytest.mark.parametrize("prior_term_mode", ["log", "plogp"])
+    @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest"])
+    def test_eta_matches_slotwise_oracle(self, k, variance_mode, prior_term_mode, scheme):
+        rng = np.random.default_rng(100 + k)
+        y = np.repeat(np.arange(1, k + 1), 8)
+        X = rng.normal(size=(y.size, 12))
+        X[:, :4] += 1.5 * (y[:, None] - 1) * np.array([1.0, -1.0, 0.5, 2.0])
+        X[:, 4] *= 0.5 + y  # class-dependent spread
+        q = rng.normal(size=(15, 12)) * 2.0
+        for offset in (0.0, 1e6):
+            data = Dataset.from_arrays(X + offset, [str(v) for v in y])
+            model = fit(data, scheme=scheme, penalty="bic",
+                        variance_mode=variance_mode, prior_term_mode=prior_term_mode)
+            assert model.gamma[:, 1:].max() > 0.5  # the hypotheses carry weight
+            got = predict(model, q + offset).eta
+            want = slotwise_eta(model, q + offset)
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert err.max() <= 1e-9, (offset, err.max())
 
 
 class TestSelectedFeatures:
