@@ -9,8 +9,10 @@ round-trip precision so save/load/predict is bit-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,10 +20,14 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .estimator import Dataset, FittedModel, PenaltyConfig, validate_model
-from .partitions import PartitionSet, allocation_matrix
+from .partitions import PartitionSet, allocation_matrix, is_restricted_growth
 from . import estimator
 
 MODEL_SCHEMA_VERSION = 1
+
+#: Rows of a per-feature matrix encoded per ``json.dumps`` call in
+#: ``save_model``; bounds the transient lists and text to one block.
+_ROWS_PER_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -31,20 +37,6 @@ class CsvSchema:
     has_header: bool = True
     label_column: str | int | None = "label"
     delimiter: str = ","
-
-
-def _read_rows(path: str | Path, delimiter: str) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
-    if not rows:
-        raise FormatError(f"{path}: file is empty")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise FormatError(
-                f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
-            )
-    return rows
 
 
 def _parse_cell(text: str, row: int, col_name: str) -> float:
@@ -61,24 +53,83 @@ def _parse_cell(text: str, row: int, col_name: str) -> float:
     return value
 
 
-def _locate_label(header: list[str] | None, width: int,
-                  label_column: str | int) -> int:
+def _label_index(header: list[str] | None, width: int,
+                 label_column: str | int | None, required: bool) -> int:
+    """Column index of the label, or -1 when there is none.
+
+    A label column that cannot be found is an error only when
+    ``required``; otherwise the file is read as all features.
+    """
+    if label_column is None:
+        return -1
     if isinstance(label_column, int):
-        if not 0 <= label_column < width:
-            raise ValidationError(
-                f"label column index {label_column} outside 0..{width - 1}"
-            )
-        return label_column
-    if header is None:
-        raise ValidationError(
-            "label column referenced by name requires a header row"
-        )
-    try:
+        if 0 <= label_column < width:
+            return label_column
+        problem = f"label column index {label_column} outside 0..{width - 1}"
+    elif header is None:
+        problem = "label column referenced by name requires a header row"
+    elif label_column in header:
         return header.index(label_column)
-    except ValueError:
-        raise ValidationError(
-            f"label column {label_column!r} not found in header {header}"
-        ) from None
+    else:
+        problem = f"label column {label_column!r} not found in header {header}"
+    if required:
+        raise ValidationError(problem)
+    return -1
+
+
+def _read_table(
+    path: str | Path, schema: CsvSchema, *, labeled: bool
+) -> tuple[list[str], list[str], np.ndarray]:
+    """Stream a delimited file into (feature names, label cells, values).
+
+    Rows are checked for width and converted one at a time, so the file's
+    text is never held whole.  Each row goes through one ``np.array``
+    call, which parses ``str`` cells exactly as ``float`` does; a row that
+    fails, or holds a non-finite value, is scanned cell by cell to report
+    the first bad cell.  Row numbers count non-empty lines from 1,
+    header included.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = (row for row in csv.reader(fh, delimiter=schema.delimiter) if row)
+            header = next(rows, None) if schema.has_header else None
+            first = next(rows, None)
+            if first is None:
+                raise FormatError(
+                    f"{path}: no data rows" if header else f"{path}: file is empty"
+                )
+            width = len(header if header is not None else first)
+            label_idx = _label_index(header, width, schema.label_column, labeled)
+            if labeled and width == 1:
+                raise ValidationError(f"{path}: no feature columns beside the label")
+            if header is not None:
+                names = [name for j, name in enumerate(header) if j != label_idx]
+            else:
+                names = [f"x{j + 1}" for j in range(width - int(label_idx >= 0))]
+            row_no = 1 + int(schema.has_header)
+            labels: list[str] = []
+            values: list[np.ndarray] = []
+            for row in itertools.chain([first], rows):
+                if len(row) != width:
+                    raise FormatError(
+                        f"{path}: row {row_no} has {len(row)} cells, expected {width}"
+                    )
+                if label_idx >= 0:
+                    labels.append(row.pop(label_idx))
+                try:
+                    vals = np.array(row, dtype=np.float64)
+                except ValueError:
+                    vals = None
+                if vals is None or not np.isfinite(vals).all():
+                    vals = np.array([_parse_cell(text, row_no, name)
+                                     for text, name in zip(row, names)])
+                values.append(vals)
+                row_no += 1
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: malformed CSV ({exc})") from None
+    return names, labels, np.array(values, dtype=np.float64)
 
 
 def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
@@ -90,27 +141,7 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
     """
     if schema.label_column is None:
         raise ValidationError("training ingestion requires a label column")
-    rows = _read_rows(path, schema.delimiter)
-    header = rows[0] if schema.has_header else None
-    body = rows[1:] if schema.has_header else rows
-    if not body:
-        raise FormatError(f"{path}: no data rows")
-    width = len(rows[0])
-    label_idx = _locate_label(header, width, schema.label_column)
-    feat_idx = [j for j in range(width) if j != label_idx]
-    if not feat_idx:
-        raise ValidationError(f"{path}: no feature columns beside the label")
-    names = (
-        [header[j] for j in feat_idx]
-        if header is not None
-        else [f"x{j + 1}" for j in range(len(feat_idx))]
-    )
-    labels = []
-    X = np.empty((len(body), len(feat_idx)))
-    for i, row in enumerate(body):
-        labels.append(row[label_idx])
-        for jj, j in enumerate(feat_idx):
-            X[i, jj] = _parse_cell(row[j], i + 1 + int(schema.has_header), names[jj])
+    names, labels, X = _read_table(path, schema, labeled=True)
     data = Dataset.from_arrays(X, labels, feature_names=names)
     if data.K < 2:
         raise ValidationError(f"{path}: fewer than 2 classes in label column")
@@ -124,42 +155,21 @@ def load_matrix(
 
     When the schema names a label column that is present, it is ignored.
     """
-    rows = _read_rows(path, schema.delimiter)
-    header = rows[0] if schema.has_header else None
-    body = rows[1:] if schema.has_header else rows
-    if not body:
-        raise FormatError(f"{path}: no data rows")
-    width = len(rows[0])
-    skip = -1
-    if schema.label_column is not None:
-        if isinstance(schema.label_column, int):
-            skip = schema.label_column if 0 <= schema.label_column < width else -1
-        elif header is not None and schema.label_column in header:
-            skip = header.index(schema.label_column)
-    feat_idx = [j for j in range(width) if j != skip]
-    names = (
-        [header[j] for j in feat_idx]
-        if header is not None
-        else [f"x{j + 1}" for j in range(len(feat_idx))]
-    )
-    X = np.empty((len(body), len(feat_idx)))
-    for i, row in enumerate(body):
-        for jj, j in enumerate(feat_idx):
-            X[i, jj] = _parse_cell(row[j], i + 1 + int(schema.has_header), names[jj])
+    names, _, X = _read_table(path, schema, labeled=False)
     return X, names
 
 
 def save_dataset(data: Dataset, path: str | Path, *,
                  label_name: str = "label", delimiter: str = ",") -> None:
     """Write a Dataset back to labeled CSV with full float precision."""
-    with open(path, "w", newline="") as fh:
+    labels = data.class_labels
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow([label_name, *data.feature_names])
-        for i in range(data.n):
-            writer.writerow(
-                [data.class_labels[data.y[i] - 1]]
-                + [repr(float(v)) for v in data.X[i]]
-            )
+        writer.writerows(
+            [labels[code - 1], *map(repr, row)]
+            for code, row in zip(data.y.tolist(), data.X.tolist())
+        )
 
 
 def _class_medians(data: Dataset) -> np.ndarray:
@@ -212,10 +222,7 @@ def filter_features(
 
 
 def _lam_to_json(lam: np.ndarray) -> list[list[float | None]]:
-    out: list[list[float | None]] = []
-    for row in lam:
-        out.append([None if v == -np.inf else float(v) for v in row])
-    return out
+    return [[None if v == -math.inf else v for v in row] for row in lam.tolist()]
 
 
 def _lam_from_json(rows: list[list[float | None]]) -> np.ndarray:
@@ -226,8 +233,19 @@ def _lam_from_json(rows: list[list[float | None]]) -> np.ndarray:
     return arr
 
 
+def _row_blocks(a: np.ndarray, to_list=np.ndarray.tolist) -> Iterator[list]:
+    """A 2-D array as nested lists, ``_ROWS_PER_BLOCK`` rows at a time."""
+    for start in range(0, len(a), _ROWS_PER_BLOCK):
+        yield to_list(a[start:start + _ROWS_PER_BLOCK])
+
+
 def save_model(model: FittedModel, path: str | Path) -> None:
-    """Persist a fitted model as a JSON document (schema version 1)."""
+    """Persist a fitted model as a JSON document (schema version 1).
+
+    The document is written one field at a time and each per-feature
+    matrix one block of rows at a time, so memory beyond the model stays
+    at one block; the bytes equal ``json.dumps`` of the whole document.
+    """
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "n": model.n,
@@ -240,15 +258,27 @@ def save_model(model: FittedModel, path: str | Path) -> None:
         "prior_term_mode": model.prior_term_mode,
         "pi": model.pi.tolist(),
         "feature_names": list(model.feature_names),
-        "gamma_hat": model.gamma.tolist(),
-        "lambda": _lam_to_json(model.lam),
-        "mu": model.mu.tolist(),
-        "sigma2": model.sigma2.tolist(),
+        "gamma_hat": _row_blocks(model.gamma),
+        "lambda": _row_blocks(model.lam, _lam_to_json),
+        "mu": _row_blocks(model.mu),
+        "sigma2": _row_blocks(model.sigma2),
         "variance_floor": model.variance_floor.tolist(),
         "admissible": [bool(v) for v in model.admissible],
     }
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
+        sep = "{"
+        for key, value in doc.items():
+            fh.write(sep + json.dumps(key) + ": ")
+            sep = ", "
+            if isinstance(value, Iterator):
+                # a block's rows without its own brackets, joined by ", "
+                fh.write("[")
+                for i, block in enumerate(value):
+                    fh.write((", " if i else "") + json.dumps(block)[1:-1])
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value))
+        fh.write("}")
 
 
 def _require(doc: dict, key: str):
@@ -257,31 +287,51 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def load_model(path: str | Path) -> FittedModel:
-    """Load a model document and re-validate every model invariant."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not a valid model document ({exc})") from None
+def _require_int(doc: dict, key: str) -> int:
+    value = _require(doc, key)
+    if type(value) is not int:
+        raise FormatError(f"model field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _hypothesis_columns(doc: dict) -> tuple[tuple[int, ...], ...]:
+    """Columns of the K x M hypothesis matrix ``S``, checked for shape,
+    integer entries and restricted-growth form with the null first."""
+    k = _require_int(doc, "K")
+    s_rows = _require(doc, "S")
+    if k < 1 or not isinstance(s_rows, list) or len(s_rows) != k:
+        raise FormatError(f"S must be a list of K={k} rows (K >= 1)")
+    if not all(isinstance(row, list) for row in s_rows) or not s_rows[0]:
+        raise FormatError("S rows must be non-empty lists")
+    if len({len(row) for row in s_rows}) != 1:
+        raise FormatError("S rows differ in length")
+    if not all(type(v) is int for row in s_rows for v in row):
+        raise FormatError("S entries must be integers")
+    columns = tuple(zip(*s_rows))
+    if columns[0] != (1,) * k or not all(is_restricted_growth(c) for c in columns):
+        raise FormatError(
+            "S columns must be restricted-growth partitions, the null first"
+        )
+    return columns
+
+
+def _model_from_doc(doc: dict) -> FittedModel:
+    """Build a FittedModel from a parsed document; field errors raise
+    ``FormatError``, values of the wrong type ``TypeError``/``ValueError``."""
     version = _require(doc, "schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise FormatError(
-            f"{path}: unsupported schema_version {version}; "
+            f"unsupported schema_version {version}; "
             f"this build reads version {MODEL_SCHEMA_VERSION}"
         )
-    s_rows = _require(doc, "S")
-    k = _require(doc, "K")
-    if len(s_rows) != k:
-        raise FormatError(f"{path}: S has {len(s_rows)} rows, expected K={k}")
-    columns = tuple(zip(*[tuple(int(v) for v in row) for row in s_rows]))
+    columns = _hypothesis_columns(doc)
     g, z, a = allocation_matrix(columns)
     variance_mode = _require(doc, "variance_mode")
     if variance_mode not in ("equal", "unequal"):
-        raise FormatError(f"{path}: unknown variance_mode {variance_mode!r}")
+        raise FormatError(f"unknown variance_mode {variance_mode!r}")
     df_per_group = 1 if variance_mode == "equal" else 2
     parts = PartitionSet(
-        K=k,
+        K=len(columns[0]),
         M=len(columns),
         columns=columns,
         G=g,
@@ -295,8 +345,11 @@ def load_model(path: str | Path) -> FittedModel:
     try:
         penalty = PenaltyConfig(kind=pen_doc["kind"], C=float(pen_doc["C"]))
     except (KeyError, TypeError, ValidationError) as exc:
-        raise FormatError(f"{path}: bad penalty block ({exc})") from None
-    model = FittedModel(
+        raise FormatError(f"bad penalty block ({exc})") from None
+    prior_term_mode = _require(doc, "prior_term_mode")
+    if prior_term_mode not in ("log", "plogp"):
+        raise FormatError(f"unknown prior_term_mode {prior_term_mode!r}")
+    return FittedModel(
         parts=parts,
         variance_mode=variance_mode,
         mu=estimator._as_readonly(np.array(_require(doc, "mu"), dtype=np.float64)),
@@ -305,8 +358,8 @@ def load_model(path: str | Path) -> FittedModel:
         gamma=estimator._as_readonly(np.array(_require(doc, "gamma_hat"), dtype=np.float64)),
         lam=estimator._as_readonly(_lam_from_json(_require(doc, "lambda"))),
         penalty=penalty,
-        prior_term_mode=_require(doc, "prior_term_mode"),
-        n=int(_require(doc, "n")),
+        prior_term_mode=prior_term_mode,
+        n=_require_int(doc, "n"),
         class_labels=tuple(str(v) for v in _require(doc, "class_label_map")),
         feature_names=tuple(str(v) for v in _require(doc, "feature_names")),
         variance_floor=estimator._as_readonly(
@@ -316,12 +369,24 @@ def load_model(path: str | Path) -> FittedModel:
             np.array(_require(doc, "admissible"), dtype=bool)
         ),
     )
-    if model.prior_term_mode not in ("log", "plogp"):
-        raise FormatError(
-            f"{path}: unknown prior_term_mode {model.prior_term_mode!r}"
-        )
+
+
+def load_model(path: str | Path) -> FittedModel:
+    """Load a model document and re-validate every model invariant."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: not a valid model document ({exc})") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: model document must be a JSON object")
+    try:
+        model = _model_from_doc(doc)
         validate_model(model)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed model document ({exc})") from None
     except ValidationError as exc:
         raise FormatError(f"{path}: invariant violation: {exc}") from None
     return model

@@ -542,7 +542,7 @@ def predict(
     quadratic form in the query row whose per-class coefficients are set
     up once per call at O(p * M * K) cost, so scoring costs O(n* * p * K).
     Ties in the argmax resolve to the lowest class code.  A score that is
-    not finite (e.g. from a model file holding NaN) raises ``NumericError``.
+    not finite (e.g. when a model's values overflow) raises ``NumericError``.
     """
     Xnew = np.ascontiguousarray(Xnew, dtype=np.float64)
     if Xnew.ndim == 1:
@@ -624,6 +624,8 @@ def validate_model(model: FittedModel) -> None:
     """Check every FittedModel invariant; raise ValidationError on the
     first violation.  Used after deserialization."""
     parts = model.parts
+    if model.gamma.ndim != 2:
+        raise ValidationError("gamma must be a p x M matrix")
     p, m_count = model.gamma.shape
     if m_count != parts.M:
         raise ValidationError("gamma width does not match hypothesis count")
@@ -638,6 +640,23 @@ def validate_model(model: FittedModel) -> None:
         raise ValidationError("feature name count does not match gamma")
     if len(model.class_labels) != parts.K:
         raise ValidationError("class label count does not match K")
+    if model.pi.shape != (parts.K,):
+        raise ValidationError("class prior count does not match K")
+    if model.variance_floor.shape != (p,):
+        raise ValidationError("variance_floor length does not match gamma")
+    if model.admissible.shape != (parts.M,):
+        raise ValidationError(
+            f"admissible has length {model.admissible.size}, expected M={parts.M}"
+        )
+    for name in ("pi", "mu", "sigma2", "variance_floor"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise ValidationError(f"{name} holds a non-finite value")
+    lam_ok = np.where(model.admissible[None, :], np.isfinite(model.lam),
+                      np.isneginf(model.lam))
+    if not lam_ok.all():
+        raise ValidationError(
+            "lambda must be finite in admissible columns and -inf in the others"
+        )
     row_sums = model.gamma.sum(axis=1)
     if not np.all(np.abs(row_sums - 1.0) <= 1e-9):
         j = int(np.argmax(np.abs(row_sums - 1.0)))

@@ -79,6 +79,16 @@ class TestTrain:
         assert result.exit_code == 2
         assert "fewer than 2 classes" in result.stderr
 
+    def test_non_utf8_csv_exits_2(self, runner, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"label,a,b\nx,1,2\ny,\xff\xfe,3\n")
+        result = runner.invoke(
+            main, ["train", str(path), "--out", str(tmp_path / "m.json")],
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "latin.csv: not UTF-8 text" in result.stderr
+
     def test_unknown_flag_exits_2(self, runner, toy_csv):
         result = runner.invoke(main, ["train", toy_csv, "--bogus"])
         assert result.exit_code == 2
@@ -170,7 +180,7 @@ class TestPredict:
 
     @pytest.mark.parametrize("field, value", [("mu", float("nan")),
                                               ("sigma2", float("inf"))])
-    def test_non_finite_model_exits_3(self, runner, toy_csv, tmp_path, field, value):
+    def test_non_finite_model_exits_2(self, runner, toy_csv, tmp_path, field, value):
         model_path = self.fitted(runner, toy_csv, tmp_path)
         doc = json.loads(model_path.read_text())
         doc[field][0][1] = value
@@ -180,9 +190,47 @@ class TestPredict:
             main, ["predict", toy_csv, "--model", str(model_path),
                    "--out", str(out), "--seed", "1"],
         )
+        assert result.exit_code == 2, result.output
+        assert f"{field} holds a non-finite value" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_model_exits_3(self, runner, toy_csv, tmp_path):
+        # every value is finite, so the file loads; the score overflows
+        model_path = self.fitted(runner, toy_csv, tmp_path)
+        doc = json.loads(model_path.read_text())
+        doc["mu"][0][1] = 1e308
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        result = runner.invoke(
+            main, ["predict", toy_csv, "--model", str(model_path),
+                   "--out", str(out), "--seed", "1"],
+        )
         assert result.exit_code == 3, result.output
         assert "query row 1" in result.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        {"K": 0, "S": []},
+        {"S": [[1, 1.5], [1, 2]]},
+        {"S": [[1, "1"], [1, 2]]},
+        {"n": "abc"},
+        {"pi": "x"},
+        {"mu": [[0.0, "a", 1.0]]},
+        {"gamma_hat": [1.0]},
+    ], ids=["K0", "S-float", "S-str", "n-str", "pi-str", "mu-str", "gamma-1d"])
+    def test_malformed_model_exits_2(self, runner, toy_csv, tmp_path, edit):
+        model_path = self.fitted(runner, toy_csv, tmp_path)
+        doc = json.loads(model_path.read_text())
+        doc.update(edit)
+        model_path.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["predict", toy_csv, "--model", str(model_path), "--seed", "1"],
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "m.json" in result.stderr
 
 
 class TestCv:

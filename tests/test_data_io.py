@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from multida import FormatError, ValidationError
+from multida import FormatError, ValidationError, data_io
 from multida.data_io import (
     CsvSchema,
     filter_features,
@@ -84,6 +85,108 @@ class TestLoadDataset:
         save_dataset(data, out)
         again = load_dataset(out)
         assert np.array_equal(data.X, again.X)  # bit-exact via repr
+
+
+class TestStreamingReader:
+    EDGE_CELLS = [" 1.5", "1_0", "\uff11\uff12", "1e-400", ".5", "-0", "1.5 ",
+                  "+3", "4.9e-324", "1.7976931348623157e308", "1e5_0"]
+
+    def test_edge_cells_parse_like_float(self, tmp_path):
+        cells = self.EDGE_CELLS
+        path = tmp_path / "edge.csv"
+        names = [f"c{j}" for j in range(len(cells))]
+        path.write_text("label," + ",".join(names) + "\na," + ",".join(cells)
+                        + "\nb," + ",".join(reversed(cells)) + "\n",
+                        encoding="utf-8")
+        data = load_dataset(path)
+        expected = np.array([[float(c) for c in cells],
+                             [float(c) for c in reversed(cells)]])
+        assert data.X.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "1e309", "NaN"])
+    def test_non_finite_tokens_rejected(self, tmp_path, token):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"label,x1,x2\na,1,2\nb,3,{token}\n")
+        with pytest.raises(FormatError,
+                           match=f"non-finite cell '{token}' at row 3, column x2"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("has_header", [True, False])
+    @pytest.mark.parametrize("reader", ["dataset", "matrix"])
+    def test_bad_cell_in_last_row_and_column(self, tmp_path, has_header, reader):
+        n, p = 30, 400
+        rng = np.random.default_rng(4)
+        lines = [f"g{j + 1}" for j in range(p)]
+        lines = ["label," + ",".join(lines)] if has_header else []
+        for i in range(n):
+            cells = [repr(float(v)) for v in rng.normal(size=p)]
+            if i == n - 1:
+                cells[-1] = "1.0.0"
+            lines.append("ab"[i % 2] + "," + ",".join(cells))
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(lines) + "\n")
+        schema = CsvSchema(has_header=has_header, label_column="label" if has_header else 0)
+        row = n + int(has_header)
+        col = f"g{p}" if has_header else f"x{p}"
+        with pytest.raises(FormatError,
+                           match=f"non-numeric cell '1.0.0' at row {row}, column {col}$"):
+            if reader == "dataset":
+                load_dataset(path, schema)
+            else:
+                load_matrix(path, schema)
+
+    def test_rows_checked_in_file_order(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("label,x1\na,oops\nb,2,3\n")
+        with pytest.raises(FormatError, match="non-numeric cell 'oops' at row 2"):
+            load_dataset(path)
+        path.write_text("label,x1\na,1,3\nb,oops\n")
+        with pytest.raises(FormatError, match="row 2 has 3 cells, expected 2"):
+            load_dataset(path)
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "head.csv"
+        path.write_text("label,x1\n")
+        with pytest.raises(FormatError, match="no data rows"):
+            load_dataset(path)
+        path.write_text("")
+        with pytest.raises(FormatError, match="file is empty"):
+            load_matrix(path)
+
+    def test_label_only_file(self, tmp_path):
+        path = tmp_path / "lab.csv"
+        path.write_text("label\na\nb\n")
+        with pytest.raises(ValidationError, match="no feature columns"):
+            load_dataset(path)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"label,a,b\nx,1,2\ny,\xff\xfe,3\n")
+        with pytest.raises(FormatError, match="latin.csv: not UTF-8 text"):
+            load_dataset(path)
+
+    def test_csv_error_rejected(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("label,x1\na," + "1" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(FormatError, match="huge.csv: malformed CSV"):
+            load_matrix(path, CsvSchema())
+
+
+class TestSaveDataset:
+    def test_bytes_match_per_cell_repr(self, tmp_path):
+        X = np.array([[0.1, -0.0, 1e-300, 5e-324],
+                      [1e16, 2.5, -7.0, 1 / 3]])
+        data = Dataset.from_arrays(X, ["a,b", "c"], feature_names=["f1", "f 2", "f,3", "f4"])
+        out = tmp_path / "d.csv"
+        save_dataset(data, out, delimiter=";")
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, delimiter=";")
+            writer.writerow(["label", *data.feature_names])
+            for i in range(data.n):
+                writer.writerow([data.class_labels[data.y[i] - 1]]
+                                + [repr(float(v)) for v in data.X[i]])
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestLoadMatrix:
@@ -207,6 +310,68 @@ class TestModelRoundTrip:
         save_model(model, path)
         loaded = load_model(path)
         assert np.array_equal(loaded.lam, model.lam)
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 1024])
+    def test_bytes_match_one_shot_encoder(self, tmp_path, monkeypatch,
+                                          variance_mode, rows_per_block):
+        # single-sample class gives -inf lambda entries, written as null;
+        # 7 features split into full and partial row blocks
+        monkeypatch.setattr(data_io, "_ROWS_PER_BLOCK", rows_per_block)
+        X = np.random.default_rng(2).normal(size=(13, 7))
+        model = fit(Dataset.from_arrays(X, ["a"] * 6 + ["b"] * 6 + ["c"]),
+                    variance_mode=variance_mode)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text))
+
+    @pytest.mark.parametrize("field, edit, message", [
+        ("pi", lambda v: [float("nan")] + v[1:], "pi holds a non-finite"),
+        ("mu", lambda v: [[float("nan")] + v[0][1:]] + v[1:], "mu holds a non-finite"),
+        ("sigma2", lambda v: [[float("inf")] + v[0][1:]] + v[1:], "sigma2 holds a non-finite"),
+        ("variance_floor", lambda v: [float("nan")] + v[1:], "variance_floor holds"),
+        ("admissible", lambda v: v[:3], "admissible has length 3, expected M=15"),
+        ("lambda", lambda v: [[v[0][0], None] + v[0][2:]] + v[1:], "lambda must be finite"),
+        ("lambda", lambda v: [[v[0][0], float("inf")] + v[0][2:]] + v[1:], "lambda must be finite"),
+        ("pi", lambda v: v[1:], "class prior count"),
+    ], ids=["pi-nan", "mu-nan", "sigma2-inf", "floor-nan", "admissible-short",
+            "lambda-null", "lambda-inf", "pi-short"])
+    def test_mutated_model_rejected(self, tmp_path, field, edit, message):
+        model = self._model(k=4)
+        assert model.parts.M == 15
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc[field] = edit(doc[field])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"invariant violation: {message}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"K": 0, "S": []}, "K=0"),
+        ({"S": [[1, 2], [1, 1], [1, 2]]}, "restricted-growth"),
+        ({"S": [[1, 1], [1], [1, 2]]}, "differ in length"),
+        ({"S": [[1, True], [1, 2], [1, 2]]}, "must be integers"),
+        ({"n": 36.0}, "'n' must be an integer"),
+        ({"pi": {"a": 1}}, "malformed model document"),
+        ({"lambda": 3}, "malformed model document"),
+    ], ids=["K0", "S-not-rg", "S-ragged", "S-bool", "n-float", "pi-dict", "lambda-int"])
+    def test_malformed_fields_rejected(self, tmp_path, edit, message):
+        model = self._model()
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc.update(edit)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=message):
+            load_model(path)
+
+    def test_non_object_document(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(FormatError, match="must be a JSON object"):
+            load_model(path)
 
     def test_truncated_file(self, tmp_path):
         model = self._model()
