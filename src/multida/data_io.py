@@ -1,9 +1,10 @@
 """CSV ingestion, feature filtering and model persistence.
 
 Training CSVs carry one label column (named ``label`` unless overridden)
-plus numeric feature columns; prediction CSVs are purely numeric.  Models
-are stored as a single JSON document; floats are written with full
-round-trip precision so save/load/predict is bit-identical.
+plus numeric feature columns; prediction CSVs are purely numeric.  A model
+is stored as one JSON document of its config and per-class statistics,
+floats written with full round-trip precision; loading re-derives the
+model with the code ``fit`` uses, so save/load/predict is bit-identical.
 """
 
 from __future__ import annotations
@@ -12,22 +13,18 @@ import csv
 import itertools
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .estimator import Dataset, FittedModel, PenaltyConfig, validate_model
-from .partitions import PartitionSet, allocation_matrix, is_restricted_growth
+from .estimator import (Dataset, FittedModel, PenaltyConfig, SufficientStats,
+                        validate_model)
+from .partitions import is_restricted_growth, partition_set_from_columns
 from . import estimator
 
-MODEL_SCHEMA_VERSION = 1
-
-#: Rows of a per-feature matrix encoded per ``json.dumps`` call in
-#: ``save_model``; bounds the transient lists and text to one block.
-_ROWS_PER_BLOCK = 1024
+MODEL_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -39,16 +36,16 @@ class CsvSchema:
     delimiter: str = ","
 
 
-def _parse_cell(text: str, row: int, col_name: str) -> float:
+def _parse_cell(path: str | Path, text: str, row: int, col_name: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise FormatError(
-            f"non-numeric cell {text!r} at row {row}, column {col_name}"
+            f"{path}: non-numeric cell {text!r} at row {row}, column {col_name}"
         ) from None
     if not math.isfinite(value):
         raise FormatError(
-            f"non-finite cell {text!r} at row {row}, column {col_name}"
+            f"{path}: non-finite cell {text!r} at row {row}, column {col_name}"
         )
     return value
 
@@ -121,7 +118,7 @@ def _read_table(
                 except ValueError:
                     vals = None
                 if vals is None or not np.isfinite(vals).all():
-                    vals = np.array([_parse_cell(text, row_no, name)
+                    vals = np.array([_parse_cell(path, text, row_no, name)
                                      for text, name in zip(row, names)])
                 values.append(vals)
                 row_no += 1
@@ -221,31 +218,12 @@ def filter_features(
     return reduced, kept
 
 
-def _lam_to_json(lam: np.ndarray) -> list[list[float | None]]:
-    return [[None if v == -math.inf else v for v in row] for row in lam.tolist()]
-
-
-def _lam_from_json(rows: list[list[float | None]]) -> np.ndarray:
-    arr = np.array(
-        [[-np.inf if v is None else v for v in row] for row in rows],
-        dtype=np.float64,
-    )
-    return arr
-
-
-def _row_blocks(a: np.ndarray, to_list=np.ndarray.tolist) -> Iterator[list]:
-    """A 2-D array as nested lists, ``_ROWS_PER_BLOCK`` rows at a time."""
-    for start in range(0, len(a), _ROWS_PER_BLOCK):
-        yield to_list(a[start:start + _ROWS_PER_BLOCK])
-
-
 def save_model(model: FittedModel, path: str | Path) -> None:
-    """Persist a fitted model as a JSON document (schema version 1).
-
-    The document is written one field at a time and each per-feature
-    matrix one block of rows at a time, so memory beyond the model stays
-    at one block; the bytes equal ``json.dumps`` of the whole document.
-    """
+    """Persist a fitted model as a JSON document (schema version 2): the
+    config, the hypothesis matrix ``S`` and the per-class counts, means
+    and centred sums of squares.  ``load_model`` re-derives everything
+    else with the code ``fit`` uses."""
+    stats = model.stats
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "n": model.n,
@@ -256,29 +234,13 @@ def save_model(model: FittedModel, path: str | Path) -> None:
         "variance_mode": model.variance_mode,
         "penalty": {"kind": model.penalty.kind, "C": model.penalty.C},
         "prior_term_mode": model.prior_term_mode,
-        "pi": model.pi.tolist(),
         "feature_names": list(model.feature_names),
-        "gamma_hat": _row_blocks(model.gamma),
-        "lambda": _row_blocks(model.lam, _lam_to_json),
-        "mu": _row_blocks(model.mu),
-        "sigma2": _row_blocks(model.sigma2),
-        "variance_floor": model.variance_floor.tolist(),
-        "admissible": [bool(v) for v in model.admissible],
+        "class_counts": stats.n_k.tolist(),
+        "class_means": stats.mean.tolist(),
+        "class_m2": stats.m2.tolist(),
     }
-    with open(path, "w") as fh:
-        sep = "{"
-        for key, value in doc.items():
-            fh.write(sep + json.dumps(key) + ": ")
-            sep = ", "
-            if isinstance(value, Iterator):
-                # a block's rows without its own brackets, joined by ", "
-                fh.write("[")
-                for i, block in enumerate(value):
-                    fh.write((", " if i else "") + json.dumps(block)[1:-1])
-                fh.write("]")
-            else:
-                fh.write(json.dumps(value))
-        fh.write("}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
 
 
 def _require(doc: dict, key: str):
@@ -315,9 +277,17 @@ def _hypothesis_columns(doc: dict) -> tuple[tuple[int, ...], ...]:
     return columns
 
 
+def _class_array(doc: dict, key: str, k: int, p: int) -> np.ndarray:
+    values = np.array(_require(doc, key), dtype=np.float64)
+    if values.shape != (k, p):
+        raise FormatError(f"model field {key!r} must be a K x p = {k} x {p} matrix")
+    return estimator._as_readonly(values)
+
+
 def _model_from_doc(doc: dict) -> FittedModel:
-    """Build a FittedModel from a parsed document; field errors raise
-    ``FormatError``, values of the wrong type ``TypeError``/``ValueError``."""
+    """Derive a FittedModel from a parsed document; field errors raise
+    ``FormatError``, values of the wrong type ``TypeError``/``ValueError``,
+    an unknown scheme or variance mode ``ValidationError``."""
     version = _require(doc, "schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise FormatError(
@@ -325,54 +295,40 @@ def _model_from_doc(doc: dict) -> FittedModel:
             f"this build reads version {MODEL_SCHEMA_VERSION}"
         )
     columns = _hypothesis_columns(doc)
-    g, z, a = allocation_matrix(columns)
-    variance_mode = _require(doc, "variance_mode")
-    if variance_mode not in ("equal", "unequal"):
-        raise FormatError(f"unknown variance_mode {variance_mode!r}")
-    df_per_group = 1 if variance_mode == "equal" else 2
-    parts = PartitionSet(
-        K=len(columns[0]),
-        M=len(columns),
-        columns=columns,
-        G=g,
-        nu=df_per_group * (g - 1),
-        z=z,
-        A=a,
-        scheme=_require(doc, "scheme"),
-        variance_mode=variance_mode,
-    )
+    k = len(columns[0])
+    parts = partition_set_from_columns(
+        columns, _require(doc, "scheme"), _require(doc, "variance_mode"))
     pen_doc = _require(doc, "penalty")
     try:
         penalty = PenaltyConfig(kind=pen_doc["kind"], C=float(pen_doc["C"]))
     except (KeyError, TypeError, ValidationError) as exc:
         raise FormatError(f"bad penalty block ({exc})") from None
     prior_term_mode = _require(doc, "prior_term_mode")
-    if prior_term_mode not in ("log", "plogp"):
+    if prior_term_mode not in estimator.PRIOR_TERM_MODES:
         raise FormatError(f"unknown prior_term_mode {prior_term_mode!r}")
-    return FittedModel(
-        parts=parts,
-        variance_mode=variance_mode,
-        mu=estimator._as_readonly(np.array(_require(doc, "mu"), dtype=np.float64)),
-        sigma2=estimator._as_readonly(np.array(_require(doc, "sigma2"), dtype=np.float64)),
-        pi=estimator._as_readonly(np.array(_require(doc, "pi"), dtype=np.float64)),
-        gamma=estimator._as_readonly(np.array(_require(doc, "gamma_hat"), dtype=np.float64)),
-        lam=estimator._as_readonly(_lam_from_json(_require(doc, "lambda"))),
-        penalty=penalty,
-        prior_term_mode=prior_term_mode,
+    feature_names = tuple(str(v) for v in _require(doc, "feature_names"))
+    if not feature_names:
+        raise FormatError("model field 'feature_names' is empty")
+    counts = _require(doc, "class_counts")
+    if (not isinstance(counts, list) or len(counts) != k
+            or not all(type(v) is int for v in counts)):
+        raise FormatError(f"model field 'class_counts' must be a list of K={k} integers")
+    stats = SufficientStats(
         n=_require_int(doc, "n"),
+        n_k=estimator._as_readonly(np.array(counts, dtype=np.int64)),
+        mean=_class_array(doc, "class_means", k, len(feature_names)),
+        m2=_class_array(doc, "class_m2", k, len(feature_names)),
+    )
+    return estimator.model_from_stats(
+        stats, parts, penalty=penalty, prior_term_mode=prior_term_mode,
         class_labels=tuple(str(v) for v in _require(doc, "class_label_map")),
-        feature_names=tuple(str(v) for v in _require(doc, "feature_names")),
-        variance_floor=estimator._as_readonly(
-            np.array(_require(doc, "variance_floor"), dtype=np.float64)
-        ),
-        admissible=estimator._as_readonly(
-            np.array(_require(doc, "admissible"), dtype=bool)
-        ),
+        feature_names=feature_names,
     )
 
 
 def load_model(path: str | Path) -> FittedModel:
-    """Load a model document and re-validate every model invariant."""
+    """Load a model document, derive the model from its per-class
+    statistics and validate every model invariant."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -381,11 +337,14 @@ def load_model(path: str | Path) -> FittedModel:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: model document must be a JSON object")
     try:
-        model = _model_from_doc(doc)
-        validate_model(model)
+        # a huge but finite statistic may overflow while the model is
+        # derived; validate_model then rejects the non-finite result
+        with np.errstate(all="ignore"):
+            model = _model_from_doc(doc)
+            validate_model(model)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed model document ({exc})") from None
     except ValidationError as exc:
         raise FormatError(f"{path}: invariant violation: {exc}") from None

@@ -18,6 +18,10 @@ Conventions used throughout:
   ``z_M`` (see :mod:`multida.partitions`); slot ``a_km - 1`` holds the
   component of class ``k`` under hypothesis ``m``.
 * All softmax computations subtract the row maximum before exponentiating.
+* A model is a function of its per-class counts, means and centred sums
+  of squares (``SufficientStats``), the hypothesis set and the config;
+  ``model_from_stats`` derives everything else, for ``fit`` and for
+  ``load_model`` alike.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
 
@@ -182,17 +185,17 @@ class PenaltyConfig:
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Per-slot sample counts, sums and sums of squares.
+    """Per-class sample counts, means and centred sums of squares.
 
-    ``n_mg[a]``, ``sums[j, a]`` and ``sumsqs[j, a]`` refer to flat slot
-    ``a`` (zero-based ``a_km - 1``); counts do not depend on the feature.
+    ``n_k[k]``, ``mean[k, j]`` and ``m2[k, j]`` refer to class ``k + 1``
+    and feature ``j``; ``m2`` is the two-pass sum of squared deviations
+    from the class mean.  Every other fitted quantity derives from these.
     """
 
     n: int
-    n_k: np.ndarray
-    n_mg: np.ndarray
-    sums: np.ndarray
-    sumsqs: np.ndarray
+    n_k: np.ndarray   # K
+    mean: np.ndarray  # K x p
+    m2: np.ndarray    # K x p
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,7 @@ class FittedModel:
     feature_names: tuple[str, ...]
     variance_floor: np.ndarray = field(repr=False)
     admissible: np.ndarray = field(repr=False)
+    stats: SufficientStats = field(repr=False)  # all that save_model stores
 
     @property
     def p(self) -> int:
@@ -249,18 +253,41 @@ class Prediction:
     eta: np.ndarray             # n* x K
 
 
-def _slot_index(parts: PartitionSet) -> tuple[np.ndarray, np.ndarray]:
-    """(slot -> column) map and (slot, column) 0/1 segment matrix."""
-    slot_col = np.repeat(np.arange(parts.M), parts.G)
-    seg = np.zeros((parts.n_slots, parts.M))
-    seg[np.arange(parts.n_slots), slot_col] = 1.0
-    return slot_col, seg
+def _slot_columns(parts: PartitionSet) -> np.ndarray:
+    """Hypothesis column (0-based) of every flat slot."""
+    return np.repeat(np.arange(parts.M), parts.G)
+
+
+def _slot_starts(parts: PartitionSet) -> np.ndarray:
+    """First flat slot of every hypothesis."""
+    return np.concatenate(([0], parts.z[:-1]))
+
+
+def _hypothesis_sums(rows: np.ndarray, parts: PartitionSet) -> np.ndarray:
+    """Sums (M x p) of slot-major rows (z_M x p) over each hypothesis's
+    slots, added row by row in slot order."""
+    out = np.empty((parts.M, rows.shape[1]))
+    for m, (start, g) in enumerate(zip(_slot_starts(parts), parts.G)):
+        out[m] = rows[start:start + g].sum(axis=0)
+    return out
+
+
+def _slot_counts(n_k: np.ndarray, parts: PartitionSet) -> np.ndarray:
+    """Sample count of every flat slot."""
+    counts = np.zeros(parts.n_slots, dtype=np.int64)
+    np.add.at(counts, parts.A - 1, np.broadcast_to(n_k[:, None], parts.A.shape))
+    return counts
 
 
 def _feature_chunks(p: int, threads: int) -> list[slice]:
-    workers = max(1, threads)
-    size = max(1, -(-p // workers))
-    return [slice(j, min(j + size, p)) for j in range(0, p, size)]
+    """Feature blocks for ``threads`` workers.  No block is one column wide
+    unless ``p == 1``: numpy sums a single column pairwise but a wider block
+    row by row, so a one-column block would change the bits."""
+    size = max(2, -(-p // max(1, threads)))
+    starts = list(range(0, p, size))
+    if len(starts) > 1 and p - starts[-1] == 1:
+        starts.pop()
+    return [slice(s, e) for s, e in zip(starts, starts[1:] + [p])]
 
 
 def _resolve_threads(threads: int) -> int:
@@ -276,47 +303,31 @@ def _resolve_threads(threads: int) -> int:
 def accumulate_stats(
     data: Dataset, parts: PartitionSet, *, threads: int = 1
 ) -> SufficientStats:
-    """Exact per-(hypothesis, group) counts, sums and sums of squares.
+    """Per-class counts, means and centred sums of squares, in two passes
+    over each class's rows (the mean first, then the squared deviations
+    from it), so the result does not depend on where the data sit.
 
-    Per-class moments are reduced first and then combined slot-wise in
-    ascending class order, so results do not depend on the number of
-    threads (feature blocks are fully independent).
+    Feature blocks are fully independent, so results do not depend on the
+    number of threads.
     """
     if data.K != parts.K:
         raise ValidationError(
             f"dataset has {data.K} classes but partition set expects {parts.K}"
         )
     threads = _resolve_threads(threads)
-    n, p = data.X.shape
-    z_m = parts.n_slots
-    a0 = parts.A - 1  # K x M, zero-based slots
-
-    n_mg = np.zeros(z_m, dtype=np.int64)
-    for k in range(data.K):
-        n_mg[a0[k]] += data.class_counts[k]
-
     class_rows = [np.flatnonzero(data.y == k + 1) for k in range(data.K)]
-    sums = np.empty((p, z_m))
-    sumsqs = np.empty((p, z_m))
+    mean = np.empty((data.K, data.p))
+    m2 = np.empty((data.K, data.p))
 
     def work(cols: slice) -> None:
         xb = data.X[:, cols]
-        pb = xb.shape[1]
-        cls_sum = np.empty((data.K, pb))
-        cls_ss = np.empty((data.K, pb))
         for k, rows in enumerate(class_rows):
             xk = xb[rows]
-            cls_sum[k] = xk.sum(axis=0)
-            cls_ss[k] = np.square(xk).sum(axis=0)
-        sb = np.zeros((pb, z_m))
-        ssb = np.zeros((pb, z_m))
-        for k in range(data.K):
-            sb[:, a0[k]] += cls_sum[k][:, None]
-            ssb[:, a0[k]] += cls_ss[k][:, None]
-        sums[cols] = sb
-        sumsqs[cols] = ssb
+            mean[k, cols] = mk = xk.sum(axis=0) / rows.size
+            xk -= mk
+            m2[k, cols] = np.square(xk, out=xk).sum(axis=0)
 
-    chunks = _feature_chunks(p, threads)
+    chunks = _feature_chunks(data.p, threads)
     if threads == 1 or len(chunks) == 1:
         for c in chunks:
             work(c)
@@ -324,64 +335,76 @@ def accumulate_stats(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, chunks))
 
-    return SufficientStats(n=n, n_k=data.class_counts.copy(), n_mg=n_mg,
-                           sums=sums, sumsqs=sumsqs)
+    return SufficientStats(n=data.n, n_k=data.class_counts,
+                           mean=_as_readonly(mean), m2=_as_readonly(m2))
 
 
-def _admissible_hypotheses(
-    stats: SufficientStats, parts: PartitionSet, variance_mode: str
-) -> np.ndarray:
-    if variance_mode == "equal":
-        ok = stats.n > parts.G
-    else:
-        ok = np.ones(parts.M, dtype=bool)
-        slot_col, _ = _slot_index(parts)
-        for a in np.flatnonzero(stats.n_mg < 2):
-            ok[slot_col[a]] = False
-    ok[0] = True  # null pools all samples; n >= 2 is checked upstream
-    return ok
+def _merge_classes(
+    stats: SufficientStats, parts: PartitionSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slot-major (z_M x p) counts, means and centred sums of squares of
+    every flat slot, merged from the per-class moments in ascending class
+    order.  A slot's first class enters as is; each later one is added
+    with the pairwise update of Chan, Golub & LeVeque (1983):
+
+        mean_ab = mean_a + d * n_b / n_ab,
+        M2_ab = M2_a + M2_b + d**2 * n_a * n_b / n_ab,  d = mean_b - mean_a.
+    """
+    a0 = parts.A - 1  # K x M, zero-based slots; one slot per column
+    count = np.zeros(parts.n_slots, dtype=np.int64)
+    mean = np.empty((parts.n_slots, stats.mean.shape[1]))
+    m2 = np.empty_like(mean)
+    for k in range(parts.K):
+        slots = a0[k]
+        n_a = count[slots]
+        new, old = slots[n_a == 0], slots[n_a > 0]
+        mean[new] = stats.mean[k]
+        m2[new] = stats.m2[k]
+        if old.size:
+            n_a, n_b = count[old], stats.n_k[k]
+            n_ab = n_a + n_b
+            d = stats.mean[k] - mean[old]
+            mean[old] += d * (n_b / n_ab)[:, None]
+            m2[old] += stats.m2[k] + np.square(d) * (n_a * n_b / n_ab)[:, None]
+        count[slots] += stats.n_k[k]
+    return count, mean, m2
 
 
 def fit_mles(
     stats: SufficientStats, parts: PartitionSet, variance_mode: str
 ) -> Mles:
-    """Closed-form MLEs from sufficient statistics.
+    """Closed-form MLEs from per-class sufficient statistics.
 
-    Means are slot sums over slot counts; variances are biased MLEs,
+    Classes are merged into the slots of every hypothesis
+    (``_merge_classes``); means are slot means, variances biased MLEs,
     pooled within a hypothesis for the equal-variance (multiLDA) case and
     per group for the unequal-variance (multiQDA) case.  Every variance is
     clamped below at ``1e-8 *`` the feature's overall variance (or 1e-8
     when that is zero).  Hypotheses whose variance MLE is degenerate
     (multiQDA: any group with fewer than 2 samples; multiLDA: n <= G_m)
-    are flagged inadmissible.
+    are flagged inadmissible.  Work runs slot-major; ``mu`` and
+    ``sigma2`` are p-major views of the slot-major results.
     """
     if variance_mode not in ("equal", "unequal"):
         raise ValidationError(f"unknown variance mode {variance_mode!r}")
     n = stats.n
-    mu = stats.sums / stats.n_mg[None, :]
-    css = stats.sumsqs - stats.sums**2 / stats.n_mg[None, :]
-    np.maximum(css, 0.0, out=css)  # guard cancellation for constant features
+    count, mean, m2 = _merge_classes(stats, parts)
 
-    global_var = css[:, 0] / n
+    global_var = m2[0] / n
     floor = VARIANCE_FLOOR_SCALE * np.where(global_var > 0.0, global_var, 1.0)
 
     if variance_mode == "equal":
-        _, seg = _slot_index(parts)
-        sigma2 = (css @ seg) / n
+        sigma2 = _hypothesis_sums(m2, parts) / n
+        admissible = n > parts.G
     else:
-        sigma2 = css / stats.n_mg[None, :]
-    np.maximum(sigma2, floor[:, None], out=sigma2)
+        sigma2 = m2 / count[:, None]
+        admissible = np.minimum.reduceat(count, _slot_starts(parts)) >= 2
+    np.maximum(sigma2, floor, out=sigma2)
+    admissible[0] = True  # null pools all samples; n >= 2 is checked upstream
 
-    pi = stats.n_k / n
-    admissible = _admissible_hypotheses(stats, parts, variance_mode)
-    if parts.M > 1 and not admissible[1:].any():
-        warnings.warn(
-            "no non-null hypothesis is admissible (too few samples per "
-            "group); the fit degenerates to the null-only model",
-            stacklevel=2,
-        )
-    return Mles(mu=mu, sigma2=sigma2, pi=pi, variance_floor=floor,
-                admissible=admissible, variance_mode=variance_mode)
+    return Mles(mu=mean.T, sigma2=sigma2.T, pi=stats.n_k / n,
+                variance_floor=floor, admissible=admissible,
+                variance_mode=variance_mode)
 
 
 def lrt(stats: SufficientStats, parts: PartitionSet, mles: Mles) -> np.ndarray:
@@ -389,15 +412,17 @@ def lrt(stats: SufficientStats, parts: PartitionSet, mles: Mles) -> np.ndarray:
     as a p x M matrix.  Column 1 is exactly zero; inadmissible columns are
     ``-inf`` so they carry no weight downstream."""
     n = stats.n
-    log_null = np.log(mles.sigma2[:, 0])  # slot/column 0 is the null either way
+    log_var = np.log(mles.sigma2.T)  # slot-major; row 0 is the null either way
     if mles.variance_mode == "equal":
-        lam = n * (log_null[:, None] - np.log(mles.sigma2))
+        lam = n * (log_var[:1] - log_var)
     else:
-        _, seg = _slot_index(parts)
-        lam = n * log_null[:, None] - (stats.n_mg[None, :] * np.log(mles.sigma2)) @ seg
-    lam[:, 0] = 0.0
-    lam[:, ~mles.admissible] = -np.inf
-    return lam
+        # the null slot holds all n samples, so row 0 is n * log(s2_null)
+        log_var *= _slot_counts(stats.n_k, parts)[:, None]
+        lam = _hypothesis_sums(log_var, parts)
+        lam = lam[:1] - lam
+    lam[0] = 0.0
+    lam[~mles.admissible] = -np.inf
+    return lam.T
 
 
 def gamma_weights(
@@ -473,27 +498,52 @@ def fit(
                 f"{parts.variance_mode!r}, fit requested {variance_mode!r}"
             )
     pen = PenaltyConfig.resolve(penalty, data.n, data.p)
-
     stats = accumulate_stats(data, parts, threads=threads)
-    mles = fit_mles(stats, parts, variance_mode)
-    lam = lrt(stats, parts, mles)
-    gamma = gamma_weights(lam, parts.nu, pen, mles.admissible)
+    model = model_from_stats(stats, parts, penalty=pen,
+                             prior_term_mode=prior_term_mode,
+                             class_labels=data.class_labels,
+                             feature_names=data.feature_names)
+    if parts.M > 1 and not model.admissible[1:].any():
+        warnings.warn(
+            "no non-null hypothesis is admissible (too few samples per "
+            "group); the fit degenerates to the null-only model",
+            stacklevel=2,
+        )
+    return model
 
+
+def model_from_stats(
+    stats: SufficientStats,
+    parts: PartitionSet,
+    *,
+    penalty: PenaltyConfig,
+    prior_term_mode: str,
+    class_labels: tuple[str, ...],
+    feature_names: tuple[str, ...],
+) -> FittedModel:
+    """The one derivation of a model from per-class sufficient statistics,
+    the hypothesis set and the config: closed-form MLEs, LRT statistics
+    and posterior hypothesis weights.  ``fit`` and ``load_model`` both
+    call it, so a loaded model is bit-identical to the fitted one."""
+    mles = fit_mles(stats, parts, parts.variance_mode)
+    lam = lrt(stats, parts, mles)
+    gamma = gamma_weights(lam, parts.nu, penalty, mles.admissible)
     return FittedModel(
         parts=parts,
-        variance_mode=variance_mode,
+        variance_mode=parts.variance_mode,
         mu=_as_readonly(mles.mu),
         sigma2=_as_readonly(mles.sigma2),
         pi=_as_readonly(mles.pi),
         gamma=_as_readonly(gamma),
         lam=_as_readonly(lam),
-        penalty=pen,
+        penalty=penalty,
         prior_term_mode=prior_term_mode,
-        n=data.n,
-        class_labels=data.class_labels,
-        feature_names=data.feature_names,
+        n=stats.n,
+        class_labels=class_labels,
+        feature_names=feature_names,
         variance_floor=_as_readonly(mles.variance_floor),
         admissible=_as_readonly(mles.admissible),
+        stats=stats,
     )
 
 
@@ -516,7 +566,7 @@ def _class_coefficients(
     """
     parts = model.parts
     a0 = parts.A - 1  # K x M, zero-based slots
-    slot_col, _ = _slot_index(parts)
+    slot_col = _slot_columns(parts)
     # slot-major (z_M x p) so every reduction below runs along contiguous rows
     var_rows = slot_col if model.variance_mode == "equal" else slice(None)
     gamma = model.gamma.T[slot_col]
@@ -561,18 +611,23 @@ def predict(
         )
     threads = _resolve_threads(threads)
     nq = Xnew.shape[0]
-    Q, L, const = _class_coefficients(model)
-    half_q = 0.5 * Q
+    # overflow shows up as a non-finite score, reported below; the error
+    # state is per thread, so each worker sets its own
+    quiet = dict(over="ignore", invalid="ignore")
+    with np.errstate(**quiet):
+        Q, L, const = _class_coefficients(model)
+        half_q = 0.5 * Q
     mu_null = model.mu[:, 0]
     eta = np.empty((nq, model.K))
 
     def work(rows: slice) -> None:
-        xc = Xnew[rows] - mu_null[None, :]
-        for k in range(model.K):
-            # per-row reduction (not a BLAS matvec) so the summation order
-            # depends only on p, never on the row chunking
-            terms = xc * (L[k] - half_q[k] * xc)
-            eta[rows, k] = terms.sum(axis=1) + const[k]
+        with np.errstate(**quiet):
+            xc = Xnew[rows] - mu_null[None, :]
+            for k in range(model.K):
+                # per-row reduction (not a BLAS matvec) so the summation
+                # order depends only on p, never on the row chunking
+                terms = xc * (L[k] - half_q[k] * xc)
+                eta[rows, k] = terms.sum(axis=1) + const[k]
 
     size = max(1, -(-nq // threads))
     chunks = [slice(i, min(i + size, nq)) for i in range(0, nq, size)]
@@ -640,6 +695,19 @@ def validate_model(model: FittedModel) -> None:
         raise ValidationError("feature name count does not match gamma")
     if len(model.class_labels) != parts.K:
         raise ValidationError("class label count does not match K")
+    if len(set(model.class_labels)) != parts.K:
+        raise ValidationError("class labels must be distinct")
+    stats = model.stats
+    if (stats.n_k.shape != (parts.K,) or stats.mean.shape != (parts.K, p)
+            or stats.m2.shape != (parts.K, p)):
+        raise ValidationError("class statistics must be K counts and two K x p arrays")
+    if np.any(stats.n_k < 1) or sum(stats.n_k.tolist()) != model.n:
+        raise ValidationError("class counts must be positive and sum to n")
+    for name, values in (("class_means", stats.mean), ("class_m2", stats.m2)):
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{name} holds a non-finite value")
+    if np.any(stats.m2 < 0.0):
+        raise ValidationError("class_m2 holds a negative value")
     if model.pi.shape != (parts.K,):
         raise ValidationError("class prior count does not match K")
     if model.variance_floor.shape != (p,):

@@ -231,12 +231,7 @@ def build_partition_set(
     supplied K x M integer matrix (the null column is prepended when
     missing).  Columns are sorted by group count, then lexicographically.
     """
-    if scheme not in SCHEMES:
-        raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if variance_mode not in VARIANCE_MODES:
-        raise ValidationError(
-            f"unknown variance mode {variance_mode!r}; expected one of {VARIANCE_MODES}"
-        )
+    _check_config(scheme, variance_mode)
     if scheme == "user":
         if user_matrix is None:
             raise ValidationError("scheme 'user' requires a partition matrix")
@@ -256,15 +251,35 @@ def build_partition_set(
         else:
             columns = ordinal_columns(k)
 
+    return partition_set_from_columns(columns, scheme, variance_mode)
+
+
+def _check_config(scheme: str, variance_mode: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if variance_mode not in VARIANCE_MODES:
+        raise ValidationError(
+            f"unknown variance mode {variance_mode!r}; expected one of {VARIANCE_MODES}"
+        )
+
+
+def partition_set_from_columns(
+    columns: Sequence[Column], scheme: str, variance_mode: str
+) -> PartitionSet:
+    """PartitionSet for an ordered list of canonical columns, null first.
+
+    Each group beyond the first costs one degree of freedom (its mean)
+    under equal variances and two (mean and variance) under unequal ones.
+    """
+    _check_config(scheme, variance_mode)
     g, z, a = allocation_matrix(columns)
     df_per_group = 1 if variance_mode == "equal" else 2
-    nu = df_per_group * (g - 1)
     return PartitionSet(
-        K=k,
+        K=len(columns[0]),
         M=len(columns),
         columns=tuple(columns),
         G=g,
-        nu=nu,
+        nu=df_per_group * (g - 1),
         z=z,
         A=a,
         scheme=scheme,

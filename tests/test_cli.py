@@ -178,12 +178,14 @@ class TestPredict:
         assert [r[0] for r in rows[1:]] == ["a", "b"]
 
 
-    @pytest.mark.parametrize("field, value", [("mu", float("nan")),
-                                              ("sigma2", float("inf"))])
+    # ids name the fitted quantity that the edited statistic feeds
+    @pytest.mark.parametrize("field, value", [("class_means", float("nan")),
+                                              ("class_m2", float("inf"))],
+                             ids=["mu-nan", "sigma2-inf"])
     def test_non_finite_model_exits_2(self, runner, toy_csv, tmp_path, field, value):
         model_path = self.fitted(runner, toy_csv, tmp_path)
         doc = json.loads(model_path.read_text())
-        doc[field][0][1] = value
+        doc[field][1][0] = value
         model_path.write_text(json.dumps(doc))
         out = tmp_path / "p.csv"
         result = runner.invoke(
@@ -194,21 +196,19 @@ class TestPredict:
         assert f"{field} holds a non-finite value" in result.stderr
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_overflowing_model_exits_3(self, runner, toy_csv, tmp_path):
-        # every value is finite, so the file loads; the score overflows
+        # every value is finite; the score of the first query row overflows
         model_path = self.fitted(runner, toy_csv, tmp_path)
-        doc = json.loads(model_path.read_text())
-        doc["mu"][0][1] = 1e308
-        model_path.write_text(json.dumps(doc))
+        query = tmp_path / "q.csv"
+        query.write_text("x1\n1e200\n6\n")
         out = tmp_path / "p.csv"
         result = runner.invoke(
-            main, ["predict", toy_csv, "--model", str(model_path),
+            main, ["predict", str(query), "--model", str(model_path),
                    "--out", str(out), "--seed", "1"],
         )
         assert result.exit_code == 3, result.output
         assert "query row 1" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("edit", [
@@ -216,10 +216,13 @@ class TestPredict:
         {"S": [[1, 1.5], [1, 2]]},
         {"S": [[1, "1"], [1, 2]]},
         {"n": "abc"},
-        {"pi": "x"},
-        {"mu": [[0.0, "a", 1.0]]},
-        {"gamma_hat": [1.0]},
-    ], ids=["K0", "S-float", "S-str", "n-str", "pi-str", "mu-str", "gamma-1d"])
+        {"class_counts": "x"},
+        {"class_means": [["a"], [5.0]]},
+        {"class_m2": [1.0]},
+        {"class_label_map": ["a", "a"]},
+        {"scheme": ""},
+    ], ids=["K0", "S-float", "S-str", "n-str", "pi-str", "mu-str", "m2-1d",
+            "labels-repeated", "scheme-empty"])
     def test_malformed_model_exits_2(self, runner, toy_csv, tmp_path, edit):
         model_path = self.fitted(runner, toy_csv, tmp_path)
         doc = json.loads(model_path.read_text())

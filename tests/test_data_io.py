@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from multida import FormatError, ValidationError, data_io
+from multida import FormatError, ValidationError
 from multida.data_io import (
     CsvSchema,
     filter_features,
@@ -138,7 +138,8 @@ class TestStreamingReader:
     def test_rows_checked_in_file_order(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text("label,x1\na,oops\nb,2,3\n")
-        with pytest.raises(FormatError, match="non-numeric cell 'oops' at row 2"):
+        with pytest.raises(FormatError,
+                           match=r"mixed\.csv: non-numeric cell 'oops' at row 2, column x1$"):
             load_dataset(path)
         path.write_text("label,x1\na,1,3\nb,oops\n")
         with pytest.raises(FormatError, match="row 2 has 3 cells, expected 2"):
@@ -297,8 +298,10 @@ class TestModelRoundTrip:
         assert loaded.feature_names == model.feature_names
         assert loaded.parts.columns == model.parts.columns
         assert loaded.penalty == model.penalty
-        for f in ("mu", "sigma2", "pi", "gamma", "lam", "variance_floor"):
-            assert np.array_equal(getattr(loaded, f), getattr(model, f))
+        for f in ("mu", "sigma2", "pi", "gamma", "lam", "variance_floor", "admissible"):
+            a, b = getattr(loaded, f), getattr(model, f)
+            assert a.dtype == b.dtype and a.shape == b.shape, f
+            assert a.tobytes() == b.tobytes(), f
 
     def test_minus_inf_lambda_survives(self, tmp_path):
         # single-sample class makes several QDA hypotheses inadmissible
@@ -312,31 +315,62 @@ class TestModelRoundTrip:
         assert np.array_equal(loaded.lam, model.lam)
 
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
-    @pytest.mark.parametrize("rows_per_block", [1, 3, 1024])
-    def test_bytes_match_one_shot_encoder(self, tmp_path, monkeypatch,
-                                          variance_mode, rows_per_block):
-        # single-sample class gives -inf lambda entries, written as null;
-        # 7 features split into full and partial row blocks
-        monkeypatch.setattr(data_io, "_ROWS_PER_BLOCK", rows_per_block)
-        X = np.random.default_rng(2).normal(size=(13, 7))
+    @pytest.mark.parametrize("p", [1, 3, 1024])
+    def test_bytes_match_one_shot_encoder(self, tmp_path, variance_mode, p):
+        # a single-sample class makes some hypotheses inadmissible
+        X = np.random.default_rng(2).normal(size=(13, p))
         model = fit(Dataset.from_arrays(X, ["a"] * 6 + ["b"] * 6 + ["c"]),
                     variance_mode=variance_mode)
         path = tmp_path / "m.json"
         save_model(model, path)
         text = path.read_text()
-        assert text == json.dumps(json.loads(text))
+        doc = json.loads(text)
+        assert text == json.dumps(doc)
+        assert list(doc) == ["schema_version", "n", "K", "class_label_map", "scheme",
+                             "S", "variance_mode", "penalty", "prior_term_mode",
+                             "feature_names", "class_counts", "class_means", "class_m2"]
+        assert doc["schema_version"] == 2
+        assert doc["class_counts"] == [6, 6, 1]
+        assert np.array(doc["class_means"]).shape == (3, p)
 
+    def test_file_size_per_feature(self, tmp_path):
+        # K=4 stores 8 floats per feature; the derived arrays are not stored
+        rng = np.random.default_rng(5)
+        y = np.repeat([1, 2, 3, 4], 25)
+        X = rng.normal(size=(100, 2000))
+        X[:, :200] += 1.5 * (y[:, None] - 1)
+        model = fit(Dataset.from_arrays(X, [str(v) for v in y]))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        assert path.stat().st_size <= 250 * 2000
+
+    # ids name the fitted quantity that the edited statistic feeds
     @pytest.mark.parametrize("field, edit, message", [
-        ("pi", lambda v: [float("nan")] + v[1:], "pi holds a non-finite"),
-        ("mu", lambda v: [[float("nan")] + v[0][1:]] + v[1:], "mu holds a non-finite"),
-        ("sigma2", lambda v: [[float("inf")] + v[0][1:]] + v[1:], "sigma2 holds a non-finite"),
-        ("variance_floor", lambda v: [float("nan")] + v[1:], "variance_floor holds"),
-        ("admissible", lambda v: v[:3], "admissible has length 3, expected M=15"),
-        ("lambda", lambda v: [[v[0][0], None] + v[0][2:]] + v[1:], "lambda must be finite"),
-        ("lambda", lambda v: [[v[0][0], float("inf")] + v[0][2:]] + v[1:], "lambda must be finite"),
-        ("pi", lambda v: v[1:], "class prior count"),
-    ], ids=["pi-nan", "mu-nan", "sigma2-inf", "floor-nan", "admissible-short",
-            "lambda-null", "lambda-inf", "pi-short"])
+        ("class_counts", lambda v: [float("nan")] + v[1:], "'class_counts' must be a list"),
+        ("class_means", lambda v: [[float("nan")] + v[0][1:]] + v[1:],
+         "invariant violation: class_means holds a non-finite value"),
+        ("class_m2", lambda v: [[float("inf")] + v[0][1:]] + v[1:],
+         "invariant violation: class_m2 holds a non-finite value"),
+        ("class_m2", lambda v: v[:1] + [[float("nan")] + v[1][1:]] + v[2:],
+         "invariant violation: class_m2 holds a non-finite value"),
+        ("class_counts", lambda v: [v[0] + 1] + v[1:],
+         "invariant violation: class counts must be positive and sum to n"),
+        ("class_counts", lambda v: [0, v[0] + v[1]] + v[2:],
+         "invariant violation: class counts must be positive and sum to n"),
+        ("class_m2", lambda v: [[-1.0] + v[0][1:]] + v[1:],
+         "invariant violation: class_m2 holds a negative value"),
+        ("class_means", lambda v: [[1e308] + v[0][1:], [-1e308] + v[1][1:]] + v[2:],
+         "invariant violation: mu holds a non-finite value"),
+        ("class_m2", lambda v: [[1e308] + row[1:] for row in v],
+         "invariant violation: sigma2 holds a non-finite value"),
+        ("class_counts", lambda v: v[1:], "'class_counts' must be a list of K=4"),
+        ("class_label_map", lambda v: ["a", "b", "a", "c"],
+         "invariant violation: class labels must be distinct"),
+        ("scheme", lambda v: "", "invariant violation: unknown scheme ''"),
+        ("scheme", lambda v: "Exhaustive", "invariant violation: unknown scheme"),
+    ], ids=["pi-nan", "mu-nan", "sigma2-inf", "floor-nan", "counts-sum", "counts-zero",
+            "m2-negative", "means-overflow", "m2-overflow", "pi-short", "labels-repeated",
+            "scheme-empty", "scheme-unknown"])
     def test_mutated_model_rejected(self, tmp_path, field, edit, message):
         model = self._model(k=4)
         assert model.parts.M == 15
@@ -345,7 +379,7 @@ class TestModelRoundTrip:
         doc = json.loads(path.read_text())
         doc[field] = edit(doc[field])
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match=f"invariant violation: {message}"):
+        with pytest.raises(FormatError, match=message):
             load_model(path)
 
     @pytest.mark.parametrize("edit, message", [
@@ -354,9 +388,14 @@ class TestModelRoundTrip:
         ({"S": [[1, 1], [1], [1, 2]]}, "differ in length"),
         ({"S": [[1, True], [1, 2], [1, 2]]}, "must be integers"),
         ({"n": 36.0}, "'n' must be an integer"),
-        ({"pi": {"a": 1}}, "malformed model document"),
-        ({"lambda": 3}, "malformed model document"),
-    ], ids=["K0", "S-not-rg", "S-ragged", "S-bool", "n-float", "pi-dict", "lambda-int"])
+        ({"class_counts": {"a": 1}}, "'class_counts' must be a list"),
+        ({"class_m2": 3}, "'class_m2' must be a K x p = 3 x 6 matrix"),
+        ({"class_means": [[0.0] * 6] * 2}, "'class_means' must be a K x p"),
+        ({"class_means": [[0.0] * 6, [0.0] * 5, [0.0] * 6]}, "malformed model document"),
+        ({"feature_names": []}, "'feature_names' is empty"),
+        ({"class_counts": [12, 12, 2**70]}, "malformed model document"),
+    ], ids=["K0", "S-not-rg", "S-ragged", "S-bool", "n-float", "pi-dict", "m2-int",
+            "means-rows", "means-ragged", "no-features", "count-huge"])
     def test_malformed_fields_rejected(self, tmp_path, edit, message):
         model = self._model()
         path = tmp_path / "m.json"
@@ -391,12 +430,27 @@ class TestModelRoundTrip:
         with pytest.raises(FormatError, match="schema_version"):
             load_model(path)
 
-    def test_tampered_gamma_row_rejected(self, tmp_path):
+    def test_v1_document_rejected(self, tmp_path):
+        # schema 1 stored the derived arrays; no reader for it remains
         model = self._model()
         path = tmp_path / "m.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
-        doc["gamma_hat"][0] = [0.1] * len(doc["gamma_hat"][0])
+        for key in ("class_counts", "class_means", "class_m2"):
+            del doc[key]
+        doc.update(schema_version=1, pi=model.pi.tolist(), gamma_hat=model.gamma.tolist(),
+                   mu=model.mu.tolist(), sigma2=model.sigma2.tolist())
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="unsupported schema_version 1; "
+                                              "this build reads version 2"):
+            load_model(path)
+
+    def test_tampered_counts_rejected(self, tmp_path):
+        model = self._model()
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["class_counts"][0] += 1
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="invariant"):
             load_model(path)
@@ -406,7 +460,7 @@ class TestModelRoundTrip:
         path = tmp_path / "m.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
-        del doc["pi"]
+        del doc["class_counts"]
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="missing field"):
             load_model(path)

@@ -92,43 +92,57 @@ class TestPenalty:
 class TestSufficientStats:
     def test_hand_accumulation(self, toy_data, toy_parts):
         stats = accumulate_stats(toy_data, toy_parts)
-        # slots: 0 null; 1,2 the (1,2) split
-        assert stats.n_mg.tolist() == [4, 2, 2]
-        assert stats.sums[0].tolist() == [12.0, 2.0, 10.0]
-        assert stats.sumsqs[0].tolist() == [56.0, 4.0, 52.0]
+        # class a holds 0, 2; class b holds 4, 6
+        assert stats.n_k.tolist() == [2, 2]
+        assert stats.mean[:, 0].tolist() == [1.0, 5.0]
+        assert stats.m2[:, 0].tolist() == [2.0, 2.0]
 
     def test_null_slot_totals(self, toy_data, toy_parts):
         stats = accumulate_stats(toy_data, toy_parts)
-        assert stats.n_mg[0] == toy_data.n
-        assert stats.sums[0, 0] == TOY_X.sum()
+        assert stats.n_k.sum() == toy_data.n
+        assert (stats.n_k * stats.mean[:, 0]).sum() == TOY_X.sum()
+        mles = fit_mles(stats, toy_parts, "equal")
+        assert mles.mu[0, 0] == 3.0 and mles.sigma2[0, 0] == 5.0
 
     def test_single_sample_group(self):
         d = Dataset.from_arrays(np.array([[1.0], [2.0], [3.0]]), ["a", "b", "b"])
         stats = accumulate_stats(d, build_partition_set(2, "exhaustive"))
-        assert stats.n_mg.tolist() == [3, 1, 2]
+        assert stats.n_k.tolist() == [1, 2]
+        assert stats.mean[:, 0].tolist() == [1.0, 2.5]
+        assert stats.m2[:, 0].tolist() == [0.0, 0.5]
 
     @pytest.mark.parametrize("k,scheme", [(3, "exhaustive"), (4, "onevsrest"), (4, "ordinal")])
     def test_invariants_random(self, k, scheme):
+        # merged slots reproduce each group's moments computed from the data
         rng = np.random.default_rng(52)
         data = random_dataset(rng, 40, 6, k)
         parts = build_partition_set(k, scheme)
         stats = accumulate_stats(data, parts)
+        eq = fit_mles(stats, parts, "equal")
+        uq = fit_mles(stats, parts, "unequal")
         z = np.concatenate([[0], parts.z])
-        for m in range(parts.M):
-            sl = slice(z[m], z[m + 1])
-            assert stats.n_mg[sl].sum() == data.n
-            np.testing.assert_allclose(
-                stats.sums[:, sl].sum(axis=1), data.X.sum(axis=0), rtol=1e-12
-            )
+        for m, col in enumerate(parts.columns):
+            group_of_row = np.array(col)[data.y - 1]
+            pooled = np.zeros(data.p)
+            for g in range(1, parts.G[m] + 1):
+                xg = data.X[group_of_row == g]
+                a = z[m] + g - 1
+                np.testing.assert_allclose(eq.mu[:, a], xg.mean(axis=0), rtol=1e-12)
+                if len(xg) > 1:
+                    np.testing.assert_allclose(uq.sigma2[:, a], xg.var(axis=0), rtol=1e-12)
+                pooled += ((xg - xg.mean(axis=0)) ** 2).sum(axis=0)
+            np.testing.assert_allclose(eq.sigma2[:, m], pooled / data.n, rtol=1e-12)
 
     def test_thread_count_does_not_change_bits(self):
+        # (7, 3) and (3, 2) would leave a one-column feature block
         rng = np.random.default_rng(7)
-        data = random_dataset(rng, 60, 500, 3)
         parts = build_partition_set(3, "exhaustive")
-        a = accumulate_stats(data, parts, threads=1)
-        b = accumulate_stats(data, parts, threads=5)
-        assert np.array_equal(a.sums, b.sums)
-        assert np.array_equal(a.sumsqs, b.sumsqs)
+        for p, threads in [(500, 5), (7, 3), (3, 2), (1, 4)]:
+            data = random_dataset(rng, 60, p, 3)
+            a = accumulate_stats(data, parts, threads=1)
+            b = accumulate_stats(data, parts, threads=threads)
+            assert np.array_equal(a.mean, b.mean), (p, threads)
+            assert np.array_equal(a.m2, b.m2), (p, threads)
 
 
 class TestMles:
@@ -335,6 +349,17 @@ class TestFit:
         with pytest.raises(ValidationError, match="variance_mode"):
             fit(toy_data, parts_uq, variance_mode="equal")
 
+    def test_thread_counts_with_narrow_feature_blocks(self):
+        # 7 features on 3 threads: a naive split leaves a one-column block
+        rng = np.random.default_rng(1)
+        y = np.repeat([1, 2, 3], 20)
+        data = Dataset.from_arrays(rng.normal(size=(60, 7)) * 1e3 + 5.0,
+                                   [str(v) for v in y])
+        m1 = fit(data, threads=1)
+        m3 = fit(data, threads=3)
+        for f in ("mu", "sigma2", "gamma", "lam"):
+            assert np.array_equal(getattr(m1, f), getattr(m3, f)), f
+
     def test_thread_counts_produce_identical_models(self):
         rng = np.random.default_rng(17)
         data = random_dataset(rng, 80, 700, 4, min_per_class=8)
@@ -342,6 +367,49 @@ class TestFit:
         m3 = fit(data, threads=3)
         for f in ("mu", "sigma2", "pi", "gamma", "lam", "variance_floor"):
             assert np.array_equal(getattr(m1, f), getattr(m3, f))
+
+
+class TestShiftScaleInvariance:
+    """Shifting or rescaling a feature must not change what the model
+    selects or predicts."""
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    def test_offset_1e8_gamma_matches_offset_0(self, variance_mode):
+        # one discriminative feature and two noise features; the one-pass
+        # formula sum(x**2) - sum(x)**2 / n moved the selection to noise
+        rng = np.random.default_rng(60)
+        y = np.repeat([1, 2, 3], 20)
+        X = rng.normal(size=(60, 3))
+        X[:, 0] += 1.5 * (y - 1)
+        labels = [str(v) for v in y]
+        base = fit(Dataset.from_arrays(X, labels), variance_mode=variance_mode)
+        moved = fit(Dataset.from_arrays(X + 1e8, labels), variance_mode=variance_mode)
+        assert base.gamma[1:, 0].min() > 0.99  # noise features stay null
+        np.testing.assert_allclose(moved.gamma, base.gamma, rtol=0.0, atol=1e-6)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
+        log_scale=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+        variance_mode=st.sampled_from(["equal", "unequal"]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_affine_transform_keeps_gamma_and_labels(self, seed, shift, log_scale,
+                                                     variance_mode):
+        rng = np.random.default_rng(seed)
+        y = np.repeat([1, 2, 3], 15)
+        X = rng.normal(size=(45, 4))
+        X[:, :2] += 1.2 * (y[:, None] - 1)
+        X[:, 2] *= 0.5 + 0.5 * y  # class-dependent spread
+        q = rng.normal(size=(20, 4)) * 2.0 + 1.0
+        a, b = np.array(shift), 10.0 ** np.array(log_scale)
+        labels = [str(v) for v in y]
+        base = fit(Dataset.from_arrays(X, labels), penalty="bic",
+                   variance_mode=variance_mode)
+        moved = fit(Dataset.from_arrays(a + b * X, labels), penalty="bic",
+                    variance_mode=variance_mode)
+        np.testing.assert_allclose(moved.gamma, base.gamma, rtol=0.0, atol=1e-6)
+        assert predict(moved, a + b * q).labels == predict(base, q).labels
 
 
 class TestPredict:
