@@ -20,8 +20,9 @@ Conventions used throughout:
 * All softmax computations subtract the row maximum before exponentiating.
 * A model is a function of its per-class counts, means and centred sums
   of squares (``SufficientStats``), the hypothesis set and the config;
-  ``model_from_stats`` derives everything else, for ``fit`` and for
-  ``load_model`` alike.
+  ``model_from_stats`` derives everything else, for ``fit``,
+  ``simlab.cross_validate`` (from fold statistics merged by
+  ``merge_stats``) and ``load_model`` alike.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ PENALTY_KINDS = ("bic", "aic", "ebic", "custom")
 PRIOR_TERM_MODES = ("log", "plogp")
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+#: Features per block of ``predict``'s coefficient set-up.
+COEF_BLOCK = 256
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -127,11 +131,7 @@ class Dataset:
         encoding preserved)."""
         y = self.y[rows]
         counts = np.bincount(y, minlength=self.K + 1)[1:]
-        if (counts == 0).any():
-            missing = int(np.argmin(counts)) + 1
-            raise ValidationError(
-                f"row subset drops class {self.class_labels[missing - 1]!r}"
-            )
+        _require_every_class(counts, self.class_labels)
         return Dataset(
             X=_as_readonly(self.X[rows]),
             y=_as_readonly(y),
@@ -139,6 +139,13 @@ class Dataset:
             class_counts=_as_readonly(counts),
             feature_names=self.feature_names,
         )
+
+
+def _require_every_class(counts: np.ndarray, class_labels: Sequence[str]) -> None:
+    """Raise when a row subset's per-class ``counts`` miss a class."""
+    if (counts == 0).any():
+        missing = int(np.argmin(counts))
+        raise ValidationError(f"row subset drops class {class_labels[missing]!r}")
 
 
 @dataclass(frozen=True)
@@ -279,15 +286,20 @@ def _slot_counts(n_k: np.ndarray, parts: PartitionSet) -> np.ndarray:
     return counts
 
 
-def _feature_chunks(p: int, threads: int) -> list[slice]:
-    """Feature blocks for ``threads`` workers.  No block is one column wide
+def _column_blocks(p: int, size: int) -> list[slice]:
+    """Blocks of ``size`` features, the last one wider by one column where
+    it would otherwise be one column wide.  No block is one column wide
     unless ``p == 1``: numpy sums a single column pairwise but a wider block
     row by row, so a one-column block would change the bits."""
-    size = max(2, -(-p // max(1, threads)))
     starts = list(range(0, p, size))
     if len(starts) > 1 and p - starts[-1] == 1:
         starts.pop()
     return [slice(s, e) for s, e in zip(starts, starts[1:] + [p])]
+
+
+def _feature_chunks(p: int, threads: int) -> list[slice]:
+    """Feature blocks for ``threads`` workers."""
+    return _column_blocks(p, max(2, -(-p // max(1, threads))))
 
 
 def _resolve_threads(threads: int) -> int:
@@ -308,7 +320,8 @@ def accumulate_stats(
     from it), so the result does not depend on where the data sit.
 
     Feature blocks are fully independent, so results do not depend on the
-    number of threads.
+    number of threads.  Overflow is not reported here: it leaves a
+    non-finite statistic, which ``check_fitted`` turns into an error.
     """
     if data.K != parts.K:
         raise ValidationError(
@@ -321,11 +334,13 @@ def accumulate_stats(
 
     def work(cols: slice) -> None:
         xb = data.X[:, cols]
-        for k, rows in enumerate(class_rows):
-            xk = xb[rows]
-            mean[k, cols] = mk = xk.sum(axis=0) / rows.size
-            xk -= mk
-            m2[k, cols] = np.square(xk, out=xk).sum(axis=0)
+        # the error state is per thread, so each worker sets its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, rows in enumerate(class_rows):
+                xk = xb[rows]
+                mean[k, cols] = mk = xk.sum(axis=0) / rows.size
+                xk -= mk
+                m2[k, cols] = np.square(xk, out=xk).sum(axis=0)
 
     chunks = _feature_chunks(data.p, threads)
     if threads == 1 or len(chunks) == 1:
@@ -339,17 +354,38 @@ def accumulate_stats(
                            mean=_as_readonly(mean), m2=_as_readonly(m2))
 
 
+def _chan_merge(
+    n_a: np.ndarray, mean_a: np.ndarray, m2_a: np.ndarray,
+    n_b: np.ndarray, mean_b: np.ndarray, m2_b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means and centred sums of squares of the union of two disjoint
+    samples, row by row, by the pairwise update of Chan, Golub & LeVeque
+    (1983):
+
+        mean_ab = mean_a + d * n_b / n_ab,
+        M2_ab = M2_a + M2_b + d**2 * n_a * n_b / n_ab,  d = mean_b - mean_a.
+
+    ``n_a`` holds one count per row of ``mean_a``; ``n_b`` is one count or
+    one per row, and ``mean_b``/``m2_b`` broadcast against ``mean_a``.
+    """
+    n_ab = n_a + n_b
+    d = mean_b - mean_a
+    mean = d * (n_b / n_ab)[:, None]
+    mean += mean_a
+    m2 = np.square(d, out=d)
+    m2 *= (n_a * n_b / n_ab)[:, None]
+    m2 += m2_b
+    m2 += m2_a
+    return mean, m2
+
+
 def _merge_classes(
     stats: SufficientStats, parts: PartitionSet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slot-major (z_M x p) counts, means and centred sums of squares of
     every flat slot, merged from the per-class moments in ascending class
-    order.  A slot's first class enters as is; each later one is added
-    with the pairwise update of Chan, Golub & LeVeque (1983):
-
-        mean_ab = mean_a + d * n_b / n_ab,
-        M2_ab = M2_a + M2_b + d**2 * n_a * n_b / n_ab,  d = mean_b - mean_a.
-    """
+    order.  A slot's first class enters as is; each later one is added by
+    ``_chan_merge``."""
     a0 = parts.A - 1  # K x M, zero-based slots; one slot per column
     count = np.zeros(parts.n_slots, dtype=np.int64)
     mean = np.empty((parts.n_slots, stats.mean.shape[1]))
@@ -361,13 +397,25 @@ def _merge_classes(
         mean[new] = stats.mean[k]
         m2[new] = stats.m2[k]
         if old.size:
-            n_a, n_b = count[old], stats.n_k[k]
-            n_ab = n_a + n_b
-            d = stats.mean[k] - mean[old]
-            mean[old] += d * (n_b / n_ab)[:, None]
-            m2[old] += stats.m2[k] + np.square(d) * (n_a * n_b / n_ab)[:, None]
+            mean[old], m2[old] = _chan_merge(count[old], mean[old], m2[old],
+                                             stats.n_k[k], stats.mean[k], stats.m2[k])
         count[slots] += stats.n_k[k]
     return count, mean, m2
+
+
+def merge_stats(samples: Sequence[SufficientStats]) -> SufficientStats:
+    """Per-class statistics of the union of disjoint samples of the same
+    classes and features, merged in the given order by ``_chan_merge``.
+    Cross-validation builds each fold's training statistics this way from
+    the statistics of the other folds."""
+    first, *rest = samples
+    n_k, mean, m2 = first.n_k, first.mean, first.m2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in rest:
+            mean, m2 = _chan_merge(n_k, mean, m2, s.n_k, s.mean, s.m2)
+            n_k = n_k + s.n_k
+    return SufficientStats(n=sum(s.n for s in samples), n_k=_as_readonly(n_k),
+                           mean=_as_readonly(mean), m2=_as_readonly(m2))
 
 
 def fit_mles(
@@ -464,50 +512,88 @@ def fit(
 
     When ``parts`` is omitted one is built from ``scheme`` for
     ``data.K`` classes.  ``threads`` only changes how feature blocks are
-    scheduled; the output is identical for any thread count.
+    scheduled; the output is identical for any thread count.  Statistics
+    or weights that are not finite raise ``NumericError`` (``check_fitted``).
     """
-    if data.K < 2:
+    check_training_set(data.class_counts, data.p, prior_term_mode, data.class_labels)
+    parts = training_partition_set(data.K, parts, scheme=scheme,
+                                   user_matrix=user_matrix,
+                                   variance_mode=variance_mode,
+                                   max_classes=max_classes)
+    pen = PenaltyConfig.resolve(penalty, data.n, data.p)
+    stats = accumulate_stats(data, parts, threads=threads)
+    return check_fitted(model_from_stats(stats, parts, penalty=pen,
+                                         prior_term_mode=prior_term_mode,
+                                         class_labels=data.class_labels,
+                                         feature_names=data.feature_names))
+
+
+def check_training_set(
+    n_k: np.ndarray, p: int, prior_term_mode: str, class_labels: Sequence[str]
+) -> None:
+    """The checks every fit makes of its training set, given its per-class
+    counts ``n_k`` (one per class of ``class_labels``) and feature count."""
+    K = len(class_labels)
+    if K < 2:
         raise ValidationError("training data must contain at least 2 classes")
-    if data.n < data.K + 1:
-        raise ValidationError(
-            f"need at least K+1 = {data.K + 1} samples, got {data.n}"
-        )
-    if data.p < 1:
+    _require_every_class(n_k, class_labels)
+    n = int(n_k.sum())
+    if n < K + 1:
+        raise ValidationError(f"need at least K+1 = {K + 1} samples, got {n}")
+    if p < 1:
         raise ValidationError("training data must contain at least 1 feature")
     if prior_term_mode not in PRIOR_TERM_MODES:
         raise ValidationError(
             f"unknown prior term mode {prior_term_mode!r}; "
             f"expected one of {PRIOR_TERM_MODES}"
         )
+
+
+def training_partition_set(
+    K: int,
+    parts: PartitionSet | None = None,
+    *,
+    scheme: str = "exhaustive",
+    user_matrix: np.ndarray | None = None,
+    variance_mode: str = "equal",
+    max_classes: int = DEFAULT_MAX_CLASSES,
+) -> PartitionSet:
+    """The partition set of a fit on ``K`` classes: ``parts`` checked
+    against ``K`` and ``variance_mode``, or, when omitted, one built from
+    ``scheme``."""
     if parts is None:
-        parts = build_partition_set(
-            data.K,
-            scheme,
-            user_matrix=user_matrix,
-            variance_mode=variance_mode,
-            max_classes=max_classes,
+        return build_partition_set(K, scheme, user_matrix=user_matrix,
+                                   variance_mode=variance_mode,
+                                   max_classes=max_classes)
+    if parts.K != K:
+        raise ValidationError(f"partition set is for K={parts.K}, data has K={K}")
+    if parts.variance_mode != variance_mode:
+        raise ValidationError(
+            f"partition set was built for variance_mode="
+            f"{parts.variance_mode!r}, fit requested {variance_mode!r}"
         )
-    else:
-        if parts.K != data.K:
-            raise ValidationError(
-                f"partition set is for K={parts.K}, data has K={data.K}"
+    return parts
+
+
+def check_fitted(model: FittedModel) -> FittedModel:
+    """Return a freshly fitted model once its class statistics and
+    hypothesis weights are known to be finite; raise ``NumericError``
+    otherwise (e.g. when squared deviations overflow).  Warn when no
+    non-null hypothesis is admissible."""
+    for name, values in (("class mean", model.stats.mean),
+                         ("centred sum of squares", model.stats.m2),
+                         ("hypothesis weight", model.gamma.T)):  # all ... x p
+        finite = np.isfinite(values).all(axis=0)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise NumericError(
+                f"non-finite {name} for feature {model.feature_names[j]!r}"
             )
-        if parts.variance_mode != variance_mode:
-            raise ValidationError(
-                f"partition set was built for variance_mode="
-                f"{parts.variance_mode!r}, fit requested {variance_mode!r}"
-            )
-    pen = PenaltyConfig.resolve(penalty, data.n, data.p)
-    stats = accumulate_stats(data, parts, threads=threads)
-    model = model_from_stats(stats, parts, penalty=pen,
-                             prior_term_mode=prior_term_mode,
-                             class_labels=data.class_labels,
-                             feature_names=data.feature_names)
-    if parts.M > 1 and not model.admissible[1:].any():
+    if model.M > 1 and not model.admissible[1:].any():
         warnings.warn(
             "no non-null hypothesis is admissible (too few samples per "
             "group); the fit degenerates to the null-only model",
-            stacklevel=2,
+            stacklevel=3,
         )
     return model
 
@@ -523,11 +609,14 @@ def model_from_stats(
 ) -> FittedModel:
     """The one derivation of a model from per-class sufficient statistics,
     the hypothesis set and the config: closed-form MLEs, LRT statistics
-    and posterior hypothesis weights.  ``fit`` and ``load_model`` both
-    call it, so a loaded model is bit-identical to the fitted one."""
-    mles = fit_mles(stats, parts, parts.variance_mode)
-    lam = lrt(stats, parts, mles)
-    gamma = gamma_weights(lam, parts.nu, penalty, mles.admissible)
+    and posterior hypothesis weights.  ``fit``, ``cross_validate`` and
+    ``load_model`` all call it, so a loaded model is bit-identical to the
+    fitted one.  Overflow is not reported here: the fitting callers pass
+    the result to ``check_fitted``, ``load_model`` to ``validate_model``."""
+    with np.errstate(all="ignore"):
+        mles = fit_mles(stats, parts, parts.variance_mode)
+        lam = lrt(stats, parts, mles)
+        gamma = gamma_weights(lam, parts.nu, penalty, mles.admissible)
     return FittedModel(
         parts=parts,
         variance_mode=parts.variance_mode,
@@ -563,20 +652,28 @@ def _class_coefficients(
     with ``xc = x - mu_null``.  Q and L are K x p, c has length K; the set-up
     costs O(p * M * K).  Centring on the null mean before squaring guards
     the expanded square against cancellation when the data sit far from 0.
+    Q and L are filled ``COEF_BLOCK`` features at a time, so every
+    temporary is COEF_BLOCK wide (z_M, or K * M, rows) and stays in cache.
     """
     parts = model.parts
     a0 = parts.A - 1  # K x M, zero-based slots
     slot_col = _slot_columns(parts)
-    # slot-major (z_M x p) so every reduction below runs along contiguous rows
+    # slot-major (z_M x block) so every reduction below runs along contiguous rows
     var_rows = slot_col if model.variance_mode == "equal" else slice(None)
-    gamma = model.gamma.T[slot_col]
-    w_var = gamma / model.sigma2.T[var_rows]
-    log_var = np.log(model.sigma2.T)[var_rows]
-    d = model.mu.T - model.mu.T[:1]  # slot means centred on the null mean
-    w_d = w_var * d
-    slot_const = (w_d * d).sum(axis=1) + (gamma * log_var).sum(axis=1)
-    Q = np.stack([w_var[a].sum(axis=0) for a in a0])
-    L = np.stack([w_d[a].sum(axis=0) for a in a0])
+    mu, sigma2, gamma_t = model.mu.T, model.sigma2.T, model.gamma.T
+    Q = np.empty((parts.K, model.p))
+    L = np.empty_like(Q)
+    slot_const = np.zeros(parts.n_slots)
+    for cols in _column_blocks(model.p, COEF_BLOCK):
+        gamma = gamma_t[:, cols][slot_col]
+        s2 = sigma2[:, cols]
+        w_var = gamma / s2[var_rows]
+        d = mu[:, cols] - mu[:1, cols]  # slot means centred on the null mean
+        w_d = w_var * d
+        slot_const += (w_d * d).sum(axis=1)
+        slot_const += (gamma * np.log(s2)[var_rows]).sum(axis=1)
+        Q[:, cols] = w_var[a0].sum(axis=1)
+        L[:, cols] = w_d[a0].sum(axis=1)
     c = -0.5 * (slot_const[a0].sum(axis=1) + _LOG_2PI * model.gamma.sum())
     return Q, L, c + _prior_term(model)
 
@@ -590,9 +687,12 @@ def predict(
     log density summed over features plus the class-prior term; class
     probabilities are the row softmax of the scores.  The score is a
     quadratic form in the query row whose per-class coefficients are set
-    up once per call at O(p * M * K) cost, so scoring costs O(n* * p * K).
-    Ties in the argmax resolve to the lowest class code.  A score that is
-    not finite (e.g. when a model's values overflow) raises ``NumericError``.
+    up once per call at O(p * M * K) cost, ``COEF_BLOCK`` features at a
+    time (``_class_coefficients``), so scoring costs O(n* * p * K): two
+    ``einsum`` products per row chunk, of the centred rows with L and of
+    their squares with Q, with no n* x p temporary per class.  Ties in
+    the argmax resolve to the lowest class code.  A score that is not
+    finite (e.g. when a model's values overflow) raises ``NumericError``.
     """
     Xnew = np.ascontiguousarray(Xnew, dtype=np.float64)
     if Xnew.ndim == 1:
@@ -622,12 +722,12 @@ def predict(
 
     def work(rows: slice) -> None:
         with np.errstate(**quiet):
-            xc = Xnew[rows] - mu_null[None, :]
-            for k in range(model.K):
-                # per-row reduction (not a BLAS matvec) so the summation
-                # order depends only on p, never on the row chunking
-                terms = xc * (L[k] - half_q[k] * xc)
-                eta[rows, k] = terms.sum(axis=1) + const[k]
+            xc = Xnew[rows] - mu_null
+            # einsum without ``optimize`` runs no BLAS: each row's sums run
+            # in an order that depends only on p, never on the row chunking
+            lin = np.einsum("ij,kj->ik", xc, L)
+            sq = np.einsum("ij,kj->ik", np.square(xc, out=xc), half_q)
+            eta[rows] = lin - sq + const
 
     size = max(1, -(-nq // threads))
     chunks = [slice(i, min(i + size, nq)) for i in range(0, nq, size)]

@@ -11,13 +11,32 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import Dataset, FittedModel, fit, predict
-from .partitions import Column, canonicalize, enumerate_exhaustive, refines
+from .estimator import (
+    Dataset,
+    FittedModel,
+    PenaltyConfig,
+    SufficientStats,
+    accumulate_stats,
+    check_fitted,
+    check_training_set,
+    fit,
+    merge_stats,
+    model_from_stats,
+    predict,
+    training_partition_set,
+)
+from .partitions import (
+    Column,
+    PartitionSet,
+    canonicalize,
+    enumerate_exhaustive,
+    refines,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -467,6 +486,19 @@ def _stratified_folds(
     return [np.sort(np.array(a, dtype=np.int64)) for a in assignments]
 
 
+def _cv_folds(
+    data: Dataset, parts: PartitionSet, test_sets: Sequence[np.ndarray], threads: int
+) -> Iterator[tuple[Dataset, SufficientStats]]:
+    """The test rows and the training statistics of every fold.  Each
+    fold's per-class statistics are taken once, from its own rows; a
+    fold's training statistics merge those of the other folds in
+    ascending fold order, so no training rows are copied."""
+    tests = [data.subset(idx) for idx in test_sets]
+    fold_stats = [accumulate_stats(test, parts, threads=threads) for test in tests]
+    for f, test in enumerate(tests):
+        yield test, merge_stats(fold_stats[:f] + fold_stats[f + 1:])
+
+
 def cross_validate(
     data: Dataset,
     folds: int = 5,
@@ -485,37 +517,40 @@ def cross_validate(
 
     Fold assignments for trial ``t`` come from an independent stream
     seeded by (seed, t), so any subset of trials can be reproduced or run
-    concurrently without changing results.
+    concurrently without changing results.  The partition set is built
+    once.  Each fold's model is derived by ``model_from_stats`` from its
+    training statistics, merged from per-fold class statistics
+    (``_cv_folds``), after the checks ``fit`` makes of a training set;
+    the training rows are never copied or refitted.
     """
     if folds < 2:
         raise ValidationError("need at least 2 folds")
     if trials < 1:
         raise ValidationError("need at least 1 trial")
+    check_training_set(data.class_counts, data.p, prior_term_mode, data.class_labels)
+    parts = training_partition_set(data.K, scheme=scheme, user_matrix=user_matrix,
+                                   variance_mode=variance_mode,
+                                   max_classes=max_classes)
     rows: list[CvRow] = []
     per_trial = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         test_sets = _stratified_folds(data.y, folds, rng)
         fold_errors = np.empty(folds)
-        for f, test_idx in enumerate(test_sets):
-            mask = np.ones(data.n, dtype=bool)
-            mask[test_idx] = False
-            train = data.subset(np.flatnonzero(mask))
-            model = fit(
-                train,
-                scheme=scheme,
-                user_matrix=user_matrix,
-                penalty=penalty,
-                variance_mode=variance_mode,
+        for f, (test, train) in enumerate(_cv_folds(data, parts, test_sets, threads)):
+            check_training_set(train.n_k, data.p, prior_term_mode, data.class_labels)
+            model = check_fitted(model_from_stats(
+                train, parts,
+                penalty=PenaltyConfig.resolve(penalty, train.n, data.p),
                 prior_term_mode=prior_term_mode,
-                threads=threads,
-                max_classes=max_classes,
-            )
-            pred = predict(model, data.X[test_idx], threads=threads)
-            wrong = int((pred.codes != data.y[test_idx]).sum())
-            err = wrong / len(test_idx)
+                class_labels=data.class_labels,
+                feature_names=data.feature_names,
+            ))
+            pred = predict(model, test.X, threads=threads)
+            wrong = int((pred.codes != test.y).sum())
+            err = wrong / test.n
             fold_errors[f] = err
-            rows.append(CvRow(t + 1, f + 1, len(test_idx), wrong, err))
+            rows.append(CvRow(t + 1, f + 1, test.n, wrong, err))
         per_trial[t] = fold_errors.mean()
     mean = float(per_trial.mean())
     sd = float(per_trial.std(ddof=1)) if trials > 1 else 0.0

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's sufficient-statistics
 and softmax machinery: partitions are enumerated by block insertion,
 likelihoods are evaluated sample by sample with scipy, and MLEs are found
-by a derivative-free numerical optimizer.
+by a derivative-free numerical optimizer.  The one exception is
+``refit_cross_validate``, which refits every fold with ``fit`` to check
+cross-validation's merge of fold statistics.
 """
 
 from __future__ import annotations
@@ -155,3 +157,19 @@ def slotwise_eta(model, X: np.ndarray) -> np.ndarray:
         for k in np.flatnonzero(a0[:, m] == a):
             eta[:, k] += scores
     return eta + prior[None, :]
+
+
+def refit_cross_validate(data, folds, trials, *, seed, **fit_options):
+    """(n_test, n_wrong) of every fold of ``simlab.cross_validate``'s folds,
+    by copying each fold's training rows and refitting them from scratch."""
+    from multida.estimator import fit, predict
+    from multida.simlab import _stratified_folds
+
+    rows = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        for test_idx in _stratified_folds(data.y, folds, rng):
+            train = data.subset(np.setdiff1d(np.arange(data.n), test_idx))
+            pred = predict(fit(train, **fit_options), data.X[test_idx])
+            rows.append((len(test_idx), int((pred.codes != data.y[test_idx]).sum())))
+    return rows

@@ -89,6 +89,30 @@ class TestTrain:
         assert isinstance(result.exception, SystemExit)
         assert "latin.csv: not UTF-8 text" in result.stderr
 
+    def test_overflowing_statistics_exit_3(self, runner, tmp_path):
+        # squared deviations of the 1e200-scale column overflow
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(30, 3))
+        X[:, 1] *= 1e200
+        lines = ["label,x1,x2,x3"] + [
+            f"{lab}," + ",".join(repr(float(v)) for v in row)
+            for lab, row in zip(np.repeat(["a", "b", "c"], 10), X)
+        ]
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "m.json"
+        feats_path = tmp_path / "f.csv"
+        result = runner.invoke(
+            main, ["train", str(path), "--out", str(model_path),
+                   "--features-out", str(feats_path), "--seed", "1"],
+        )
+        assert result.exit_code == 3, result.output
+        assert "numeric failure" in result.stderr
+        assert "'x2'" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert not model_path.exists()
+        assert not feats_path.exists()
+
     def test_unknown_flag_exits_2(self, runner, toy_csv):
         result = runner.invoke(main, ["train", toy_csv, "--bogus"])
         assert result.exit_code == 2

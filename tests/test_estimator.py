@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multida import ValidationError
+from multida import NumericError, ValidationError
 from multida.estimator import (
+    COEF_BLOCK,
     Dataset,
     PenaltyConfig,
     accumulate_stats,
@@ -349,6 +350,17 @@ class TestFit:
         with pytest.raises(ValidationError, match="variance_mode"):
             fit(toy_data, parts_uq, variance_mode="equal")
 
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflowing_statistics_raise(self, variance_mode, threads):
+        # squared deviations of 1e200-scale values overflow: no model, no warning
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(30, 3))
+        X[:, 1] *= 1e200
+        data = Dataset.from_arrays(X, np.repeat(["a", "b", "c"], 10))
+        with pytest.raises(NumericError, match="'x2'"):
+            fit(data, variance_mode=variance_mode, threads=threads)
+
     def test_thread_counts_with_narrow_feature_blocks(self):
         # 7 features on 3 threads: a naive split leaves a one-column block
         rng = np.random.default_rng(1)
@@ -478,39 +490,52 @@ class TestPredict:
 
     def test_row_chunking_identical(self):
         rng = np.random.default_rng(31)
-        data = random_dataset(rng, 60, 40, 3, min_per_class=6)
-        q = rng.normal(size=(37, 40))
-        for variance_mode in ("equal", "unequal"):
-            model = fit(data, variance_mode=variance_mode)
-            a = predict(model, q, threads=1)
-            b = predict(model, q, threads=4)
-            assert np.array_equal(a.probabilities, b.probabilities)
-            assert np.array_equal(a.eta, b.eta)
-            # more threads than rows: every chunk is a single row
-            c = predict(model, q[:5], threads=8)
-            assert np.array_equal(a.eta[:5], c.eta)
-            assert np.array_equal(a.probabilities[:5], c.probabilities)
+        # p = 40 sets up one feature block; 2 * COEF_BLOCK + 3 two and a tail
+        for k, p in ((3, 40), (3, 2 * COEF_BLOCK + 3), (6, 2 * COEF_BLOCK + 3)):
+            data = random_dataset(rng, 20 * k, p, k, min_per_class=6)
+            q = rng.normal(size=(37, p))
+            for variance_mode in ("equal", "unequal"):
+                model = fit(data, variance_mode=variance_mode)
+                a = predict(model, q, threads=1)
+                b = predict(model, q, threads=4)
+                assert np.array_equal(a.probabilities, b.probabilities)
+                assert np.array_equal(a.eta, b.eta)
+                # more threads than rows: every chunk is a single row
+                c = predict(model, q[:5], threads=8)
+                assert np.array_equal(a.eta[:5], c.eta)
+                assert np.array_equal(a.probabilities[:5], c.probabilities)
+                # 7 rows on 3 threads: chunks of 3, 3 and 1 rows
+                d = predict(model, q[:7], threads=3)
+                assert np.array_equal(a.eta[:7], d.eta)
+                assert np.array_equal(a.probabilities[:7], d.probabilities)
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
     @pytest.mark.parametrize("prior_term_mode", ["log", "plogp"])
     @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest"])
     def test_eta_matches_slotwise_oracle(self, k, variance_mode, prior_term_mode, scheme):
         rng = np.random.default_rng(100 + k)
         y = np.repeat(np.arange(1, k + 1), 8)
-        X = rng.normal(size=(y.size, 12))
-        X[:, :4] += 1.5 * (y[:, None] - 1) * np.array([1.0, -1.0, 0.5, 2.0])
-        X[:, 4] *= 0.5 + y  # class-dependent spread
-        q = rng.normal(size=(15, 12)) * 2.0
-        for offset in (0.0, 1e6):
-            data = Dataset.from_arrays(X + offset, [str(v) for v in y])
-            model = fit(data, scheme=scheme, penalty="bic",
-                        variance_mode=variance_mode, prior_term_mode=prior_term_mode)
-            assert model.gamma[:, 1:].max() > 0.5  # the hypotheses carry weight
-            got = predict(model, q + offset).eta
-            want = slotwise_eta(model, q + offset)
-            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
-            assert err.max() <= 1e-9, (offset, err.max())
+        # p = 12 sets up one feature block; 2 * COEF_BLOCK + 3 two and a tail
+        for p in (12, 2 * COEF_BLOCK + 3):
+            X = rng.normal(size=(y.size, p))
+            X[:, :4] += 1.5 * (y[:, None] - 1) * np.array([1.0, -1.0, 0.5, 2.0])
+            X[:, 4] *= 0.5 + y  # class-dependent spread
+            if p > COEF_BLOCK:  # features that carry weight in the tail block
+                X[:, -4:] += 3.0 * (y[:, None] - 1) * np.array([1.0, -1.0, 0.5, 2.0])
+            q = rng.normal(size=(15, p)) * 2.0
+            for offset in (0.0, 1e6):
+                data = Dataset.from_arrays(X + offset, [str(v) for v in y])
+                model = fit(data, scheme=scheme, penalty="bic",
+                            variance_mode=variance_mode,
+                            prior_term_mode=prior_term_mode)
+                assert model.gamma[:, 1:].max() > 0.5  # the hypotheses carry weight
+                if p > COEF_BLOCK:
+                    assert model.gamma[-4:, 1:].max() > 0.5
+                got = predict(model, q + offset).eta
+                want = slotwise_eta(model, q + offset)
+                err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+                assert err.max() <= 1e-9, (p, offset, err.max())
 
 
 class TestSelectedFeatures:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from multida import ValidationError
-from multida.estimator import Dataset, fit
+from multida import NumericError, ValidationError
+from multida.estimator import Dataset, accumulate_stats, fit
 from multida.partitions import build_partition_set, enumerate_exhaustive
 from multida.simlab import (
     SimSpec,
     TruthAssignment,
+    _cv_folds,
+    _stratified_folds,
     consistency_sweep,
     cross_validate,
     dependent_structure,
@@ -14,6 +16,8 @@ from multida.simlab import (
     gen_independent,
     selection_error,
 )
+
+from oracles import refit_cross_validate
 
 
 def truth_for(columns, true_col, p):
@@ -289,3 +293,50 @@ class TestCrossValidate:
     def test_fold_validation(self):
         with pytest.raises(ValidationError):
             cross_validate(self._separated(20), folds=1, trials=1, seed=0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest"])
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    def test_rows_match_refit_reference(self, variance_mode, scheme, offset):
+        data, _ = gen_independent(SimSpec("ind-unequal-var", n=62, p=40, K=3, seed=4))
+        data = Dataset.from_arrays(data.X + offset,
+                                   [data.class_labels[c - 1] for c in data.y])
+        options = dict(scheme=scheme, variance_mode=variance_mode, penalty="bic")
+        cv = cross_validate(data, folds=5, trials=3, seed=8, **options)
+        want = refit_cross_validate(data, 5, 3, seed=8, **options)
+        assert [(r.n_test, r.n_wrong) for r in cv.rows] == want
+        assert any(n_wrong for _, n_wrong in want)  # not trivially all right
+
+    @pytest.mark.parametrize("folds", [2, 5])
+    def test_fold_statistics_match_training_rows(self, folds):
+        data, _ = gen_independent(SimSpec("ind-unequal-var", n=53, p=30, K=4, seed=6))
+        data = Dataset.from_arrays(data.X * 3.0 + 50.0,
+                                   [data.class_labels[c - 1] for c in data.y])
+        parts = build_partition_set(4, "exhaustive")
+        test_sets = _stratified_folds(data.y, folds, np.random.default_rng(1))
+        for test_idx, (test, train) in zip(test_sets,
+                                           _cv_folds(data, parts, test_sets, 1)):
+            assert np.array_equal(test.X, data.X[test_idx])
+            want = accumulate_stats(
+                data.subset(np.setdiff1d(np.arange(data.n), test_idx)), parts)
+            assert train.n == want.n
+            assert np.array_equal(train.n_k, want.n_k)
+            np.testing.assert_allclose(train.mean, want.mean, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(train.m2, want.m2, rtol=1e-12, atol=0)
+
+    def test_training_set_checks(self):
+        # 2 folds of 2 samples per class leave 3 training rows for K = 3
+        X = np.random.default_rng(0).normal(size=(6, 2))
+        data = Dataset.from_arrays(X, ["a", "b", "c"] * 2)
+        with pytest.raises(ValidationError, match="K\\+1"):
+            cross_validate(data, folds=2, trials=1, seed=0)
+        with pytest.raises(ValidationError, match="prior term mode"):
+            cross_validate(self._separated(20), folds=2, trials=1,
+                           prior_term_mode="bogus")
+
+    def test_overflowing_statistics_raise(self):
+        data = self._separated(40)
+        X = data.X.copy()
+        X[:, 2] *= 1e200
+        with pytest.raises(NumericError, match="'x3'"):
+            cross_validate(Dataset.from_arrays(X, data.y), folds=4, trials=1)
