@@ -166,7 +166,8 @@ def _run_options(fn):
             click.option("--seed", type=int, default=None,
                          help="Random seed; drawn and logged when omitted."),
             click.option("--threads", type=int, default=1, show_default=True,
-                         help="Worker threads (0 = all cores); output is thread-count independent."),
+                         help="Worker threads for prediction rows (0 = all cores); fitting is "
+                              "single-threaded and output is thread-count independent."),
         ]
     ):
         fn = deco(fn)

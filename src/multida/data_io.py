@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, NumericError, ValidationError
 from .estimator import (Dataset, FittedModel, PenaltyConfig, SufficientStats,
                         validate_model)
 from .partitions import is_restricted_growth, partition_set_from_columns
@@ -256,6 +256,13 @@ def _require_int(doc: dict, key: str) -> int:
     return value
 
 
+def _require_strings(doc: dict, key: str) -> tuple[str, ...]:
+    value = _require(doc, key)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise FormatError(f"model field {key!r} must be a list of strings")
+    return tuple(value)
+
+
 def _hypothesis_columns(doc: dict) -> tuple[tuple[int, ...], ...]:
     """Columns of the K x M hypothesis matrix ``S``, checked for shape,
     integer entries and restricted-growth form with the null first."""
@@ -306,7 +313,7 @@ def _model_from_doc(doc: dict) -> FittedModel:
     prior_term_mode = _require(doc, "prior_term_mode")
     if prior_term_mode not in estimator.PRIOR_TERM_MODES:
         raise FormatError(f"unknown prior_term_mode {prior_term_mode!r}")
-    feature_names = tuple(str(v) for v in _require(doc, "feature_names"))
+    feature_names = _require_strings(doc, "feature_names")
     if not feature_names:
         raise FormatError("model field 'feature_names' is empty")
     counts = _require(doc, "class_counts")
@@ -321,14 +328,15 @@ def _model_from_doc(doc: dict) -> FittedModel:
     )
     return estimator.model_from_stats(
         stats, parts, penalty=penalty, prior_term_mode=prior_term_mode,
-        class_labels=tuple(str(v) for v in _require(doc, "class_label_map")),
+        class_labels=_require_strings(doc, "class_label_map"),
         feature_names=feature_names,
     )
 
 
 def load_model(path: str | Path) -> FittedModel:
     """Load a model document, derive the model from its per-class
-    statistics and validate every model invariant."""
+    statistics and check it with ``validate_model``; every fault in the
+    document raises ``FormatError``."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -340,12 +348,11 @@ def load_model(path: str | Path) -> FittedModel:
         # a huge but finite statistic may overflow while the model is
         # derived; validate_model then rejects the non-finite result
         with np.errstate(all="ignore"):
-            model = _model_from_doc(doc)
-            validate_model(model)
+            model = validate_model(_model_from_doc(doc))
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed model document ({exc})") from None
-    except ValidationError as exc:
+    except (ValidationError, NumericError) as exc:
         raise FormatError(f"{path}: invariant violation: {exc}") from None
     return model

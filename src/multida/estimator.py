@@ -22,7 +22,10 @@ Conventions used throughout:
   of squares (``SufficientStats``), the hypothesis set and the config;
   ``model_from_stats`` derives everything else, for ``fit``,
   ``simlab.cross_validate`` (from fold statistics merged by
-  ``merge_stats``) and ``load_model`` alike.
+  ``merge_stats``) and ``load_model`` alike, and ``validate_model`` is
+  the one check all three make of the result.
+* Fitting runs on one thread; only ``predict`` splits its rows over
+  worker threads.
 """
 
 from __future__ import annotations
@@ -297,11 +300,6 @@ def _column_blocks(p: int, size: int) -> list[slice]:
     return [slice(s, e) for s, e in zip(starts, starts[1:] + [p])]
 
 
-def _feature_chunks(p: int, threads: int) -> list[slice]:
-    """Feature blocks for ``threads`` workers."""
-    return _column_blocks(p, max(2, -(-p // max(1, threads))))
-
-
 def _resolve_threads(threads: int) -> int:
     if threads < 0:
         raise ValidationError("threads must be >= 0")
@@ -312,44 +310,26 @@ def _resolve_threads(threads: int) -> int:
     return threads
 
 
-def accumulate_stats(
-    data: Dataset, parts: PartitionSet, *, threads: int = 1
-) -> SufficientStats:
+def accumulate_stats(data: Dataset, parts: PartitionSet) -> SufficientStats:
     """Per-class counts, means and centred sums of squares, in two passes
     over each class's rows (the mean first, then the squared deviations
     from it), so the result does not depend on where the data sit.
 
-    Feature blocks are fully independent, so results do not depend on the
-    number of threads.  Overflow is not reported here: it leaves a
-    non-finite statistic, which ``check_fitted`` turns into an error.
+    Overflow is not reported here: it leaves a non-finite statistic,
+    which ``validate_model`` turns into an error.
     """
     if data.K != parts.K:
         raise ValidationError(
             f"dataset has {data.K} classes but partition set expects {parts.K}"
         )
-    threads = _resolve_threads(threads)
-    class_rows = [np.flatnonzero(data.y == k + 1) for k in range(data.K)]
     mean = np.empty((data.K, data.p))
     m2 = np.empty((data.K, data.p))
-
-    def work(cols: slice) -> None:
-        xb = data.X[:, cols]
-        # the error state is per thread, so each worker sets its own
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, rows in enumerate(class_rows):
-                xk = xb[rows]
-                mean[k, cols] = mk = xk.sum(axis=0) / rows.size
-                xk -= mk
-                m2[k, cols] = np.square(xk, out=xk).sum(axis=0)
-
-    chunks = _feature_chunks(data.p, threads)
-    if threads == 1 or len(chunks) == 1:
-        for c in chunks:
-            work(c)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, chunks))
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(data.K):
+            xk = data.X[data.y == k + 1]
+            mean[k] = mk = xk.sum(axis=0) / xk.shape[0]
+            xk -= mk
+            m2[k] = np.square(xk, out=xk).sum(axis=0)
     return SufficientStats(n=data.n, n_k=data.class_counts,
                            mean=_as_readonly(mean), m2=_as_readonly(m2))
 
@@ -511,21 +491,25 @@ def fit(
     penalized LRT statistics and posterior hypothesis weights.
 
     When ``parts`` is omitted one is built from ``scheme`` for
-    ``data.K`` classes.  ``threads`` only changes how feature blocks are
-    scheduled; the output is identical for any thread count.  Statistics
-    or weights that are not finite raise ``NumericError`` (``check_fitted``).
+    ``data.K`` classes.  The fit runs on one thread; ``threads`` is only
+    checked (>= 0), so the output is identical for any thread count.  The
+    model passes ``validate_model``: statistics or weights that are not
+    finite raise ``NumericError``.  Warns when no non-null hypothesis is
+    admissible.
     """
     check_training_set(data.class_counts, data.p, prior_term_mode, data.class_labels)
     parts = training_partition_set(data.K, parts, scheme=scheme,
                                    user_matrix=user_matrix,
                                    variance_mode=variance_mode,
                                    max_classes=max_classes)
+    _resolve_threads(threads)
     pen = PenaltyConfig.resolve(penalty, data.n, data.p)
-    stats = accumulate_stats(data, parts, threads=threads)
-    return check_fitted(model_from_stats(stats, parts, penalty=pen,
-                                         prior_term_mode=prior_term_mode,
-                                         class_labels=data.class_labels,
-                                         feature_names=data.feature_names))
+    model = validate_model(model_from_stats(
+        accumulate_stats(data, parts), parts, penalty=pen,
+        prior_term_mode=prior_term_mode, class_labels=data.class_labels,
+        feature_names=data.feature_names))
+    warn_if_null_only(model)
+    return model
 
 
 def check_training_set(
@@ -575,27 +559,14 @@ def training_partition_set(
     return parts
 
 
-def check_fitted(model: FittedModel) -> FittedModel:
-    """Return a freshly fitted model once its class statistics and
-    hypothesis weights are known to be finite; raise ``NumericError``
-    otherwise (e.g. when squared deviations overflow).  Warn when no
-    non-null hypothesis is admissible."""
-    for name, values in (("class mean", model.stats.mean),
-                         ("centred sum of squares", model.stats.m2),
-                         ("hypothesis weight", model.gamma.T)):  # all ... x p
-        finite = np.isfinite(values).all(axis=0)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise NumericError(
-                f"non-finite {name} for feature {model.feature_names[j]!r}"
-            )
+def warn_if_null_only(model: FittedModel) -> None:
+    """Warn the caller of a fit when no non-null hypothesis is admissible."""
     if model.M > 1 and not model.admissible[1:].any():
         warnings.warn(
             "no non-null hypothesis is admissible (too few samples per "
             "group); the fit degenerates to the null-only model",
             stacklevel=3,
         )
-    return model
 
 
 def model_from_stats(
@@ -611,8 +582,8 @@ def model_from_stats(
     the hypothesis set and the config: closed-form MLEs, LRT statistics
     and posterior hypothesis weights.  ``fit``, ``cross_validate`` and
     ``load_model`` all call it, so a loaded model is bit-identical to the
-    fitted one.  Overflow is not reported here: the fitting callers pass
-    the result to ``check_fitted``, ``load_model`` to ``validate_model``."""
+    fitted one.  Overflow is not reported here: every caller passes the
+    result to ``validate_model``."""
     with np.errstate(all="ignore"):
         mles = fit_mles(stats, parts, parts.variance_mode)
         lam = lrt(stats, parts, mles)
@@ -775,67 +746,31 @@ def selected_features(
     return rows
 
 
-def validate_model(model: FittedModel) -> None:
-    """Check every FittedModel invariant; raise ValidationError on the
-    first violation.  Used after deserialization."""
-    parts = model.parts
-    if model.gamma.ndim != 2:
-        raise ValidationError("gamma must be a p x M matrix")
-    p, m_count = model.gamma.shape
-    if m_count != parts.M:
-        raise ValidationError("gamma width does not match hypothesis count")
-    if model.lam.shape != (p, parts.M):
-        raise ValidationError("lambda shape does not match gamma")
-    if model.mu.shape != (p, parts.n_slots):
-        raise ValidationError("mu shape does not match partition slots")
-    expected_sig = (p, parts.M) if model.variance_mode == "equal" else (p, parts.n_slots)
-    if model.sigma2.shape != expected_sig:
-        raise ValidationError("sigma2 shape does not match variance mode")
-    if len(model.feature_names) != p:
-        raise ValidationError("feature name count does not match gamma")
-    if len(model.class_labels) != parts.K:
+def validate_model(model: FittedModel) -> FittedModel:
+    """Return ``model`` once the parts of it a caller can break hold:
+    K distinct class labels, positive class counts summing to n, finite
+    class statistics with ``class_m2 >= 0``, and finite ``mu``, ``sigma2``
+    and ``gamma``.  A structural fault raises ``ValidationError``; a
+    non-finite value (e.g. from overflowing statistics) raises
+    ``NumericError`` naming the field and the first bad feature.  The
+    rest of the model holds by construction in ``model_from_stats``.
+    ``fit``, ``simlab.cross_validate`` and ``data_io.load_model`` all
+    call it."""
+    K = model.K
+    if len(model.class_labels) != K:
         raise ValidationError("class label count does not match K")
-    if len(set(model.class_labels)) != parts.K:
+    if len(set(model.class_labels)) != K:
         raise ValidationError("class labels must be distinct")
     stats = model.stats
-    if (stats.n_k.shape != (parts.K,) or stats.mean.shape != (parts.K, p)
-            or stats.m2.shape != (parts.K, p)):
-        raise ValidationError("class statistics must be K counts and two K x p arrays")
     if np.any(stats.n_k < 1) or sum(stats.n_k.tolist()) != model.n:
         raise ValidationError("class counts must be positive and sum to n")
-    for name, values in (("class_means", stats.mean), ("class_m2", stats.m2)):
-        if not np.isfinite(values).all():
-            raise ValidationError(f"{name} holds a non-finite value")
     if np.any(stats.m2 < 0.0):
         raise ValidationError("class_m2 holds a negative value")
-    if model.pi.shape != (parts.K,):
-        raise ValidationError("class prior count does not match K")
-    if model.variance_floor.shape != (p,):
-        raise ValidationError("variance_floor length does not match gamma")
-    if model.admissible.shape != (parts.M,):
-        raise ValidationError(
-            f"admissible has length {model.admissible.size}, expected M={parts.M}"
-        )
-    for name in ("pi", "mu", "sigma2", "variance_floor"):
-        if not np.isfinite(getattr(model, name)).all():
-            raise ValidationError(f"{name} holds a non-finite value")
-    lam_ok = np.where(model.admissible[None, :], np.isfinite(model.lam),
-                      np.isneginf(model.lam))
-    if not lam_ok.all():
-        raise ValidationError(
-            "lambda must be finite in admissible columns and -inf in the others"
-        )
-    row_sums = model.gamma.sum(axis=1)
-    if not np.all(np.abs(row_sums - 1.0) <= 1e-9):
-        j = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise ValidationError(
-            f"gamma row {j + 1} sums to {row_sums[j]!r}, not 1"
-        )
-    if np.any(model.gamma < 0.0) or np.any(model.gamma > 1.0):
-        raise ValidationError("gamma entries must lie in [0, 1]")
-    if np.any(model.lam[:, 0] != 0.0):
-        raise ValidationError("lambda for the null hypothesis must be 0")
-    if abs(float(model.pi.sum()) - 1.0) > 1e-9 or np.any(model.pi < 0.0):
-        raise ValidationError("class priors must lie on the simplex")
-    if np.any(model.sigma2 < model.variance_floor[:, None] * (1.0 - 1e-12)):
-        raise ValidationError("a variance lies below the recorded floor")
+    for name, values in (("class_means", stats.mean.T), ("class_m2", stats.m2.T),
+                         ("mu", model.mu), ("sigma2", model.sigma2),
+                         ("gamma", model.gamma)):  # all p x ...
+        if not np.isfinite(values).all():
+            j = int(np.argmin(np.isfinite(values).all(axis=1)))
+            raise NumericError(f"{name} holds a non-finite value for feature "
+                               f"{model.feature_names[j]!r}")
+    return model

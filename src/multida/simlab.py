@@ -22,13 +22,14 @@ from .estimator import (
     PenaltyConfig,
     SufficientStats,
     accumulate_stats,
-    check_fitted,
     check_training_set,
     fit,
     merge_stats,
     model_from_stats,
     predict,
     training_partition_set,
+    validate_model,
+    warn_if_null_only,
 )
 from .partitions import (
     Column,
@@ -487,14 +488,14 @@ def _stratified_folds(
 
 
 def _cv_folds(
-    data: Dataset, parts: PartitionSet, test_sets: Sequence[np.ndarray], threads: int
+    data: Dataset, parts: PartitionSet, test_sets: Sequence[np.ndarray]
 ) -> Iterator[tuple[Dataset, SufficientStats]]:
     """The test rows and the training statistics of every fold.  Each
     fold's per-class statistics are taken once, from its own rows; a
     fold's training statistics merge those of the other folds in
     ascending fold order, so no training rows are copied."""
     tests = [data.subset(idx) for idx in test_sets]
-    fold_stats = [accumulate_stats(test, parts, threads=threads) for test in tests]
+    fold_stats = [accumulate_stats(test, parts) for test in tests]
     for f, test in enumerate(tests):
         yield test, merge_stats(fold_stats[:f] + fold_stats[f + 1:])
 
@@ -520,8 +521,9 @@ def cross_validate(
     concurrently without changing results.  The partition set is built
     once.  Each fold's model is derived by ``model_from_stats`` from its
     training statistics, merged from per-fold class statistics
-    (``_cv_folds``), after the checks ``fit`` makes of a training set;
-    the training rows are never copied or refitted.
+    (``_cv_folds``), after the checks ``fit`` makes of a training set,
+    and checked by ``validate_model``; the training rows are never copied
+    or refitted.  ``threads`` splits each fold's prediction rows.
     """
     if folds < 2:
         raise ValidationError("need at least 2 folds")
@@ -537,15 +539,16 @@ def cross_validate(
         rng = np.random.default_rng([seed, t])
         test_sets = _stratified_folds(data.y, folds, rng)
         fold_errors = np.empty(folds)
-        for f, (test, train) in enumerate(_cv_folds(data, parts, test_sets, threads)):
+        for f, (test, train) in enumerate(_cv_folds(data, parts, test_sets)):
             check_training_set(train.n_k, data.p, prior_term_mode, data.class_labels)
-            model = check_fitted(model_from_stats(
+            model = validate_model(model_from_stats(
                 train, parts,
                 penalty=PenaltyConfig.resolve(penalty, train.n, data.p),
                 prior_term_mode=prior_term_mode,
                 class_labels=data.class_labels,
                 feature_names=data.feature_names,
             ))
+            warn_if_null_only(model)
             pred = predict(model, test.X, threads=threads)
             wrong = int((pred.codes != test.y).sum())
             err = wrong / test.n

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multida import FormatError, ValidationError
 from multida.data_io import (
@@ -366,11 +368,13 @@ class TestModelRoundTrip:
         ("class_counts", lambda v: v[1:], "'class_counts' must be a list of K=4"),
         ("class_label_map", lambda v: ["a", "b", "a", "c"],
          "invariant violation: class labels must be distinct"),
+        ("class_label_map", lambda v: v[:-1],
+         "invariant violation: class label count does not match K"),
         ("scheme", lambda v: "", "invariant violation: unknown scheme ''"),
         ("scheme", lambda v: "Exhaustive", "invariant violation: unknown scheme"),
     ], ids=["pi-nan", "mu-nan", "sigma2-inf", "floor-nan", "counts-sum", "counts-zero",
             "m2-negative", "means-overflow", "m2-overflow", "pi-short", "labels-repeated",
-            "scheme-empty", "scheme-unknown"])
+            "labels-short", "scheme-empty", "scheme-unknown"])
     def test_mutated_model_rejected(self, tmp_path, field, edit, message):
         model = self._model(k=4)
         assert model.parts.M == 15
@@ -394,8 +398,12 @@ class TestModelRoundTrip:
         ({"class_means": [[0.0] * 6, [0.0] * 5, [0.0] * 6]}, "malformed model document"),
         ({"feature_names": []}, "'feature_names' is empty"),
         ({"class_counts": [12, 12, 2**70]}, "malformed model document"),
+        # strings would otherwise load as one name or label per character
+        ({"feature_names": "x1x2x3"}, "'feature_names' must be a list of strings"),
+        ({"class_label_map": "abc"}, "'class_label_map' must be a list of strings"),
     ], ids=["K0", "S-not-rg", "S-ragged", "S-bool", "n-float", "pi-dict", "m2-int",
-            "means-rows", "means-ragged", "no-features", "count-huge"])
+            "means-rows", "means-ragged", "no-features", "count-huge",
+            "features-string", "labels-string"])
     def test_malformed_fields_rejected(self, tmp_path, edit, message):
         model = self._model()
         path = tmp_path / "m.json"
@@ -464,3 +472,53 @@ class TestModelRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="missing field"):
             load_model(path)
+
+
+#: replacements for a whole model field or for one entry of it
+ODD_VALUES = [None, True, False, 2**70, 1e308, -1e308, "abc", [], [[1, 2], [3]],
+              float("nan"), float("inf"), -float("inf")]
+
+
+@st.composite
+def mutated_documents(draw, text):
+    """A saved model document with one field deleted, or that field or one
+    entry nested in it replaced by an odd value."""
+    doc = json.loads(text)
+    key = draw(st.sampled_from(sorted(doc)))
+    if draw(st.booleans()):
+        del doc[key]
+        return doc
+    parent, slot = doc, key
+    while isinstance(parent[slot], (list, dict)) and parent[slot] and draw(st.booleans()):
+        child = parent[slot]
+        parent, slot = child, draw(st.sampled_from(list(child) if isinstance(child, dict)
+                                                   else range(len(child))))
+    parent[slot] = draw(st.sampled_from(ODD_VALUES))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def k3_model_file(tmp_path_factory):
+    rng = np.random.default_rng(9)
+    y = np.repeat([1, 2, 3], 8)
+    X = rng.normal(size=(len(y), 4))
+    X[:, 0] += 2.0 * (y - 1)
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    save_model(fit(Dataset.from_arrays(X, [f"c{v}" for v in y])), path)
+    return path, path.read_text()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_mutated_document_loads_or_raises_format_error(k3_model_file, data):
+    path, text = k3_model_file
+    doc = data.draw(mutated_documents(text))
+    path.write_text(json.dumps(doc))
+    try:
+        model = load_model(path)
+    except FormatError:
+        return
+    assert np.isfinite(model.gamma).all()
+    np.testing.assert_allclose(model.gamma.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+    assert list(model.class_labels) == doc["class_label_map"]
+    assert list(model.feature_names) == doc["feature_names"]

@@ -134,17 +134,6 @@ class TestSufficientStats:
                 pooled += ((xg - xg.mean(axis=0)) ** 2).sum(axis=0)
             np.testing.assert_allclose(eq.sigma2[:, m], pooled / data.n, rtol=1e-12)
 
-    def test_thread_count_does_not_change_bits(self):
-        # (7, 3) and (3, 2) would leave a one-column feature block
-        rng = np.random.default_rng(7)
-        parts = build_partition_set(3, "exhaustive")
-        for p, threads in [(500, 5), (7, 3), (3, 2), (1, 4)]:
-            data = random_dataset(rng, 60, p, 3)
-            a = accumulate_stats(data, parts, threads=1)
-            b = accumulate_stats(data, parts, threads=threads)
-            assert np.array_equal(a.mean, b.mean), (p, threads)
-            assert np.array_equal(a.m2, b.m2), (p, threads)
-
 
 class TestMles:
     def test_hand_values(self, toy_data, toy_parts):
@@ -349,6 +338,8 @@ class TestFit:
         parts_uq = build_partition_set(2, "exhaustive", variance_mode="unequal")
         with pytest.raises(ValidationError, match="variance_mode"):
             fit(toy_data, parts_uq, variance_mode="equal")
+        with pytest.raises(ValidationError, match="threads must be >= 0"):
+            fit(toy_data, threads=-1)
 
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -360,6 +351,17 @@ class TestFit:
         data = Dataset.from_arrays(X, np.repeat(["a", "b", "c"], 10))
         with pytest.raises(NumericError, match="'x2'"):
             fit(data, variance_mode=variance_mode, threads=threads)
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    def test_underflowing_variance_raises(self, variance_mode):
+        # class means 1e-160 apart: the variance floor underflows to 0, the
+        # split's variance MLE is 0 and its weight is not finite
+        X = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0],
+                      [1e-160, 1.5], [1e-160, 2.5], [1e-160, 0.5]])
+        data = Dataset.from_arrays(X, ["a"] * 3 + ["b"] * 3)
+        with pytest.raises(NumericError,
+                           match="gamma holds a non-finite value for feature 'x1'"):
+            fit(data, variance_mode=variance_mode)
 
     def test_thread_counts_with_narrow_feature_blocks(self):
         # 7 features on 3 threads: a naive split leaves a one-column block

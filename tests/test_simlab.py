@@ -315,7 +315,7 @@ class TestCrossValidate:
         parts = build_partition_set(4, "exhaustive")
         test_sets = _stratified_folds(data.y, folds, np.random.default_rng(1))
         for test_idx, (test, train) in zip(test_sets,
-                                           _cv_folds(data, parts, test_sets, 1)):
+                                           _cv_folds(data, parts, test_sets)):
             assert np.array_equal(test.X, data.X[test_idx])
             want = accumulate_stats(
                 data.subset(np.setdiff1d(np.arange(data.n), test_idx)), parts)
@@ -333,6 +333,13 @@ class TestCrossValidate:
         with pytest.raises(ValidationError, match="prior term mode"):
             cross_validate(self._separated(20), folds=2, trials=1,
                            prior_term_mode="bogus")
+
+    def test_degenerate_qda_folds_warn(self):
+        # each training set holds one "b" row, so no split is admissible
+        X = np.random.default_rng(0).normal(size=(8, 2))
+        data = Dataset.from_arrays(X, ["a"] * 6 + ["b"] * 2)
+        with pytest.warns(UserWarning, match="null-only"):
+            cross_validate(data, folds=2, trials=1, variance_mode="unequal")
 
     def test_overflowing_statistics_raise(self):
         data = self._separated(40)
