@@ -1,7 +1,9 @@
 """CSV ingestion, feature filtering and model persistence.
 
 Training CSVs carry one label column (named ``label`` unless overridden)
-plus numeric feature columns; prediction CSVs are purely numeric.  A model
+plus numeric feature columns; prediction CSVs are purely numeric.  A CSV
+body is parsed by numpy's C reader; a file that reader does not take
+whole is read again row by row, which names the first bad cell.  A model
 is stored as one JSON document of its config and per-class statistics,
 floats written with full round-trip precision; loading re-derives the
 model with the code ``fit`` uses, so save/load/predict is bit-identical.
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, NumericError, ValidationError
+from .errors import FormatError, MultidaError, NumericError, ValidationError
 from .estimator import (Dataset, FittedModel, PenaltyConfig, SufficientStats,
                         validate_model)
 from .partitions import is_restricted_growth, partition_set_from_columns
@@ -74,10 +76,94 @@ def _label_index(header: list[str] | None, width: int,
     return -1
 
 
-def _read_table(
+def _layout(path: str | Path, schema: CsvSchema, labeled: bool,
+            header: list[str] | None, first: list[str] | None
+            ) -> tuple[int, int, list[str]]:
+    """Width, label index and feature names of a table, given its header
+    (None without one) and the cells of its first data row (None when
+    there is none)."""
+    if first is None:
+        raise FormatError(
+            f"{path}: no data rows" if header else f"{path}: file is empty"
+        )
+    width = len(header if header is not None else first)
+    label_idx = _label_index(header, width, schema.label_column, labeled)
+    if labeled and width == 1:
+        raise ValidationError(f"{path}: no feature columns beside the label")
+    if header is not None:
+        names = [name for j, name in enumerate(header) if j != label_idx]
+    else:
+        names = [f"x{j + 1}" for j in range(width - int(label_idx >= 0))]
+    return width, label_idx, names
+
+
+def _has_long_cell(line: str, delimiter: str, limit: int) -> bool:
+    """Whether a cell of ``line`` is longer than ``limit`` characters.
+
+    Such a cell covers a whole block of ``limit // 2 + 1`` characters, so
+    the line is split only when one of its blocks holds no delimiter.
+    """
+    block = limit // 2 + 1
+    if all(line.find(delimiter, a, a + block) >= 0
+           for a in range(0, len(line) - block + 1, block)):
+        return False
+    return max(map(len, line.split(delimiter))) > limit
+
+
+def _read_plain(path: str | Path, fh, schema: CsvSchema, labeled: bool
+                ) -> tuple[list[str], list[str], np.ndarray] | None:
+    """Parse the body of an open file with one ``np.loadtxt`` call.
+
+    The header goes through ``csv.reader``; each body line has its label
+    cell split off and the rest goes to numpy's C reader.  Returns None,
+    or raises, whenever the row reader might see the file differently: a
+    quote or NUL character, a cell over the csv field size limit, a
+    ragged row, an empty body, or a cell that ``loadtxt`` cannot parse or
+    that is not finite.
+    """
+    delim = schema.delimiter
+    header = None
+    if schema.has_header:
+        header = next((row for row in csv.reader(fh, delimiter=delim) if row), None)
+    # the csv module ends a row at "\n", "\r" or "\r\n" and skips empty rows
+    lines = (line for line in (line.rstrip("\r\n") for line in fh) if line)
+    first = next(lines, None)
+    if first is None:
+        return None
+    width, label_idx, names = _layout(path, schema, labeled, header, first.split(delim))
+    limit = csv.field_size_limit()
+    n_split = min(label_idx + 2, width)
+    labels: list[str] = []
+    n_rows = 0
+
+    def body():
+        nonlocal n_rows
+        for line in itertools.chain([first], lines):
+            # Python 3.10's csv module rejects NUL
+            if '"' in line or "\0" in line or _has_long_cell(line, delim, limit):
+                raise ValueError("not plain CSV")
+            if label_idx >= 0:
+                cells = line.split(delim, label_idx + 1)
+                if len(cells) != n_split:
+                    raise ValueError("ragged row")
+                labels.append(cells.pop(label_idx))
+                line = delim.join(cells)
+            if not line:
+                raise ValueError("empty row")  # loadtxt would skip it
+            n_rows += 1
+            yield line
+
+    values = np.loadtxt(body(), delimiter=delim, dtype=np.float64, ndmin=2,
+                        comments=None, quotechar=None)
+    if values.shape != (n_rows, len(names)) or not np.isfinite(values).all():
+        return None
+    return names, labels, values
+
+
+def _read_rows(
     path: str | Path, schema: CsvSchema, *, labeled: bool
 ) -> tuple[list[str], list[str], np.ndarray]:
-    """Stream a delimited file into (feature names, label cells, values).
+    """The row reader: every row goes through ``csv.reader``.
 
     Rows are checked for width and converted one at a time, so the file's
     text is never held whole.  Each row goes through one ``np.array``
@@ -87,22 +173,11 @@ def _read_table(
     header included.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = (row for row in csv.reader(fh, delimiter=schema.delimiter) if row)
             header = next(rows, None) if schema.has_header else None
             first = next(rows, None)
-            if first is None:
-                raise FormatError(
-                    f"{path}: no data rows" if header else f"{path}: file is empty"
-                )
-            width = len(header if header is not None else first)
-            label_idx = _label_index(header, width, schema.label_column, labeled)
-            if labeled and width == 1:
-                raise ValidationError(f"{path}: no feature columns beside the label")
-            if header is not None:
-                names = [name for j, name in enumerate(header) if j != label_idx]
-            else:
-                names = [f"x{j + 1}" for j in range(width - int(label_idx >= 0))]
+            width, label_idx, names = _layout(path, schema, labeled, header, first)
             row_no = 1 + int(schema.has_header)
             labels: list[str] = []
             values: list[np.ndarray] = []
@@ -127,6 +202,27 @@ def _read_table(
     except csv.Error as exc:
         raise FormatError(f"{path}: malformed CSV ({exc})") from None
     return names, labels, np.array(values, dtype=np.float64)
+
+
+def _read_table(
+    path: str | Path, schema: CsvSchema, *, labeled: bool
+) -> tuple[list[str], list[str], np.ndarray]:
+    """Read a delimited file into (feature names, label cells, values).
+
+    The body is parsed by numpy's C reader (``_read_plain``).  Any file
+    it does not take whole, bad ones included, is read again from the
+    start by the row reader (``_read_rows``), which names the first bad
+    cell.  Both give bit-identical values for every file they accept.
+    A leading UTF-8 byte order mark is dropped.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            table = _read_plain(path, fh, schema, labeled)
+    # UnicodeDecodeError is a ValueError; loadtxt raises TypeError for a
+    # newline delimiter, which the csv module takes
+    except (ValueError, TypeError, csv.Error, MultidaError):
+        table = None
+    return table if table is not None else _read_rows(path, schema, labeled=labeled)
 
 
 def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
@@ -307,7 +403,10 @@ def _model_from_doc(doc: dict) -> FittedModel:
         columns, _require(doc, "scheme"), _require(doc, "variance_mode"))
     pen_doc = _require(doc, "penalty")
     try:
-        penalty = PenaltyConfig(kind=pen_doc["kind"], C=float(pen_doc["C"]))
+        c = pen_doc["C"]
+        if type(c) not in (int, float):  # a bool or a string is no constant
+            raise FormatError(f"model field 'penalty.C' must be a number, got {c!r}")
+        penalty = PenaltyConfig(kind=pen_doc["kind"], C=float(c))
     except (KeyError, TypeError, ValidationError) as exc:
         raise FormatError(f"bad penalty block ({exc})") from None
     prior_term_mode = _require(doc, "prior_term_mode")

@@ -1,12 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from multida.cli import main
-from multida.data_io import load_model
+from multida.data_io import load_dataset, load_model, save_model
+from multida.estimator import fit
 
 
 TOY = "label,x1\na,0\na,2\nb,4\nb,6\n"
@@ -154,6 +159,52 @@ class TestTrain:
         assert "M=2" in result.output
 
 
+class TestBadCsvSubprocess:
+    """Bad CSVs end as one ``error:`` line and exit 2 in a real process,
+    where a traceback would exit 1 and a warning would reach stderr."""
+
+    GOOD = "label,x1,x2\na,0,1\na,2,3\nb,4,5\nb,6,7\n"
+
+    @staticmethod
+    def run(*args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "multida.cli", *map(str, args)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"label,x1,x2\na,0,1\na,NA,3\nb,4,5\n",
+         "non-numeric cell 'NA' at row 3, column x1"),
+        (b"label,x1,x2\na,0,1\na,2,3\nb,4,1e400\n",
+         "non-finite cell '1e400' at row 4, column x2"),
+        (b"label,x1,x2\na,0,1\na,2,3,9\nb,4,5\n", "row 3 has 4 cells, expected 3"),
+        (b"label,x1,x2\na,0,1\na,2,\xff\nb,4,5\n", "not UTF-8 text ("),
+        (b"label,x1,x2\n\n", "no data rows"),
+        (b"label,x1\na,\nb,\n", "non-numeric cell '' at row 2, column x1"),
+    ], ids=["missing", "overflow", "ragged", "non-utf8", "empty-body", "empty-cells"])
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_bad_csv_exits_2(self, tmp_path, command, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        if command == "train":
+            args = ["train", path, "--out", tmp_path / "m.json",
+                    "--features-out", tmp_path / "f.csv", "--seed", "1"]
+        else:
+            good = tmp_path / "good.csv"
+            good.write_text(self.GOOD)
+            model = tmp_path / "m.json"
+            save_model(fit(load_dataset(good)), model)
+            args = ["predict", path, "--model", model, "--out", tmp_path / "p.csv",
+                    "--seed", "1"]
+        result = self.run(*args)
+        assert result.returncode == 2, result.stderr
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith("config: ")
+        assert len(lines) == 2
+        assert lines[1].startswith(f"error: {path}: {message}")
+
+
 class TestPredict:
     def fitted(self, runner, csv_path, tmp_path):
         model_path = tmp_path / "m.json"
@@ -177,6 +228,21 @@ class TestPredict:
         assert [r[0] for r in rows[1:]] == ["a", "a", "b", "b"]
         for r in rows[1:]:
             assert float(r[1]) + float(r[2]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_byte_order_mark_reads_as_without(self, runner, toy_csv, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte order mark
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + TOY.encode())
+        outputs = []
+        for tag, path in (("plain", toy_csv), ("bom", marked)):
+            model, preds = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+            for args in (["train", path, "--out", model, "--features-out",
+                          tmp_path / f"{tag}-f.csv"],
+                         ["predict", path, "--model", model, "--out", preds]):
+                result = runner.invoke(main, [*map(str, args), "--seed", "1"])
+                assert result.exit_code == 0, result.output
+            outputs.append((model.read_bytes(), preds.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_wrong_column_count_exits_2(self, runner, toy_csv, tmp_path):
         model_path = self.fitted(runner, toy_csv, tmp_path)

@@ -1,12 +1,14 @@
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multida import FormatError, ValidationError
+from multida import FormatError, MultidaError, ValidationError
+from multida import data_io
 from multida.data_io import (
     CsvSchema,
     filter_features,
@@ -173,6 +175,58 @@ class TestStreamingReader:
         path.write_text("label,x1\na," + "1" * (csv.field_size_limit() + 1) + "\n")
         with pytest.raises(FormatError, match="huge.csv: malformed CSV"):
             load_matrix(path, CsvSchema())
+
+    @pytest.mark.parametrize("text", [
+        "label,x1\na,{long}\nb,2\n", "label,x1\n{long},1\nb,2\n",
+        "label,{long}\na,1\nb,2\n", "x1,x2\n{long},1\nb,2\n",
+    ], ids=["zeros", "label", "header", "no-label-column"])
+    def test_cell_over_field_limit_rejected(self, tmp_path, text):
+        # numpy's reader would parse the zeros as 0.0 and keep the label;
+        # the csv module fails on the first long cell, before the label
+        # column is looked up
+        long = "0" * (csv.field_size_limit() + 1)
+        path = tmp_path / "long.csv"
+        path.write_text(text.format(long=long))
+        with pytest.raises(FormatError, match="long.csv: malformed CSV"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("delimiter", ["\n", " ", "ab"])
+    def test_odd_delimiter_reads_as_row_reader(self, tmp_path, delimiter):
+        # loadtxt refuses a newline delimiter, the csv module a long one
+        path = tmp_path / "col.csv"
+        path.write_text("x1\n1\n2\n")
+        schema = CsvSchema(label_column=None, delimiter=delimiter)
+        outcomes = []
+        for read in (data_io._read_table, data_io._read_rows):
+            try:
+                names, _, X = read(path, schema, labeled=False)
+                outcomes.append((names, X.tobytes()))
+            except TypeError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("text, schema", [
+        ("x1,label,x2\n1,a,2\n3,b,4\n", CsvSchema()),
+        ("1\t2\ta\n3\t4\tb\n", CsvSchema(has_header=False, label_column=2, delimiter="\t")),
+        ("x1;x2\n1;2\n3;4\n", CsvSchema(label_column=None, delimiter=";")),
+        ("\ufeffx1,x2,label\r\n1,2,a\r\n3,4,b\r\n", CsvSchema()),
+    ], ids=["label-inside", "no-header-tab", "unlabeled", "bom-crlf"])
+    def test_plain_file_skips_row_reader(self, tmp_path, text, schema):
+        path = tmp_path / "plain.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(data_io, "_read_rows", side_effect=AssertionError):
+            names, labels, X = data_io._read_table(path, schema, labeled=False)
+        assert names == ["x1", "x2"]
+        assert labels == ([] if schema.label_column is None else ["a", "b"])
+        assert X.tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+
+    def test_quoted_file_goes_to_row_reader(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('label,x1\n"a",0\n"b",1\n')
+        with mock.patch.object(data_io, "_read_rows", wraps=data_io._read_rows) as rows:
+            data = load_dataset(path)
+        assert rows.call_count == 1
+        assert data.class_labels == ("a", "b")
 
 
 class TestSaveDataset:
@@ -401,9 +455,13 @@ class TestModelRoundTrip:
         # strings would otherwise load as one name or label per character
         ({"feature_names": "x1x2x3"}, "'feature_names' must be a list of strings"),
         ({"class_label_map": "abc"}, "'class_label_map' must be a list of strings"),
+        # float() would read these as 1.0, 1000.0 and fail on None
+        ({"penalty": {"kind": "ebic", "C": True}}, "'penalty.C' must be a number, got True"),
+        ({"penalty": {"kind": "ebic", "C": "1e3"}}, "'penalty.C' must be a number, got '1e3'"),
+        ({"penalty": {"kind": "ebic", "C": None}}, "'penalty.C' must be a number, got None"),
     ], ids=["K0", "S-not-rg", "S-ragged", "S-bool", "n-float", "pi-dict", "m2-int",
             "means-rows", "means-ragged", "no-features", "count-huge",
-            "features-string", "labels-string"])
+            "features-string", "labels-string", "C-bool", "C-string", "C-null"])
     def test_malformed_fields_rejected(self, tmp_path, edit, message):
         model = self._model()
         path = tmp_path / "m.json"
@@ -522,3 +580,95 @@ def test_mutated_document_loads_or_raises_format_error(k3_model_file, data):
     np.testing.assert_allclose(model.gamma.sum(axis=1), 1.0, rtol=0, atol=1e-9)
     assert list(model.class_labels) == doc["class_label_map"]
     assert list(model.feature_names) == doc["feature_names"]
+
+
+def _dataset_outcome(path, schema):
+    """What ``load_dataset`` returns or raises, as comparable values."""
+    try:
+        data = load_dataset(path, schema)
+    except MultidaError as exc:
+        return type(exc), str(exc)
+    return (data.X.dtype, data.X.shape, data.X.tobytes(), data.y.tobytes(),
+            data.class_labels, data.feature_names)
+
+
+def _matrix_outcome(path, schema):
+    """What ``load_matrix`` returns or raises, as comparable values."""
+    try:
+        X, names = load_matrix(path, schema)
+    except MultidaError as exc:
+        return type(exc), str(exc)
+    return X.dtype, X.shape, X.tobytes(), names
+
+
+#: what a corrupted cell is set to; the csv module of Python 3.10 rejects
+#: NUL, and the zeros exceed its field size limit
+ODD_CELLS = ["", "nan", "inf", "1e400", "1_000", '"1"', "#", "\u0661", "\uff11",
+             " 1 ", "1\xa0", "-0", "1e-400", "0x10", "1\x00", "0" * (csv.field_size_limit() + 1)]
+CORRUPTIONS = ["none", "cell", "ragged", "blank-line", "lone-cr", "crlf", "quoted-label",
+               "non-utf8", "label-moved", "label-dropped", "empty-body"]
+
+
+@st.composite
+def corrupted_csvs(draw):
+    """A small valid labeled CSV, as bytes with its schema, corrupted in
+    one way.  The label column sits at any index; the file may have no
+    header (the label is then found by index) and may be tab-delimited."""
+    n, p = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    delim = draw(st.sampled_from([",", "\t", ";"]))
+    has_header = draw(st.booleans())
+    label_idx = draw(st.integers(0, p))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [[repr(draw(finite)) for _ in range(p)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        row.insert(label_idx, "ab"[i % 2])
+    header = [f"f{j}" for j in range(p)]
+    header.insert(label_idx, "label")
+    how = draw(st.sampled_from(CORRUPTIONS))
+    i = draw(st.integers(0, n - 1))
+    if how == "cell":
+        rows[i][draw(st.integers(0, p))] = draw(st.sampled_from(ODD_CELLS))
+    elif how == "ragged":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    elif how == "quoted-label":
+        rows[i][label_idx] = draw(st.sampled_from([f'"x{delim}y"', '"a"']))
+    elif how == "non-utf8":
+        rows[i][draw(st.integers(0, p))] += "\udcff"  # encoded below as the byte 0xff
+    elif how in ("label-moved", "label-dropped"):
+        to = draw(st.integers(0, p))
+        for row in [header, *rows]:
+            cell = row.pop(label_idx)
+            if how == "label-moved":
+                row.insert(to, cell)
+    elif how == "empty-body":
+        rows = []
+    lines = [delim.join(row) for row in ([header] if has_header else []) + rows]
+    if how == "blank-line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([" ", "\t", ""])))
+    text = "".join(line + "\n" for line in lines)
+    if how == "lone-cr" and lines:
+        cut = draw(st.integers(0, len(lines) - 1))
+        text = "".join(line + ("\r" if j == cut else "\n") for j, line in enumerate(lines))
+    elif how == "crlf":
+        text = text.replace("\n", "\r\n")
+    schema = CsvSchema(has_header=has_header, delimiter=delim,
+                       label_column="label" if has_header else label_idx)
+    return text.encode("utf-8", "surrogateescape"), schema
+
+
+@pytest.fixture(scope="module")
+def fuzz_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "in.csv"
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_corrupted_csv_reads_as_row_reader_does(fuzz_csv, data):
+    """numpy's reader with its fallback returns bit-identical tables to
+    the row reader's, or raises the same error."""
+    content, schema = data.draw(corrupted_csvs())
+    fuzz_csv.write_bytes(content)
+    got = _dataset_outcome(fuzz_csv, schema), _matrix_outcome(fuzz_csv, schema)
+    with mock.patch.object(data_io, "_read_table", data_io._read_rows):
+        want = _dataset_outcome(fuzz_csv, schema), _matrix_outcome(fuzz_csv, schema)
+    assert got == want
