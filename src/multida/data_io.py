@@ -37,6 +37,12 @@ class CsvSchema:
     label_column: str | int | None = "label"
     delimiter: str = ","
 
+    def __post_init__(self):
+        # the csv module takes only a one-character delimiter
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+            raise ValidationError(
+                f"delimiter must be one character, got {self.delimiter!r}")
+
 
 def _parse_cell(path: str | Path, text: str, row: int, col_name: str) -> float:
     try:

@@ -7,8 +7,8 @@ partition is penalized by an information-criterion charge per extra
 parameter, and a softmax over hypotheses turns the penalized statistics
 into posterior weights.  Prediction sums weight-averaged log densities
 across features per class; that sum collapses to one quadratic form per
-class, whose coefficients are set up at O(p * M * K) cost per call, so
-scoring n* query rows costs O(n* * p * K) rather than a pass per slot.
+class, whose coefficients the model derives once, at O(p * M * K) cost,
+so scoring n* query rows costs O(n* * p * K) rather than a pass per slot.
 
 Conventions used throughout:
 
@@ -20,10 +20,10 @@ Conventions used throughout:
 * All softmax computations subtract the row maximum before exponentiating.
 * A model is a function of its per-class counts, means and centred sums
   of squares (``SufficientStats``), the hypothesis set and the config;
-  ``model_from_stats`` derives everything else, for ``fit``,
-  ``simlab.cross_validate`` (from fold statistics merged by
-  ``merge_stats``) and ``load_model`` alike, and ``validate_model`` is
-  the one check all three make of the result.
+  ``model_from_stats`` derives everything else in one pass over feature
+  blocks, for ``fit``, ``simlab.cross_validate`` (from fold statistics
+  merged by ``merge_stats``) and ``load_model`` alike, and
+  ``validate_model`` is the one check all three make of the result.
 * Fitting runs on one thread; only ``predict`` splits its rows over
   worker threads.
 """
@@ -34,6 +34,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -49,8 +50,8 @@ PRIOR_TERM_MODES = ("log", "plogp")
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-#: Features per block of ``predict``'s coefficient set-up.
-COEF_BLOCK = 256
+#: Features per block of ``model_from_stats``'s derivation.
+COEF_BLOCK = 1024
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -222,23 +223,27 @@ class Mles:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Immutable fitted multiDA model (multiLDA or multiQDA)."""
+    """Immutable fitted multiDA model (multiLDA or multiQDA): the class
+    statistics and config, the hypothesis weights ``gamma`` and the score
+    coefficients of ``model_from_stats``.  The slot arrays ``mu``,
+    ``sigma2``, ``variance_floor`` and ``lam`` are derived by ``fit_mles``
+    and ``lrt`` when first read."""
 
     parts: PartitionSet
     variance_mode: str
-    mu: np.ndarray
-    sigma2: np.ndarray
     pi: np.ndarray
     gamma: np.ndarray
-    lam: np.ndarray
     penalty: PenaltyConfig
     prior_term_mode: str
     n: int
     class_labels: tuple[str, ...]
     feature_names: tuple[str, ...]
-    variance_floor: np.ndarray = field(repr=False)
     admissible: np.ndarray = field(repr=False)
     stats: SufficientStats = field(repr=False)  # all that save_model stores
+    mu_null: np.ndarray = field(repr=False)  # p
+    Q: np.ndarray = field(repr=False)        # K x p
+    L: np.ndarray = field(repr=False)        # K x p
+    c: np.ndarray = field(repr=False)        # K
 
     @property
     def p(self) -> int:
@@ -252,6 +257,23 @@ class FittedModel:
     def M(self) -> int:
         return self.parts.M
 
+    @cached_property
+    def _mles(self) -> Mles:
+        with np.errstate(all="ignore"):
+            mles = fit_mles(self.stats, self.parts, self.variance_mode)
+        for a in (mles.mu, mles.sigma2, mles.variance_floor):
+            _as_readonly(a)
+        return mles
+
+    mu = property(lambda self: self._mles.mu)                          # p x z_M
+    sigma2 = property(lambda self: self._mles.sigma2)                  # p x (M or z_M)
+    variance_floor = property(lambda self: self._mles.variance_floor)  # p
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return _as_readonly(lrt(self.stats, self.parts, self._mles))
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -261,11 +283,6 @@ class Prediction:
     labels: tuple[str, ...]     # decoded argmax labels, ties to lowest code
     codes: np.ndarray           # n*, integer codes 1..K
     eta: np.ndarray             # n* x K
-
-
-def _slot_columns(parts: PartitionSet) -> np.ndarray:
-    """Hypothesis column (0-based) of every flat slot."""
-    return np.repeat(np.arange(parts.M), parts.G)
 
 
 def _slot_starts(parts: PartitionSet) -> np.ndarray:
@@ -579,74 +596,64 @@ def model_from_stats(
     feature_names: tuple[str, ...],
 ) -> FittedModel:
     """The one derivation of a model from per-class sufficient statistics,
-    the hypothesis set and the config: closed-form MLEs, LRT statistics
-    and posterior hypothesis weights.  ``fit``, ``cross_validate`` and
-    ``load_model`` all call it, so a loaded model is bit-identical to the
-    fitted one.  Overflow is not reported here: every caller passes the
-    result to ``validate_model``."""
+    the hypothesis set and the config, in one pass over blocks of
+    ``COEF_BLOCK`` features, so no p x z_M array is held.  Each block
+    takes ``fit_mles``, ``lrt`` and ``gamma_weights`` of its columns and
+    its share of the per-class coefficients (Q, L, c) of the score
+
+        eta_k(x) = sum_j xc_j * (L[k, j] - Q[k, j] * xc_j / 2) + c[k],
+
+    with ``xc = x - mu_null``; centring on the null mean guards the
+    expanded square against cancellation when the data sit far from 0.
+    ``fit``, ``cross_validate`` and ``load_model`` all call it, so a
+    loaded model is bit-identical to the fitted one.  Overflow is not
+    reported here: every caller passes the result to ``validate_model``."""
+    p = stats.mean.shape[1]
+    a0 = parts.A - 1  # K x M, zero-based slots
+    slot_col = np.repeat(np.arange(parts.M), parts.G)  # hypothesis of every slot
+    var_rows = slot_col if parts.variance_mode == "equal" else slice(None)
+    gamma_t = np.empty((parts.M, p))
+    mu_null = np.empty(p)
+    Q = np.empty((parts.K, p))
+    L = np.empty_like(Q)
+    slot_const = np.zeros(parts.n_slots)
     with np.errstate(all="ignore"):
-        mles = fit_mles(stats, parts, parts.variance_mode)
-        lam = lrt(stats, parts, mles)
-        gamma = gamma_weights(lam, parts.nu, penalty, mles.admissible)
+        for cols in _column_blocks(p, COEF_BLOCK):
+            block = SufficientStats(stats.n, stats.n_k, stats.mean[:, cols],
+                                    stats.m2[:, cols])
+            mles = fit_mles(block, parts, parts.variance_mode)
+            gamma_t[:, cols] = g = gamma_weights(lrt(block, parts, mles), parts.nu,
+                                                 penalty, mles.admissible).T
+            # slot-major (z_M x block) so every reduction runs along contiguous rows
+            mu, s2, w = mles.mu.T, mles.sigma2.T, g[slot_col]
+            mu_null[cols] = mu[0]
+            w_var = w / s2[var_rows]
+            d = mu - mu[:1]  # slot means centred on the null mean
+            w_d = w_var * d
+            slot_const += (w_d * d).sum(axis=1)
+            slot_const += (w * np.log(s2)[var_rows]).sum(axis=1)
+            Q[:, cols] = w_var[a0].sum(axis=1)
+            L[:, cols] = w_d[a0].sum(axis=1)
+        pi = mles.pi
+        prior = np.log(pi) if prior_term_mode == "log" else pi * np.log(pi)
+        c = prior - 0.5 * (slot_const[a0].sum(axis=1) + _LOG_2PI * gamma_t.sum())
     return FittedModel(
         parts=parts,
         variance_mode=parts.variance_mode,
-        mu=_as_readonly(mles.mu),
-        sigma2=_as_readonly(mles.sigma2),
-        pi=_as_readonly(mles.pi),
-        gamma=_as_readonly(gamma),
-        lam=_as_readonly(lam),
+        pi=_as_readonly(pi),
+        gamma=_as_readonly(gamma_t.T),
         penalty=penalty,
         prior_term_mode=prior_term_mode,
         n=stats.n,
         class_labels=class_labels,
         feature_names=feature_names,
-        variance_floor=_as_readonly(mles.variance_floor),
         admissible=_as_readonly(mles.admissible),
         stats=stats,
+        mu_null=_as_readonly(mu_null),
+        Q=_as_readonly(Q),
+        L=_as_readonly(L),
+        c=_as_readonly(c),
     )
-
-
-def _prior_term(model: FittedModel) -> np.ndarray:
-    if model.prior_term_mode == "log":
-        return np.log(model.pi)
-    return model.pi * np.log(model.pi)
-
-
-def _class_coefficients(
-    model: FittedModel,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-class coefficients (Q, L, c) of the discriminant score
-
-        eta_k(x) = sum_j xc_j * (L[k, j] - Q[k, j] * xc_j / 2) + c[k],
-
-    with ``xc = x - mu_null``.  Q and L are K x p, c has length K; the set-up
-    costs O(p * M * K).  Centring on the null mean before squaring guards
-    the expanded square against cancellation when the data sit far from 0.
-    Q and L are filled ``COEF_BLOCK`` features at a time, so every
-    temporary is COEF_BLOCK wide (z_M, or K * M, rows) and stays in cache.
-    """
-    parts = model.parts
-    a0 = parts.A - 1  # K x M, zero-based slots
-    slot_col = _slot_columns(parts)
-    # slot-major (z_M x block) so every reduction below runs along contiguous rows
-    var_rows = slot_col if model.variance_mode == "equal" else slice(None)
-    mu, sigma2, gamma_t = model.mu.T, model.sigma2.T, model.gamma.T
-    Q = np.empty((parts.K, model.p))
-    L = np.empty_like(Q)
-    slot_const = np.zeros(parts.n_slots)
-    for cols in _column_blocks(model.p, COEF_BLOCK):
-        gamma = gamma_t[:, cols][slot_col]
-        s2 = sigma2[:, cols]
-        w_var = gamma / s2[var_rows]
-        d = mu[:, cols] - mu[:1, cols]  # slot means centred on the null mean
-        w_d = w_var * d
-        slot_const += (w_d * d).sum(axis=1)
-        slot_const += (gamma * np.log(s2)[var_rows]).sum(axis=1)
-        Q[:, cols] = w_var[a0].sum(axis=1)
-        L[:, cols] = w_d[a0].sum(axis=1)
-    c = -0.5 * (slot_const[a0].sum(axis=1) + _LOG_2PI * model.gamma.sum())
-    return Q, L, c + _prior_term(model)
 
 
 def predict(
@@ -657,9 +664,8 @@ def predict(
     For each class the discriminant score is the weight-averaged Gaussian
     log density summed over features plus the class-prior term; class
     probabilities are the row softmax of the scores.  The score is a
-    quadratic form in the query row whose per-class coefficients are set
-    up once per call at O(p * M * K) cost, ``COEF_BLOCK`` features at a
-    time (``_class_coefficients``), so scoring costs O(n* * p * K): two
+    quadratic form in the query row whose per-class coefficients the model
+    holds (see ``model_from_stats``), so scoring costs O(n* * p * K): two
     ``einsum`` products per row chunk, of the centred rows with L and of
     their squares with Q, with no n* x p temporary per class.  Ties in
     the argmax resolve to the lowest class code.  A score that is not
@@ -682,23 +688,18 @@ def predict(
         )
     threads = _resolve_threads(threads)
     nq = Xnew.shape[0]
-    # overflow shows up as a non-finite score, reported below; the error
-    # state is per thread, so each worker sets its own
-    quiet = dict(over="ignore", invalid="ignore")
-    with np.errstate(**quiet):
-        Q, L, const = _class_coefficients(model)
-        half_q = 0.5 * Q
-    mu_null = model.mu[:, 0]
     eta = np.empty((nq, model.K))
 
     def work(rows: slice) -> None:
-        with np.errstate(**quiet):
-            xc = Xnew[rows] - mu_null
+        # overflow shows up as a non-finite score, reported below; the error
+        # state is per thread, so each worker sets its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            xc = Xnew[rows] - model.mu_null
             # einsum without ``optimize`` runs no BLAS: each row's sums run
             # in an order that depends only on p, never on the row chunking
-            lin = np.einsum("ij,kj->ik", xc, L)
-            sq = np.einsum("ij,kj->ik", np.square(xc, out=xc), half_q)
-            eta[rows] = lin - sq + const
+            lin = np.einsum("ij,kj->ik", xc, model.L)
+            sq = np.einsum("ij,kj->ik", np.square(xc, out=xc), model.Q)
+            eta[rows] = lin - 0.5 * sq + model.c
 
     size = max(1, -(-nq // threads))
     chunks = [slice(i, min(i + size, nq)) for i in range(0, nq, size)]
@@ -749,13 +750,12 @@ def selected_features(
 def validate_model(model: FittedModel) -> FittedModel:
     """Return ``model`` once the parts of it a caller can break hold:
     K distinct class labels, positive class counts summing to n, finite
-    class statistics with ``class_m2 >= 0``, and finite ``mu``, ``sigma2``
-    and ``gamma``.  A structural fault raises ``ValidationError``; a
-    non-finite value (e.g. from overflowing statistics) raises
-    ``NumericError`` naming the field and the first bad feature.  The
-    rest of the model holds by construction in ``model_from_stats``.
-    ``fit``, ``simlab.cross_validate`` and ``data_io.load_model`` all
-    call it."""
+    class statistics with ``class_m2 >= 0``, and a finite null mean
+    (``mu``) and ``gamma``; it reads only stored arrays.  A structural
+    fault raises ``ValidationError``; a non-finite value (e.g. from
+    overflowing statistics) raises ``NumericError`` naming the field and
+    the first bad feature.  The rest holds by construction.  ``fit``,
+    ``simlab.cross_validate`` and ``data_io.load_model`` all call it."""
     K = model.K
     if len(model.class_labels) != K:
         raise ValidationError("class label count does not match K")
@@ -767,7 +767,7 @@ def validate_model(model: FittedModel) -> FittedModel:
     if np.any(stats.m2 < 0.0):
         raise ValidationError("class_m2 holds a negative value")
     for name, values in (("class_means", stats.mean.T), ("class_m2", stats.m2.T),
-                         ("mu", model.mu), ("sigma2", model.sigma2),
+                         ("mu", model.mu_null[:, None]),
                          ("gamma", model.gamma)):  # all p x ...
         if not np.isfinite(values).all():
             j = int(np.argmin(np.isfinite(values).all(axis=1)))

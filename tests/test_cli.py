@@ -159,19 +159,31 @@ class TestTrain:
         assert "M=2" in result.output
 
 
+GOOD = "label,x1,x2\na,0,1\na,2,3\nb,4,5\nb,6,7\n"
+
+
+def run_cli(*args):
+    """``python -m multida.cli`` with ``args``, in a real process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "multida.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def assert_one_error_line(result, message):
+    """Exit 2 with the ``config:`` line and one ``error:`` line on stderr,
+    so no traceback (exit 1) or warning got out."""
+    assert result.returncode == 2, result.stderr
+    lines = result.stderr.splitlines()
+    assert lines[0].startswith("config: ")
+    assert len(lines) == 2
+    assert lines[1].startswith(f"error: {message}")
+
+
 class TestBadCsvSubprocess:
     """Bad CSVs end as one ``error:`` line and exit 2 in a real process,
     where a traceback would exit 1 and a warning would reach stderr."""
-
-    GOOD = "label,x1,x2\na,0,1\na,2,3\nb,4,5\nb,6,7\n"
-
-    @staticmethod
-    def run(*args):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, "-m", "multida.cli", *map(str, args)],
-                              capture_output=True, text=True, env=env, timeout=120)
 
     @pytest.mark.parametrize("content, message", [
         (b"label,x1,x2\na,0,1\na,NA,3\nb,4,5\n",
@@ -192,17 +204,59 @@ class TestBadCsvSubprocess:
                     "--features-out", tmp_path / "f.csv", "--seed", "1"]
         else:
             good = tmp_path / "good.csv"
-            good.write_text(self.GOOD)
+            good.write_text(GOOD)
             model = tmp_path / "m.json"
             save_model(fit(load_dataset(good)), model)
             args = ["predict", path, "--model", model, "--out", tmp_path / "p.csv",
                     "--seed", "1"]
-        result = self.run(*args)
-        assert result.returncode == 2, result.stderr
-        lines = result.stderr.splitlines()
-        assert lines[0].startswith("config: ")
-        assert len(lines) == 2
-        assert lines[1].startswith(f"error: {path}: {message}")
+        assert_one_error_line(run_cli(*args), f"{path}: {message}")
+
+
+class TestBadModelSubprocess:
+    """Mutated model documents end as one ``error:`` line and exit 2 in a
+    real process."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: {**doc, "class_means": [[1e308] + doc["class_means"][0][1:],
+                                             [-1e308] + doc["class_means"][1][1:]]},
+         "invariant violation: mu holds a non-finite value for feature 'x1'"),
+        (lambda doc: {**doc, "class_m2": [[1e308] + row[1:] for row in doc["class_m2"]]},
+         "invariant violation: gamma holds a non-finite value for feature 'x1'"),
+        (None, "not a valid model document"),
+    ], ids=["means-overflow", "m2-overflow", "truncated"])
+    def test_bad_model_exits_2(self, tmp_path, mutate, message):
+        query = tmp_path / "q.csv"
+        query.write_text(GOOD)
+        model = tmp_path / "m.json"
+        save_model(fit(load_dataset(query)), model)
+        text = model.read_text()
+        model.write_text(json.dumps(mutate(json.loads(text))) if mutate
+                         else text[:len(text) // 2])
+        out = tmp_path / "p.csv"
+        result = run_cli("predict", query, "--model", model, "--out", out, "--seed", "1")
+        assert_one_error_line(result, f"{model}: {message}")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("delimiter", ["ab", ""])
+@pytest.mark.parametrize("command", ["train", "predict", "cv", "filter"])
+def test_delimiter_not_one_character_exits_2(runner, toy_csv, tmp_path, command, delimiter):
+    model = tmp_path / "m.json"
+    save_model(fit(load_dataset(toy_csv)), model)
+    out = tmp_path / "out.csv"
+    args = {
+        "train": ["train", toy_csv, "--out", out, "--features-out", tmp_path / "f.csv"],
+        "predict": ["predict", toy_csv, "--model", model, "--out", out],
+        "cv": ["cv", toy_csv, "--out", out],
+        "filter": ["filter", toy_csv, "--rule", "zero-mad", "--out", out],
+    }[command]
+    seed = [] if command == "filter" else ["--seed", "1"]
+    result = runner.invoke(main, [*map(str, args), *seed, "--delimiter", delimiter])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("config: ")
+    assert lines[1] == f"error: delimiter must be one character, got {delimiter!r}"
+    assert not out.exists()
 
 
 class TestPredict:

@@ -18,7 +18,8 @@ from multida.data_io import (
     save_dataset,
     save_model,
 )
-from multida.estimator import Dataset, fit, predict
+from multida.estimator import (COEF_BLOCK, Dataset, fit, fit_mles, gamma_weights, lrt,
+                               predict, selected_features, validate_model)
 
 
 TOY = "label,x1\na,0\na,2\nb,4\nb,6\n"
@@ -190,9 +191,9 @@ class TestStreamingReader:
         with pytest.raises(FormatError, match="long.csv: malformed CSV"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("delimiter", ["\n", " ", "ab"])
+    @pytest.mark.parametrize("delimiter", ["\n", " "])
     def test_odd_delimiter_reads_as_row_reader(self, tmp_path, delimiter):
-        # loadtxt refuses a newline delimiter, the csv module a long one
+        # loadtxt refuses a newline delimiter
         path = tmp_path / "col.csv"
         path.write_text("x1\n1\n2\n")
         schema = CsvSchema(label_column=None, delimiter=delimiter)
@@ -204,6 +205,11 @@ class TestStreamingReader:
             except TypeError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("delimiter", ["ab", "", None])
+    def test_delimiter_not_one_character_rejected(self, delimiter):
+        with pytest.raises(ValidationError, match="delimiter must be one character"):
+            CsvSchema(delimiter=delimiter)
 
     @pytest.mark.parametrize("text, schema", [
         ("x1,label,x2\n1,a,2\n3,b,4\n", CsvSchema()),
@@ -359,6 +365,31 @@ class TestModelRoundTrip:
             assert a.dtype == b.dtype and a.shape == b.shape, f
             assert a.tobytes() == b.tobytes(), f
 
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_model_holds_no_slot_arrays(self, tmp_path, k, variance_mode):
+        # p spans two blocks of the derivation and a tail
+        p = 2 * COEF_BLOCK + 3
+        rng = np.random.default_rng(70 + k)
+        y = np.repeat(np.arange(1, k + 1), 6)
+        X = rng.normal(size=(len(y), p))
+        X[:, ::50] += 1.5 * (y[:, None] - 1)
+        model = validate_model(fit(Dataset.from_arrays(X, [f"c{v}" for v in y]),
+                                   penalty="bic", variance_mode=variance_mode))
+        predict(model, X[:5])
+        selected_features(model)
+        save_model(model, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        for m in (model, loaded):
+            assert "_mles" not in vars(m) and "lam" not in vars(m)
+            assert all(np.shape(v) != (p, m.parts.n_slots) for v in vars(m).values())
+        whole = fit_mles(model.stats, model.parts, variance_mode)
+        gamma = gamma_weights(lrt(model.stats, model.parts, whole), model.parts.nu,
+                              model.penalty, whole.admissible)
+        assert model.gamma[:, 1:].max() > 0.5  # the hypotheses carry weight
+        assert model.gamma.shape == gamma.shape
+        assert model.gamma.tobytes() == gamma.tobytes() == loaded.gamma.tobytes()
+
     def test_minus_inf_lambda_survives(self, tmp_path):
         # single-sample class makes several QDA hypotheses inadmissible
         X = np.random.default_rng(2).normal(size=(13, 2))
@@ -418,7 +449,7 @@ class TestModelRoundTrip:
         ("class_means", lambda v: [[1e308] + v[0][1:], [-1e308] + v[1][1:]] + v[2:],
          "invariant violation: mu holds a non-finite value"),
         ("class_m2", lambda v: [[1e308] + row[1:] for row in v],
-         "invariant violation: sigma2 holds a non-finite value"),
+         "invariant violation: gamma holds a non-finite value for feature 'x1'"),
         ("class_counts", lambda v: v[1:], "'class_counts' must be a list of K=4"),
         ("class_label_map", lambda v: ["a", "b", "a", "c"],
          "invariant violation: class labels must be distinct"),
@@ -576,7 +607,8 @@ def test_mutated_document_loads_or_raises_format_error(k3_model_file, data):
         model = load_model(path)
     except FormatError:
         return
-    assert np.isfinite(model.gamma).all()
+    for values in (model.gamma, model.mu_null, model.Q, model.L, model.c):
+        assert np.isfinite(values).all()
     np.testing.assert_allclose(model.gamma.sum(axis=1), 1.0, rtol=0, atol=1e-9)
     assert list(model.class_labels) == doc["class_label_map"]
     assert list(model.feature_names) == doc["feature_names"]
