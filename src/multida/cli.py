@@ -1,13 +1,15 @@
 """Command-line front-end: train, predict, cv, simulate, partitions, filter.
 
-Every command resolves its full configuration (including the seed, drawn
-randomly when not given) and logs it as one JSON line on stderr, so any
-run can be reproduced bit-exactly from its log.  Exit codes: 0 success,
-2 usage or validation problems, 3 internal numeric failure.
+Every command logs its parsed parameters, keyed by parameter name (the
+seed included, drawn randomly when not given), as one ``config:`` JSON
+line, the first line on stderr, before its body runs; so any run can be
+reproduced bit-exactly from its log.  Exit codes: 0 success, 2 usage or
+validation problems, 3 internal numeric failure.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -42,10 +44,13 @@ from .simlab import (
 
 
 def _guarded(fn):
+    """Log the command's ``config:`` line, then run it, mapping library
+    errors to one stderr line and exit code 2 or 3."""
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(**params):
+        _log_config(click.get_current_context().info_name, **params)
         try:
-            return fn(*args, **kwargs)
+            return fn(**params)
         except (ValidationError, FormatError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
@@ -56,10 +61,9 @@ def _guarded(fn):
     return wrapper
 
 
-def _resolve_seed(seed: int | None) -> int:
-    if seed is None:
-        return int.from_bytes(os.urandom(4), "little")
-    return seed
+def _resolve_seed(ctx, param, seed: int | None) -> int:
+    """--seed callback: draw a seed when none is given, so it is logged."""
+    return int.from_bytes(os.urandom(4), "little") if seed is None else seed
 
 
 def _log_config(command: str, **params) -> None:
@@ -85,11 +89,18 @@ def _parse_scheme(scheme: str) -> tuple[str, np.ndarray | None]:
     return scheme, None
 
 
-def _label_column(value: str) -> str | int:
-    try:
-        return int(value)
-    except ValueError:
-        return value
+def _schema(label_col: str, no_header: bool, delimiter: str, *,
+            labeled: bool = True) -> CsvSchema:
+    """The CSV layout given by --label-col, --no-header and --delimiter.  A
+    headerless file names its label column by index; a headerless query
+    file (``labeled=False``) has none."""
+    if no_header and not labeled:
+        label_col = None
+    elif no_header:
+        with contextlib.suppress(ValueError):
+            label_col = int(label_col)
+    return CsvSchema(has_header=not no_header, label_column=label_col,
+                     delimiter=delimiter)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -105,73 +116,43 @@ def _fmt(value) -> str:
 
 # shared option stacks
 
-def _fit_options(fn):
-    for deco in reversed(
-        [
-            click.option(
-                "--penalty",
-                default="ebic",
-                show_default=True,
-                help="Penalty: ebic, bic, aic or custom:<C>.",
-            ),
-            click.option(
-                "--variance",
-                type=click.Choice(["equal", "unequal"]),
-                default="equal",
-                show_default=True,
-                help="equal fits multiLDA, unequal fits multiQDA.",
-            ),
-            click.option(
-                "--scheme",
-                default="exhaustive",
-                show_default=True,
-                help="Hypothesis scheme: exhaustive, onevsrest, ordinal or user:<csv>.",
-            ),
-            click.option(
-                "--prior-term",
-                type=click.Choice(["log", "plogp"]),
-                default="log",
-                show_default=True,
-                help="Class-prior term in the discriminant score.",
-            ),
-            click.option(
-                "--max-classes",
-                type=int,
-                default=DEFAULT_MAX_CLASSES,
-                show_default=True,
-                help="Guard on K for exhaustive enumeration.",
-            ),
-        ]
-    ):
-        fn = deco(fn)
-    return fn
+def _options(*decorators):
+    """One decorator applying ``decorators`` so they list in the given order."""
+    def apply(fn):
+        for deco in reversed(decorators):
+            fn = deco(fn)
+        return fn
+
+    return apply
 
 
-def _io_options(fn):
-    for deco in reversed(
-        [
-            click.option("--label-col", default="label", show_default=True,
-                         help="Label column name (or index for headerless files)."),
-            click.option("--no-header", is_flag=True, help="Input CSV has no header row."),
-            click.option("--delimiter", default=",", show_default=True),
-        ]
-    ):
-        fn = deco(fn)
-    return fn
+_fit_options = _options(
+    click.option("--penalty", default="ebic", show_default=True,
+                 help="Penalty: ebic, bic, aic or custom:<C>."),
+    click.option("--variance", type=click.Choice(["equal", "unequal"]), default="equal",
+                 show_default=True, help="equal fits multiLDA, unequal fits multiQDA."),
+    click.option("--scheme", default="exhaustive", show_default=True,
+                 help="Hypothesis scheme: exhaustive, onevsrest, ordinal or user:<csv>."),
+    click.option("--prior-term", type=click.Choice(["log", "plogp"]), default="log",
+                 show_default=True, help="Class-prior term in the discriminant score."),
+    click.option("--max-classes", type=int, default=DEFAULT_MAX_CLASSES, show_default=True,
+                 help="Guard on K for exhaustive enumeration."),
+)
 
+_io_options = _options(
+    click.option("--label-col", default="label", show_default=True,
+                 help="Label column name (or index for headerless files)."),
+    click.option("--no-header", is_flag=True, help="Input CSV has no header row."),
+    click.option("--delimiter", default=",", show_default=True),
+)
 
-def _run_options(fn):
-    for deco in reversed(
-        [
-            click.option("--seed", type=int, default=None,
-                         help="Random seed; drawn and logged when omitted."),
-            click.option("--threads", type=int, default=1, show_default=True,
-                         help="Worker threads for prediction rows (0 = all cores); fitting is "
-                              "single-threaded and output is thread-count independent."),
-        ]
-    ):
-        fn = deco(fn)
-    return fn
+_run_options = _options(
+    click.option("--seed", type=int, default=None, callback=_resolve_seed,
+                 help="Random seed; drawn and logged when omitted."),
+    click.option("--threads", type=int, default=1, show_default=True,
+                 help="Worker threads for prediction rows (0 = all cores); fitting is "
+                      "single-threaded and output is thread-count independent."),
+)
 
 
 @click.group()
@@ -182,7 +163,7 @@ def main():
 
 
 @main.command()
-@click.argument("training_csv", type=click.Path(exists=True, dir_okay=False))
+@click.argument("input", metavar="TRAINING_CSV", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", default="model.json", show_default=True,
               help="Model file to write.")
 @click.option("--features-out", default="selected_features.csv", show_default=True,
@@ -193,23 +174,11 @@ def main():
 @_io_options
 @_run_options
 @_guarded
-def train(training_csv, out, features_out, threshold, penalty, variance, scheme,
+def train(input, out, features_out, threshold, penalty, variance, scheme,
           prior_term, max_classes, label_col, no_header, delimiter, seed, threads):
     """Fit a model on a labeled CSV and write it to disk."""
-    seed = _resolve_seed(seed)
     scheme_name, user_matrix = _parse_scheme(scheme)
-    _log_config(
-        "train", input=training_csv, out=out, features_out=features_out,
-        threshold=threshold, penalty=penalty, variance=variance, scheme=scheme,
-        prior_term=prior_term, max_classes=max_classes, label_col=label_col,
-        no_header=no_header, delimiter=delimiter, seed=seed, threads=threads,
-    )
-    schema = CsvSchema(
-        has_header=not no_header,
-        label_column=_label_column(label_col) if no_header else label_col,
-        delimiter=delimiter,
-    )
-    data = load_dataset(training_csv, schema)
+    data = load_dataset(input, _schema(label_col, no_header, delimiter))
     model = fit(
         data,
         scheme=scheme_name,
@@ -240,31 +209,19 @@ def train(training_csv, out, features_out, threshold, penalty, variance, scheme,
 
 
 @main.command(name="predict")
-@click.argument("query_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--model", "model_path", required=True,
+@click.argument("input", metavar="QUERY_CSV", type=click.Path(exists=True, dir_okay=False))
+@click.option("--model", required=True,
               type=click.Path(exists=True, dir_okay=False), help="Fitted model file.")
 @click.option("--out", default="predictions.csv", show_default=True)
 @_io_options
 @_run_options
 @_guarded
-def predict_cmd(query_csv, model_path, out, label_col, no_header, delimiter,
-                seed, threads):
+def predict_cmd(input, model, out, label_col, no_header, delimiter, seed, threads):
     """Predict labels and class probabilities for query rows."""
-    seed = _resolve_seed(seed)
-    _log_config(
-        "predict", input=query_csv, model=model_path, out=out,
-        label_col=label_col, no_header=no_header, delimiter=delimiter,
-        seed=seed, threads=threads,
-    )
-    model = load_model(model_path)
-    schema = CsvSchema(
-        has_header=not no_header,
-        label_column=None if no_header else label_col,
-        delimiter=delimiter,
-    )
-    X, _ = load_matrix(query_csv, schema)
-    pred = predict(model, X, threads=threads)
-    header = ["label"] + [f"prob_{c}" for c in model.class_labels]
+    fitted = load_model(model)
+    X, _ = load_matrix(input, _schema(label_col, no_header, delimiter, labeled=False))
+    pred = predict(fitted, X, threads=threads)
+    header = ["label"] + [f"prob_{c}" for c in fitted.class_labels]
     _write_csv(
         out,
         header,
@@ -277,7 +234,7 @@ def predict_cmd(query_csv, model_path, out, label_col, no_header, delimiter,
 
 
 @main.command()
-@click.argument("training_csv", type=click.Path(exists=True, dir_okay=False))
+@click.argument("input", metavar="TRAINING_CSV", type=click.Path(exists=True, dir_okay=False))
 @click.option("--folds", type=int, default=5, show_default=True)
 @click.option("--trials", type=int, default=50, show_default=True)
 @click.option("--out", default="cv_results.csv", show_default=True)
@@ -285,23 +242,11 @@ def predict_cmd(query_csv, model_path, out, label_col, no_header, delimiter,
 @_io_options
 @_run_options
 @_guarded
-def cv(training_csv, folds, trials, out, penalty, variance, scheme, prior_term,
+def cv(input, folds, trials, out, penalty, variance, scheme, prior_term,
        max_classes, label_col, no_header, delimiter, seed, threads):
     """Repeated stratified k-fold cross-validation on a labeled CSV."""
-    seed = _resolve_seed(seed)
     scheme_name, user_matrix = _parse_scheme(scheme)
-    _log_config(
-        "cv", input=training_csv, folds=folds, trials=trials, out=out,
-        penalty=penalty, variance=variance, scheme=scheme, prior_term=prior_term,
-        max_classes=max_classes, label_col=label_col, no_header=no_header,
-        delimiter=delimiter, seed=seed, threads=threads,
-    )
-    schema = CsvSchema(
-        has_header=not no_header,
-        label_column=_label_column(label_col) if no_header else label_col,
-        delimiter=delimiter,
-    )
-    data = load_dataset(training_csv, schema)
+    data = load_dataset(input, _schema(label_col, no_header, delimiter))
     result = cross_validate(
         data, folds, trials, seed=seed, scheme=scheme_name,
         user_matrix=user_matrix, penalty=penalty, variance_mode=variance,
@@ -318,9 +263,9 @@ def cv(training_csv, folds, trials, out, penalty, variance, scheme, prior_term,
 
 @main.command()
 @click.option("--scenario", type=click.Choice(list(SCENARIOS)), required=True)
-@click.option("--n", "n_samples", type=int, default=100, show_default=True)
-@click.option("--p", "n_features", type=int, default=2000, show_default=True)
-@click.option("--k", "n_classes", type=int, default=4, show_default=True)
+@click.option("--n", type=int, default=100, show_default=True)
+@click.option("--p", type=int, default=2000, show_default=True)
+@click.option("--k", type=int, default=4, show_default=True)
 @click.option("--n-grid", default="50,100,200,500", show_default=True,
               help="Sample sizes for the fs-consistency sweep.")
 @click.option("--replicates", type=int, default=20, show_default=True,
@@ -339,28 +284,24 @@ def cv(training_csv, folds, trials, out, penalty, variance, scheme, prior_term,
 @_fit_options
 @_run_options
 @_guarded
-def simulate(scenario, n_samples, n_features, n_classes, n_grid, replicates,
-             folds, trials, frac, mean_shift, variance_scale, block_size,
-             block_density, out, penalty, variance, scheme, prior_term,
-             max_classes, seed, threads):
+def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
+             mean_shift, variance_scale, block_size, block_density, out, penalty,
+             variance, scheme, prior_term, max_classes, seed, threads):
     """Run a synthetic scenario: a selection-consistency sweep or a
     cross-validated prediction benchmark, written as tidy CSV."""
-    seed = _resolve_seed(seed)
-    _log_config(
-        "simulate", scenario=scenario, n=n_samples, p=n_features, k=n_classes,
-        n_grid=n_grid, replicates=replicates, folds=folds, trials=trials,
-        frac=frac, mean_shift=mean_shift, variance_scale=variance_scale,
-        block_size=block_size, block_density=block_density, out=out,
-        penalty=penalty, variance=variance, prior_term=prior_term,
-        max_classes=max_classes, seed=seed, threads=threads,
-    )
+    scheme_name, user_matrix = _parse_scheme(scheme)
     if scenario == "fs-consistency":
+        if scheme_name != "exhaustive":
+            raise ValidationError(
+                f"--scheme {scheme}: fs-consistency scores selection against "
+                "every exhaustive partition, so it needs --scheme exhaustive"
+            )
         try:
             n_values = [int(v) for v in n_grid.split(",") if v.strip()]
         except ValueError:
             raise ValidationError(f"cannot parse --n-grid {n_grid!r}") from None
         rows = consistency_sweep(
-            n_values, p=n_features, k=n_classes, replicates=replicates,
+            n_values, p=p, k=k, replicates=replicates,
             penalty=penalty, variance_mode=variance, mean_shift=mean_shift,
             discriminative_fraction=frac, seed=seed, threads=threads,
         )
@@ -373,9 +314,9 @@ def simulate(scenario, n_samples, n_features, n_classes, n_grid, replicates,
         return
     spec = SimSpec(
         scenario=scenario,
-        n=n_samples,
-        p=n_features,
-        K=n_classes,
+        n=n,
+        p=p,
+        K=k,
         discriminative_fraction=frac,
         mean_shift=mean_shift,
         variance_scale=variance_scale,
@@ -386,9 +327,9 @@ def simulate(scenario, n_samples, n_features, n_classes, n_grid, replicates,
     data, _ = generate(spec)
     t0 = time.perf_counter()
     result = cross_validate(
-        data, folds, trials, seed=seed, penalty=penalty,
-        variance_mode=variance, prior_term_mode=prior_term, threads=threads,
-        max_classes=max_classes,
+        data, folds, trials, seed=seed, scheme=scheme_name,
+        user_matrix=user_matrix, penalty=penalty, variance_mode=variance,
+        prior_term_mode=prior_term, threads=threads, max_classes=max_classes,
     )
     elapsed = time.perf_counter() - t0
     _write_csv(
@@ -399,7 +340,7 @@ def simulate(scenario, n_samples, n_features, n_classes, n_grid, replicates,
             for r in result.rows
         ],
     )
-    click.echo(f"{scenario} n={spec.n} p={spec.p} K={spec.K} variance={variance}")
+    click.echo(f"{scenario} n={n} p={p} K={k} variance={variance}")
     click.echo(
         f"mean CV error {result.mean:.6f} (sd {result.sd:.6f}), "
         f"{elapsed:.1f}s -> {out}"
@@ -407,7 +348,7 @@ def simulate(scenario, n_samples, n_features, n_classes, n_grid, replicates,
 
 
 @main.command()
-@click.option("--k", "n_classes", type=int, required=True, help="Class count.")
+@click.option("--k", type=int, required=True, help="Class count.")
 @click.option("--scheme", default="exhaustive", show_default=True,
               help="exhaustive, onevsrest, ordinal or user:<csv>.")
 @click.option("--variance", type=click.Choice(["equal", "unequal"]),
@@ -417,25 +358,22 @@ def simulate(scenario, n_samples, n_features, n_classes, n_grid, replicates,
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the listing to a file instead of stdout.")
 @_guarded
-def partitions(n_classes, scheme, variance, max_classes, out):
+def partitions(k, scheme, variance, max_classes, out):
     """Print the hypothesis matrix S with G, nu, z and the allocation
     matrix A for a class count and scheme."""
     scheme_name, user_matrix = _parse_scheme(scheme)
-    _log_config("partitions", k=n_classes, scheme=scheme, variance=variance,
-                max_classes=max_classes, out=out)
     ps = build_partition_set(
-        n_classes, scheme_name, user_matrix=user_matrix,
+        k, scheme_name, user_matrix=user_matrix,
         variance_mode=variance, max_classes=max_classes,
     )
     lines = [f"scheme={ps.scheme} K={ps.K} M={ps.M} variance={ps.variance_mode}", "S:"]
-    for k in range(ps.K):
-        lines.append(",".join(str(col[k]) for col in ps.columns))
+    for row in range(ps.K):
+        lines.append(",".join(str(col[row]) for col in ps.columns))
     lines.append("G: " + ",".join(str(v) for v in ps.G))
     lines.append("nu: " + ",".join(str(v) for v in ps.nu))
     lines.append("z: " + ",".join(str(v) for v in ps.z))
     lines.append("A:")
-    for k in range(ps.K):
-        lines.append(",".join(str(v) for v in ps.A[k]))
+    lines.extend(",".join(str(v) for v in row) for row in ps.A)
     text = "\n".join(lines)
     if out:
         with open(out, "w") as fh:
@@ -446,7 +384,7 @@ def partitions(n_classes, scheme, variance, max_classes, out):
 
 
 @main.command(name="filter")
-@click.argument("training_csv", type=click.Path(exists=True, dir_okay=False))
+@click.argument("input", metavar="TRAINING_CSV", type=click.Path(exists=True, dir_okay=False))
 @click.option("--rule", required=True,
               help="zero-mad or class-median-below:<threshold>.")
 @click.option("--out", default="filtered.csv", show_default=True)
@@ -454,18 +392,9 @@ def partitions(n_classes, scheme, variance, max_classes, out):
               help="Optional CSV mapping kept features to original columns.")
 @_io_options
 @_guarded
-def filter_cmd(training_csv, rule, out, indices_out, label_col, no_header,
-               delimiter):
+def filter_cmd(input, rule, out, indices_out, label_col, no_header, delimiter):
     """Apply a feature-screening rule to a labeled CSV."""
-    _log_config("filter", input=training_csv, rule=rule, out=out,
-                indices_out=indices_out, label_col=label_col,
-                no_header=no_header, delimiter=delimiter)
-    schema = CsvSchema(
-        has_header=not no_header,
-        label_column=_label_column(label_col) if no_header else label_col,
-        delimiter=delimiter,
-    )
-    data = load_dataset(training_csv, schema)
+    data = load_dataset(input, _schema(label_col, no_header, delimiter))
     reduced, kept = filter_features(data, rule)
     save_dataset(reduced, out,
                  label_name=label_col if not no_header else "label",

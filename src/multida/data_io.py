@@ -290,7 +290,7 @@ def filter_features(
     even counts.
     """
     if isinstance(rule, str) and rule.startswith("class-median-below:"):
-        rule = ("class-median-below", float(rule.split(":", 1)[1]))
+        rule = ("class-median-below", rule.split(":", 1)[1])
     if rule == "zero-mad":
         med = np.median(data.X, axis=0)
         mad = np.median(np.abs(data.X - med[None, :]), axis=0)
@@ -300,9 +300,15 @@ def filter_features(
         and len(rule) == 2
         and rule[0] == "class-median-below"
     ):
-        threshold = float(rule[1])
+        try:
+            threshold = float(rule[1])
+        except (TypeError, ValueError):
+            threshold = math.nan
         if not math.isfinite(threshold):
-            raise ValidationError("class-median threshold must be finite")
+            raise ValidationError(
+                f"filter rule class-median-below:{rule[1]}: the threshold must "
+                "be a finite number"
+            )
         keep = (_class_medians(data) >= threshold).any(axis=0)
     else:
         raise ValidationError(

@@ -470,22 +470,15 @@ def lrt(stats: SufficientStats, parts: PartitionSet, mles: Mles) -> np.ndarray:
     return lam.T
 
 
-def gamma_weights(
-    lam: np.ndarray,
-    nu: np.ndarray,
-    penalty: PenaltyConfig,
-    admissible: np.ndarray | None = None,
-) -> np.ndarray:
+def gamma_weights(lam: np.ndarray, nu: np.ndarray, penalty: PenaltyConfig) -> np.ndarray:
     """Posterior hypothesis weights: softmax of ``lam/2 - C * nu`` along
-    the last axis, computed with max-subtraction.  ``-inf`` statistics
-    (inadmissible hypotheses) receive weight zero before normalization;
-    the null score is exactly zero, so the normalizer never vanishes."""
+    the last axis, computed with max-subtraction.  ``lrt`` writes ``-inf``
+    for inadmissible hypotheses, which therefore receive weight zero; the
+    null score is exactly zero, so the normalizer never vanishes."""
     lam = np.asarray(lam, dtype=np.float64)
     squeeze = lam.ndim == 1
     lam2 = np.atleast_2d(lam)
     scores = 0.5 * lam2 - penalty.C * np.asarray(nu, dtype=np.float64)[None, :]
-    if admissible is not None:
-        scores = np.where(admissible[None, :], scores, -np.inf)
     smax = scores.max(axis=1, keepdims=True)
     w = np.exp(scores - smax)
     w /= w.sum(axis=1, keepdims=True)
@@ -623,7 +616,7 @@ def model_from_stats(
                                     stats.m2[:, cols])
             mles = fit_mles(block, parts, parts.variance_mode)
             gamma_t[:, cols] = g = gamma_weights(lrt(block, parts, mles), parts.nu,
-                                                 penalty, mles.admissible).T
+                                                 penalty).T
             # slot-major (z_M x block) so every reduction runs along contiguous rows
             mu, s2, w = mles.mu.T, mles.sigma2.T, g[slot_col]
             mu_null[cols] = mu[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -409,16 +409,7 @@ def run_feature_selection(
         data, penalty=penalty, variance_mode=variance_mode, threads=threads
     )
     elapsed = time.perf_counter() - t0
-    report = selection_error(model, truth)
-    return SimReport(
-        E=report.E,
-        E_O=report.E_O,
-        E_U=report.E_U,
-        norm_error=report.norm_error,
-        error_over_m=report.error_over_m,
-        hard_rate=report.hard_rate,
-        fit_seconds=elapsed,
-    )
+    return replace(selection_error(model, truth), fit_seconds=elapsed)
 
 
 def consistency_sweep(
@@ -435,7 +426,13 @@ def consistency_sweep(
     threads: int = 1,
 ) -> list[dict]:
     """Feature-selection error across sample sizes; one row per
-    (n, p, K, replicate), directly writable as tidy CSV."""
+    (n, p, K, replicate) with the ``SimReport`` metrics but ``cv``,
+    directly writable as tidy CSV."""
+    if len(n_values) == 0:
+        raise ValidationError("the sample-size grid is empty")
+    if replicates < 1:
+        raise ValidationError(f"need at least 1 replicate, got {replicates}")
+    metrics = [f.name for f in fields(SimReport) if f.name != "cv"]
     rows = []
     for n in n_values:
         for rep in range(replicates):
@@ -451,21 +448,8 @@ def consistency_sweep(
             report = run_feature_selection(
                 spec, penalty=penalty, variance_mode=variance_mode, threads=threads
             )
-            rows.append(
-                {
-                    "n": n,
-                    "p": p,
-                    "K": k,
-                    "replicate": rep + 1,
-                    "E": report.E,
-                    "E_O": report.E_O,
-                    "E_U": report.E_U,
-                    "norm_error": report.norm_error,
-                    "error_over_m": report.error_over_m,
-                    "hard_rate": report.hard_rate,
-                    "fit_seconds": report.fit_seconds,
-                }
-            )
+            rows.append({"n": n, "p": p, "K": k, "replicate": rep + 1,
+                         **{name: getattr(report, name) for name in metrics}})
     return rows
 
 

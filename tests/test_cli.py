@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from multida.cli import main
 from multida.data_io import load_dataset, load_model, save_model
 from multida.estimator import fit
+from multida.simlab import SimSpec, cross_validate, generate
 
 
 TOY = "label,x1\na,0\na,2\nb,4\nb,6\n"
@@ -173,8 +174,11 @@ def run_cli(*args):
 
 def assert_one_error_line(result, message):
     """Exit 2 with the ``config:`` line and one ``error:`` line on stderr,
-    so no traceback (exit 1) or warning got out."""
-    assert result.returncode == 2, result.stderr
+    so no traceback (exit 1) or warning got out.  ``result`` is a finished
+    process or a ``CliRunner`` result."""
+    code = (result.returncode if isinstance(result, subprocess.CompletedProcess)
+            else result.exit_code)
+    assert code == 2, result.stderr
     lines = result.stderr.splitlines()
     assert lines[0].startswith("config: ")
     assert len(lines) == 2
@@ -257,6 +261,31 @@ def test_delimiter_not_one_character_exits_2(runner, toy_csv, tmp_path, command,
     assert len(lines) == 2 and lines[0].startswith("config: ")
     assert lines[1] == f"error: delimiter must be one character, got {delimiter!r}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "cv", "simulate",
+                                     "partitions", "filter"])
+def test_config_line_carries_every_parameter(runner, toy_csv, wide_csv, tmp_path,
+                                             command):
+    model = tmp_path / "m.json"
+    save_model(fit(load_dataset(toy_csv)), model)
+    out = tmp_path / "out.csv"
+    args = {
+        "train": ["train", toy_csv, "--out", out, "--features-out", tmp_path / "f.csv"],
+        "predict": ["predict", toy_csv, "--model", model, "--out", out],
+        "cv": ["cv", wide_csv, "--folds", "2", "--trials", "1", "--out", out],
+        "simulate": ["simulate", "--scenario", "ind-equal-var", "--n", "20", "--p", "6",
+                     "--k", "2", "--folds", "2", "--trials", "1", "--out", out],
+        "partitions": ["partitions", "--k", "3", "--out", out],
+        "filter": ["filter", toy_csv, "--rule", "zero-mad", "--out", out],
+    }[command]
+    result = runner.invoke(main, list(map(str, args)))
+    assert result.exit_code == 0, result.output
+    first = result.stderr.splitlines()[0]
+    assert first.startswith("config: ")
+    cfg = json.loads(first.removeprefix("config: "))
+    assert cfg["command"] == command
+    assert set(cfg) == {"command"} | {p.name for p in main.commands[command].params}
 
 
 class TestPredict:
@@ -442,6 +471,48 @@ class TestSimulate:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--n-grid", ","], "the sample-size grid is empty"),
+        (["--n-grid", ""], "the sample-size grid is empty"),
+        (["--replicates", "0"], "need at least 1 replicate, got 0"),
+        (["--scheme", "ordinal"], "--scheme ordinal: fs-consistency scores selection"),
+    ], ids=["comma-grid", "empty-grid", "no-replicates", "ordinal-scheme"])
+    def test_bad_consistency_settings_exit_2(self, runner, tmp_path, extra, message):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(
+            main, ["simulate", "--scenario", "fs-consistency", "--p", "20", "--k", "2",
+                   "--seed", "1", "--out", str(out), *extra],
+        )
+        assert_one_error_line(result, message)
+        assert not out.exists()
+
+    def test_missing_user_scheme_exits_2(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(
+            main, ["simulate", "--scenario", "ind-equal-var", "--n", "20", "--p", "6",
+                   "--k", "2", "--scheme", f"user:{tmp_path / 'missing.csv'}",
+                   "--seed", "1", "--out", str(out)],
+        )
+        assert_one_error_line(result, "cannot read partition matrix")
+        assert not out.exists()
+
+    def test_scheme_reaches_cross_validation(self, runner, tmp_path):
+        out = tmp_path / "ovr.csv"
+        result = runner.invoke(
+            main, ["simulate", "--scenario", "ind-equal-var", "--n", "40", "--p", "100",
+                   "--k", "4", "--trials", "2", "--folds", "4", "--scheme", "onevsrest",
+                   "--seed", "4", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        data, _ = generate(SimSpec(scenario="ind-equal-var", n=40, p=100, K=4, seed=4))
+        expected = cross_validate(data, 4, 2, seed=4, scheme="onevsrest")
+        assert expected.rows != cross_validate(data, 4, 2, seed=4).rows  # scheme matters
+        assert read_csv(out)[1:] == [
+            ["ind-equal-var", "equal", str(r.trial), str(r.fold), str(r.n_test),
+             str(r.n_wrong), repr(r.error)]
+            for r in expected.rows
+        ]
+
 
 class TestPartitions:
     def test_k3_exhaustive_matrices(self, runner):
@@ -491,3 +562,13 @@ class TestFilter:
         src.write_text("label,v\na,1\nb,2\n")
         result = runner.invoke(main, ["filter", str(src), "--rule", "bogus"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("rule", ["class-median-below:abc", "class-median-below:",
+                                      "class-median-below:nan"])
+    def test_bad_threshold_exits_2(self, runner, tmp_path, rule):
+        src = tmp_path / "d.csv"
+        src.write_text("label,v\na,1\nb,2\n")
+        out = tmp_path / "filtered.csv"
+        result = runner.invoke(main, ["filter", str(src), "--rule", rule, "--out", str(out)])
+        assert_one_error_line(result, f"filter rule {rule}: the threshold must be")
+        assert not out.exists()

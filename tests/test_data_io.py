@@ -385,7 +385,7 @@ class TestModelRoundTrip:
             assert all(np.shape(v) != (p, m.parts.n_slots) for v in vars(m).values())
         whole = fit_mles(model.stats, model.parts, variance_mode)
         gamma = gamma_weights(lrt(model.stats, model.parts, whole), model.parts.nu,
-                              model.penalty, whole.admissible)
+                              model.penalty)
         assert model.gamma[:, 1:].max() > 0.5  # the hypotheses carry weight
         assert model.gamma.shape == gamma.shape
         assert model.gamma.tobytes() == gamma.tobytes() == loaded.gamma.tobytes()

@@ -246,6 +246,17 @@ class TestConsistencySweep:
         assert [r["E"] for r in rows] == [r["E"] for r in again]
         assert {r["n"] for r in rows} == {30, 60}
 
+    def test_columns_in_csv_order(self):
+        (row,) = consistency_sweep([30], p=20, k=2, replicates=1, seed=5)
+        assert list(row) == ["n", "p", "K", "replicate", "E", "E_O", "E_U",
+                             "norm_error", "error_over_m", "hard_rate", "fit_seconds"]
+        assert isinstance(row["fit_seconds"], float)
+
+    @pytest.mark.parametrize("n_values, replicates", [([], 2), ([30], 0)])
+    def test_empty_sweep_rejected(self, n_values, replicates):
+        with pytest.raises(ValidationError):
+            consistency_sweep(n_values, p=20, k=2, replicates=replicates)
+
 
 class TestCrossValidate:
     def _separated(self, n=100, p=5):
