@@ -302,7 +302,8 @@ def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
             raise ValidationError(f"cannot parse --n-grid {n_grid!r}") from None
         rows = consistency_sweep(
             n_values, p=p, k=k, replicates=replicates,
-            penalty=penalty, variance_mode=variance, mean_shift=mean_shift,
+            penalty=penalty, variance_mode=variance, prior_term_mode=prior_term,
+            max_classes=max_classes, mean_shift=mean_shift,
             discriminative_fraction=frac, seed=seed, threads=threads,
         )
         _write_csv(

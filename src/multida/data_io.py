@@ -121,11 +121,13 @@ def _read_plain(path: str | Path, fh, schema: CsvSchema, labeled: bool
     """Parse the body of an open file with one ``np.loadtxt`` call.
 
     The header goes through ``csv.reader``; each body line has its label
-    cell split off and the rest goes to numpy's C reader.  Returns None,
-    or raises, whenever the row reader might see the file differently: a
-    quote or NUL character, a cell over the csv field size limit, a
-    ragged row, an empty body, or a cell that ``loadtxt`` cannot parse or
-    that is not finite.
+    cell split off and the rest goes to numpy's C reader.  A label cell
+    wrapped in one pair of quotes with no quote inside (R's ``write.csv``
+    quotes every label) loses the pair, as it does in the csv module.
+    Returns None, or raises, whenever the row reader might see the file
+    differently: any other quote, a NUL character, a cell over the csv
+    field size limit, a ragged row, an empty body, or a cell that
+    ``loadtxt`` cannot parse or that is not finite.
     """
     delim = schema.delimiter
     header = None
@@ -146,14 +148,21 @@ def _read_plain(path: str | Path, fh, schema: CsvSchema, labeled: bool
         nonlocal n_rows
         for line in itertools.chain([first], lines):
             # Python 3.10's csv module rejects NUL
-            if '"' in line or "\0" in line or _has_long_cell(line, delim, limit):
+            if "\0" in line or _has_long_cell(line, delim, limit):
                 raise ValueError("not plain CSV")
             if label_idx >= 0:
                 cells = line.split(delim, label_idx + 1)
                 if len(cells) != n_split:
                     raise ValueError("ragged row")
-                labels.append(cells.pop(label_idx))
+                label = cells.pop(label_idx)
+                if len(label) > 1 and label[0] == label[-1] == '"':
+                    label = label[1:-1]
+                if '"' in label:
+                    raise ValueError("quote inside a label")
+                labels.append(label)
                 line = delim.join(cells)
+            if '"' in line:
+                raise ValueError("quoted cell")
             if not line:
                 raise ValueError("empty row")  # loadtxt would skip it
             n_rows += 1

@@ -7,16 +7,21 @@ partition is penalized by an information-criterion charge per extra
 parameter, and a softmax over hypotheses turns the penalized statistics
 into posterior weights.  Prediction sums weight-averaged log densities
 across features per class; that sum collapses to one quadratic form per
-class, whose coefficients the model derives once, at O(p * M * K) cost,
-so scoring n* query rows costs O(n* * p * K) rather than a pass per slot.
+class, whose coefficients the model derives once, so scoring n* query
+rows costs O(n* * p * K) rather than a pass per slot.
 
 Conventions used throughout:
 
 * Variance MLEs are the biased (divide by count) versions; they make the
   likelihood-ratio identity ``lambda = n log s2_null - n log s2_alt`` exact.
-* Per-feature component parameters live in flat "slot" arrays of width
-  ``z_M`` (see :mod:`multida.partitions`); slot ``a_km - 1`` holds the
-  component of class ``k`` under hypothesis ``m``.
+* A group's mean, variance and likelihood term depend only on the set of
+  classes it pools, so the derivation works once per distinct class
+  subset (``PartitionSet.subsets``, at most 2^K - 1 rows), not once per
+  flat slot (``z_M`` of them, see :mod:`multida.partitions`); per-hypothesis
+  sums read the subset rows of each hypothesis's groups in slot order.
+  The public slot arrays (``mu``, ``sigma2``: slot ``a_km - 1`` holds the
+  component of class ``k`` under hypothesis ``m``) are gathers of the
+  subset rows.
 * All softmax computations subtract the row maximum before exponentiating.
 * A model is a function of its per-class counts, means and centred sums
   of squares (``SufficientStats``), the hypothesis set and the config;
@@ -211,14 +216,33 @@ class SufficientStats:
 
 @dataclass(frozen=True)
 class Mles:
-    """Closed-form maximum likelihood estimates plus admissibility flags."""
+    """Closed-form maximum likelihood estimates plus admissibility flags.
 
-    mu: np.ndarray          # p x z_M
-    sigma2: np.ndarray      # p x M (equal) or p x z_M (unequal)
+    Estimates are held once per class subset (the rows of
+    ``parts.subsets``): counts, means and, under unequal variances, the
+    floored variances and their logs; under equal variances ``var`` and
+    ``log_var`` have one row per hypothesis.  ``mu`` and ``sigma2`` are
+    their p-major gathers to the flat slots."""
+
+    parts: PartitionSet = field(repr=False)
+    count: np.ndarray       # S
+    mean: np.ndarray        # S x p
+    var: np.ndarray         # M x p (equal) or S x p (unequal)
+    log_var: np.ndarray     # np.log(var), shared by lrt and the score constant
     pi: np.ndarray          # K
     variance_floor: np.ndarray  # p
     admissible: np.ndarray  # M, bool
     variance_mode: str
+
+    @cached_property
+    def mu(self) -> np.ndarray:  # p x z_M
+        return self.mean[self.parts.subsets.slot_rows].T
+
+    @cached_property
+    def sigma2(self) -> np.ndarray:  # p x M (equal) or p x z_M (unequal)
+        if self.variance_mode == "equal":
+            return self.var.T
+        return self.var[self.parts.subsets.slot_rows].T
 
 
 @dataclass(frozen=True)
@@ -285,25 +309,23 @@ class Prediction:
     eta: np.ndarray             # n* x K
 
 
-def _slot_starts(parts: PartitionSet) -> np.ndarray:
-    """First flat slot of every hypothesis."""
-    return np.concatenate(([0], parts.z[:-1]))
-
-
 def _hypothesis_sums(rows: np.ndarray, parts: PartitionSet) -> np.ndarray:
-    """Sums (M x p) of slot-major rows (z_M x p) over each hypothesis's
-    slots, added row by row in slot order."""
-    out = np.empty((parts.M, rows.shape[1]))
-    for m, (start, g) in enumerate(zip(_slot_starts(parts), parts.G)):
-        out[m] = rows[start:start + g].sum(axis=0)
+    """Sums (M x b) of subset rows (S x b) over each hypothesis's groups,
+    added group by group in slot order."""
+    (_, first), *rest = parts.subsets.column_groups
+    out = rows[first]
+    for hyps, groups in rest:
+        out[hyps] += rows[groups]
     return out
 
 
-def _slot_counts(n_k: np.ndarray, parts: PartitionSet) -> np.ndarray:
-    """Sample count of every flat slot."""
-    counts = np.zeros(parts.n_slots, dtype=np.int64)
-    np.add.at(counts, parts.A - 1, np.broadcast_to(n_k[:, None], parts.A.shape))
-    return counts
+def _subset_sums(rows: np.ndarray, parts: PartitionSet) -> np.ndarray:
+    """Sums (S x b) of hypothesis rows (M x b) over the hypotheses that
+    hold each subset as a group; zero for subsets that are no group."""
+    out = np.zeros((len(parts.subsets.masks), rows.shape[1]))
+    for groups, hyps in parts.subsets.group_columns:
+        out[groups] += rows[hyps]
+    return out
 
 
 def _column_blocks(p: int, size: int) -> list[slice]:
@@ -376,27 +398,23 @@ def _chan_merge(
     return mean, m2
 
 
-def _merge_classes(
+def _merge_subsets(
     stats: SufficientStats, parts: PartitionSet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot-major (z_M x p) counts, means and centred sums of squares of
-    every flat slot, merged from the per-class moments in ascending class
-    order.  A slot's first class enters as is; each later one is added by
-    ``_chan_merge``."""
-    a0 = parts.A - 1  # K x M, zero-based slots; one slot per column
-    count = np.zeros(parts.n_slots, dtype=np.int64)
-    mean = np.empty((parts.n_slots, stats.mean.shape[1]))
+    """Counts, means and centred sums of squares (S x p) of every class
+    subset of ``parts.subsets``.  Each subset is its prefix subset merged
+    with its highest class by ``_chan_merge``, one size at a time, so the
+    classes of every subset enter in ascending order."""
+    idx = parts.subsets
+    count = np.empty(len(idx.masks), dtype=np.int64)
+    mean = np.empty((len(idx.masks), stats.mean.shape[1]))
     m2 = np.empty_like(mean)
-    for k in range(parts.K):
-        slots = a0[k]
-        n_a = count[slots]
-        new, old = slots[n_a == 0], slots[n_a > 0]
-        mean[new] = stats.mean[k]
-        m2[new] = stats.m2[k]
-        if old.size:
-            mean[old], m2[old] = _chan_merge(count[old], mean[old], m2[old],
-                                             stats.n_k[k], stats.mean[k], stats.m2[k])
-        count[slots] += stats.n_k[k]
+    count[:parts.K], mean[:parts.K], m2[:parts.K] = stats.n_k, stats.mean, stats.m2
+    for rows in idx.levels:
+        pre, k = idx.prefix[rows], idx.top[rows]
+        mean[rows], m2[rows] = _chan_merge(count[pre], mean[pre], m2[pre],
+                                           stats.n_k[k], stats.mean[k], stats.m2[k])
+        count[rows] = count[pre] + stats.n_k[k]
     return count, mean, m2
 
 
@@ -420,35 +438,37 @@ def fit_mles(
 ) -> Mles:
     """Closed-form MLEs from per-class sufficient statistics.
 
-    Classes are merged into the slots of every hypothesis
-    (``_merge_classes``); means are slot means, variances biased MLEs,
+    Classes are merged into every class subset that a group pools
+    (``_merge_subsets``); means are subset means, variances biased MLEs,
     pooled within a hypothesis for the equal-variance (multiLDA) case and
     per group for the unequal-variance (multiQDA) case.  Every variance is
     clamped below at ``1e-8 *`` the feature's overall variance (or 1e-8
-    when that is zero).  Hypotheses whose variance MLE is degenerate
-    (multiQDA: any group with fewer than 2 samples; multiLDA: n <= G_m)
-    are flagged inadmissible.  Work runs slot-major; ``mu`` and
-    ``sigma2`` are p-major views of the slot-major results.
+    when that is zero), then logged once.  Hypotheses whose variance MLE
+    is degenerate (multiQDA: any group with fewer than 2 samples;
+    multiLDA: n <= G_m) are flagged inadmissible.  Work runs
+    subset-major; ``mu`` and ``sigma2`` gather it to the slots.
     """
     if variance_mode not in ("equal", "unequal"):
         raise ValidationError(f"unknown variance mode {variance_mode!r}")
     n = stats.n
-    count, mean, m2 = _merge_classes(stats, parts)
+    count, mean, m2 = _merge_subsets(stats, parts)
 
-    global_var = m2[0] / n
+    global_var = m2[-1] / n  # the last subset holds every class
     floor = VARIANCE_FLOOR_SCALE * np.where(global_var > 0.0, global_var, 1.0)
 
     if variance_mode == "equal":
-        sigma2 = _hypothesis_sums(m2, parts) / n
+        var = _hypothesis_sums(m2, parts) / n
         admissible = n > parts.G
     else:
-        sigma2 = m2 / count[:, None]
-        admissible = np.minimum.reduceat(count, _slot_starts(parts)) >= 2
-    np.maximum(sigma2, floor, out=sigma2)
+        var = m2 / count[:, None]
+        # smallest group of each hypothesis; z - G is its first slot
+        admissible = np.minimum.reduceat(count[parts.subsets.slot_rows],
+                                         parts.z - parts.G) >= 2
+    np.maximum(var, floor, out=var)
     admissible[0] = True  # null pools all samples; n >= 2 is checked upstream
 
-    return Mles(mu=mean.T, sigma2=sigma2.T, pi=stats.n_k / n,
-                variance_floor=floor, admissible=admissible,
+    return Mles(parts=parts, count=count, mean=mean, var=var, log_var=np.log(var),
+                pi=stats.n_k / n, variance_floor=floor, admissible=admissible,
                 variance_mode=variance_mode)
 
 
@@ -457,13 +477,11 @@ def lrt(stats: SufficientStats, parts: PartitionSet, mles: Mles) -> np.ndarray:
     as a p x M matrix.  Column 1 is exactly zero; inadmissible columns are
     ``-inf`` so they carry no weight downstream."""
     n = stats.n
-    log_var = np.log(mles.sigma2.T)  # slot-major; row 0 is the null either way
     if mles.variance_mode == "equal":
-        lam = n * (log_var[:1] - log_var)
+        lam = n * (mles.log_var[:1] - mles.log_var)
     else:
-        # the null slot holds all n samples, so row 0 is n * log(s2_null)
-        log_var *= _slot_counts(stats.n_k, parts)[:, None]
-        lam = _hypothesis_sums(log_var, parts)
+        # the null's one group holds all n samples, so row 0 is n * log(s2_null)
+        lam = _hypothesis_sums(mles.log_var * mles.count[:, None], parts)
         lam = lam[:1] - lam
     lam[0] = 0.0
     lam[~mles.admissible] = -np.inf
@@ -598,18 +616,21 @@ def model_from_stats(
 
     with ``xc = x - mu_null``; centring on the null mean guards the
     expanded square against cancellation when the data sit far from 0.
+    A class's coefficients sum over the subsets that hold it, each subset
+    weighted by the summed gamma of the hypotheses that have it as a
+    group, so the block work is per subset and per hypothesis, never per
+    slot.
     ``fit``, ``cross_validate`` and ``load_model`` all call it, so a
     loaded model is bit-identical to the fitted one.  Overflow is not
     reported here: every caller passes the result to ``validate_model``."""
     p = stats.mean.shape[1]
-    a0 = parts.A - 1  # K x M, zero-based slots
-    slot_col = np.repeat(np.arange(parts.M), parts.G)  # hypothesis of every slot
-    var_rows = slot_col if parts.variance_mode == "equal" else slice(None)
+    idx = parts.subsets
     gamma_t = np.empty((parts.M, p))
     mu_null = np.empty(p)
     Q = np.empty((parts.K, p))
     L = np.empty_like(Q)
-    slot_const = np.zeros(parts.n_slots)
+    subset_const = np.zeros(len(idx.masks))
+    log_const = 0.0
     with np.errstate(all="ignore"):
         for cols in _column_blocks(p, COEF_BLOCK):
             block = SufficientStats(stats.n, stats.n_k, stats.mean[:, cols],
@@ -617,19 +638,27 @@ def model_from_stats(
             mles = fit_mles(block, parts, parts.variance_mode)
             gamma_t[:, cols] = g = gamma_weights(lrt(block, parts, mles), parts.nu,
                                                  penalty).T
-            # slot-major (z_M x block) so every reduction runs along contiguous rows
-            mu, s2, w = mles.mu.T, mles.sigma2.T, g[slot_col]
-            mu_null[cols] = mu[0]
-            w_var = w / s2[var_rows]
-            d = mu - mu[:1]  # slot means centred on the null mean
+            # per subset (S x block): the weight of its squared deviation,
+            # summed over the hypotheses that hold it as a group
+            if parts.variance_mode == "equal":
+                w_var = _subset_sums(g / mles.var, parts)
+                # every class sees each hypothesis's one variance
+                log_const += (g * mles.log_var).sum()
+            else:
+                w = _subset_sums(g, parts)
+                w_var = w / mles.var
+                subset_const += (w * mles.log_var).sum(axis=1)
+            mu_null[cols] = mles.mean[-1]
+            d = mles.mean - mles.mean[-1]  # subset means centred on the null mean
             w_d = w_var * d
-            slot_const += (w_d * d).sum(axis=1)
-            slot_const += (w * np.log(s2)[var_rows]).sum(axis=1)
-            Q[:, cols] = w_var[a0].sum(axis=1)
-            L[:, cols] = w_d[a0].sum(axis=1)
+            subset_const += (w_d * d).sum(axis=1)
+            for k, rows in enumerate(idx.class_rows):
+                Q[k, cols] = w_var[rows].sum(axis=0)
+                L[k, cols] = w_d[rows].sum(axis=0)
         pi = mles.pi
         prior = np.log(pi) if prior_term_mode == "log" else pi * np.log(pi)
-        c = prior - 0.5 * (slot_const[a0].sum(axis=1) + _LOG_2PI * gamma_t.sum())
+        class_const = np.array([subset_const[rows].sum() for rows in idx.class_rows])
+        c = prior - 0.5 * (class_const + log_const + _LOG_2PI * gamma_t.sum())
     return FittedModel(
         parts=parts,
         variance_mode=parts.variance_mode,

@@ -32,6 +32,7 @@ from .estimator import (
     warn_if_null_only,
 )
 from .partitions import (
+    DEFAULT_MAX_CLASSES,
     Column,
     PartitionSet,
     canonicalize,
@@ -400,14 +401,16 @@ def run_feature_selection(
     *,
     penalty: str = "ebic",
     variance_mode: str = "equal",
+    prior_term_mode: str = "log",
+    max_classes: int = DEFAULT_MAX_CLASSES,
     threads: int = 1,
 ) -> SimReport:
     """Generate one replicate, fit, and score feature selection."""
     data, truth = generate(spec)
     t0 = time.perf_counter()
-    model = fit(
-        data, penalty=penalty, variance_mode=variance_mode, threads=threads
-    )
+    model = fit(data, penalty=penalty, variance_mode=variance_mode,
+                prior_term_mode=prior_term_mode, max_classes=max_classes,
+                threads=threads)
     elapsed = time.perf_counter() - t0
     return replace(selection_error(model, truth), fit_seconds=elapsed)
 
@@ -420,6 +423,8 @@ def consistency_sweep(
     replicates: int = 20,
     penalty: str = "ebic",
     variance_mode: str = "equal",
+    prior_term_mode: str = "log",
+    max_classes: int = DEFAULT_MAX_CLASSES,
     mean_shift: float | None = None,
     discriminative_fraction: float = 0.10,
     seed: int = 0,
@@ -446,7 +451,9 @@ def consistency_sweep(
                 seed=int(np.random.default_rng([seed, n, rep]).integers(2**32)),
             )
             report = run_feature_selection(
-                spec, penalty=penalty, variance_mode=variance_mode, threads=threads
+                spec, penalty=penalty, variance_mode=variance_mode,
+                prior_term_mode=prior_term_mode, max_classes=max_classes,
+                threads=threads,
             )
             rows.append({"n": n, "p": p, "K": k, "replicate": rep + 1,
                          **{name: getattr(report, name) for name in metrics}})
@@ -496,7 +503,7 @@ def cross_validate(
     variance_mode: str = "equal",
     prior_term_mode: str = "log",
     threads: int = 1,
-    max_classes: int = 12,
+    max_classes: int = DEFAULT_MAX_CLASSES,
 ) -> CvResult:
     """Repeated stratified k-fold cross-validation.
 

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the package's sufficient-statistics
 and softmax machinery: partitions are enumerated by block insertion,
 likelihoods are evaluated sample by sample with scipy, and MLEs are found
-by a derivative-free numerical optimizer.  The one exception is
-``refit_cross_validate``, which refits every fold with ``fit`` to check
-cross-validation's merge of fold statistics.
+by a derivative-free numerical optimizer.  Two exceptions check a fast
+path against the slower path it replaced, on the same arithmetic:
+``slotwise_mles`` merges classes into every flat slot with the package's
+``_chan_merge``, and ``refit_cross_validate`` refits every fold with
+``fit`` to check cross-validation's merge of fold statistics.
 """
 
 from __future__ import annotations
@@ -173,3 +175,53 @@ def refit_cross_validate(data, folds, trials, *, seed, **fit_options):
             pred = predict(fit(train, **fit_options), data.X[test_idx])
             rows.append((len(test_idx), int((pred.codes != data.y[test_idx]).sum())))
     return rows
+
+
+def slotwise_mles(stats, parts, variance_mode):
+    """(mu, sigma2, lam) as p x slot, p x (hypothesis or slot) and p x M
+    arrays, by merging the per-class moments into every flat slot in
+    ascending class order (a slot's first class enters as is, each later
+    one by ``_chan_merge``), then flooring, logging and summing per slot,
+    each hypothesis's slots added row by row in slot order."""
+    from multida.estimator import VARIANCE_FLOOR_SCALE, _chan_merge
+
+    a0 = parts.A - 1  # K x M, zero-based slots
+    starts = np.concatenate(([0], parts.z[:-1]))
+    count = np.zeros(parts.n_slots, dtype=np.int64)
+    mean = np.empty((parts.n_slots, stats.mean.shape[1]))
+    m2 = np.empty_like(mean)
+    for k in range(parts.K):
+        slots = a0[k]
+        n_a = count[slots]
+        new, old = slots[n_a == 0], slots[n_a > 0]
+        mean[new] = stats.mean[k]
+        m2[new] = stats.m2[k]
+        if old.size:
+            mean[old], m2[old] = _chan_merge(count[old], mean[old], m2[old],
+                                             stats.n_k[k], stats.mean[k], stats.m2[k])
+        count[slots] += stats.n_k[k]
+
+    def hypothesis_sums(rows):
+        return np.array([rows[s:s + g].sum(axis=0) for s, g in zip(starts, parts.G)])
+
+    n = stats.n
+    global_var = m2[0] / n
+    floor = VARIANCE_FLOOR_SCALE * np.where(global_var > 0.0, global_var, 1.0)
+    if variance_mode == "equal":
+        sigma2 = hypothesis_sums(m2) / n
+        admissible = n > parts.G
+    else:
+        sigma2 = m2 / count[:, None]
+        admissible = np.minimum.reduceat(count, starts) >= 2
+    np.maximum(sigma2, floor, out=sigma2)
+    admissible[0] = True
+    with np.errstate(divide="ignore"):
+        log_var = np.log(sigma2)
+    if variance_mode == "equal":
+        lam = n * (log_var[:1] - log_var)
+    else:
+        lam = hypothesis_sums(log_var * count[:, None])
+        lam = lam[:1] - lam
+    lam[0] = 0.0
+    lam[~admissible] = -np.inf
+    return mean.T, sigma2.T, lam.T

@@ -486,6 +486,17 @@ class TestSimulate:
         assert_one_error_line(result, message)
         assert not out.exists()
 
+    def test_consistency_honours_max_classes(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        args = ["simulate", "--scenario", "fs-consistency", "--p", "20", "--k", "3",
+                "--n-grid", "30", "--replicates", "1", "--seed", "1", "--out", str(out)]
+        result = runner.invoke(main, [*args, "--max-classes", "2"])
+        assert_one_error_line(result, "exhaustive enumeration for K=3 would produce B_3")
+        assert not out.exists()
+        result = runner.invoke(main, [*args, "--max-classes", "3", "--prior-term", "plogp"])
+        assert result.exit_code == 0, result.output
+        assert len(read_csv(out)) == 1 + 1
+
     def test_missing_user_scheme_exits_2(self, runner, tmp_path):
         out = tmp_path / "x.csv"
         result = runner.invoke(

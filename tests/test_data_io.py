@@ -227,12 +227,27 @@ class TestStreamingReader:
         assert X.tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
 
     def test_quoted_file_goes_to_row_reader(self, tmp_path):
+        # quotes the label split cannot undo: a quoted value, a quote inside
+        # a label, a delimiter inside a quoted label, a quote after text
         path = tmp_path / "quoted.csv"
-        path.write_text('label,x1\n"a",0\n"b",1\n')
+        for body, labels in [('a,"0"\nb,1\n', ("a", "b")),
+                             ('"a""x",0\nb,1\n', ('a"x', "b")),
+                             ('"a,x",0\nb,1\n', ("a,x", "b")),
+                             ('"a"x,0\nb,1\n', ("ax", "b"))]:
+            path.write_text("label,x1\n" + body)
+            with mock.patch.object(data_io, "_read_rows", wraps=data_io._read_rows) as rows:
+                data = load_dataset(path)
+            assert rows.call_count == 1, body
+            assert data.class_labels == labels
+
+    def test_quoted_labels_stay_on_numpy_reader(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"label","x1"\n"a",0\n"b",1\nc,2\n"",3\n')
         with mock.patch.object(data_io, "_read_rows", wraps=data_io._read_rows) as rows:
             data = load_dataset(path)
-        assert rows.call_count == 1
-        assert data.class_labels == ("a", "b")
+        assert rows.call_count == 0
+        assert data.class_labels == ("a", "b", "c", "")
+        assert data.X.tobytes() == np.array([[0.0], [1.0], [2.0], [3.0]]).tobytes()
 
 
 class TestSaveDataset:
@@ -663,7 +678,8 @@ def corrupted_csvs(draw):
     elif how == "ragged":
         rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
     elif how == "quoted-label":
-        rows[i][label_idx] = draw(st.sampled_from([f'"x{delim}y"', '"a"']))
+        rows[i][label_idx] = draw(st.sampled_from(
+            [f'"x{delim}y"', '"a"', '""', '"a""b"', '"a"b', '"', ' "a"', '"a" ']))
     elif how == "non-utf8":
         rows[i][draw(st.integers(0, p))] += "\udcff"  # encoded below as the byte 0xff
     elif how in ("label-moved", "label-dropped"):

@@ -26,6 +26,7 @@ from oracles import (
     numeric_mle_equal_var,
     numeric_mle_single_group,
     slotwise_eta,
+    slotwise_mles,
 )
 
 TOY_X = np.array([[0.0], [2.0], [4.0], [6.0]])
@@ -177,6 +178,58 @@ class TestMles:
                     mu1, var1 = numeric_mle_single_group(grp)
                     assert uq.mu[j, z[m] + g] == pytest.approx(mu1, abs=1e-6)
                     assert uq.sigma2[j, z[m] + g] == pytest.approx(var1, abs=1e-6)
+
+
+def _assert_matches_slotwise(stats, parts):
+    """fit_mles and lrt give the slot-wise merge's mu, sigma2 and lambda
+    bit for bit."""
+    mles = fit_mles(stats, parts, parts.variance_mode)
+    for name, got, want in zip(("mu", "sigma2", "lam"),
+                               (mles.mu, mles.sigma2, lrt(stats, parts, mles)),
+                               slotwise_mles(stats, parts, parts.variance_mode)):
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestSubsetMerge:
+    """The per-subset merge reproduces the slot-wise one it replaced."""
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest", "ordinal"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_schemes(self, k, scheme, variance_mode):
+        rng = np.random.default_rng([k, len(scheme), len(variance_mode)])
+        data = random_dataset(rng, 5 * k, 7, k, min_per_class=2)
+        parts = build_partition_set(k, scheme, variance_mode=variance_mode)
+        _assert_matches_slotwise(accumulate_stats(data, parts), parts)
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    def test_user_groups_need_closure(self, variance_mode):
+        # {1,2,3,4} and {1,3} are groups; {1,2,3} and {1,2} are not, yet
+        # the merge reaches {1,2,3,4} through them
+        parts = build_partition_set(4, "user", user_matrix=[[1, 1], [1, 2], [1, 1], [1, 2]],
+                                    variance_mode=variance_mode)
+        masks = set(parts.subsets.masks.tolist())
+        assert {0b0111, 0b0011} <= masks
+        assert not {0b0111, 0b0011} & set(parts.subsets.masks[parts.subsets.slot_rows].tolist())
+        data = random_dataset(np.random.default_rng(5), 20, 6, 4, min_per_class=2)
+        _assert_matches_slotwise(accumulate_stats(data, parts), parts)
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    def test_offset_data(self, variance_mode):
+        rng = np.random.default_rng(8)
+        data = random_dataset(rng, 30, 5, 4, min_per_class=2)
+        data = Dataset.from_arrays(data.X + 1e8, [str(v) for v in data.y])
+        parts = build_partition_set(4, "exhaustive", variance_mode=variance_mode)
+        _assert_matches_slotwise(accumulate_stats(data, parts), parts)
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    def test_class_with_one_sample(self, variance_mode):
+        rng = np.random.default_rng(9)
+        y = ["1"] * 6 + ["2"] * 5 + ["3"]
+        data = Dataset.from_arrays(rng.normal(size=(12, 4)), y)
+        parts = build_partition_set(3, "exhaustive", variance_mode=variance_mode)
+        _assert_matches_slotwise(accumulate_stats(data, parts), parts)
 
 
 class TestLrt:

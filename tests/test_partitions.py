@@ -131,6 +131,61 @@ class TestDerivedStructures:
         assert ps.nu.tolist() == [0, 2, 2, 2, 4]
 
 
+class TestSubsetIndex:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest", "ordinal"])
+    def test_slots_columns_and_classes_map_onto_their_subsets(self, k, scheme):
+        ps = build_partition_set(k, scheme)
+        idx = ps.subsets
+        masks = idx.masks.tolist()
+        assert len(set(masks)) == len(masks)
+        # every slot's row is the set of classes the allocation sends there
+        a0 = ps.A - 1
+        for slot, row in enumerate(idx.slot_rows):
+            classes = np.flatnonzero((a0 == slot).any(axis=1))
+            assert masks[row] == sum(1 << int(c) for c in classes)
+        # the ranks walk each column's groups in slot order, and each
+        # group's columns in ascending order
+        starts = np.concatenate(([0], ps.z[:-1]))
+        walked = {m: [] for m in range(ps.M)}
+        for hyps, rows in idx.column_groups:
+            for m, r in zip(np.arange(ps.M)[hyps], rows, strict=True):
+                walked[int(m)].append(int(r))
+        assert walked == {m: idx.slot_rows[starts[m]:ps.z[m]].tolist() for m in range(ps.M)}
+        seen = {}
+        for rows, hyps in idx.group_columns:
+            for r, m in zip(np.arange(len(masks))[rows], hyps, strict=True):
+                seen.setdefault(int(r), []).append(int(m))
+        assert seen == {int(r): sorted({int(m) for m in range(ps.M)
+                                        if r in idx.slot_rows[starts[m]:ps.z[m]]})
+                        for r in set(idx.slot_rows.tolist())}
+        for c, rows in enumerate(idx.class_rows):
+            assert rows.tolist() == sorted(r for r in set(idx.slot_rows.tolist())
+                                           if masks[r] >> c & 1)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest", "ordinal"])
+    def test_closed_under_dropping_the_highest_class(self, k, scheme):
+        idx = build_partition_set(k, scheme).subsets
+        masks = idx.masks.tolist()
+        assert masks[:k] == [1 << c for c in range(k)]
+        sizes = [bin(m).count("1") for m in masks]
+        assert sizes == sorted(sizes)
+        for r in range(k, len(masks)):
+            top = 1 << int(idx.top[r])
+            assert top & masks[r] and masks[r] < 2 * top  # the highest class
+            assert masks[idx.prefix[r]] == masks[r] - top
+            assert idx.prefix[r] < r
+        assert (idx.prefix[:k] == -1).all()
+        merged = [r for level in idx.levels for r in range(len(masks))[level]]
+        assert merged == list(range(k, len(masks)))
+        assert all(len({sizes[r] for r in range(len(masks))[level]}) == 1
+                   for level in idx.levels)
+
+    def test_exhaustive_holds_every_subset(self):
+        assert sorted(build_partition_set(5, "exhaustive").subsets.masks) == list(range(1, 32))
+
+
 class TestSchemes:
     def test_one_vs_rest_k3(self):
         ps = build_partition_set(3, "onevsrest")

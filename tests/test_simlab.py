@@ -252,6 +252,14 @@ class TestConsistencySweep:
                              "norm_error", "error_over_m", "hard_rate", "fit_seconds"]
         assert isinstance(row["fit_seconds"], float)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"max_classes": 2}, "exhaustive enumeration for K=3"),
+        ({"prior_term_mode": "bogus"}, "unknown prior term mode 'bogus'"),
+    ])
+    def test_fit_settings_reach_the_fit(self, setting, message):
+        with pytest.raises(ValidationError, match=message):
+            consistency_sweep([30], p=20, k=3, replicates=1, seed=5, **setting)
+
     @pytest.mark.parametrize("n_values, replicates", [([], 2), ([30], 0)])
     def test_empty_sweep_rejected(self, n_values, replicates):
         with pytest.raises(ValidationError):
