@@ -189,8 +189,8 @@ def train(input, out, features_out, threshold, penalty, variance, scheme,
         threads=threads,
         max_classes=max_classes,
     )
+    rows = selected_features(model, threshold)  # checks --threshold
     save_model(model, out)
-    rows = selected_features(model, threshold)
     _write_csv(
         features_out,
         ["feature", "hypothesis", "partition", "weight"],

@@ -5,8 +5,12 @@ plus numeric feature columns; prediction CSVs are purely numeric.  A CSV
 body is parsed by numpy's C reader; a file that reader does not take
 whole is read again row by row, which names the first bad cell.  A model
 is stored as one JSON document of its config and per-class statistics,
-floats written with full round-trip precision; loading re-derives the
-model with the code ``fit`` uses, so save/load/predict is bit-identical.
+floats written with full round-trip precision.  Loading re-derives the
+model with ``estimator.model_from_stats``, the one checked entry that
+``fit`` also uses, so save/load/predict is bit-identical and a document no
+fit could have made (fewer than 2 classes, fewer than K+1 samples, an
+unknown prior term mode, counts that are not positive or do not sum to n,
+non-finite statistics) is rejected.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, MultidaError, NumericError, ValidationError
-from .estimator import (Dataset, FittedModel, PenaltyConfig, SufficientStats,
-                        validate_model)
+from .estimator import Dataset, FittedModel, PenaltyConfig, SufficientStats
 from .partitions import is_restricted_growth, partition_set_from_columns
 from . import estimator
 
@@ -411,7 +414,8 @@ def _class_array(doc: dict, key: str, k: int, p: int) -> np.ndarray:
 def _model_from_doc(doc: dict) -> FittedModel:
     """Derive a FittedModel from a parsed document; field errors raise
     ``FormatError``, values of the wrong type ``TypeError``/``ValueError``,
-    an unknown scheme or variance mode ``ValidationError``."""
+    an unknown scheme or variance mode, or anything ``model_from_stats``
+    rejects, ``ValidationError``/``NumericError``."""
     version = _require(doc, "schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise FormatError(
@@ -430,9 +434,6 @@ def _model_from_doc(doc: dict) -> FittedModel:
         penalty = PenaltyConfig(kind=pen_doc["kind"], C=float(c))
     except (KeyError, TypeError, ValidationError) as exc:
         raise FormatError(f"bad penalty block ({exc})") from None
-    prior_term_mode = _require(doc, "prior_term_mode")
-    if prior_term_mode not in estimator.PRIOR_TERM_MODES:
-        raise FormatError(f"unknown prior_term_mode {prior_term_mode!r}")
     feature_names = _require_strings(doc, "feature_names")
     if not feature_names:
         raise FormatError("model field 'feature_names' is empty")
@@ -447,16 +448,17 @@ def _model_from_doc(doc: dict) -> FittedModel:
         m2=_class_array(doc, "class_m2", k, len(feature_names)),
     )
     return estimator.model_from_stats(
-        stats, parts, penalty=penalty, prior_term_mode=prior_term_mode,
+        stats, parts, penalty=penalty,
+        prior_term_mode=_require(doc, "prior_term_mode"),
         class_labels=_require_strings(doc, "class_label_map"),
         feature_names=feature_names,
     )
 
 
 def load_model(path: str | Path) -> FittedModel:
-    """Load a model document, derive the model from its per-class
-    statistics and check it with ``validate_model``; every fault in the
-    document raises ``FormatError``."""
+    """Load a model document and derive the model from its per-class
+    statistics with ``model_from_stats``, which checks them as a fit
+    does; every fault in the document raises ``FormatError``."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -465,14 +467,10 @@ def load_model(path: str | Path) -> FittedModel:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: model document must be a JSON object")
     try:
-        # a huge but finite statistic may overflow while the model is
-        # derived; validate_model then rejects the non-finite result
-        with np.errstate(all="ignore"):
-            model = validate_model(_model_from_doc(doc))
+        return _model_from_doc(doc)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed model document ({exc})") from None
     except (ValidationError, NumericError) as exc:
         raise FormatError(f"{path}: invariant violation: {exc}") from None
-    return model

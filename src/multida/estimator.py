@@ -24,11 +24,13 @@ Conventions used throughout:
   subset rows.
 * All softmax computations subtract the row maximum before exponentiating.
 * A model is a function of its per-class counts, means and centred sums
-  of squares (``SufficientStats``), the hypothesis set and the config;
-  ``model_from_stats`` derives everything else in one pass over feature
-  blocks, for ``fit``, ``simlab.cross_validate`` (from fold statistics
-  merged by ``merge_stats``) and ``load_model`` alike, and
-  ``validate_model`` is the one check all three make of the result.
+  of squares (``SufficientStats``), the hypothesis set and the config.
+  ``model_from_stats`` is the one checked entry from those to a model: it
+  checks the training set, resolves the penalty, derives everything else
+  in one pass over feature blocks and checks the result with
+  ``validate_model``.  ``fit``, each fold of ``simlab.cross_validate``
+  (from fold statistics merged by ``merge_stats``) and
+  ``data_io.load_model`` make that one call.
 * Fitting runs on one thread; only ``predict`` splits its rows over
   worker threads.
 """
@@ -140,7 +142,9 @@ class Dataset:
         encoding preserved)."""
         y = self.y[rows]
         counts = np.bincount(y, minlength=self.K + 1)[1:]
-        _require_every_class(counts, self.class_labels)
+        if (counts == 0).any():
+            missing = self.class_labels[int(np.argmin(counts))]
+            raise ValidationError(f"row subset drops class {missing!r}")
         return Dataset(
             X=_as_readonly(self.X[rows]),
             y=_as_readonly(y),
@@ -148,13 +152,6 @@ class Dataset:
             class_counts=_as_readonly(counts),
             feature_names=self.feature_names,
         )
-
-
-def _require_every_class(counts: np.ndarray, class_labels: Sequence[str]) -> None:
-    """Raise when a row subset's per-class ``counts`` miss a class."""
-    if (counts == 0).any():
-        missing = int(np.argmin(counts))
-        raise ValidationError(f"row subset drops class {class_labels[missing]!r}")
 
 
 @dataclass(frozen=True)
@@ -520,71 +517,27 @@ def fit(
 
     When ``parts`` is omitted one is built from ``scheme`` for
     ``data.K`` classes.  The fit runs on one thread; ``threads`` is only
-    checked (>= 0), so the output is identical for any thread count.  The
-    model passes ``validate_model``: statistics or weights that are not
-    finite raise ``NumericError``.  Warns when no non-null hypothesis is
-    admissible.
+    checked (>= 0), so the output is identical for any thread count.
+    Warns when no non-null hypothesis is admissible.
     """
-    check_training_set(data.class_counts, data.p, prior_term_mode, data.class_labels)
-    parts = training_partition_set(data.K, parts, scheme=scheme,
-                                   user_matrix=user_matrix,
-                                   variance_mode=variance_mode,
-                                   max_classes=max_classes)
-    _resolve_threads(threads)
-    pen = PenaltyConfig.resolve(penalty, data.n, data.p)
-    model = validate_model(model_from_stats(
-        accumulate_stats(data, parts), parts, penalty=pen,
-        prior_term_mode=prior_term_mode, class_labels=data.class_labels,
-        feature_names=data.feature_names))
-    warn_if_null_only(model)
-    return model
-
-
-def check_training_set(
-    n_k: np.ndarray, p: int, prior_term_mode: str, class_labels: Sequence[str]
-) -> None:
-    """The checks every fit makes of its training set, given its per-class
-    counts ``n_k`` (one per class of ``class_labels``) and feature count."""
-    K = len(class_labels)
-    if K < 2:
-        raise ValidationError("training data must contain at least 2 classes")
-    _require_every_class(n_k, class_labels)
-    n = int(n_k.sum())
-    if n < K + 1:
-        raise ValidationError(f"need at least K+1 = {K + 1} samples, got {n}")
-    if p < 1:
-        raise ValidationError("training data must contain at least 1 feature")
-    if prior_term_mode not in PRIOR_TERM_MODES:
-        raise ValidationError(
-            f"unknown prior term mode {prior_term_mode!r}; "
-            f"expected one of {PRIOR_TERM_MODES}"
-        )
-
-
-def training_partition_set(
-    K: int,
-    parts: PartitionSet | None = None,
-    *,
-    scheme: str = "exhaustive",
-    user_matrix: np.ndarray | None = None,
-    variance_mode: str = "equal",
-    max_classes: int = DEFAULT_MAX_CLASSES,
-) -> PartitionSet:
-    """The partition set of a fit on ``K`` classes: ``parts`` checked
-    against ``K`` and ``variance_mode``, or, when omitted, one built from
-    ``scheme``."""
     if parts is None:
-        return build_partition_set(K, scheme, user_matrix=user_matrix,
-                                   variance_mode=variance_mode,
-                                   max_classes=max_classes)
-    if parts.K != K:
-        raise ValidationError(f"partition set is for K={parts.K}, data has K={K}")
-    if parts.variance_mode != variance_mode:
+        parts = build_partition_set(data.K, scheme, user_matrix=user_matrix,
+                                    variance_mode=variance_mode,
+                                    max_classes=max_classes)
+    elif parts.K != data.K:
+        raise ValidationError(f"partition set is for K={parts.K}, data has K={data.K}")
+    elif parts.variance_mode != variance_mode:
         raise ValidationError(
             f"partition set was built for variance_mode="
             f"{parts.variance_mode!r}, fit requested {variance_mode!r}"
         )
-    return parts
+    _resolve_threads(threads)
+    model = model_from_stats(
+        accumulate_stats(data, parts), parts, penalty=penalty,
+        prior_term_mode=prior_term_mode, class_labels=data.class_labels,
+        feature_names=data.feature_names)
+    warn_if_null_only(model)
+    return model
 
 
 def warn_if_null_only(model: FittedModel) -> None:
@@ -601,16 +554,23 @@ def model_from_stats(
     stats: SufficientStats,
     parts: PartitionSet,
     *,
-    penalty: PenaltyConfig,
+    penalty: str | PenaltyConfig,
     prior_term_mode: str,
     class_labels: tuple[str, ...],
     feature_names: tuple[str, ...],
 ) -> FittedModel:
-    """The one derivation of a model from per-class sufficient statistics,
-    the hypothesis set and the config, in one pass over blocks of
-    ``COEF_BLOCK`` features, so no p x z_M array is held.  Each block
-    takes ``fit_mles``, ``lrt`` and ``gamma_weights`` of its columns and
-    its share of the per-class coefficients (Q, L, c) of the score
+    """The one checked entry from per-class sufficient statistics, the
+    hypothesis set and the config to a model; ``fit``, ``cross_validate``
+    and ``load_model`` all call it, so a loaded model is bit-identical to
+    the fitted one.  It raises ``ValidationError`` unless there are K >= 2
+    classes, n >= K+1 samples (over ``stats.n_k``), p >= 1 features and a
+    known ``prior_term_mode``, resolves ``penalty`` against ``stats.n``
+    and p, and returns the model checked by ``validate_model``.
+
+    The derivation is one pass over blocks of ``COEF_BLOCK`` features, so
+    no p x z_M array is held.  Each block takes ``fit_mles``, ``lrt`` and
+    ``gamma_weights`` of its columns and its share of the per-class
+    coefficients (Q, L, c) of the score
 
         eta_k(x) = sum_j xc_j * (L[k, j] - Q[k, j] * xc_j / 2) + c[k],
 
@@ -619,11 +579,22 @@ def model_from_stats(
     A class's coefficients sum over the subsets that hold it, each subset
     weighted by the summed gamma of the hypotheses that have it as a
     group, so the block work is per subset and per hypothesis, never per
-    slot.
-    ``fit``, ``cross_validate`` and ``load_model`` all call it, so a
-    loaded model is bit-identical to the fitted one.  Overflow is not
-    reported here: every caller passes the result to ``validate_model``."""
-    p = stats.mean.shape[1]
+    slot.  Overflow is not reported while deriving: it leaves a
+    non-finite value, which ``validate_model`` rejects."""
+    K, p = len(stats.n_k), stats.mean.shape[1]
+    if K < 2:
+        raise ValidationError("training data must contain at least 2 classes")
+    n = sum(stats.n_k.tolist())
+    if n < K + 1:
+        raise ValidationError(f"need at least K+1 = {K + 1} samples, got {n}")
+    if p < 1:
+        raise ValidationError("training data must contain at least 1 feature")
+    if prior_term_mode not in PRIOR_TERM_MODES:
+        raise ValidationError(
+            f"unknown prior term mode {prior_term_mode!r}; "
+            f"expected one of {PRIOR_TERM_MODES}"
+        )
+    penalty = PenaltyConfig.resolve(penalty, stats.n, p)
     idx = parts.subsets
     gamma_t = np.empty((parts.M, p))
     mu_null = np.empty(p)
@@ -659,7 +630,7 @@ def model_from_stats(
         prior = np.log(pi) if prior_term_mode == "log" else pi * np.log(pi)
         class_const = np.array([subset_const[rows].sum() for rows in idx.class_rows])
         c = prior - 0.5 * (class_const + log_const + _LOG_2PI * gamma_t.sum())
-    return FittedModel(
+    return validate_model(FittedModel(
         parts=parts,
         variance_mode=parts.variance_mode,
         pi=_as_readonly(pi),
@@ -675,7 +646,7 @@ def model_from_stats(
         Q=_as_readonly(Q),
         L=_as_readonly(L),
         c=_as_readonly(c),
-    )
+    ))
 
 
 def predict(
@@ -776,8 +747,8 @@ def validate_model(model: FittedModel) -> FittedModel:
     (``mu``) and ``gamma``; it reads only stored arrays.  A structural
     fault raises ``ValidationError``; a non-finite value (e.g. from
     overflowing statistics) raises ``NumericError`` naming the field and
-    the first bad feature.  The rest holds by construction.  ``fit``,
-    ``simlab.cross_validate`` and ``data_io.load_model`` all call it."""
+    the first bad feature.  The rest holds by construction.
+    ``model_from_stats`` calls it on every model it derives."""
     K = model.K
     if len(model.class_labels) != K:
         raise ValidationError("class label count does not match K")

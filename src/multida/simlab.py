@@ -3,12 +3,16 @@
 Generators are pure functions of (scenario spec, seed): structure draws
 (which features are discriminative, which partitions, covariance factors,
 the final feature permutation) and noise draws come from separate seeded
-streams, so equal specs always produce identical data.
+streams, so equal specs always produce identical data.  The consistency
+sweep fits each replicate with ``estimator.fit``; cross-validation derives
+each fold's model with one ``estimator.model_from_stats`` call, the one
+checked entry from statistics to a model, so a fold is checked as a fit is.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Sequence
@@ -19,22 +23,19 @@ from .errors import ValidationError
 from .estimator import (
     Dataset,
     FittedModel,
-    PenaltyConfig,
     SufficientStats,
     accumulate_stats,
-    check_training_set,
     fit,
     merge_stats,
     model_from_stats,
     predict,
-    training_partition_set,
-    validate_model,
     warn_if_null_only,
 )
 from .partitions import (
     DEFAULT_MAX_CLASSES,
     Column,
     PartitionSet,
+    build_partition_set,
     canonicalize,
     enumerate_exhaustive,
     refines,
@@ -54,7 +55,9 @@ class SimSpec:
     ``mean_shift`` defaults to 2 for the feature-selection scenario and
     0.5 for the prediction scenarios; group ``g`` has mean
     ``(g - 1) * mean_shift``.  In the unequal-variance scenario group
-    ``g`` has standard deviation ``1 + (g - 1) * variance_scale``.
+    ``g`` has standard deviation ``1 + (g - 1) * variance_scale``, which
+    must be positive for every group up to ``K``.  Both settings must be
+    finite.
     Dependent scenarios build block covariance from ``p / block_size``
     sparse factors with ``block_density`` off-diagonal fill.
     """
@@ -79,6 +82,16 @@ class SimSpec:
             raise ValidationError("need n >= K, p >= 1, K >= 2")
         if not 0.0 <= self.discriminative_fraction <= 1.0:
             raise ValidationError("discriminative_fraction must lie in [0, 1]")
+        for name in ("mean_shift", "variance_scale"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
+        if (self.scenario == "ind-unequal-var"
+                and 1.0 + (self.K - 1) * self.variance_scale <= 0.0):
+            raise ValidationError(
+                f"variance_scale={self.variance_scale} gives group K={self.K} the "
+                "standard deviation 1 + (K - 1) * variance_scale <= 0"
+            )
         if self.scenario in DEPENDENT_SCENARIOS:
             b = self.effective_block_size
             if b < 1 or b > self.p:
@@ -396,25 +409,6 @@ def selection_error(model: FittedModel, truth: TruthAssignment) -> SimReport:
     )
 
 
-def run_feature_selection(
-    spec: SimSpec,
-    *,
-    penalty: str = "ebic",
-    variance_mode: str = "equal",
-    prior_term_mode: str = "log",
-    max_classes: int = DEFAULT_MAX_CLASSES,
-    threads: int = 1,
-) -> SimReport:
-    """Generate one replicate, fit, and score feature selection."""
-    data, truth = generate(spec)
-    t0 = time.perf_counter()
-    model = fit(data, penalty=penalty, variance_mode=variance_mode,
-                prior_term_mode=prior_term_mode, max_classes=max_classes,
-                threads=threads)
-    elapsed = time.perf_counter() - t0
-    return replace(selection_error(model, truth), fit_seconds=elapsed)
-
-
 def consistency_sweep(
     n_values: Sequence[int],
     *,
@@ -430,9 +424,10 @@ def consistency_sweep(
     seed: int = 0,
     threads: int = 1,
 ) -> list[dict]:
-    """Feature-selection error across sample sizes; one row per
-    (n, p, K, replicate) with the ``SimReport`` metrics but ``cv``,
-    directly writable as tidy CSV."""
+    """Feature-selection error across sample sizes: each replicate is
+    generated, fitted and scored by ``selection_error``.  One row per
+    (n, p, K, replicate) with the ``SimReport`` metrics but ``cv``
+    (``fit_seconds`` times the fit alone), directly writable as tidy CSV."""
     if len(n_values) == 0:
         raise ValidationError("the sample-size grid is empty")
     if replicates < 1:
@@ -450,11 +445,13 @@ def consistency_sweep(
                 mean_shift=mean_shift,
                 seed=int(np.random.default_rng([seed, n, rep]).integers(2**32)),
             )
-            report = run_feature_selection(
-                spec, penalty=penalty, variance_mode=variance_mode,
-                prior_term_mode=prior_term_mode, max_classes=max_classes,
-                threads=threads,
-            )
+            data, truth = generate(spec)
+            t0 = time.perf_counter()
+            model = fit(data, penalty=penalty, variance_mode=variance_mode,
+                        prior_term_mode=prior_term_mode, max_classes=max_classes,
+                        threads=threads)
+            report = replace(selection_error(model, truth),
+                             fit_seconds=time.perf_counter() - t0)
             rows.append({"n": n, "p": p, "K": k, "replicate": rep + 1,
                          **{name: getattr(report, name) for name in metrics}})
     return rows
@@ -510,20 +507,18 @@ def cross_validate(
     Fold assignments for trial ``t`` come from an independent stream
     seeded by (seed, t), so any subset of trials can be reproduced or run
     concurrently without changing results.  The partition set is built
-    once.  Each fold's model is derived by ``model_from_stats`` from its
-    training statistics, merged from per-fold class statistics
-    (``_cv_folds``), after the checks ``fit`` makes of a training set,
-    and checked by ``validate_model``; the training rows are never copied
-    or refitted.  ``threads`` splits each fold's prediction rows.
+    once.  Each fold's model comes from one ``model_from_stats`` call, with
+    the checks and the penalty of a fit, on its training statistics,
+    merged from per-fold class statistics (``_cv_folds``); the training
+    rows are never copied or refitted.  ``threads`` splits each fold's
+    prediction rows.
     """
     if folds < 2:
         raise ValidationError("need at least 2 folds")
     if trials < 1:
         raise ValidationError("need at least 1 trial")
-    check_training_set(data.class_counts, data.p, prior_term_mode, data.class_labels)
-    parts = training_partition_set(data.K, scheme=scheme, user_matrix=user_matrix,
-                                   variance_mode=variance_mode,
-                                   max_classes=max_classes)
+    parts = build_partition_set(data.K, scheme, user_matrix=user_matrix,
+                                variance_mode=variance_mode, max_classes=max_classes)
     rows: list[CvRow] = []
     per_trial = np.empty(trials)
     for t in range(trials):
@@ -531,14 +526,10 @@ def cross_validate(
         test_sets = _stratified_folds(data.y, folds, rng)
         fold_errors = np.empty(folds)
         for f, (test, train) in enumerate(_cv_folds(data, parts, test_sets)):
-            check_training_set(train.n_k, data.p, prior_term_mode, data.class_labels)
-            model = validate_model(model_from_stats(
-                train, parts,
-                penalty=PenaltyConfig.resolve(penalty, train.n, data.p),
-                prior_term_mode=prior_term_mode,
-                class_labels=data.class_labels,
-                feature_names=data.feature_names,
-            ))
+            model = model_from_stats(train, parts, penalty=penalty,
+                                     prior_term_mode=prior_term_mode,
+                                     class_labels=data.class_labels,
+                                     feature_names=data.feature_names)
             warn_if_null_only(model)
             pred = predict(model, test.X, threads=threads)
             wrong = int((pred.codes != test.y).sum())

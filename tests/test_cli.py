@@ -119,6 +119,18 @@ class TestTrain:
         assert not model_path.exists()
         assert not feats_path.exists()
 
+    @pytest.mark.parametrize("threshold", ["0", "1.5"])
+    def test_bad_threshold_writes_nothing(self, runner, toy_csv, tmp_path, threshold):
+        model_path = tmp_path / "m.json"
+        feats_path = tmp_path / "f.csv"
+        result = runner.invoke(
+            main, ["train", toy_csv, "--out", str(model_path), "--features-out",
+                   str(feats_path), "--threshold", threshold, "--seed", "1"],
+        )
+        assert_one_error_line(result, "threshold must lie in (0, 1]")
+        assert not model_path.exists()
+        assert not feats_path.exists()
+
     def test_unknown_flag_exits_2(self, runner, toy_csv):
         result = runner.invoke(main, ["train", toy_csv, "--bogus"])
         assert result.exit_code == 2
@@ -394,8 +406,12 @@ class TestPredict:
         {"class_m2": [1.0]},
         {"class_label_map": ["a", "a"]},
         {"scheme": ""},
+        # well-formed documents that no fit could have written
+        {"class_counts": [1, 1], "n": 2},
+        {"K": 1, "S": [[1]], "n": 2, "class_label_map": ["a"], "class_counts": [2],
+         "class_means": [[1.0]], "class_m2": [[2.0]]},
     ], ids=["K0", "S-float", "S-str", "n-str", "pi-str", "mu-str", "m2-1d",
-            "labels-repeated", "scheme-empty"])
+            "labels-repeated", "scheme-empty", "n-below-K+1", "one-class"])
     def test_malformed_model_exits_2(self, runner, toy_csv, tmp_path, edit):
         model_path = self.fitted(runner, toy_csv, tmp_path)
         doc = json.loads(model_path.read_text())
@@ -476,12 +492,32 @@ class TestSimulate:
         (["--n-grid", ""], "the sample-size grid is empty"),
         (["--replicates", "0"], "need at least 1 replicate, got 0"),
         (["--scheme", "ordinal"], "--scheme ordinal: fs-consistency scores selection"),
-    ], ids=["comma-grid", "empty-grid", "no-replicates", "ordinal-scheme"])
+        (["--mean-shift", "inf"], "mean_shift must be finite, got inf"),
+    ], ids=["comma-grid", "empty-grid", "no-replicates", "ordinal-scheme", "shift-inf"])
     def test_bad_consistency_settings_exit_2(self, runner, tmp_path, extra, message):
         out = tmp_path / "x.csv"
         result = runner.invoke(
             main, ["simulate", "--scenario", "fs-consistency", "--p", "20", "--k", "2",
                    "--seed", "1", "--out", str(out), *extra],
+        )
+        assert_one_error_line(result, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--scenario", "ind-equal-var", "--k", "2", "--mean-shift", "nan"],
+         "mean_shift must be finite, got nan"),
+        (["--scenario", "ind-unequal-var", "--k", "2", "--variance-scale", "nan"],
+         "variance_scale must be finite, got nan"),
+        (["--scenario", "ind-unequal-var", "--k", "2", "--variance-scale", "-1"],
+         "variance_scale=-1.0 gives group K=2 the standard deviation"),
+        (["--scenario", "ind-unequal-var", "--k", "3", "--variance-scale", "-1"],
+         "variance_scale=-1.0 gives group K=3 the standard deviation"),
+    ], ids=["shift-nan", "scale-nan", "k2-scale", "k3-scale"])
+    def test_bad_scenario_settings_exit_2(self, runner, tmp_path, args, message):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(
+            main, ["simulate", "--n", "20", "--p", "6", "--seed", "1", "--out", str(out),
+                   *args],
         )
         assert_one_error_line(result, message)
         assert not out.exists()

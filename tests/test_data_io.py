@@ -472,16 +472,26 @@ class TestModelRoundTrip:
          "invariant violation: class label count does not match K"),
         ("scheme", lambda v: "", "invariant violation: unknown scheme ''"),
         ("scheme", lambda v: "Exhaustive", "invariant violation: unknown scheme"),
+        # documents no fit could have made; field None edits the whole document
+        (None, lambda d: {**d, "class_counts": [1] * d["K"], "n": d["K"]},
+         r"invariant violation: need at least K\+1 = 5 samples, got 4"),
+        (None, lambda d: {**d, "K": 1, "S": [[1]], "n": d["class_counts"][0],
+                          **{key: d[key][:1] for key in ("class_label_map", "class_counts",
+                                                         "class_means", "class_m2")}},
+         "invariant violation: training data must contain at least 2 classes"),
     ], ids=["pi-nan", "mu-nan", "sigma2-inf", "floor-nan", "counts-sum", "counts-zero",
             "m2-negative", "means-overflow", "m2-overflow", "pi-short", "labels-repeated",
-            "labels-short", "scheme-empty", "scheme-unknown"])
+            "labels-short", "scheme-empty", "scheme-unknown", "n-below-K+1", "one-class"])
     def test_mutated_model_rejected(self, tmp_path, field, edit, message):
         model = self._model(k=4)
         assert model.parts.M == 15
         path = tmp_path / "m.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
-        doc[field] = edit(doc[field])
+        if field is None:
+            doc = edit(doc)
+        else:
+            doc[field] = edit(doc[field])
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=message):
             load_model(path)

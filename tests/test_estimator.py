@@ -10,11 +10,13 @@ from multida.estimator import (
     COEF_BLOCK,
     Dataset,
     PenaltyConfig,
+    SufficientStats,
     accumulate_stats,
     fit,
     fit_mles,
     gamma_weights,
     lrt,
+    model_from_stats,
     predict,
     selected_features,
     validate_model,
@@ -434,6 +436,51 @@ class TestFit:
         m3 = fit(data, threads=3)
         for f in ("mu", "sigma2", "pi", "gamma", "lam", "variance_floor"):
             assert np.array_equal(getattr(m1, f), getattr(m3, f))
+
+
+class TestModelFromStats:
+    """The one checked entry from statistics to a model."""
+
+    def _derive(self, stats, parts, **config):
+        return model_from_stats(stats, parts, **{
+            "penalty": "ebic", "prior_term_mode": "log",
+            "class_labels": tuple("abc"[:parts.K]),
+            "feature_names": tuple(f"x{j + 1}" for j in range(stats.mean.shape[1])),
+            **config})
+
+    @pytest.mark.parametrize("penalty", ["ebic", "bic", "custom:3.5"])
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    def test_request_resolves_as_fit(self, penalty, variance_mode):
+        data = random_dataset(np.random.default_rng(3), 40, 30, 3, min_per_class=4)
+        parts = build_partition_set(3, "exhaustive", variance_mode=variance_mode)
+        model = self._derive(accumulate_stats(data, parts), parts, penalty=penalty,
+                             class_labels=data.class_labels)
+        want = fit(data, parts, penalty=penalty, variance_mode=variance_mode)
+        assert model.penalty == want.penalty == PenaltyConfig.resolve(penalty, 40, 30)
+        for f in ("gamma", "Q", "L", "c", "mu_null"):
+            assert np.array_equal(getattr(model, f), getattr(want, f)), f
+
+    @pytest.mark.parametrize("n_k, p, prior, message", [
+        ([5], 2, "log", "at least 2 classes"),
+        ([1, 1], 2, "log", "need at least K\\+1 = 3 samples, got 2"),
+        ([2, 2], 0, "log", "at least 1 feature"),
+        ([2, 2], 2, "bogus", "unknown prior term mode 'bogus'"),
+    ], ids=["one-class", "n-below-K+1", "no-features", "prior-mode"])
+    def test_untrainable_statistics_rejected(self, n_k, p, prior, message):
+        k = len(n_k)
+        stats = SufficientStats(n=sum(n_k), n_k=np.array(n_k), mean=np.zeros((k, p)),
+                                m2=np.ones((k, p)))
+        parts = build_partition_set(k, "exhaustive")
+        with pytest.raises(ValidationError, match=message):
+            self._derive(stats, parts, prior_term_mode=prior)
+
+    def test_result_is_validated(self):
+        stats = SufficientStats(n=6, n_k=np.array([3, 3]),
+                                mean=np.array([[0.0, np.nan], [1.0, 2.0]]),
+                                m2=np.ones((2, 2)))
+        with pytest.raises(NumericError, match="class_means holds a non-finite "
+                                               "value for feature 'x2'"):
+            self._derive(stats, build_partition_set(2, "exhaustive"))
 
 
 class TestShiftScaleInvariance:

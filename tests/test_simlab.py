@@ -59,6 +59,30 @@ class TestSimSpec:
         with pytest.raises(ValidationError):
             SimSpec("dep-equal-cov", n=10, p=4, K=2, block_size=8)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mean_shift", float("nan")), ("mean_shift", float("inf")),
+        ("variance_scale", float("nan")), ("variance_scale", -float("inf")),
+    ])
+    @pytest.mark.parametrize("scenario", ["fs-consistency", "ind-unequal-var"])
+    def test_non_finite_settings_rejected(self, scenario, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be finite, got"):
+            SimSpec(scenario, n=10, p=5, K=2, **{field: value})
+
+    @pytest.mark.parametrize("k, scale", [(2, -1.0), (2, -1.5), (3, -0.5), (3, -1.0),
+                                          (5, -0.25)])
+    def test_non_positive_group_sd_rejected(self, k, scale):
+        with pytest.raises(ValidationError,
+                           match=f"^variance_scale={scale} gives group K={k} "):
+            SimSpec("ind-unequal-var", n=10, p=5, K=k, variance_scale=scale)
+
+    def test_negative_variance_scale_with_positive_sds(self):
+        # group 3 gets 1 + 2 * (-0.4) = 0.2
+        spec = SimSpec("ind-unequal-var", n=30, p=200, K=3, variance_scale=-0.4, seed=1)
+        _, truth = gen_independent(spec)
+        assert truth.class_sds.min() == pytest.approx(0.2)
+        # the scale only shapes the unequal-variance scenario
+        SimSpec("ind-equal-var", n=10, p=5, K=3, variance_scale=-1.0)
+
     def test_default_shifts(self):
         assert SimSpec("fs-consistency", n=9, p=5, K=3).effective_mean_shift == 2.0
         assert SimSpec("ind-equal-var", n=9, p=5, K=3).effective_mean_shift == 0.5
