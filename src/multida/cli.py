@@ -32,7 +32,7 @@ from .data_io import (
 )
 from .errors import FormatError, NumericError, ValidationError
 from .estimator import fit, predict, selected_features
-from .partitions import DEFAULT_MAX_CLASSES, build_partition_set
+from .partitions import build_partition_set
 from .simlab import (
     DEPENDENT_SCENARIOS,
     SCENARIOS,
@@ -135,8 +135,6 @@ _fit_options = _options(
                  help="Hypothesis scheme: exhaustive, onevsrest, ordinal or user:<csv>."),
     click.option("--prior-term", type=click.Choice(["log", "plogp"]), default="log",
                  show_default=True, help="Class-prior term in the discriminant score."),
-    click.option("--max-classes", type=int, default=DEFAULT_MAX_CLASSES, show_default=True,
-                 help="Guard on K for exhaustive enumeration."),
 )
 
 _io_options = _options(
@@ -175,7 +173,7 @@ def main():
 @_run_options
 @_guarded
 def train(input, out, features_out, threshold, penalty, variance, scheme,
-          prior_term, max_classes, label_col, no_header, delimiter, seed, threads):
+          prior_term, label_col, no_header, delimiter, seed, threads):
     """Fit a model on a labeled CSV and write it to disk."""
     scheme_name, user_matrix = _parse_scheme(scheme)
     data = load_dataset(input, _schema(label_col, no_header, delimiter))
@@ -187,7 +185,6 @@ def train(input, out, features_out, threshold, penalty, variance, scheme,
         variance_mode=variance,
         prior_term_mode=prior_term,
         threads=threads,
-        max_classes=max_classes,
     )
     rows = selected_features(model, threshold)  # checks --threshold
     save_model(model, out)
@@ -243,14 +240,14 @@ def predict_cmd(input, model, out, label_col, no_header, delimiter, seed, thread
 @_run_options
 @_guarded
 def cv(input, folds, trials, out, penalty, variance, scheme, prior_term,
-       max_classes, label_col, no_header, delimiter, seed, threads):
+       label_col, no_header, delimiter, seed, threads):
     """Repeated stratified k-fold cross-validation on a labeled CSV."""
     scheme_name, user_matrix = _parse_scheme(scheme)
     data = load_dataset(input, _schema(label_col, no_header, delimiter))
     result = cross_validate(
         data, folds, trials, seed=seed, scheme=scheme_name,
         user_matrix=user_matrix, penalty=penalty, variance_mode=variance,
-        prior_term_mode=prior_term, threads=threads, max_classes=max_classes,
+        prior_term_mode=prior_term, threads=threads,
     )
     _write_csv(
         out,
@@ -286,7 +283,7 @@ def cv(input, folds, trials, out, penalty, variance, scheme, prior_term,
 @_guarded
 def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
              mean_shift, variance_scale, block_size, block_density, out, penalty,
-             variance, scheme, prior_term, max_classes, seed, threads):
+             variance, scheme, prior_term, seed, threads):
     """Run a synthetic scenario: a selection-consistency sweep or a
     cross-validated prediction benchmark, written as tidy CSV."""
     scheme_name, user_matrix = _parse_scheme(scheme)
@@ -303,8 +300,7 @@ def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
         rows = consistency_sweep(
             n_values, p=p, k=k, replicates=replicates,
             penalty=penalty, variance_mode=variance, prior_term_mode=prior_term,
-            max_classes=max_classes, mean_shift=mean_shift,
-            discriminative_fraction=frac, seed=seed, threads=threads,
+            mean_shift=mean_shift, discriminative_fraction=frac, seed=seed,
         )
         _write_csv(
             out,
@@ -330,7 +326,7 @@ def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
     result = cross_validate(
         data, folds, trials, seed=seed, scheme=scheme_name,
         user_matrix=user_matrix, penalty=penalty, variance_mode=variance,
-        prior_term_mode=prior_term, threads=threads, max_classes=max_classes,
+        prior_term_mode=prior_term, threads=threads,
     )
     elapsed = time.perf_counter() - t0
     _write_csv(
@@ -354,19 +350,15 @@ def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
               help="exhaustive, onevsrest, ordinal or user:<csv>.")
 @click.option("--variance", type=click.Choice(["equal", "unequal"]),
               default="equal", show_default=True)
-@click.option("--max-classes", type=int, default=DEFAULT_MAX_CLASSES,
-              show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the listing to a file instead of stdout.")
 @_guarded
-def partitions(k, scheme, variance, max_classes, out):
+def partitions(k, scheme, variance, out):
     """Print the hypothesis matrix S with G, nu, z and the allocation
     matrix A for a class count and scheme."""
     scheme_name, user_matrix = _parse_scheme(scheme)
-    ps = build_partition_set(
-        k, scheme_name, user_matrix=user_matrix,
-        variance_mode=variance, max_classes=max_classes,
-    )
+    ps = build_partition_set(k, scheme_name, user_matrix=user_matrix,
+                             variance_mode=variance)
     lines = [f"scheme={ps.scheme} K={ps.K} M={ps.M} variance={ps.variance_mode}", "S:"]
     for row in range(ps.K):
         lines.append(",".join(str(col[row]) for col in ps.columns))

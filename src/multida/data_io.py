@@ -290,42 +290,34 @@ def _class_medians(data: Dataset) -> np.ndarray:
     return med
 
 
-def filter_features(
-    data: Dataset, rule: str | tuple[str, float]
-) -> tuple[Dataset, list[int]]:
+def filter_features(data: Dataset, rule: str) -> tuple[Dataset, list[int]]:
     """Drop features by a preprocessing rule; returns the reduced dataset
     and the kept original column indices.
 
     ``"zero-mad"`` drops features whose median absolute deviation is
-    exactly zero; ``("class-median-below", t)`` drops features whose class
+    exactly zero; ``"class-median-below:<t>"`` drops features whose class
     medians are all below ``t``.  Medians use the midpoint convention for
     even counts.
     """
-    if isinstance(rule, str) and rule.startswith("class-median-below:"):
-        rule = ("class-median-below", rule.split(":", 1)[1])
     if rule == "zero-mad":
         med = np.median(data.X, axis=0)
         mad = np.median(np.abs(data.X - med[None, :]), axis=0)
         keep = mad != 0.0
-    elif (
-        isinstance(rule, tuple)
-        and len(rule) == 2
-        and rule[0] == "class-median-below"
-    ):
+    elif rule.startswith("class-median-below:"):
+        text = rule.split(":", 1)[1]
         try:
-            threshold = float(rule[1])
-        except (TypeError, ValueError):
+            threshold = float(text)
+        except ValueError:
             threshold = math.nan
         if not math.isfinite(threshold):
             raise ValidationError(
-                f"filter rule class-median-below:{rule[1]}: the threshold must "
-                "be a finite number"
+                f"filter rule {rule}: the threshold must be a finite number"
             )
         keep = (_class_medians(data) >= threshold).any(axis=0)
     else:
         raise ValidationError(
             f"unknown filter rule {rule!r}; expected 'zero-mad' or "
-            f"('class-median-below', t)"
+            "'class-median-below:<t>'"
         )
     kept = [int(j) for j in np.flatnonzero(keep)]
     if not kept:
@@ -441,12 +433,14 @@ def _model_from_doc(doc: dict) -> FittedModel:
     if (not isinstance(counts, list) or len(counts) != k
             or not all(type(v) is int for v in counts)):
         raise FormatError(f"model field 'class_counts' must be a list of K={k} integers")
+    n = _require_int(doc, "n")
     stats = SufficientStats(
-        n=_require_int(doc, "n"),
         n_k=estimator._as_readonly(np.array(counts, dtype=np.int64)),
         mean=_class_array(doc, "class_means", k, len(feature_names)),
         m2=_class_array(doc, "class_m2", k, len(feature_names)),
     )
+    if stats.n != n:
+        raise ValidationError("class counts must be positive and sum to n")
     return estimator.model_from_stats(
         stats, parts, penalty=penalty,
         prior_term_mode=_require(doc, "prior_term_mode"),

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -47,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .partitions import DEFAULT_MAX_CLASSES, PartitionSet, build_partition_set
+from .partitions import PartitionSet, build_partition_set
 
 #: Relative scale of the per-feature variance floor.
 VARIANCE_FLOOR_SCALE = 1e-8
@@ -202,13 +201,17 @@ class SufficientStats:
 
     ``n_k[k]``, ``mean[k, j]`` and ``m2[k, j]`` refer to class ``k + 1``
     and feature ``j``; ``m2`` is the two-pass sum of squared deviations
-    from the class mean.  Every other fitted quantity derives from these.
+    from the class mean.  Every other fitted quantity derives from these,
+    the sample count ``n`` included.
     """
 
-    n: int
     n_k: np.ndarray   # K
     mean: np.ndarray  # K x p
     m2: np.ndarray    # K x p
+
+    @property
+    def n(self) -> int:
+        return int(self.n_k.sum())
 
 
 @dataclass(frozen=True)
@@ -229,7 +232,6 @@ class Mles:
     pi: np.ndarray          # K
     variance_floor: np.ndarray  # p
     admissible: np.ndarray  # M, bool
-    variance_mode: str
 
     @cached_property
     def mu(self) -> np.ndarray:  # p x z_M
@@ -237,7 +239,7 @@ class Mles:
 
     @cached_property
     def sigma2(self) -> np.ndarray:  # p x M (equal) or p x z_M (unequal)
-        if self.variance_mode == "equal":
+        if self.parts.variance_mode == "equal":
             return self.var.T
         return self.var[self.parts.subsets.slot_rows].T
 
@@ -251,12 +253,10 @@ class FittedModel:
     and ``lrt`` when first read."""
 
     parts: PartitionSet
-    variance_mode: str
     pi: np.ndarray
     gamma: np.ndarray
     penalty: PenaltyConfig
     prior_term_mode: str
-    n: int
     class_labels: tuple[str, ...]
     feature_names: tuple[str, ...]
     admissible: np.ndarray = field(repr=False)
@@ -278,10 +278,18 @@ class FittedModel:
     def M(self) -> int:
         return self.parts.M
 
+    @property
+    def n(self) -> int:
+        return self.stats.n
+
+    @property
+    def variance_mode(self) -> str:
+        return self.parts.variance_mode
+
     @cached_property
     def _mles(self) -> Mles:
         with np.errstate(all="ignore"):
-            mles = fit_mles(self.stats, self.parts, self.variance_mode)
+            mles = fit_mles(self.stats, self.parts)
         for a in (mles.mu, mles.sigma2, mles.variance_floor):
             _as_readonly(a)
         return mles
@@ -346,18 +354,15 @@ def _resolve_threads(threads: int) -> int:
     return threads
 
 
-def accumulate_stats(data: Dataset, parts: PartitionSet) -> SufficientStats:
-    """Per-class counts, means and centred sums of squares, in two passes
-    over each class's rows (the mean first, then the squared deviations
-    from it), so the result does not depend on where the data sit.
+def accumulate_stats(data: Dataset) -> SufficientStats:
+    """Per-class counts, means and centred sums of squares of the K
+    classes of ``data``, in two passes over each class's rows (the mean
+    first, then the squared deviations from it), so the result does not
+    depend on where the data sit.
 
     Overflow is not reported here: it leaves a non-finite statistic,
     which ``validate_model`` turns into an error.
     """
-    if data.K != parts.K:
-        raise ValidationError(
-            f"dataset has {data.K} classes but partition set expects {parts.K}"
-        )
     mean = np.empty((data.K, data.p))
     m2 = np.empty((data.K, data.p))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -366,8 +371,8 @@ def accumulate_stats(data: Dataset, parts: PartitionSet) -> SufficientStats:
             mean[k] = mk = xk.sum(axis=0) / xk.shape[0]
             xk -= mk
             m2[k] = np.square(xk, out=xk).sum(axis=0)
-    return SufficientStats(n=data.n, n_k=data.class_counts,
-                           mean=_as_readonly(mean), m2=_as_readonly(m2))
+    return SufficientStats(n_k=data.class_counts, mean=_as_readonly(mean),
+                           m2=_as_readonly(m2))
 
 
 def _chan_merge(
@@ -426,34 +431,31 @@ def merge_stats(samples: Sequence[SufficientStats]) -> SufficientStats:
         for s in rest:
             mean, m2 = _chan_merge(n_k, mean, m2, s.n_k, s.mean, s.m2)
             n_k = n_k + s.n_k
-    return SufficientStats(n=sum(s.n for s in samples), n_k=_as_readonly(n_k),
-                           mean=_as_readonly(mean), m2=_as_readonly(m2))
+    return SufficientStats(n_k=_as_readonly(n_k), mean=_as_readonly(mean),
+                           m2=_as_readonly(m2))
 
 
-def fit_mles(
-    stats: SufficientStats, parts: PartitionSet, variance_mode: str
-) -> Mles:
+def fit_mles(stats: SufficientStats, parts: PartitionSet) -> Mles:
     """Closed-form MLEs from per-class sufficient statistics.
 
     Classes are merged into every class subset that a group pools
     (``_merge_subsets``); means are subset means, variances biased MLEs,
     pooled within a hypothesis for the equal-variance (multiLDA) case and
-    per group for the unequal-variance (multiQDA) case.  Every variance is
+    per group for the unequal-variance (multiQDA) case, as
+    ``parts.variance_mode`` says.  Every variance is
     clamped below at ``1e-8 *`` the feature's overall variance (or 1e-8
     when that is zero), then logged once.  Hypotheses whose variance MLE
     is degenerate (multiQDA: any group with fewer than 2 samples;
     multiLDA: n <= G_m) are flagged inadmissible.  Work runs
     subset-major; ``mu`` and ``sigma2`` gather it to the slots.
     """
-    if variance_mode not in ("equal", "unequal"):
-        raise ValidationError(f"unknown variance mode {variance_mode!r}")
     n = stats.n
     count, mean, m2 = _merge_subsets(stats, parts)
 
     global_var = m2[-1] / n  # the last subset holds every class
     floor = VARIANCE_FLOOR_SCALE * np.where(global_var > 0.0, global_var, 1.0)
 
-    if variance_mode == "equal":
+    if parts.variance_mode == "equal":
         var = _hypothesis_sums(m2, parts) / n
         admissible = n > parts.G
     else:
@@ -465,8 +467,7 @@ def fit_mles(
     admissible[0] = True  # null pools all samples; n >= 2 is checked upstream
 
     return Mles(parts=parts, count=count, mean=mean, var=var, log_var=np.log(var),
-                pi=stats.n_k / n, variance_floor=floor, admissible=admissible,
-                variance_mode=variance_mode)
+                pi=stats.n_k / n, variance_floor=floor, admissible=admissible)
 
 
 def lrt(stats: SufficientStats, parts: PartitionSet, mles: Mles) -> np.ndarray:
@@ -474,7 +475,7 @@ def lrt(stats: SufficientStats, parts: PartitionSet, mles: Mles) -> np.ndarray:
     as a p x M matrix.  Column 1 is exactly zero; inadmissible columns are
     ``-inf`` so they carry no weight downstream."""
     n = stats.n
-    if mles.variance_mode == "equal":
+    if parts.variance_mode == "equal":
         lam = n * (mles.log_var[:1] - mles.log_var)
     else:
         # the null's one group holds all n samples, so row 0 is n * log(s2_null)
@@ -486,23 +487,21 @@ def lrt(stats: SufficientStats, parts: PartitionSet, mles: Mles) -> np.ndarray:
 
 
 def gamma_weights(lam: np.ndarray, nu: np.ndarray, penalty: PenaltyConfig) -> np.ndarray:
-    """Posterior hypothesis weights: softmax of ``lam/2 - C * nu`` along
-    the last axis, computed with max-subtraction.  ``lrt`` writes ``-inf``
+    """Posterior hypothesis weights (p x M) from LRT statistics (p x M):
+    the softmax of ``lam/2 - C * nu`` along each row, computed with
+    max-subtraction.  ``lrt`` writes ``-inf``
     for inadmissible hypotheses, which therefore receive weight zero; the
     null score is exactly zero, so the normalizer never vanishes."""
-    lam = np.asarray(lam, dtype=np.float64)
-    squeeze = lam.ndim == 1
-    lam2 = np.atleast_2d(lam)
-    scores = 0.5 * lam2 - penalty.C * np.asarray(nu, dtype=np.float64)[None, :]
+    scores = 0.5 * np.asarray(lam, dtype=np.float64)
+    scores -= penalty.C * np.asarray(nu, dtype=np.float64)
     smax = scores.max(axis=1, keepdims=True)
     w = np.exp(scores - smax)
     w /= w.sum(axis=1, keepdims=True)
-    return w[0] if squeeze else w
+    return w
 
 
 def fit(
     data: Dataset,
-    parts: PartitionSet | None = None,
     *,
     scheme: str = "exhaustive",
     user_matrix: np.ndarray | None = None,
@@ -510,30 +509,21 @@ def fit(
     variance_mode: str = "equal",
     prior_term_mode: str = "log",
     threads: int = 1,
-    max_classes: int = DEFAULT_MAX_CLASSES,
 ) -> FittedModel:
     """Fit a multiDA model: sufficient statistics, closed-form MLEs,
     penalized LRT statistics and posterior hypothesis weights.
 
-    When ``parts`` is omitted one is built from ``scheme`` for
-    ``data.K`` classes.  The fit runs on one thread; ``threads`` is only
-    checked (>= 0), so the output is identical for any thread count.
+    The hypothesis set is built from ``scheme`` (with ``user_matrix`` for
+    ``"user"``) and ``variance_mode`` for ``data.K`` classes by
+    ``build_partition_set``.  The fit runs on one thread; ``threads`` is
+    only checked (>= 0), so the output is identical for any thread count.
     Warns when no non-null hypothesis is admissible.
     """
-    if parts is None:
-        parts = build_partition_set(data.K, scheme, user_matrix=user_matrix,
-                                    variance_mode=variance_mode,
-                                    max_classes=max_classes)
-    elif parts.K != data.K:
-        raise ValidationError(f"partition set is for K={parts.K}, data has K={data.K}")
-    elif parts.variance_mode != variance_mode:
-        raise ValidationError(
-            f"partition set was built for variance_mode="
-            f"{parts.variance_mode!r}, fit requested {variance_mode!r}"
-        )
+    parts = build_partition_set(data.K, scheme, user_matrix=user_matrix,
+                                variance_mode=variance_mode)
     _resolve_threads(threads)
     model = model_from_stats(
-        accumulate_stats(data, parts), parts, penalty=penalty,
+        accumulate_stats(data), parts, penalty=penalty,
         prior_term_mode=prior_term_mode, class_labels=data.class_labels,
         feature_names=data.feature_names)
     warn_if_null_only(model)
@@ -581,10 +571,9 @@ def model_from_stats(
     group, so the block work is per subset and per hypothesis, never per
     slot.  Overflow is not reported while deriving: it leaves a
     non-finite value, which ``validate_model`` rejects."""
-    K, p = len(stats.n_k), stats.mean.shape[1]
+    K, p, n = len(stats.n_k), stats.mean.shape[1], stats.n
     if K < 2:
         raise ValidationError("training data must contain at least 2 classes")
-    n = sum(stats.n_k.tolist())
     if n < K + 1:
         raise ValidationError(f"need at least K+1 = {K + 1} samples, got {n}")
     if p < 1:
@@ -594,7 +583,7 @@ def model_from_stats(
             f"unknown prior term mode {prior_term_mode!r}; "
             f"expected one of {PRIOR_TERM_MODES}"
         )
-    penalty = PenaltyConfig.resolve(penalty, stats.n, p)
+    penalty = PenaltyConfig.resolve(penalty, n, p)
     idx = parts.subsets
     gamma_t = np.empty((parts.M, p))
     mu_null = np.empty(p)
@@ -604,9 +593,8 @@ def model_from_stats(
     log_const = 0.0
     with np.errstate(all="ignore"):
         for cols in _column_blocks(p, COEF_BLOCK):
-            block = SufficientStats(stats.n, stats.n_k, stats.mean[:, cols],
-                                    stats.m2[:, cols])
-            mles = fit_mles(block, parts, parts.variance_mode)
+            block = SufficientStats(stats.n_k, stats.mean[:, cols], stats.m2[:, cols])
+            mles = fit_mles(block, parts)
             gamma_t[:, cols] = g = gamma_weights(lrt(block, parts, mles), parts.nu,
                                                  penalty).T
             # per subset (S x block): the weight of its squared deviation,
@@ -632,12 +620,10 @@ def model_from_stats(
         c = prior - 0.5 * (class_const + log_const + _LOG_2PI * gamma_t.sum())
     return validate_model(FittedModel(
         parts=parts,
-        variance_mode=parts.variance_mode,
         pi=_as_readonly(pi),
         gamma=_as_readonly(gamma_t.T),
         penalty=penalty,
         prior_term_mode=prior_term_mode,
-        n=stats.n,
         class_labels=class_labels,
         feature_names=feature_names,
         admissible=_as_readonly(mles.admissible),
@@ -700,6 +686,8 @@ def predict(
         for c in chunks:
             work(c)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, chunks))
 
@@ -742,7 +730,7 @@ def selected_features(
 
 def validate_model(model: FittedModel) -> FittedModel:
     """Return ``model`` once the parts of it a caller can break hold:
-    K distinct class labels, positive class counts summing to n, finite
+    K distinct class labels, positive class counts, finite
     class statistics with ``class_m2 >= 0``, and a finite null mean
     (``mu``) and ``gamma``; it reads only stored arrays.  A structural
     fault raises ``ValidationError``; a non-finite value (e.g. from
@@ -755,7 +743,7 @@ def validate_model(model: FittedModel) -> FittedModel:
     if len(set(model.class_labels)) != K:
         raise ValidationError("class labels must be distinct")
     stats = model.stats
-    if np.any(stats.n_k < 1) or sum(stats.n_k.tolist()) != model.n:
+    if np.any(stats.n_k < 1):
         raise ValidationError("class counts must be positive and sum to n")
     if np.any(stats.m2 < 0.0):
         raise ValidationError("class_m2 holds a negative value")

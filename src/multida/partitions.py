@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-#: Largest class count enumerated exhaustively without an explicit override.
-DEFAULT_MAX_CLASSES = 12
+#: Largest class count the exhaustive scheme enumerates (B_12 = 4,213,597).
+MAX_CLASSES = 12
 
 SCHEMES = ("exhaustive", "onevsrest", "ordinal", "user")
 VARIANCE_MODES = ("equal", "unequal")
@@ -103,23 +103,21 @@ def _column_sort_key(col: Column) -> tuple[int, Column]:
     return (max(col), col)
 
 
-def enumerate_exhaustive(
-    k: int, *, max_classes: int = DEFAULT_MAX_CLASSES
-) -> list[Column]:
+def enumerate_exhaustive(k: int) -> list[Column]:
     """All set partitions of ``k`` classes as canonical restricted-growth
     columns, null column first, then increasing group count with
     lexicographic tie order.
 
-    Refuses ``k`` beyond ``max_classes``: the column count is the Bell
+    Refuses ``k`` beyond ``MAX_CLASSES``: the column count is the Bell
     number B_k, which blows up combinatorially (B_15 = 1,382,958,545).
     """
     if k < 1:
         raise ValidationError("class count must be at least 1")
-    if k > max_classes:
+    if k > MAX_CLASSES:
         raise ValidationError(
             f"exhaustive enumeration for K={k} would produce B_{k} = "
             f"{bell_number(k)} columns; Bell numbers blow up quickly "
-            f"(B_15 = 1,382,958,545). Raise max_classes to override."
+            f"(B_15 = 1,382,958,545), so it takes K <= {MAX_CLASSES}."
         )
     columns: list[Column] = []
     stack: list[tuple[list[int], int]] = [([1], 1)]
@@ -310,11 +308,11 @@ def build_partition_set(
     *,
     user_matrix: np.ndarray | Sequence[Sequence[int]] | None = None,
     variance_mode: str = "equal",
-    max_classes: int = DEFAULT_MAX_CLASSES,
 ) -> PartitionSet:
     """Construct the hypothesis set for ``k`` classes under a scheme.
 
-    ``exhaustive`` enumerates all B_k partitions, ``onevsrest`` the null
+    ``exhaustive`` enumerates all B_k partitions (K <= ``MAX_CLASSES``,
+    see ``enumerate_exhaustive``), ``onevsrest`` the null
     plus every single-class-versus-rest split, ``ordinal`` all contiguous
     interval partitions, and ``user`` canonicalizes and deduplicates a
     supplied K x M integer matrix (the null column is prepended when
@@ -334,7 +332,7 @@ def build_partition_set(
         if k < 1:
             raise ValidationError("class count must be at least 1")
         if scheme == "exhaustive":
-            columns = enumerate_exhaustive(k, max_classes=max_classes)
+            columns = enumerate_exhaustive(k)
         elif scheme == "onevsrest":
             columns = one_vs_rest_columns(k)
         else:

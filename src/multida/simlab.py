@@ -32,9 +32,7 @@ from .estimator import (
     warn_if_null_only,
 )
 from .partitions import (
-    DEFAULT_MAX_CLASSES,
     Column,
-    PartitionSet,
     build_partition_set,
     canonicalize,
     enumerate_exhaustive,
@@ -149,7 +147,7 @@ class CvResult:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Selection-error decomposition and optional CV table for one run."""
+    """Selection-error decomposition of one fit."""
 
     E: float
     E_O: float
@@ -158,7 +156,6 @@ class SimReport:
     error_over_m: float     # E / M
     hard_rate: float
     fit_seconds: float | None = None
-    cv: CvResult | None = None
 
 
 def _class_allocation(n: int, k: int) -> np.ndarray:
@@ -418,21 +415,20 @@ def consistency_sweep(
     penalty: str = "ebic",
     variance_mode: str = "equal",
     prior_term_mode: str = "log",
-    max_classes: int = DEFAULT_MAX_CLASSES,
     mean_shift: float | None = None,
     discriminative_fraction: float = 0.10,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[dict]:
     """Feature-selection error across sample sizes: each replicate is
-    generated, fitted and scored by ``selection_error``.  One row per
-    (n, p, K, replicate) with the ``SimReport`` metrics but ``cv``
+    generated, fitted over every exhaustive partition (so ``k`` is at most
+    ``partitions.MAX_CLASSES``) and scored by ``selection_error``.  One
+    row per (n, p, K, replicate) with the ``SimReport`` metrics
     (``fit_seconds`` times the fit alone), directly writable as tidy CSV."""
     if len(n_values) == 0:
         raise ValidationError("the sample-size grid is empty")
     if replicates < 1:
         raise ValidationError(f"need at least 1 replicate, got {replicates}")
-    metrics = [f.name for f in fields(SimReport) if f.name != "cv"]
+    metrics = [f.name for f in fields(SimReport)]
     rows = []
     for n in n_values:
         for rep in range(replicates):
@@ -448,8 +444,7 @@ def consistency_sweep(
             data, truth = generate(spec)
             t0 = time.perf_counter()
             model = fit(data, penalty=penalty, variance_mode=variance_mode,
-                        prior_term_mode=prior_term_mode, max_classes=max_classes,
-                        threads=threads)
+                        prior_term_mode=prior_term_mode)
             report = replace(selection_error(model, truth),
                              fit_seconds=time.perf_counter() - t0)
             rows.append({"n": n, "p": p, "K": k, "replicate": rep + 1,
@@ -476,14 +471,14 @@ def _stratified_folds(
 
 
 def _cv_folds(
-    data: Dataset, parts: PartitionSet, test_sets: Sequence[np.ndarray]
+    data: Dataset, test_sets: Sequence[np.ndarray]
 ) -> Iterator[tuple[Dataset, SufficientStats]]:
     """The test rows and the training statistics of every fold.  Each
     fold's per-class statistics are taken once, from its own rows; a
     fold's training statistics merge those of the other folds in
     ascending fold order, so no training rows are copied."""
     tests = [data.subset(idx) for idx in test_sets]
-    fold_stats = [accumulate_stats(test, parts) for test in tests]
+    fold_stats = [accumulate_stats(test) for test in tests]
     for f, test in enumerate(tests):
         yield test, merge_stats(fold_stats[:f] + fold_stats[f + 1:])
 
@@ -500,7 +495,6 @@ def cross_validate(
     variance_mode: str = "equal",
     prior_term_mode: str = "log",
     threads: int = 1,
-    max_classes: int = DEFAULT_MAX_CLASSES,
 ) -> CvResult:
     """Repeated stratified k-fold cross-validation.
 
@@ -518,14 +512,14 @@ def cross_validate(
     if trials < 1:
         raise ValidationError("need at least 1 trial")
     parts = build_partition_set(data.K, scheme, user_matrix=user_matrix,
-                                variance_mode=variance_mode, max_classes=max_classes)
+                                variance_mode=variance_mode)
     rows: list[CvRow] = []
     per_trial = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         test_sets = _stratified_folds(data.y, folds, rng)
         fold_errors = np.empty(folds)
-        for f, (test, train) in enumerate(_cv_folds(data, parts, test_sets)):
+        for f, (test, train) in enumerate(_cv_folds(data, test_sets)):
             model = model_from_stats(train, parts, penalty=penalty,
                                      prior_term_mode=prior_term_mode,
                                      class_labels=data.class_labels,

@@ -67,7 +67,7 @@ def test_criterion_1_posterior_oracle():
         mode = "equal" if i % 2 == 0 else "unequal"
         data = _random_instance(rng, n_max=20, p_max=3, k=3, min_per_class=3)
         parts = build_partition_set(3, "exhaustive", variance_mode=mode)
-        model = fit(data, parts, penalty="ebic", variance_mode=mode)
+        model = fit(data, penalty="ebic", variance_mode=mode)
         for j in range(data.p):
             want = bruteforce_posterior(
                 data.X[:, j], data.y, parts.columns, model.penalty.C, mode
@@ -89,9 +89,9 @@ def test_criterion_2_mle_oracle():
     for _ in range(50):
         data = _random_instance(rng, n_max=30, p_max=3, k=3, min_per_class=3)
         parts = build_partition_set(3, "exhaustive")
-        stats = accumulate_stats(data, parts)
-        eq = fit_mles(stats, parts, "equal")
-        uq = fit_mles(stats, parts, "unequal")
+        stats = accumulate_stats(data)
+        eq = fit_mles(stats, parts)
+        uq = fit_mles(stats, build_partition_set(3, "exhaustive", variance_mode="unequal"))
         j = int(rng.integers(data.p))
         z = np.concatenate([[0], parts.z])
         for m in range(parts.M):
@@ -126,8 +126,8 @@ def test_criterion_3_null_calibration():
         [str(k) for k in np.repeat([1, 2, 3], 50)],
     )
     parts = build_partition_set(3, "exhaustive")
-    stats = accumulate_stats(data, parts)
-    lam = lrt(stats, parts, fit_mles(stats, parts, "equal"))
+    stats = accumulate_stats(data)
+    lam = lrt(stats, parts, fit_mles(stats, parts))
     assert parts.nu[1] == 1
     q95 = float(np.quantile(lam[:, 1], 0.95))
     elapsed = time.perf_counter() - t0

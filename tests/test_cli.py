@@ -175,13 +175,28 @@ class TestTrain:
 GOOD = "label,x1,x2\na,0,1\na,2,3\nb,4,5\nb,6,7\n"
 
 
-def run_cli(*args):
-    """``python -m multida.cli`` with ``args``, in a real process."""
+def _python(*args):
+    """``python`` with ``args`` and this checkout's ``src`` on the path, in a
+    real process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "multida.cli", *map(str, args)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_cli(*args):
+    """``python -m multida.cli`` with ``args``, in a real process."""
+    return _python("-m", "multida.cli", *args)
+
+
+def test_import_leaves_thread_pool_unloaded():
+    """Only predict's worker pool needs ``concurrent.futures``, so starting
+    the CLI does not import it."""
+    result = _python("-c", "import sys, multida.cli; "
+                           "print('concurrent.futures' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def assert_one_error_line(result, message):
@@ -522,14 +537,13 @@ class TestSimulate:
         assert_one_error_line(result, message)
         assert not out.exists()
 
-    def test_consistency_honours_max_classes(self, runner, tmp_path):
+    def test_consistency_takes_prior_term(self, runner, tmp_path):
         out = tmp_path / "x.csv"
-        args = ["simulate", "--scenario", "fs-consistency", "--p", "20", "--k", "3",
-                "--n-grid", "30", "--replicates", "1", "--seed", "1", "--out", str(out)]
-        result = runner.invoke(main, [*args, "--max-classes", "2"])
-        assert_one_error_line(result, "exhaustive enumeration for K=3 would produce B_3")
-        assert not out.exists()
-        result = runner.invoke(main, [*args, "--max-classes", "3", "--prior-term", "plogp"])
+        result = runner.invoke(
+            main, ["simulate", "--scenario", "fs-consistency", "--p", "20", "--k", "3",
+                   "--n-grid", "30", "--replicates", "1", "--seed", "1", "--out", str(out),
+                   "--prior-term", "plogp"],
+        )
         assert result.exit_code == 0, result.output
         assert len(read_csv(out)) == 1 + 1
 
@@ -581,9 +595,10 @@ class TestPartitions:
         assert "nu: 0,2,2,2,4" in result.output
 
     def test_guard_exits_2(self, runner):
-        result = runner.invoke(main, ["partitions", "--k", "14"])
-        assert result.exit_code == 2
-        assert "Bell" in result.stderr
+        result = runner.invoke(main, ["partitions", "--k", "13"])
+        assert_one_error_line(
+            result, "exhaustive enumeration for K=13 would produce B_13 = 27644437 columns")
+        assert "K <= 12" in result.stderr
 
 
 class TestFilter:

@@ -310,7 +310,7 @@ class TestFilterFeatures:
         assert reduced.feature_names == ("f2", "f3", "f4")
 
     def test_class_median_below(self):
-        reduced, kept = filter_features(self._data(), ("class-median-below", 7.0))
+        reduced, kept = filter_features(self._data(), "class-median-below:7.0")
         # class medians: f1 (5,5), f2 (2,8), f3 (1.5,2), f4 (8.5,1.5);
         # only f2 and f4 clear 7 in some class
         assert kept == [1, 3]
@@ -323,7 +323,7 @@ class TestFilterFeatures:
         # medians (6.9, 6.5, 5.0) dropped at t=7; (7.2, 6.5, 5.0) kept
         X = np.array([[6.9, 7.2], [6.9, 7.2], [6.5, 6.5], [6.5, 6.5], [5.0, 5.0], [5.0, 5.0]])
         data = Dataset.from_arrays(X, ["a", "a", "b", "b", "c", "c"])
-        reduced, kept = filter_features(data, ("class-median-below", 7.0))
+        reduced, kept = filter_features(data, "class-median-below:7.0")
         assert kept == [1]
 
     def test_idempotent(self):
@@ -398,7 +398,7 @@ class TestModelRoundTrip:
         for m in (model, loaded):
             assert "_mles" not in vars(m) and "lam" not in vars(m)
             assert all(np.shape(v) != (p, m.parts.n_slots) for v in vars(m).values())
-        whole = fit_mles(model.stats, model.parts, variance_mode)
+        whole = fit_mles(model.stats, model.parts)
         gamma = gamma_weights(lrt(model.stats, model.parts, whole), model.parts.nu,
                               model.penalty)
         assert model.gamma[:, 1:].max() > 0.5  # the hypotheses carry weight

@@ -95,22 +95,22 @@ class TestPenalty:
 
 class TestSufficientStats:
     def test_hand_accumulation(self, toy_data, toy_parts):
-        stats = accumulate_stats(toy_data, toy_parts)
+        stats = accumulate_stats(toy_data)
         # class a holds 0, 2; class b holds 4, 6
         assert stats.n_k.tolist() == [2, 2]
         assert stats.mean[:, 0].tolist() == [1.0, 5.0]
         assert stats.m2[:, 0].tolist() == [2.0, 2.0]
 
     def test_null_slot_totals(self, toy_data, toy_parts):
-        stats = accumulate_stats(toy_data, toy_parts)
+        stats = accumulate_stats(toy_data)
         assert stats.n_k.sum() == toy_data.n
         assert (stats.n_k * stats.mean[:, 0]).sum() == TOY_X.sum()
-        mles = fit_mles(stats, toy_parts, "equal")
+        mles = fit_mles(stats, toy_parts)
         assert mles.mu[0, 0] == 3.0 and mles.sigma2[0, 0] == 5.0
 
     def test_single_sample_group(self):
         d = Dataset.from_arrays(np.array([[1.0], [2.0], [3.0]]), ["a", "b", "b"])
-        stats = accumulate_stats(d, build_partition_set(2, "exhaustive"))
+        stats = accumulate_stats(d)
         assert stats.n_k.tolist() == [1, 2]
         assert stats.mean[:, 0].tolist() == [1.0, 2.5]
         assert stats.m2[:, 0].tolist() == [0.0, 0.5]
@@ -121,9 +121,9 @@ class TestSufficientStats:
         rng = np.random.default_rng(52)
         data = random_dataset(rng, 40, 6, k)
         parts = build_partition_set(k, scheme)
-        stats = accumulate_stats(data, parts)
-        eq = fit_mles(stats, parts, "equal")
-        uq = fit_mles(stats, parts, "unequal")
+        stats = accumulate_stats(data)
+        eq = fit_mles(stats, parts)
+        uq = fit_mles(stats, build_partition_set(k, scheme, variance_mode="unequal"))
         z = np.concatenate([[0], parts.z])
         for m, col in enumerate(parts.columns):
             group_of_row = np.array(col)[data.y - 1]
@@ -140,21 +140,21 @@ class TestSufficientStats:
 
 class TestMles:
     def test_hand_values(self, toy_data, toy_parts):
-        stats = accumulate_stats(toy_data, toy_parts)
-        mles = fit_mles(stats, toy_parts, "equal")
+        stats = accumulate_stats(toy_data)
+        mles = fit_mles(stats, toy_parts)
         np.testing.assert_allclose(mles.mu[0], [3.0, 1.0, 5.0])
         np.testing.assert_allclose(mles.sigma2[0], [5.0, 1.0])
         np.testing.assert_allclose(mles.pi, [0.5, 0.5])
 
     def test_unequal_variances(self, toy_data, toy_parts):
-        stats = accumulate_stats(toy_data, toy_parts)
-        mles = fit_mles(stats, toy_parts, "unequal")
+        stats = accumulate_stats(toy_data)
+        mles = fit_mles(stats, build_partition_set(2, "exhaustive", variance_mode="unequal"))
         np.testing.assert_allclose(mles.sigma2[0], [5.0, 1.0, 1.0])
 
     def test_constant_feature_clamps_to_floor(self, toy_parts):
         d = Dataset.from_arrays(np.full((4, 1), 7.0), TOY_Y)
-        stats = accumulate_stats(d, toy_parts)
-        mles = fit_mles(stats, toy_parts, "equal")
+        stats = accumulate_stats(d)
+        mles = fit_mles(stats, toy_parts)
         np.testing.assert_allclose(mles.mu[0], [7.0, 7.0, 7.0])
         assert (mles.sigma2[0] == 1e-8).all()  # zero global variance -> 1e-8
 
@@ -162,9 +162,9 @@ class TestMles:
         rng = np.random.default_rng(3)
         data = random_dataset(rng, 24, 2, 3, min_per_class=3)
         parts = build_partition_set(3, "exhaustive")
-        stats = accumulate_stats(data, parts)
-        eq = fit_mles(stats, parts, "equal")
-        uq = fit_mles(stats, parts, "unequal")
+        stats = accumulate_stats(data)
+        eq = fit_mles(stats, parts)
+        uq = fit_mles(stats, build_partition_set(3, "exhaustive", variance_mode="unequal"))
         z = np.concatenate([[0], parts.z])
         for j in range(data.p):
             for m in range(parts.M):
@@ -185,7 +185,7 @@ class TestMles:
 def _assert_matches_slotwise(stats, parts):
     """fit_mles and lrt give the slot-wise merge's mu, sigma2 and lambda
     bit for bit."""
-    mles = fit_mles(stats, parts, parts.variance_mode)
+    mles = fit_mles(stats, parts)
     for name, got, want in zip(("mu", "sigma2", "lam"),
                                (mles.mu, mles.sigma2, lrt(stats, parts, mles)),
                                slotwise_mles(stats, parts, parts.variance_mode)):
@@ -203,7 +203,7 @@ class TestSubsetMerge:
         rng = np.random.default_rng([k, len(scheme), len(variance_mode)])
         data = random_dataset(rng, 5 * k, 7, k, min_per_class=2)
         parts = build_partition_set(k, scheme, variance_mode=variance_mode)
-        _assert_matches_slotwise(accumulate_stats(data, parts), parts)
+        _assert_matches_slotwise(accumulate_stats(data), parts)
 
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
     def test_user_groups_need_closure(self, variance_mode):
@@ -215,7 +215,7 @@ class TestSubsetMerge:
         assert {0b0111, 0b0011} <= masks
         assert not {0b0111, 0b0011} & set(parts.subsets.masks[parts.subsets.slot_rows].tolist())
         data = random_dataset(np.random.default_rng(5), 20, 6, 4, min_per_class=2)
-        _assert_matches_slotwise(accumulate_stats(data, parts), parts)
+        _assert_matches_slotwise(accumulate_stats(data), parts)
 
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
     def test_offset_data(self, variance_mode):
@@ -223,7 +223,7 @@ class TestSubsetMerge:
         data = random_dataset(rng, 30, 5, 4, min_per_class=2)
         data = Dataset.from_arrays(data.X + 1e8, [str(v) for v in data.y])
         parts = build_partition_set(4, "exhaustive", variance_mode=variance_mode)
-        _assert_matches_slotwise(accumulate_stats(data, parts), parts)
+        _assert_matches_slotwise(accumulate_stats(data), parts)
 
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
     def test_class_with_one_sample(self, variance_mode):
@@ -231,18 +231,18 @@ class TestSubsetMerge:
         y = ["1"] * 6 + ["2"] * 5 + ["3"]
         data = Dataset.from_arrays(rng.normal(size=(12, 4)), y)
         parts = build_partition_set(3, "exhaustive", variance_mode=variance_mode)
-        _assert_matches_slotwise(accumulate_stats(data, parts), parts)
+        _assert_matches_slotwise(accumulate_stats(data), parts)
 
 
 class TestLrt:
     def test_null_column_exactly_zero(self, toy_data, toy_parts):
-        stats = accumulate_stats(toy_data, toy_parts)
-        lam = lrt(stats, toy_parts, fit_mles(stats, toy_parts, "equal"))
+        stats = accumulate_stats(toy_data)
+        lam = lrt(stats, toy_parts, fit_mles(stats, toy_parts))
         assert lam[0, 0] == 0.0
 
     def test_hand_value(self, toy_data, toy_parts):
-        stats = accumulate_stats(toy_data, toy_parts)
-        lam = lrt(stats, toy_parts, fit_mles(stats, toy_parts, "equal"))
+        stats = accumulate_stats(toy_data)
+        lam = lrt(stats, toy_parts, fit_mles(stats, toy_parts))
         assert lam[0, 1] == pytest.approx(TOY_LAMBDA, rel=1e-12)
 
     def test_identical_groups_give_zero(self):
@@ -251,8 +251,8 @@ class TestLrt:
         y = np.repeat(["a", "b", "c"], 3)
         d = Dataset.from_arrays(x[:, None], y)
         parts = build_partition_set(3, "exhaustive")
-        stats = accumulate_stats(d, parts)
-        lam = lrt(stats, parts, fit_mles(stats, parts, "equal"))
+        stats = accumulate_stats(d)
+        lam = lrt(stats, parts, fit_mles(stats, parts))
         np.testing.assert_allclose(lam, 0.0, atol=1e-10)
 
     def test_lda_equals_qda_when_group_spreads_match(self):
@@ -263,9 +263,9 @@ class TestLrt:
         d = Dataset.from_arrays(x[:, None], y)
         parts_eq = build_partition_set(3, "exhaustive", variance_mode="equal")
         parts_uq = build_partition_set(3, "exhaustive", variance_mode="unequal")
-        stats = accumulate_stats(d, parts_eq)
-        lam_eq = lrt(stats, parts_eq, fit_mles(stats, parts_eq, "equal"))
-        lam_uq = lrt(stats, parts_uq, fit_mles(stats, parts_uq, "unequal"))
+        stats = accumulate_stats(d)
+        lam_eq = lrt(stats, parts_eq, fit_mles(stats, parts_eq))
+        lam_uq = lrt(stats, parts_uq, fit_mles(stats, parts_uq))
         np.testing.assert_allclose(lam_eq, lam_uq, atol=1e-10)
 
     def test_chi_square_calibration_light(self):
@@ -276,28 +276,28 @@ class TestLrt:
             rng.normal(size=(150, 500)), [str(k) for k in np.repeat([1, 2, 3], 50)]
         )
         parts = build_partition_set(3, "exhaustive")
-        stats = accumulate_stats(d, parts)
-        lam = lrt(stats, parts, fit_mles(stats, parts, "equal"))
+        stats = accumulate_stats(d)
+        lam = lrt(stats, parts, fit_mles(stats, parts))
         med = float(np.median(lam[:, 1]))
         assert 0.25 < med < 0.70  # chi2(1) median is 0.455
 
 
 class TestGammaWeights:
     def test_uniform_when_unpenalized(self):
-        lam = np.zeros(5)
+        lam = np.zeros((1, 5))
         nu = np.array([0, 1, 1, 1, 2])
         w = gamma_weights(lam, nu, PenaltyConfig("custom", 0.0))
         np.testing.assert_allclose(w, 0.2)
 
     def test_toy_value(self):
-        lam = np.array([0.0, TOY_LAMBDA])
+        lam = np.array([[0.0, TOY_LAMBDA]])
         w = gamma_weights(lam, np.array([0, 1]), PenaltyConfig("custom", math.log(4.0)))
-        np.testing.assert_allclose(w, TOY_GAMMA, rtol=1e-12)
+        np.testing.assert_allclose(w[0], TOY_GAMMA, rtol=1e-12)
 
     def test_inadmissible_gets_zero(self):
-        lam = np.array([0.0, -np.inf])
+        lam = np.array([[0.0, -np.inf]])
         w = gamma_weights(lam, np.array([0, 1]), PenaltyConfig("custom", 1.0))
-        np.testing.assert_allclose(w, [1.0, 0.0])
+        np.testing.assert_allclose(w[0], [1.0, 0.0])
 
     @given(
         st.integers(0, 2**31 - 1),
@@ -312,8 +312,8 @@ class TestGammaWeights:
         nu = np.concatenate([[0], rng.integers(1, 4, size=m - 1)])
         pen_low = PenaltyConfig("custom", c_low)
         pen_high = PenaltyConfig("custom", c_low + gap)
-        w_low = gamma_weights(lam, nu, pen_low)
-        w_high = gamma_weights(lam, nu, pen_high)
+        w_low = gamma_weights(lam[None, :], nu, pen_low)[0]
+        w_high = gamma_weights(lam[None, :], nu, pen_high)[0]
         for w in (w_low, w_high):
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
             assert (w >= 0).all() and (w <= 1).all()
@@ -330,7 +330,7 @@ class TestGammaWeights:
         pen = PenaltyConfig("custom", 0.7)
         full = gamma_weights(lam, nu, pen)
         for j in range(2):
-            np.testing.assert_allclose(full[j], gamma_weights(lam[j], nu, pen))
+            np.testing.assert_allclose(full[j], gamma_weights(lam[j:j + 1], nu, pen)[0])
 
 
 class TestPosteriorOracle:
@@ -342,7 +342,7 @@ class TestPosteriorOracle:
             p = int(rng.integers(1, 4))
             data = random_dataset(rng, n, p, 3, min_per_class=3)
             parts = build_partition_set(3, "exhaustive", variance_mode=variance_mode)
-            model = fit(data, parts, penalty="ebic", variance_mode=variance_mode)
+            model = fit(data, penalty="ebic", variance_mode=variance_mode)
             C = model.penalty.C
             for j in range(p):
                 want = bruteforce_posterior(
@@ -387,12 +387,6 @@ class TestFit:
     def test_errors(self, toy_data):
         with pytest.raises(ValidationError, match="K\\+1"):
             fit(Dataset.from_arrays(np.zeros((2, 1)), ["a", "b"]))
-        parts3 = build_partition_set(3, "exhaustive")
-        with pytest.raises(ValidationError, match="K=3"):
-            fit(toy_data, parts3)
-        parts_uq = build_partition_set(2, "exhaustive", variance_mode="unequal")
-        with pytest.raises(ValidationError, match="variance_mode"):
-            fit(toy_data, parts_uq, variance_mode="equal")
         with pytest.raises(ValidationError, match="threads must be >= 0"):
             fit(toy_data, threads=-1)
 
@@ -453,9 +447,9 @@ class TestModelFromStats:
     def test_request_resolves_as_fit(self, penalty, variance_mode):
         data = random_dataset(np.random.default_rng(3), 40, 30, 3, min_per_class=4)
         parts = build_partition_set(3, "exhaustive", variance_mode=variance_mode)
-        model = self._derive(accumulate_stats(data, parts), parts, penalty=penalty,
+        model = self._derive(accumulate_stats(data), parts, penalty=penalty,
                              class_labels=data.class_labels)
-        want = fit(data, parts, penalty=penalty, variance_mode=variance_mode)
+        want = fit(data, penalty=penalty, variance_mode=variance_mode)
         assert model.penalty == want.penalty == PenaltyConfig.resolve(penalty, 40, 30)
         for f in ("gamma", "Q", "L", "c", "mu_null"):
             assert np.array_equal(getattr(model, f), getattr(want, f)), f
@@ -468,14 +462,14 @@ class TestModelFromStats:
     ], ids=["one-class", "n-below-K+1", "no-features", "prior-mode"])
     def test_untrainable_statistics_rejected(self, n_k, p, prior, message):
         k = len(n_k)
-        stats = SufficientStats(n=sum(n_k), n_k=np.array(n_k), mean=np.zeros((k, p)),
+        stats = SufficientStats(n_k=np.array(n_k), mean=np.zeros((k, p)),
                                 m2=np.ones((k, p)))
         parts = build_partition_set(k, "exhaustive")
         with pytest.raises(ValidationError, match=message):
             self._derive(stats, parts, prior_term_mode=prior)
 
     def test_result_is_validated(self):
-        stats = SufficientStats(n=6, n_k=np.array([3, 3]),
+        stats = SufficientStats(n_k=np.array([3, 3]),
                                 mean=np.array([[0.0, np.nan], [1.0, 2.0]]),
                                 m2=np.ones((2, 2)))
         with pytest.raises(NumericError, match="class_means holds a non-finite "

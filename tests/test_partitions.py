@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from multida import ValidationError
 from multida.partitions import (
+    MAX_CLASSES,
     PartitionSet,
     allocation_matrix,
     bell_number,
@@ -68,12 +69,13 @@ class TestEnumeration:
         assert keys == sorted(keys)
 
     def test_guard_refuses_large_k(self):
-        with pytest.raises(ValidationError, match="1,382,958,545"):
+        assert MAX_CLASSES == 12
+        message = (r"exhaustive enumeration for K=13 would produce B_13 = 27644437 columns;"
+                   r".*\(B_15 = 1,382,958,545\), so it takes K <= 12\.$")
+        with pytest.raises(ValidationError, match=message):
             enumerate_exhaustive(13)
-        # override enumerates (cheap check at 13 would be huge; use bound bump at small K)
-        assert len(enumerate_exhaustive(4, max_classes=4)) == 15
-        with pytest.raises(ValidationError):
-            enumerate_exhaustive(5, max_classes=4)
+        with pytest.raises(ValidationError, match=message):
+            build_partition_set(13)
 
 
 class TestCanonicalization:

@@ -277,7 +277,6 @@ class TestConsistencySweep:
         assert isinstance(row["fit_seconds"], float)
 
     @pytest.mark.parametrize("setting, message", [
-        ({"max_classes": 2}, "exhaustive enumeration for K=3"),
         ({"prior_term_mode": "bogus"}, "unknown prior term mode 'bogus'"),
     ])
     def test_fit_settings_reach_the_fit(self, setting, message):
@@ -355,13 +354,11 @@ class TestCrossValidate:
         data, _ = gen_independent(SimSpec("ind-unequal-var", n=53, p=30, K=4, seed=6))
         data = Dataset.from_arrays(data.X * 3.0 + 50.0,
                                    [data.class_labels[c - 1] for c in data.y])
-        parts = build_partition_set(4, "exhaustive")
         test_sets = _stratified_folds(data.y, folds, np.random.default_rng(1))
-        for test_idx, (test, train) in zip(test_sets,
-                                           _cv_folds(data, parts, test_sets)):
+        for test_idx, (test, train) in zip(test_sets, _cv_folds(data, test_sets)):
             assert np.array_equal(test.X, data.X[test_idx])
             want = accumulate_stats(
-                data.subset(np.setdiff1d(np.arange(data.n), test_idx)), parts)
+                data.subset(np.setdiff1d(np.arange(data.n), test_idx)))
             assert train.n == want.n
             assert np.array_equal(train.n_k, want.n_k)
             np.testing.assert_allclose(train.mean, want.mean, rtol=1e-12, atol=0)
