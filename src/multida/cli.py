@@ -104,7 +104,7 @@ def _schema(label_col: str, no_header: bool, delimiter: str, *,
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -369,7 +369,7 @@ def partitions(k, scheme, variance, out):
     lines.extend(",".join(str(v) for v in row) for row in ps.A)
     text = "\n".join(lines)
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         click.echo(f"partition listing -> {out}")
     else:

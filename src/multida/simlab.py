@@ -421,7 +421,7 @@ def consistency_sweep(
 ) -> list[dict]:
     """Feature-selection error across sample sizes: each replicate is
     generated, fitted over every exhaustive partition (so ``k`` is at most
-    ``partitions.MAX_CLASSES``) and scored by ``selection_error``.  One
+    ``partitions.MAX_CLASSES`` = 9) and scored by ``selection_error``.  One
     row per (n, p, K, replicate) with the ``SimReport`` metrics
     (``fit_seconds`` times the fit alone), directly writable as tidy CSV."""
     if len(n_values) == 0:

@@ -175,19 +175,19 @@ class TestTrain:
 GOOD = "label,x1,x2\na,0,1\na,2,3\nb,4,5\nb,6,7\n"
 
 
-def _python(*args):
+def _python(*args, env=None):
     """``python`` with ``args`` and this checkout's ``src`` on the path, in a
-    real process."""
+    real process; ``env`` adds to the environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
+    env = {**os.environ, **(env or {}),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     """``python -m multida.cli`` with ``args``, in a real process."""
-    return _python("-m", "multida.cli", *args)
+    return _python("-m", "multida.cli", *args, env=env)
 
 
 def test_import_leaves_thread_pool_unloaded():
@@ -210,6 +210,40 @@ def assert_one_error_line(result, message):
     assert lines[0].startswith("config: ")
     assert len(lines) == 2
     assert lines[1].startswith(f"error: {message}")
+
+
+#: a process whose locale encoding is ASCII (the C locale, with neither
+#: UTF-8 mode nor locale coercion), and in which an ``open`` that falls
+#: back on the locale's encoding raises
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+                "PYTHONWARNDEFAULTENCODING": "1", "PYTHONWARNINGS": "error::EncodingWarning"}
+
+
+class TestTextEncoding:
+    """The CLI writes every text file as UTF-8, as it reads its inputs,
+    whatever the locale."""
+
+    @pytest.mark.parametrize("command", ["train", "predict", "partitions", "simulate"])
+    def test_ascii_locale(self, tmp_path, command):
+        data = tmp_path / "d.csv"
+        data.write_text("label,é1,x2\n" + "".join(
+            f"{'ab'[i % 2]},{4.0 * (i % 2) + i / 20},{i % 3}\n" for i in range(20)),
+            encoding="utf-8")
+        model, out = tmp_path / "m.json", tmp_path / "out.txt"
+        save_model(fit(load_dataset(data)), model)
+        args = {
+            "train": ["train", data, "--out", model, "--features-out", out, "--seed", "1"],
+            "predict": ["predict", data, "--model", model, "--out", out, "--seed", "1"],
+            "partitions": ["partitions", "--k", "3", "--out", out],
+            "simulate": ["simulate", "--scenario", "ind-equal-var", "--n", "40", "--p", "20",
+                         "--k", "3", "--folds", "2", "--trials", "1", "--seed", "1",
+                         "--out", out],
+        }[command]
+        result = run_cli(*args, env=ASCII_LOCALE)
+        assert result.returncode == 0, result.stderr
+        text = out.read_text(encoding="utf-8")
+        if command == "train":
+            assert text.splitlines()[1].startswith("é1,")
 
 
 class TestBadCsvSubprocess:
@@ -595,10 +629,10 @@ class TestPartitions:
         assert "nu: 0,2,2,2,4" in result.output
 
     def test_guard_exits_2(self, runner):
-        result = runner.invoke(main, ["partitions", "--k", "13"])
+        result = runner.invoke(main, ["partitions", "--k", "10"])
         assert_one_error_line(
-            result, "exhaustive enumeration for K=13 would produce B_13 = 27644437 columns")
-        assert "K <= 12" in result.stderr
+            result, "exhaustive enumeration for K=10 would produce B_10 = 115975 columns")
+        assert "K <= 9" in result.stderr
 
 
 class TestFilter:

@@ -250,21 +250,80 @@ class TestStreamingReader:
         assert data.X.tobytes() == np.array([[0.0], [1.0], [2.0], [3.0]]).tobytes()
 
 
+def _save_dataset_per_cell(data, path, *, label_name="label", delimiter=","):
+    """``save_dataset`` written with ``csv.writer.writerows``, every value
+    a cell: the reference for the joined-row writer."""
+    labels = data.class_labels
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        writer.writerow([label_name, *data.feature_names])
+        writer.writerows(
+            [labels[code - 1], *map(repr, row)]
+            for code, row in zip(data.y.tolist(), data.X.tolist())
+        )
+
+
+def _written(save, data, path, **kwargs):
+    """The bytes a writer leaves, and the error it raised (None when none)."""
+    try:
+        save(data, path, **kwargs)
+        error = None
+    except Exception as exc:  # compared with the reference's, whatever it is
+        error = type(exc), str(exc)
+    return path.read_bytes() if path.exists() else None, error
+
+
+#: delimiters to weight: common ones, the csv module's specials and what a
+#: float's repr holds
+CSV_CHARS = list('.e-+0"\'\t\n\r ,;')
+EDGE_FLOATS = [-0.0, 5e-324, 1e-300, 1e16, 1.7976931348623157e308]
+
+
+@st.composite
+def datasets_to_save(draw):
+    """A small Dataset and the delimiter and label name to save it with;
+    names and labels may hold the delimiter, quotes, line breaks or
+    nothing, and one label may hold a lone surrogate."""
+    char = st.characters(blacklist_categories=["Cs"])
+    delim = draw(char if draw(st.integers(0, 3)) == 0 else st.sampled_from(CSV_CHARS))
+    piece = st.one_of(st.sampled_from([delim, '"', "'", "\r", "\n", "\r\n"]), char)
+    text = st.lists(piece, max_size=5).map("".join)
+    labels = draw(st.lists(text, min_size=2, max_size=3, unique=True))
+    if draw(st.integers(0, 9)) == 5:  # hypothesis favours the ends of a range
+        labels[-1] += "\ud800"  # not UTF-8: the write fails on its first row
+    y = labels + draw(st.lists(st.sampled_from(labels), max_size=3))
+    n, p = len(y), draw(st.integers(1, 5)) % 5  # no features now and then
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p))
+    for i in range(n):
+        for j in range(p):
+            if draw(st.booleans()):
+                X[i, j] = draw(st.sampled_from(EDGE_FLOATS)) * draw(st.sampled_from([1, -1]))
+    names = [draw(text) for _ in range(p)]
+    return Dataset.from_arrays(X, y, feature_names=names), delim, draw(text)
+
+
 class TestSaveDataset:
-    def test_bytes_match_per_cell_repr(self, tmp_path):
-        X = np.array([[0.1, -0.0, 1e-300, 5e-324],
-                      [1e16, 2.5, -7.0, 1 / 3]])
-        data = Dataset.from_arrays(X, ["a,b", "c"], feature_names=["f1", "f 2", "f,3", "f4"])
-        out = tmp_path / "d.csv"
-        save_dataset(data, out, delimiter=";")
-        expected = tmp_path / "expected.csv"
-        with open(expected, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, delimiter=";")
-            writer.writerow(["label", *data.feature_names])
-            for i in range(data.n):
-                writer.writerow([data.class_labels[data.y[i] - 1]]
-                                + [repr(float(v)) for v in data.X[i]])
-        assert out.read_bytes() == expected.read_bytes()
+    @given(case=datasets_to_save())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_bytes_match_per_cell_repr(self, tmp_path_factory, case):
+        """The joined rows are byte for byte what ``csv.writer`` writes
+        with each value as its repr, or the same error is raised; a file
+        ``load_dataset`` reads back gives bit-identical values."""
+        data, delim, label_name = case
+        tmp = tmp_path_factory.mktemp("save")
+        kwargs = {"label_name": label_name, "delimiter": delim}
+        got = _written(save_dataset, data, tmp / "d.csv", **kwargs)
+        assert got == _written(_save_dataset_per_cell, data, tmp / "ref.csv", **kwargs)
+        if got[1] is not None:
+            return
+        try:
+            back = load_dataset(tmp / "d.csv", CsvSchema(label_column=label_name,
+                                                         delimiter=delim))
+        except MultidaError:
+            return
+        assert back.X.shape == data.X.shape
+        assert back.X.tobytes() == data.X.tobytes()
 
 
 class TestLoadMatrix:

@@ -69,13 +69,13 @@ class TestEnumeration:
         assert keys == sorted(keys)
 
     def test_guard_refuses_large_k(self):
-        assert MAX_CLASSES == 12
-        message = (r"exhaustive enumeration for K=13 would produce B_13 = 27644437 columns;"
-                   r".*\(B_15 = 1,382,958,545\), so it takes K <= 12\.$")
+        assert MAX_CLASSES == 9
+        message = (r"exhaustive enumeration for K=10 would produce B_10 = 115975 columns;"
+                   r".*\(B_15 = 1,382,958,545\), so it takes K <= 9\.$")
         with pytest.raises(ValidationError, match=message):
-            enumerate_exhaustive(13)
+            enumerate_exhaustive(10)
         with pytest.raises(ValidationError, match=message):
-            build_partition_set(13)
+            build_partition_set(10)
 
 
 class TestCanonicalization:
