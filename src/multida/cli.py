@@ -54,7 +54,7 @@ def _guarded(fn):
         except (ValidationError, FormatError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        except NumericError as exc:
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(3)
 
@@ -73,20 +73,22 @@ def _log_config(command: str, **params) -> None:
     )
 
 
-def _parse_scheme(scheme: str) -> tuple[str, np.ndarray | None]:
-    """Split a --scheme value into (name, optional user matrix)."""
+def _parse_scheme(scheme: str) -> str | np.ndarray:
+    """The hypothesis set a --scheme value names: a scheme name, or the
+    matrix S read from the file of ``user:<path>``."""
     if scheme.startswith("user:"):
         path = scheme.split(":", 1)[1]
         if not path:
             raise ValidationError("--scheme user:<path> needs a file path")
         try:
-            matrix = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+            matrix = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2,
+                                encoding="utf-8")
         except OSError as exc:
             raise ValidationError(f"cannot read partition matrix: {exc}") from None
         except ValueError as exc:
             raise FormatError(f"{path}: not an integer CSV matrix ({exc})") from None
-        return "user", matrix
-    return scheme, None
+        return matrix
+    return scheme
 
 
 def _schema(label_col: str, no_header: bool, delimiter: str, *,
@@ -175,12 +177,11 @@ def main():
 def train(input, out, features_out, threshold, penalty, variance, scheme,
           prior_term, label_col, no_header, delimiter, seed, threads):
     """Fit a model on a labeled CSV and write it to disk."""
-    scheme_name, user_matrix = _parse_scheme(scheme)
+    scheme = _parse_scheme(scheme)
     data = load_dataset(input, _schema(label_col, no_header, delimiter))
     model = fit(
         data,
-        scheme=scheme_name,
-        user_matrix=user_matrix,
+        scheme=scheme,
         penalty=penalty,
         variance_mode=variance,
         prior_term_mode=prior_term,
@@ -242,11 +243,11 @@ def predict_cmd(input, model, out, label_col, no_header, delimiter, seed, thread
 def cv(input, folds, trials, out, penalty, variance, scheme, prior_term,
        label_col, no_header, delimiter, seed, threads):
     """Repeated stratified k-fold cross-validation on a labeled CSV."""
-    scheme_name, user_matrix = _parse_scheme(scheme)
+    scheme = _parse_scheme(scheme)
     data = load_dataset(input, _schema(label_col, no_header, delimiter))
     result = cross_validate(
-        data, folds, trials, seed=seed, scheme=scheme_name,
-        user_matrix=user_matrix, penalty=penalty, variance_mode=variance,
+        data, folds, trials, seed=seed, scheme=scheme,
+        penalty=penalty, variance_mode=variance,
         prior_term_mode=prior_term, threads=threads,
     )
     _write_csv(
@@ -286,9 +287,8 @@ def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
              variance, scheme, prior_term, seed, threads):
     """Run a synthetic scenario: a selection-consistency sweep or a
     cross-validated prediction benchmark, written as tidy CSV."""
-    scheme_name, user_matrix = _parse_scheme(scheme)
     if scenario == "fs-consistency":
-        if scheme_name != "exhaustive":
+        if scheme != "exhaustive":
             raise ValidationError(
                 f"--scheme {scheme}: fs-consistency scores selection against "
                 "every exhaustive partition, so it needs --scheme exhaustive"
@@ -309,6 +309,7 @@ def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
         )
         click.echo(f"{len(rows)} rows ({replicates} replicates per grid point) -> {out}")
         return
+    scheme = _parse_scheme(scheme)
     spec = SimSpec(
         scenario=scenario,
         n=n,
@@ -324,8 +325,8 @@ def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
     data, _ = generate(spec)
     t0 = time.perf_counter()
     result = cross_validate(
-        data, folds, trials, seed=seed, scheme=scheme_name,
-        user_matrix=user_matrix, penalty=penalty, variance_mode=variance,
+        data, folds, trials, seed=seed, scheme=scheme,
+        penalty=penalty, variance_mode=variance,
         prior_term_mode=prior_term, threads=threads,
     )
     elapsed = time.perf_counter() - t0
@@ -356,9 +357,7 @@ def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
 def partitions(k, scheme, variance, out):
     """Print the hypothesis matrix S with G, nu, z and the allocation
     matrix A for a class count and scheme."""
-    scheme_name, user_matrix = _parse_scheme(scheme)
-    ps = build_partition_set(k, scheme_name, user_matrix=user_matrix,
-                             variance_mode=variance)
+    ps = build_partition_set(k, _parse_scheme(scheme), variance_mode=variance)
     lines = [f"scheme={ps.scheme} K={ps.K} M={ps.M} variance={ps.variance_mode}", "S:"]
     for row in range(ps.K):
         lines.append(",".join(str(col[row]) for col in ps.columns))

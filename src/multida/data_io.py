@@ -33,6 +33,16 @@ from . import estimator
 MODEL_SCHEMA_VERSION = 2
 
 
+def _check_delimiter(delimiter: str) -> None:
+    """Refuse a delimiter the csv module cannot take (anything but one
+    character) or cannot tell from the end of a row (a line break)."""
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ValidationError(f"delimiter must be one character, got {delimiter!r}")
+    if delimiter in "\r\n":
+        raise ValidationError(
+            f"delimiter must be one character other than a line break, got {delimiter!r}")
+
+
 @dataclass(frozen=True)
 class CsvSchema:
     """How to read a delimited matrix file."""
@@ -42,10 +52,7 @@ class CsvSchema:
     delimiter: str = ","
 
     def __post_init__(self):
-        # the csv module takes only a one-character delimiter
-        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
-            raise ValidationError(
-                f"delimiter must be one character, got {self.delimiter!r}")
+        _check_delimiter(self.delimiter)
 
 
 def _parse_cell(path: str | Path, text: str, row: int, col_name: str) -> float:
@@ -237,9 +244,7 @@ def _read_table(
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             table = _read_plain(path, fh, schema, labeled)
-    # UnicodeDecodeError is a ValueError; loadtxt raises TypeError for a
-    # newline delimiter, which the csv module takes
-    except (ValueError, TypeError, csv.Error, MultidaError):
+    except (ValueError, csv.Error, MultidaError):  # UnicodeDecodeError is a ValueError
         table = None
     return table if table is not None else _read_rows(path, schema, labeled=labeled)
 
@@ -288,7 +293,10 @@ def save_dataset(data: Dataset, path: str | Path, *,
     ``_REPR_CHARS`` never is.  Rows are converted one at a time, so
     neither the file's text nor the matrix as Python floats is held
     whole.  The time left is ``float.__repr__``, about 1 us per value.
+    The delimiter is checked as ``CsvSchema`` checks it, before the file
+    is opened.
     """
+    _check_delimiter(delimiter)
     end = csv.excel.lineterminator
 
     def prefix(label: str) -> str:

@@ -301,7 +301,7 @@ class FittedModel:
     @cached_property
     def lam(self) -> np.ndarray:
         with np.errstate(all="ignore"):
-            return _as_readonly(lrt(self.stats, self.parts, self._mles))
+            return _as_readonly(lrt(self._mles))
 
 
 @dataclass(frozen=True)
@@ -470,11 +470,13 @@ def fit_mles(stats: SufficientStats, parts: PartitionSet) -> Mles:
                 pi=stats.n_k / n, variance_floor=floor, admissible=admissible)
 
 
-def lrt(stats: SufficientStats, parts: PartitionSet, mles: Mles) -> np.ndarray:
-    """Likelihood ratio statistics of every hypothesis against the null,
-    as a p x M matrix.  Column 1 is exactly zero; inadmissible columns are
-    ``-inf`` so they carry no weight downstream."""
-    n = stats.n
+def lrt(mles: Mles) -> np.ndarray:
+    """Likelihood ratio statistics of every hypothesis of ``mles.parts``
+    against the null, as a p x M matrix; n is the count of the last subset,
+    which holds every class.  Column 1 is exactly zero; inadmissible
+    columns are ``-inf`` so they carry no weight downstream."""
+    parts = mles.parts
+    n = mles.count[-1]
     if parts.variance_mode == "equal":
         lam = n * (mles.log_var[:1] - mles.log_var)
     else:
@@ -503,8 +505,7 @@ def gamma_weights(lam: np.ndarray, nu: np.ndarray, penalty: PenaltyConfig) -> np
 def fit(
     data: Dataset,
     *,
-    scheme: str = "exhaustive",
-    user_matrix: np.ndarray | None = None,
+    scheme: str | np.ndarray = "exhaustive",
     penalty: str | PenaltyConfig = "ebic",
     variance_mode: str = "equal",
     prior_term_mode: str = "log",
@@ -513,14 +514,13 @@ def fit(
     """Fit a multiDA model: sufficient statistics, closed-form MLEs,
     penalized LRT statistics and posterior hypothesis weights.
 
-    The hypothesis set is built from ``scheme`` (with ``user_matrix`` for
-    ``"user"``) and ``variance_mode`` for ``data.K`` classes by
+    The hypothesis set is built from ``scheme``, a scheme name or the
+    K x M matrix S, and ``variance_mode`` for ``data.K`` classes by
     ``build_partition_set``.  The fit runs on one thread; ``threads`` is
     only checked (>= 0), so the output is identical for any thread count.
     Warns when no non-null hypothesis is admissible.
     """
-    parts = build_partition_set(data.K, scheme, user_matrix=user_matrix,
-                                variance_mode=variance_mode)
+    parts = build_partition_set(data.K, scheme, variance_mode=variance_mode)
     _resolve_threads(threads)
     model = model_from_stats(
         accumulate_stats(data), parts, penalty=penalty,
@@ -595,8 +595,7 @@ def model_from_stats(
         for cols in _column_blocks(p, COEF_BLOCK):
             block = SufficientStats(stats.n_k, stats.mean[:, cols], stats.m2[:, cols])
             mles = fit_mles(block, parts)
-            gamma_t[:, cols] = g = gamma_weights(lrt(block, parts, mles), parts.nu,
-                                                 penalty).T
+            gamma_t[:, cols] = g = gamma_weights(lrt(mles), parts.nu, penalty).T
             # per subset (S x block): the weight of its squared deviation,
             # summed over the hypotheses that hold it as a group
             if parts.variance_mode == "equal":

@@ -304,43 +304,44 @@ def _validate_user_matrix(matrix: np.ndarray, k: int) -> list[Column]:
     return columns
 
 
+#: The hypothesis sets built by name; a user set is given as its matrix S.
+_NAMED_SCHEMES = {
+    "exhaustive": enumerate_exhaustive,
+    "onevsrest": one_vs_rest_columns,
+    "ordinal": ordinal_columns,
+}
+
+
 def build_partition_set(
     k: int,
-    scheme: str = "exhaustive",
+    scheme: str | np.ndarray | Sequence[Sequence[int]] = "exhaustive",
     *,
-    user_matrix: np.ndarray | Sequence[Sequence[int]] | None = None,
     variance_mode: str = "equal",
 ) -> PartitionSet:
-    """Construct the hypothesis set for ``k`` classes under a scheme.
+    """Construct the hypothesis set for ``k`` classes.
 
+    ``scheme`` is a scheme name or the K x M integer matrix S itself.
     ``exhaustive`` enumerates all B_k partitions (K <= ``MAX_CLASSES`` = 9,
-    see ``enumerate_exhaustive``), ``onevsrest`` the null
-    plus every single-class-versus-rest split, ``ordinal`` all contiguous
-    interval partitions, and ``user`` canonicalizes and deduplicates a
-    supplied K x M integer matrix (the null column is prepended when
-    missing).  Columns are sorted by group count, then lexicographically.
+    see ``enumerate_exhaustive``), ``onevsrest`` the null plus every
+    single-class-versus-rest split and ``ordinal`` all contiguous interval
+    partitions.  A matrix is canonicalized and deduplicated, with the null
+    column prepended when missing, and the set is labelled ``user``.
+    Columns are sorted by group count, then lexicographically.
     """
-    _check_config(scheme, variance_mode)
-    if scheme == "user":
-        if user_matrix is None:
-            raise ValidationError("scheme 'user' requires a partition matrix")
-        raw = _validate_user_matrix(np.asarray(user_matrix, dtype=np.int64), k)
-        dedup = sorted({canonicalize(c) for c in raw}, key=_column_sort_key)
-        null = (1,) * k
-        columns = dedup if dedup[0] == null else [null] + dedup
-    else:
-        if user_matrix is not None:
-            raise ValidationError(f"scheme {scheme!r} does not take a partition matrix")
+    if isinstance(scheme, str):
+        if scheme not in _NAMED_SCHEMES:
+            raise ValidationError(
+                f"unknown scheme {scheme!r}; expected one of {tuple(_NAMED_SCHEMES)} "
+                "or the K x M partition matrix itself"
+            )
         if k < 1:
             raise ValidationError("class count must be at least 1")
-        if scheme == "exhaustive":
-            columns = enumerate_exhaustive(k)
-        elif scheme == "onevsrest":
-            columns = one_vs_rest_columns(k)
-        else:
-            columns = ordinal_columns(k)
-
-    return partition_set_from_columns(columns, scheme, variance_mode)
+        return partition_set_from_columns(_NAMED_SCHEMES[scheme](k), scheme, variance_mode)
+    raw = _validate_user_matrix(np.asarray(scheme, dtype=np.int64), k)
+    dedup = sorted({canonicalize(c) for c in raw}, key=_column_sort_key)
+    null = (1,) * k
+    columns = dedup if dedup[0] == null else [null] + dedup
+    return partition_set_from_columns(columns, "user", variance_mode)
 
 
 def _check_config(scheme: str, variance_mode: str) -> None:

@@ -11,7 +11,6 @@ checked entry from statistics to a model, so a fold is checked as a fit is.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, fields, replace
@@ -38,8 +37,6 @@ from .partitions import (
     enumerate_exhaustive,
     refines,
 )
-
-logger = logging.getLogger(__name__)
 
 INDEPENDENT_SCENARIOS = ("fs-consistency", "ind-equal-var", "ind-unequal-var")
 DEPENDENT_SCENARIOS = ("dep-equal-cov", "dep-unequal-cov")
@@ -163,10 +160,6 @@ def _class_allocation(n: int, k: int) -> np.ndarray:
     base, rem = divmod(n, k)
     counts = np.full(k, base, dtype=np.int64)
     counts[:rem] += 1
-    if rem:
-        logger.info(
-            "n=%d not divisible by K=%d; class counts %s", n, k, counts.tolist()
-        )
     return counts
 
 
@@ -360,19 +353,6 @@ def generate(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
     return gen_dependent(spec)
 
 
-def _refinement_masks(columns: Sequence[Column]) -> tuple[np.ndarray, np.ndarray]:
-    """(over, under) boolean masks: ``over[m0, m]`` marks m a strict
-    refinement of m0, ``under[m0, m]`` any other wrong hypothesis."""
-    m = len(columns)
-    over = np.zeros((m, m), dtype=bool)
-    for m0 in range(m):
-        for mm in range(m):
-            if mm != m0 and refines(columns[mm], columns[m0]):
-                over[m0, mm] = True
-    under = ~over & ~np.eye(m, dtype=bool)
-    return over, under
-
-
 def selection_error(model: FittedModel, truth: TruthAssignment) -> SimReport:
     """Soft selection error ``E = sum |gamma - gamma0|`` with its
     overfitting/underfitting decomposition and the hard misassignment
@@ -390,11 +370,18 @@ def selection_error(model: FittedModel, truth: TruthAssignment) -> SimReport:
         raise ValidationError(
             f"model gamma is {model.gamma.shape}, truth needs {(p, m)}"
         )
-    over, under = _refinement_masks(truth.columns)
     tc = truth.true_column
+    cols = truth.columns
+    # row u of over marks the strict refinements of true column true_cols[u],
+    # row u of under every other wrong hypothesis; only true columns get a row
+    true_cols, row = np.unique(tc, return_inverse=True)
+    over = np.array([[m != m0 and refines(c, cols[m0]) for m, c in enumerate(cols)]
+                     for m0 in true_cols], dtype=bool)
+    under = ~over
+    under[np.arange(len(true_cols)), true_cols] = False
     e_soft = float(np.abs(model.gamma - truth.gamma0).sum())
-    e_over = 2.0 * float((model.gamma * over[tc]).sum())
-    e_under = 2.0 * float((model.gamma * under[tc]).sum())
+    e_over = 2.0 * float((model.gamma * over[row]).sum())
+    e_under = 2.0 * float((model.gamma * under[row]).sum())
     hard = float(np.mean(np.argmax(model.gamma, axis=1) != tc))
     return SimReport(
         E=e_soft,
@@ -489,8 +476,7 @@ def cross_validate(
     trials: int = 50,
     *,
     seed: int = 0,
-    scheme: str = "exhaustive",
-    user_matrix: np.ndarray | None = None,
+    scheme: str | np.ndarray = "exhaustive",
     penalty: str = "ebic",
     variance_mode: str = "equal",
     prior_term_mode: str = "log",
@@ -501,18 +487,18 @@ def cross_validate(
     Fold assignments for trial ``t`` come from an independent stream
     seeded by (seed, t), so any subset of trials can be reproduced or run
     concurrently without changing results.  The partition set is built
-    once.  Each fold's model comes from one ``model_from_stats`` call, with
-    the checks and the penalty of a fit, on its training statistics,
-    merged from per-fold class statistics (``_cv_folds``); the training
-    rows are never copied or refitted.  ``threads`` splits each fold's
+    once, from ``scheme`` (a scheme name or the K x M matrix S).  Each
+    fold's model comes from one ``model_from_stats`` call, with the checks
+    and the penalty of a fit, on its training statistics, merged from
+    per-fold class statistics (``_cv_folds``); the training rows are never
+    copied or refitted.  ``threads`` splits each fold's
     prediction rows.
     """
     if folds < 2:
         raise ValidationError("need at least 2 folds")
     if trials < 1:
         raise ValidationError("need at least 1 trial")
-    parts = build_partition_set(data.K, scheme, user_matrix=user_matrix,
-                                variance_mode=variance_mode)
+    parts = build_partition_set(data.K, scheme, variance_mode=variance_mode)
     rows: list[CvRow] = []
     per_trial = np.empty(trials)
     for t in range(trials):

@@ -127,7 +127,7 @@ def test_criterion_3_null_calibration():
     )
     parts = build_partition_set(3, "exhaustive")
     stats = accumulate_stats(data)
-    lam = lrt(stats, parts, fit_mles(stats, parts))
+    lam = lrt(fit_mles(stats, parts))
     assert parts.nu[1] == 1
     q95 = float(np.quantile(lam[:, 1], 0.95))
     elapsed = time.perf_counter() - t0

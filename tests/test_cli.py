@@ -192,11 +192,12 @@ def run_cli(*args, env=None):
 
 def test_import_leaves_thread_pool_unloaded():
     """Only predict's worker pool needs ``concurrent.futures``, so starting
-    the CLI does not import it."""
+    the CLI does not import it; nothing logs, so neither is ``logging``."""
     result = _python("-c", "import sys, multida.cli; "
-                           "print('concurrent.futures' in sys.modules)")
+                           "print('concurrent.futures' in sys.modules, "
+                           "'logging' in sys.modules)")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert result.stdout == "False False\n"
 
 
 def assert_one_error_line(result, message):
@@ -220,17 +221,19 @@ ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
 
 
 class TestTextEncoding:
-    """The CLI writes every text file as UTF-8, as it reads its inputs,
-    whatever the locale."""
+    """The CLI reads and writes every text file as UTF-8, whatever the
+    locale."""
 
-    @pytest.mark.parametrize("command", ["train", "predict", "partitions", "simulate"])
+    @pytest.mark.parametrize("command", ["train", "predict", "partitions", "simulate",
+                                         "partitions-user"])
     def test_ascii_locale(self, tmp_path, command):
         data = tmp_path / "d.csv"
         data.write_text("label,é1,x2\n" + "".join(
             f"{'ab'[i % 2]},{4.0 * (i % 2) + i / 20},{i % 3}\n" for i in range(20)),
             encoding="utf-8")
-        model, out = tmp_path / "m.json", tmp_path / "out.txt"
+        model, out, smat = tmp_path / "m.json", tmp_path / "out.txt", tmp_path / "s.csv"
         save_model(fit(load_dataset(data)), model)
+        smat.write_text("1,1\n1,2\n1,2\n")
         args = {
             "train": ["train", data, "--out", model, "--features-out", out, "--seed", "1"],
             "predict": ["predict", data, "--model", model, "--out", out, "--seed", "1"],
@@ -238,6 +241,8 @@ class TestTextEncoding:
             "simulate": ["simulate", "--scenario", "ind-equal-var", "--n", "40", "--p", "20",
                          "--k", "3", "--folds", "2", "--trials", "1", "--seed", "1",
                          "--out", out],
+            "partitions-user": ["partitions", "--k", "3", "--scheme", f"user:{smat}",
+                                "--out", out],
         }[command]
         result = run_cli(*args, env=ASCII_LOCALE)
         assert result.returncode == 0, result.stderr
@@ -321,6 +326,16 @@ def test_delimiter_not_one_character_exits_2(runner, toy_csv, tmp_path, command,
     lines = result.stderr.splitlines()
     assert len(lines) == 2 and lines[0].startswith("config: ")
     assert lines[1] == f"error: delimiter must be one character, got {delimiter!r}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delimiter", ["\n", "\r"])
+def test_line_break_delimiter_exits_2(runner, toy_csv, tmp_path, delimiter):
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, ["filter", str(toy_csv), "--rule", "zero-mad",
+                                  "--out", str(out), "--delimiter", delimiter])
+    assert_one_error_line(result, "delimiter must be one character other than a "
+                                  f"line break, got {delimiter!r}")
     assert not out.exists()
 
 
@@ -580,6 +595,17 @@ class TestSimulate:
         )
         assert result.exit_code == 0, result.output
         assert len(read_csv(out)) == 1 + 1
+
+    def test_consistency_refuses_user_scheme_unread(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(
+            main, ["simulate", "--scenario", "fs-consistency", "--p", "6",
+                   "--scheme", f"user:{tmp_path / 'missing.csv'}",
+                   "--seed", "1", "--out", str(out)],
+        )
+        assert_one_error_line(result, f"--scheme user:{tmp_path / 'missing.csv'}: "
+                                      "fs-consistency scores selection against")
+        assert not out.exists()
 
     def test_missing_user_scheme_exits_2(self, runner, tmp_path):
         out = tmp_path / "x.csv"

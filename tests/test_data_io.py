@@ -191,22 +191,19 @@ class TestStreamingReader:
         with pytest.raises(FormatError, match="long.csv: malformed CSV"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("delimiter", ["\n", " "])
+    @pytest.mark.parametrize("delimiter", [" "])
     def test_odd_delimiter_reads_as_row_reader(self, tmp_path, delimiter):
-        # loadtxt refuses a newline delimiter
         path = tmp_path / "col.csv"
         path.write_text("x1\n1\n2\n")
         schema = CsvSchema(label_column=None, delimiter=delimiter)
         outcomes = []
         for read in (data_io._read_table, data_io._read_rows):
-            try:
-                names, _, X = read(path, schema, labeled=False)
-                outcomes.append((names, X.tobytes()))
-            except TypeError as exc:
-                outcomes.append(str(exc))
+            names, _, X = read(path, schema, labeled=False)
+            outcomes.append((names, X.tobytes()))
         assert outcomes[0] == outcomes[1]
 
-    @pytest.mark.parametrize("delimiter", ["ab", "", None])
+    # the csv module ends a row at "\n" or "\r", whatever the delimiter
+    @pytest.mark.parametrize("delimiter", ["ab", "", None, "\n", "\r"])
     def test_delimiter_not_one_character_rejected(self, delimiter):
         with pytest.raises(ValidationError, match="delimiter must be one character"):
             CsvSchema(delimiter=delimiter)
@@ -314,6 +311,10 @@ class TestSaveDataset:
         tmp = tmp_path_factory.mktemp("save")
         kwargs = {"label_name": label_name, "delimiter": delim}
         got = _written(save_dataset, data, tmp / "d.csv", **kwargs)
+        if delim in "\r\n":  # the reference writes a file no reader splits back
+            assert got == (None, (ValidationError, "delimiter must be one character "
+                                  f"other than a line break, got {delim!r}"))
+            return
         assert got == _written(_save_dataset_per_cell, data, tmp / "ref.csv", **kwargs)
         if got[1] is not None:
             return
@@ -458,8 +459,7 @@ class TestModelRoundTrip:
             assert "_mles" not in vars(m) and "lam" not in vars(m)
             assert all(np.shape(v) != (p, m.parts.n_slots) for v in vars(m).values())
         whole = fit_mles(model.stats, model.parts)
-        gamma = gamma_weights(lrt(model.stats, model.parts, whole), model.parts.nu,
-                              model.penalty)
+        gamma = gamma_weights(lrt(whole), model.parts.nu, model.penalty)
         assert model.gamma[:, 1:].max() > 0.5  # the hypotheses carry weight
         assert model.gamma.shape == gamma.shape
         assert model.gamma.tobytes() == gamma.tobytes() == loaded.gamma.tobytes()

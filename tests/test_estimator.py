@@ -187,7 +187,7 @@ def _assert_matches_slotwise(stats, parts):
     bit for bit."""
     mles = fit_mles(stats, parts)
     for name, got, want in zip(("mu", "sigma2", "lam"),
-                               (mles.mu, mles.sigma2, lrt(stats, parts, mles)),
+                               (mles.mu, mles.sigma2, lrt(mles)),
                                slotwise_mles(stats, parts, parts.variance_mode)):
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
@@ -209,7 +209,7 @@ class TestSubsetMerge:
     def test_user_groups_need_closure(self, variance_mode):
         # {1,2,3,4} and {1,3} are groups; {1,2,3} and {1,2} are not, yet
         # the merge reaches {1,2,3,4} through them
-        parts = build_partition_set(4, "user", user_matrix=[[1, 1], [1, 2], [1, 1], [1, 2]],
+        parts = build_partition_set(4, [[1, 1], [1, 2], [1, 1], [1, 2]],
                                     variance_mode=variance_mode)
         masks = set(parts.subsets.masks.tolist())
         assert {0b0111, 0b0011} <= masks
@@ -237,12 +237,12 @@ class TestSubsetMerge:
 class TestLrt:
     def test_null_column_exactly_zero(self, toy_data, toy_parts):
         stats = accumulate_stats(toy_data)
-        lam = lrt(stats, toy_parts, fit_mles(stats, toy_parts))
+        lam = lrt(fit_mles(stats, toy_parts))
         assert lam[0, 0] == 0.0
 
     def test_hand_value(self, toy_data, toy_parts):
         stats = accumulate_stats(toy_data)
-        lam = lrt(stats, toy_parts, fit_mles(stats, toy_parts))
+        lam = lrt(fit_mles(stats, toy_parts))
         assert lam[0, 1] == pytest.approx(TOY_LAMBDA, rel=1e-12)
 
     def test_identical_groups_give_zero(self):
@@ -252,7 +252,7 @@ class TestLrt:
         d = Dataset.from_arrays(x[:, None], y)
         parts = build_partition_set(3, "exhaustive")
         stats = accumulate_stats(d)
-        lam = lrt(stats, parts, fit_mles(stats, parts))
+        lam = lrt(fit_mles(stats, parts))
         np.testing.assert_allclose(lam, 0.0, atol=1e-10)
 
     def test_lda_equals_qda_when_group_spreads_match(self):
@@ -264,8 +264,8 @@ class TestLrt:
         parts_eq = build_partition_set(3, "exhaustive", variance_mode="equal")
         parts_uq = build_partition_set(3, "exhaustive", variance_mode="unequal")
         stats = accumulate_stats(d)
-        lam_eq = lrt(stats, parts_eq, fit_mles(stats, parts_eq))
-        lam_uq = lrt(stats, parts_uq, fit_mles(stats, parts_uq))
+        lam_eq = lrt(fit_mles(stats, parts_eq))
+        lam_uq = lrt(fit_mles(stats, parts_uq))
         np.testing.assert_allclose(lam_eq, lam_uq, atol=1e-10)
 
     def test_chi_square_calibration_light(self):
@@ -277,7 +277,7 @@ class TestLrt:
         )
         parts = build_partition_set(3, "exhaustive")
         stats = accumulate_stats(d)
-        lam = lrt(stats, parts, fit_mles(stats, parts))
+        lam = lrt(fit_mles(stats, parts))
         med = float(np.median(lam[:, 1]))
         assert 0.25 < med < 0.70  # chi2(1) median is 0.455
 

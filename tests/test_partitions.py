@@ -218,22 +218,40 @@ class TestSchemes:
 
     def test_user_matrix_canonicalized_deduplicated(self):
         matrix = [[2, 1, 1], [1, 2, 1], [1, 2, 1]]  # columns 211, 122, 112... as rows
-        ps = build_partition_set(3, "user", user_matrix=np.array(matrix))
+        ps = build_partition_set(3, np.array(matrix))
+        assert ps.scheme == "user"
         assert ps.columns[0] == (1, 1, 1)  # null prepended
         assert all(is_restricted_growth(c) for c in ps.columns)
         assert len(set(ps.columns)) == ps.M
 
+    # values recorded while a matrix came with scheme="user" as a second argument
+    @pytest.mark.parametrize("k, matrix, columns, A, masks", [
+        (3, [[2, 1, 1], [1, 2, 1], [1, 2, 1]], ((1, 1, 1), (1, 2, 2)),
+         [[1, 2], [1, 3], [1, 3]], [1, 2, 4, 3, 6, 7]),
+        (4, [[1, 1], [1, 2], [1, 1], [1, 2]], ((1, 1, 1, 1), (1, 2, 1, 2)),
+         [[1, 2], [1, 3], [1, 2], [1, 3]], [1, 2, 4, 8, 3, 5, 10, 7, 15]),
+    ], ids=["k3-dedup", "k4-closure"])
+    @pytest.mark.parametrize("variance_mode, nu", [("equal", [0, 1]), ("unequal", [0, 2])],
+                             ids=["equal", "unequal"])
+    def test_matrix_scheme_gives_recorded_set(self, k, matrix, columns, A, masks,
+                                              variance_mode, nu):
+        ps = build_partition_set(k, matrix, variance_mode=variance_mode)
+        assert ps.columns == columns
+        assert ps.G.tolist() == [1, 2]
+        assert ps.nu.tolist() == nu
+        assert ps.z.tolist() == [1, 3]
+        assert ps.A.tolist() == A
+        assert ps.subsets.masks.tolist() == masks
+
     def test_user_matrix_errors(self):
         with pytest.raises(ValidationError, match="column 2"):
-            build_partition_set(3, "user", user_matrix=np.array([[1, 1], [1, 3], [1, 3]]))
+            build_partition_set(3, np.array([[1, 1], [1, 3], [1, 3]]))
         with pytest.raises(ValidationError, match="rows"):
-            build_partition_set(3, "user", user_matrix=np.array([[1, 1], [1, 2]]))
+            build_partition_set(3, np.array([[1, 1], [1, 2]]))
         with pytest.raises(ValidationError, match="zero columns"):
-            build_partition_set(3, "user", user_matrix=np.empty((3, 0), dtype=int))
-        with pytest.raises(ValidationError):
+            build_partition_set(3, np.empty((3, 0), dtype=int))
+        with pytest.raises(ValidationError, match="partition matrix itself"):
             build_partition_set(3, "user")
-        with pytest.raises(ValidationError):
-            build_partition_set(3, "exhaustive", user_matrix=np.array([[1], [1], [1]]))
 
 
 class TestGroupIndex:

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from multida import NumericError, ValidationError
+from multida import NumericError, ValidationError, simlab
 from multida.estimator import Dataset, accumulate_stats, fit
-from multida.partitions import build_partition_set, enumerate_exhaustive
+from multida.partitions import build_partition_set, enumerate_exhaustive, refines
 from multida.simlab import (
+    SimReport,
     SimSpec,
     TruthAssignment,
     _cv_folds,
@@ -209,7 +212,49 @@ class TestGenDependent:
         assert not np.allclose(st.factors[0][0], st.factors[1][0])
 
 
+def _selection_error_by_masks(model, truth):
+    """``selection_error`` with M x M refinement masks, one row per
+    hypothesis: the reference for the rows built per true column."""
+    columns = truth.columns
+    m = len(columns)
+    over = np.zeros((m, m), dtype=bool)
+    for m0 in range(m):
+        for mm in range(m):
+            if mm != m0 and refines(columns[mm], columns[m0]):
+                over[m0, mm] = True
+    under = ~over & ~np.eye(m, dtype=bool)
+    tc = truth.true_column
+    p = truth.gamma0.shape[0]
+    e_soft = float(np.abs(model.gamma - truth.gamma0).sum())
+    return SimReport(
+        E=e_soft,
+        E_O=2.0 * float((model.gamma * over[tc]).sum()),
+        E_U=2.0 * float((model.gamma * under[tc]).sum()),
+        norm_error=e_soft / (2.0 * p),
+        error_over_m=e_soft / m,
+        hard_rate=float(np.mean(np.argmax(model.gamma, axis=1) != tc)),
+    )
+
+
 class TestSelectionError:
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_mask_reference(self, k, seed):
+        spec = SimSpec("fs-consistency", n=40, p=50, K=k, seed=seed)
+        data, truth = gen_independent(spec)
+        model = fit(data, penalty="aic")  # weight off the truth, on both sides
+        assert selection_error(model, truth) == _selection_error_by_masks(model, truth)
+
+    def test_refines_only_rows_of_true_columns(self):
+        spec = SimSpec("fs-consistency", n=40, p=50, K=6, seed=1)
+        data, truth = gen_independent(spec)
+        model = fit(data)
+        with mock.patch.object(simlab, "refines", wraps=refines) as calls:
+            selection_error(model, truth)
+        u = len(np.unique(truth.true_column))
+        assert 1 < u < model.M
+        assert calls.call_count <= u * model.M
+
     def test_exact_match_is_zero(self):
         cols = enumerate_exhaustive(3)
         gamma = np.zeros((4, 5))
