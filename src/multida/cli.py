@@ -34,7 +34,6 @@ from .errors import FormatError, NumericError, ValidationError
 from .estimator import fit, predict, selected_features
 from .partitions import build_partition_set
 from .simlab import (
-    DEPENDENT_SCENARIOS,
     SCENARIOS,
     SimSpec,
     consistency_sweep,
@@ -150,8 +149,9 @@ _run_options = _options(
     click.option("--seed", type=int, default=None, callback=_resolve_seed,
                  help="Random seed; drawn and logged when omitted."),
     click.option("--threads", type=int, default=1, show_default=True,
-                 help="Worker threads for prediction rows (0 = all cores); fitting is "
-                      "single-threaded and output is thread-count independent."),
+                 help="Worker threads for prediction rows (0 = every usable CPU, the "
+                      "cap for any count); fitting is single-threaded and output is "
+                      "thread-count independent."),
 )
 
 
@@ -260,7 +260,8 @@ def cv(input, folds, trials, out, penalty, variance, scheme, prior_term,
 
 
 @main.command()
-@click.option("--scenario", type=click.Choice(list(SCENARIOS)), required=True)
+@click.option("--scenario", type=click.Choice(["fs-consistency", *SCENARIOS]),
+              required=True)
 @click.option("--n", type=int, default=100, show_default=True)
 @click.option("--p", type=int, default=2000, show_default=True)
 @click.option("--k", type=int, default=4, show_default=True)
@@ -287,6 +288,8 @@ def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
              variance, scheme, prior_term, seed, threads):
     """Run a synthetic scenario: a selection-consistency sweep or a
     cross-validated prediction benchmark, written as tidy CSV."""
+    # forwarded only when given, so each callee keeps its own default
+    shift = {} if mean_shift is None else {"mean_shift": mean_shift}
     if scenario == "fs-consistency":
         if scheme != "exhaustive":
             raise ValidationError(
@@ -300,7 +303,7 @@ def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
         rows = consistency_sweep(
             n_values, p=p, k=k, replicates=replicates,
             penalty=penalty, variance_mode=variance, prior_term_mode=prior_term,
-            mean_shift=mean_shift, discriminative_fraction=frac, seed=seed,
+            discriminative_fraction=frac, seed=seed, **shift,
         )
         _write_csv(
             out,
@@ -316,11 +319,11 @@ def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
         p=p,
         K=k,
         discriminative_fraction=frac,
-        mean_shift=mean_shift,
         variance_scale=variance_scale,
-        block_size=block_size if scenario in DEPENDENT_SCENARIOS else None,
+        block_size=block_size,
         block_density=block_density,
         seed=seed,
+        **shift,
     )
     data, _ = generate(spec)
     t0 = time.perf_counter()

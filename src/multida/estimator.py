@@ -38,6 +38,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -345,13 +346,16 @@ def _column_blocks(p: int, size: int) -> list[slice]:
 
 
 def _resolve_threads(threads: int) -> int:
+    """The worker count for ``threads``: 0 means every CPU this process
+    may run on, and no count exceeds that number.  Output does not depend
+    on the count, so the cap changes no result."""
     if threads < 0:
         raise ValidationError("threads must be >= 0")
-    if threads == 0:
-        import os
-
-        return os.cpu_count() or 1
-    return threads
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return usable if threads == 0 else min(threads, usable)
 
 
 def accumulate_stats(data: Dataset) -> SufficientStats:

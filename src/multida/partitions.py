@@ -147,7 +147,18 @@ def one_vs_rest_columns(k: int) -> list[Column]:
 
 
 def ordinal_columns(k: int) -> list[Column]:
-    """All 2^(k-1) partitions of 1..k into contiguous intervals."""
+    """All 2^(k-1) partitions of 1..k into contiguous intervals.
+
+    Refuses a set larger than the largest exhaustive one, B_9 = 21,147
+    columns (see ``MAX_CLASSES``), before any column is built: so
+    ``k <= 15``.
+    """
+    if 2 ** (k - 1) > bell_number(MAX_CLASSES):
+        raise ValidationError(
+            f"the ordinal set for K={k} would have 2^{k - 1} = {2 ** (k - 1)} "
+            f"columns, more than the B_{MAX_CLASSES} = {bell_number(MAX_CLASSES)} "
+            "of the largest exhaustive set, so it takes K <= 15."
+        )
     cols: list[Column] = []
     for mask in range(1 << (k - 1)):
         labels = [1]

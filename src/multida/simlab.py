@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,7 +38,7 @@ from .partitions import (
     refines,
 )
 
-INDEPENDENT_SCENARIOS = ("fs-consistency", "ind-equal-var", "ind-unequal-var")
+INDEPENDENT_SCENARIOS = ("ind-equal-var", "ind-unequal-var")
 DEPENDENT_SCENARIOS = ("dep-equal-cov", "dep-unequal-cov")
 SCENARIOS = INDEPENDENT_SCENARIOS + DEPENDENT_SCENARIOS
 
@@ -47,14 +47,18 @@ SCENARIOS = INDEPENDENT_SCENARIOS + DEPENDENT_SCENARIOS
 class SimSpec:
     """Parameters of one synthetic-data scenario.
 
-    ``mean_shift`` defaults to 2 for the feature-selection scenario and
-    0.5 for the prediction scenarios; group ``g`` has mean
-    ``(g - 1) * mean_shift``.  In the unequal-variance scenario group
-    ``g`` has standard deviation ``1 + (g - 1) * variance_scale``, which
-    must be positive for every group up to ``K``.  Both settings must be
-    finite.
+    ``scenario`` (one of ``SCENARIOS``) names how the data are drawn; the
+    feature-selection sweep (``consistency_sweep``) draws ``ind-equal-var``
+    data with its own shift.  In the independent scenarios group ``g`` has
+    mean ``(g - 1) * mean_shift``; in the dependent ones each class adds
+    ``mean_shift`` on its own feature set.  In the unequal-variance
+    scenario group ``g`` has standard deviation
+    ``1 + (g - 1) * variance_scale``, which must be positive for every
+    group up to ``K``.  Both settings must be finite.
     Dependent scenarios build block covariance from ``p / block_size``
-    sparse factors with ``block_density`` off-diagonal fill.
+    sparse factors (``block_size`` defaults to ``p / 10``) with
+    ``block_density`` off-diagonal fill; only they read and check those
+    two settings.
     """
 
     scenario: str
@@ -62,7 +66,7 @@ class SimSpec:
     p: int
     K: int
     discriminative_fraction: float = 0.10
-    mean_shift: float | None = None
+    mean_shift: float = 0.5
     variance_scale: float = 1.0
     block_size: int | None = None
     block_density: float = 0.25
@@ -79,7 +83,7 @@ class SimSpec:
             raise ValidationError("discriminative_fraction must lie in [0, 1]")
         for name in ("mean_shift", "variance_scale"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
         if (self.scenario == "ind-unequal-var"
                 and 1.0 + (self.K - 1) * self.variance_scale <= 0.0):
@@ -101,12 +105,6 @@ class SimSpec:
                 raise ValidationError("block_density must lie in [0, 1]")
 
     @property
-    def effective_mean_shift(self) -> float:
-        if self.mean_shift is not None:
-            return self.mean_shift
-        return 2.0 if self.scenario == "fs-consistency" else 0.5
-
-    @property
     def effective_block_size(self) -> int:
         if self.block_size is not None:
             return self.block_size
@@ -115,11 +113,10 @@ class SimSpec:
 
 @dataclass(frozen=True)
 class TruthAssignment:
-    """True hypothesis per feature, aligned to the exhaustive canonical
-    column ordering in ``columns``."""
+    """The planted truth: each feature's hypothesis, as an index into the
+    exhaustive canonical columns in ``columns``."""
 
     columns: tuple[Column, ...]
-    gamma0: np.ndarray        # p x M one-hot
     true_column: np.ndarray   # p, zero-based column index
     class_means: np.ndarray   # K x p
     class_sds: np.ndarray | None  # K x p for independent scenarios
@@ -144,7 +141,7 @@ class CvResult:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Selection-error decomposition of one fit."""
+    """Selection-error decomposition of one fit against the planted truth."""
 
     E: float
     E_O: float
@@ -152,7 +149,6 @@ class SimReport:
     norm_error: float       # E / (2p)
     error_over_m: float     # E / M
     hard_rate: float
-    fit_seconds: float | None = None
 
 
 def _class_allocation(n: int, k: int) -> np.ndarray:
@@ -177,7 +173,7 @@ def gen_independent(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
     """Independent-feature scenario data.
 
     Discriminative features draw a uniform non-null partition; group ``g``
-    gets mean ``(g-1) * shift`` (and, in the unequal-variance scenario,
+    gets mean ``(g-1) * mean_shift`` (and, in the unequal-variance scenario,
     standard deviation ``1 + (g-1) * variance_scale``).  All remaining
     features are standard normal.
     """
@@ -199,13 +195,12 @@ def gen_independent(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
     if n_disc:
         true_col[disc] = rng_struct.integers(1, m, size=n_disc)
 
-    shift = spec.effective_mean_shift
     class_means = np.zeros((spec.K, spec.p))
     class_sds = np.ones((spec.K, spec.p))
     if n_disc:
         cols_arr = np.array(columns, dtype=np.int64)  # M x K
         group_of_class = cols_arr[true_col[disc]].T  # K x n_disc
-        class_means[:, disc] = (group_of_class - 1) * shift
+        class_means[:, disc] = (group_of_class - 1) * spec.mean_shift
         if spec.scenario == "ind-unequal-var":
             class_sds[:, disc] = 1.0 + (group_of_class - 1) * spec.variance_scale
 
@@ -215,7 +210,6 @@ def gen_independent(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
     data = Dataset.from_arrays(X, [str(k) for k in y])
     truth = TruthAssignment(
         columns=columns,
-        gamma0=_one_hot_truth(true_col, m),
         true_column=true_col,
         class_means=class_means,
         class_sds=class_sds,
@@ -305,7 +299,6 @@ def gen_dependent(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
     y = _labels_from_counts(counts)
 
     columns = tuple(enumerate_exhaustive(spec.K))
-    shift = spec.effective_mean_shift
     class_means = np.zeros((spec.K, spec.p))
     true_col = np.zeros(spec.p, dtype=np.int64)
     for k in range(spec.K):
@@ -313,7 +306,7 @@ def gen_dependent(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
             tuple(2 if i == k else 1 for i in range(spec.K))
         )
         m_idx = columns.index(one_vs_rest)
-        class_means[k, structure.disc_sets[k]] = shift
+        class_means[k, structure.disc_sets[k]] = spec.mean_shift
         true_col[structure.disc_sets[k]] = m_idx
 
     X = np.empty((spec.n, spec.p))
@@ -338,7 +331,6 @@ def gen_dependent(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
     data = Dataset.from_arrays(X, [str(k) for k in y])
     truth = TruthAssignment(
         columns=columns,
-        gamma0=_one_hot_truth(true_col, len(columns)),
         true_column=true_col,
         class_means=class_means,
         class_sds=None,
@@ -356,7 +348,7 @@ def generate(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
 def selection_error(model: FittedModel, truth: TruthAssignment) -> SimReport:
     """Soft selection error ``E = sum |gamma - gamma0|`` with its
     overfitting/underfitting decomposition and the hard misassignment
-    rate.
+    rate; ``gamma0`` is the one-hot of ``truth.true_column``, built here.
 
     Overfitting mass sits on strict refinements of the true partition;
     underfitting mass on every other wrong hypothesis; ``E = E_O + E_U``.
@@ -365,21 +357,21 @@ def selection_error(model: FittedModel, truth: TruthAssignment) -> SimReport:
         raise ValidationError(
             "model hypothesis columns do not match the truth assignment"
         )
-    p, m = truth.gamma0.shape
+    tc = truth.true_column
+    cols = truth.columns
+    p, m = len(tc), len(cols)
     if model.gamma.shape != (p, m):
         raise ValidationError(
             f"model gamma is {model.gamma.shape}, truth needs {(p, m)}"
         )
-    tc = truth.true_column
-    cols = truth.columns
     # row u of over marks the strict refinements of true column true_cols[u],
     # row u of under every other wrong hypothesis; only true columns get a row
     true_cols, row = np.unique(tc, return_inverse=True)
-    over = np.array([[m != m0 and refines(c, cols[m0]) for m, c in enumerate(cols)]
+    over = np.array([[j != m0 and refines(c, cols[m0]) for j, c in enumerate(cols)]
                      for m0 in true_cols], dtype=bool)
     under = ~over
     under[np.arange(len(true_cols)), true_cols] = False
-    e_soft = float(np.abs(model.gamma - truth.gamma0).sum())
+    e_soft = float(np.abs(model.gamma - _one_hot_truth(tc, m)).sum())
     e_over = 2.0 * float((model.gamma * over[row]).sum())
     e_under = 2.0 * float((model.gamma * under[row]).sum())
     hard = float(np.mean(np.argmax(model.gamma, axis=1) != tc))
@@ -402,15 +394,17 @@ def consistency_sweep(
     penalty: str = "ebic",
     variance_mode: str = "equal",
     prior_term_mode: str = "log",
-    mean_shift: float | None = None,
+    mean_shift: float = 2.0,
     discriminative_fraction: float = 0.10,
     seed: int = 0,
 ) -> list[dict]:
-    """Feature-selection error across sample sizes: each replicate is
-    generated, fitted over every exhaustive partition (so ``k`` is at most
+    """Feature-selection error across sample sizes: each replicate draws
+    ``ind-equal-var`` data (group shift ``mean_shift``), is fitted over
+    every exhaustive partition (so ``k`` is at most
     ``partitions.MAX_CLASSES`` = 9) and scored by ``selection_error``.  One
-    row per (n, p, K, replicate) with the ``SimReport`` metrics
-    (``fit_seconds`` times the fit alone), directly writable as tidy CSV."""
+    row per (n, p, K, replicate) with the ``SimReport`` metrics, then
+    ``fit_seconds``, the time of the fit alone; directly writable as tidy
+    CSV."""
     if len(n_values) == 0:
         raise ValidationError("the sample-size grid is empty")
     if replicates < 1:
@@ -420,7 +414,7 @@ def consistency_sweep(
     for n in n_values:
         for rep in range(replicates):
             spec = SimSpec(
-                scenario="fs-consistency",
+                scenario="ind-equal-var",
                 n=n,
                 p=p,
                 K=k,
@@ -432,10 +426,11 @@ def consistency_sweep(
             t0 = time.perf_counter()
             model = fit(data, penalty=penalty, variance_mode=variance_mode,
                         prior_term_mode=prior_term_mode)
-            report = replace(selection_error(model, truth),
-                             fit_seconds=time.perf_counter() - t0)
+            fit_seconds = time.perf_counter() - t0
+            report = selection_error(model, truth)
             rows.append({"n": n, "p": p, "K": k, "replicate": rep + 1,
-                         **{name: getattr(report, name) for name in metrics}})
+                         **{name: getattr(report, name) for name in metrics},
+                         "fit_seconds": fit_seconds})
     return rows
 
 

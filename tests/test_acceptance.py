@@ -232,7 +232,7 @@ def test_criterion_7_ebic_overfits_less_than_bic():
     wins = 0
     pairs = []
     for rep in range(20):
-        spec = SimSpec("fs-consistency", n=100, p=2000, K=3,
+        spec = SimSpec("ind-equal-var", n=100, p=2000, K=3, mean_shift=2.0,
                        discriminative_fraction=0.0, seed=700 + rep)
         data, truth = gen_independent(spec)
         e_ebic = selection_error(fit(data, penalty="ebic"), truth).E_O

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from multida.cli import main
 from multida.data_io import load_dataset, load_model, save_model
 from multida.estimator import fit
-from multida.simlab import SimSpec, cross_validate, generate
+from multida.simlab import SimSpec, consistency_sweep, cross_validate, generate
 
 
 TOY = "label,x1\na,0\na,2\nb,4\nb,6\n"
@@ -170,6 +170,79 @@ class TestTrain:
         )
         assert result.exit_code == 0, result.output
         assert "M=2" in result.output
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "--scheme user:<path> needs a file path"),
+        ("1,1\n1,2\n1,x\n", "not an integer CSV matrix"),
+        ("1,1\n1,2\n1,2.5\n", "not an integer CSV matrix"),
+    ], ids=["no-path", "text-cell", "float-cell"])
+    def test_bad_user_scheme_exits_2(self, runner, wide_csv, tmp_path, content, message):
+        path = ""
+        if content is not None:
+            path = tmp_path / "s.csv"
+            path.write_text(content)
+        out = tmp_path / "m.json"
+        result = runner.invoke(
+            main, ["train", wide_csv, "--scheme", f"user:{path}", "--seed", "1",
+                   "--out", str(out), "--features-out", str(tmp_path / "f.csv")],
+        )
+        assert_one_error_line(result, message if content is None else f"{path}: {message}")
+        assert not out.exists()
+
+
+class TestNoHeader:
+    """A headerless file reads as the same file with the header
+    ``label,x1..xp``: the label named by index, the features x1..xp."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        rng = np.random.default_rng(3)
+        y = np.repeat(["a", "b", "c"], 12)
+        X = rng.normal(size=(36, 5))
+        X[:, 1] += 2.0 * np.repeat([0, 1, 2], 12)
+        X[:, 4] = 7.0  # no spread, so zero-mad drops it
+        names = ",".join(f"x{j + 1}" for j in range(5))
+        features = [",".join(repr(float(v)) for v in row) for row in X]
+        rows = [f"{label},{f}" for label, f in zip(y, features)]
+        paths = {}
+        for tag, lines in (("headed", [f"label,{names}", *rows]), ("bare", rows),
+                           ("query", [names, *features]), ("bare-query", features)):
+            paths[tag] = tmp_path / f"{tag}.csv"
+            paths[tag].write_text("\n".join(lines) + "\n")
+        return paths
+
+    def run(self, runner, *args):
+        result = runner.invoke(main, list(map(str, args)))
+        assert result.exit_code == 0, result.output
+
+    def test_train_predict_filter_match_headed(self, runner, files, tmp_path):
+        out = {}
+        for tag, data, query, flags in (
+                ("headed", files["headed"], files["query"], []),
+                ("bare", files["bare"], files["bare-query"], ["--no-header"])):
+            model = tmp_path / f"{tag}.json"
+            self.run(runner, "train", data, *flags, "--label-col",
+                     "0" if flags else "label", "--out", model,
+                     "--features-out", tmp_path / f"{tag}-f.csv", "--seed", "1")
+            self.run(runner, "predict", query, *flags, "--model", model,
+                     "--out", tmp_path / f"{tag}-p.csv", "--seed", "1")
+            self.run(runner, "filter", data, *flags, "--label-col",
+                     "0" if flags else "label", "--rule", "zero-mad",
+                     "--out", tmp_path / f"{tag}-kept.csv")
+            out[tag] = [(tmp_path / name).read_bytes() for name in
+                        (f"{tag}.json", f"{tag}-f.csv", f"{tag}-p.csv", f"{tag}-kept.csv")]
+        assert out["bare"] == out["headed"]
+        assert read_csv(tmp_path / "bare-kept.csv")[0] == ["label", "x1", "x2", "x3", "x4"]
+        assert len(read_csv(tmp_path / "bare-p.csv")) == 1 + 36
+
+    def test_label_by_name_needs_a_header(self, runner, files, tmp_path):
+        out = tmp_path / "m.json"
+        result = runner.invoke(
+            main, ["train", str(files["bare"]), "--no-header", "--seed", "1",
+                   "--out", str(out)],
+        )
+        assert_one_error_line(result, "label column referenced by name requires a header row")
+        assert not out.exists()
 
 
 GOOD = "label,x1,x2\na,0,1\na,2,3\nb,4,5\nb,6,7\n"
@@ -544,6 +617,43 @@ class TestSimulate:
         assert rows[0][0] == "scenario"
         assert len(rows) == 1 + 8
 
+    @pytest.mark.parametrize("shift", [[], ["--mean-shift", "1.0"]], ids=["default", "given"])
+    def test_consistency_rows_are_the_sweep(self, runner, tmp_path, shift):
+        # --mean-shift reaches the sweep only when given: the sweep's own
+        # default is 2, SimSpec's is 0.5
+        out = tmp_path / "cons.csv"
+        result = runner.invoke(
+            main, ["simulate", "--scenario", "fs-consistency", "--p", "40", "--k", "3",
+                   "--n-grid", "30", "--replicates", "2", "--seed", "4",
+                   "--out", str(out), *shift],
+        )
+        assert result.exit_code == 0, result.output
+        rows = consistency_sweep([30], p=40, k=3, replicates=2, seed=4,
+                                 mean_shift=float(shift[1]) if shift else 2.0)
+        assert [r[:-1] for r in read_csv(out)[1:]] == [
+            [str(v) if isinstance(v, int) else repr(v) for v in list(r.values())[:-1]]
+            for r in rows
+        ]
+
+    def test_block_size_reaches_only_dependent_scenarios(self, runner, tmp_path):
+        outputs = []
+        for extra in ([], ["--block-size", "7"]):
+            out = tmp_path / f"ind{len(extra)}.csv"
+            result = runner.invoke(
+                main, ["simulate", "--scenario", "ind-equal-var", "--n", "30", "--p", "20",
+                       "--k", "2", "--trials", "1", "--folds", "3", "--seed", "4",
+                       "--out", str(out), *extra],
+            )
+            assert result.exit_code == 0, result.output
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        out = tmp_path / "dep.csv"
+        result = runner.invoke(
+            main, ["simulate", "--scenario", "dep-equal-cov", "--n", "30", "--p", "20",
+                   "--k", "2", "--block-size", "7", "--seed", "4", "--out", str(out)],
+        )
+        assert_one_error_line(result, "p=20 is not divisible by block size 7")
+
     def test_bad_grid_exits_2(self, runner, tmp_path):
         result = runner.invoke(
             main, ["simulate", "--scenario", "fs-consistency",
@@ -659,6 +769,8 @@ class TestPartitions:
         assert_one_error_line(
             result, "exhaustive enumeration for K=10 would produce B_10 = 115975 columns")
         assert "K <= 9" in result.stderr
+        result = runner.invoke(main, ["partitions", "--k", "16", "--scheme", "ordinal"])
+        assert_one_error_line(result, "the ordinal set for K=16 would have 2^15 = 32768")
 
 
 class TestFilter:

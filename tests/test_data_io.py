@@ -52,6 +52,10 @@ class TestLoadDataset:
         with pytest.raises(FormatError, match="non-finite"):
             load_dataset(path)
 
+    def test_label_column_required(self, toy_csv):
+        with pytest.raises(ValidationError, match="requires a label column"):
+            load_dataset(toy_csv, CsvSchema(label_column=None))
+
     def test_single_class_rejected(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("label,x1\na,1\na,2\n")

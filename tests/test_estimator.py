@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from multida.estimator import (
     Dataset,
     PenaltyConfig,
     SufficientStats,
+    _resolve_threads,
     accumulate_stats,
     fit,
     fit_mles,
@@ -76,6 +79,10 @@ class TestDataset:
         assert sub.class_labels == ("a", "b")
         assert sub.class_counts.tolist() == [1, 2]
 
+    def test_subset_dropping_a_class_rejected(self, toy_data):
+        with pytest.raises(ValidationError, match="row subset drops class 'b'"):
+            toy_data.subset(np.array([0, 1]))
+
 
 class TestPenalty:
     def test_constants(self):
@@ -91,6 +98,8 @@ class TestPenalty:
             PenaltyConfig.resolve("gic", 10, 10)
         with pytest.raises(ValidationError):
             PenaltyConfig("custom", -1.0)
+        with pytest.raises(ValidationError, match="cannot parse custom penalty 'custom:abc'"):
+            PenaltyConfig.resolve("custom:abc", 10, 10)
 
 
 class TestSufficientStats:
@@ -423,6 +432,23 @@ class TestFit:
         for f in ("mu", "sigma2", "gamma", "lam"):
             assert np.array_equal(getattr(m1, f), getattr(m3, f)), f
 
+    def test_tail_block_merged_into_the_one_before(self):
+        # p = COEF_BLOCK + 1 would leave a one-column tail block, whose sums
+        # over hypotheses numpy takes pairwise; merged into the block before
+        # it, the tail features get the bits of a fit on them alone (BIC's
+        # constant does not depend on p)
+        rng = np.random.default_rng(12)
+        data = random_dataset(rng, 48, COEF_BLOCK + 1, 4, min_per_class=8)
+        X = data.X.copy()
+        X[:, -25:] += 0.8 * (data.y[:, None] - 1)
+        labels = [data.class_labels[c - 1] for c in data.y]
+        whole = fit(Dataset.from_arrays(X, labels), penalty="bic")
+        tail = fit(Dataset.from_arrays(X[:, -25:], labels), penalty="bic")
+        assert tail.gamma[:, 1:].max() > 0.5  # the hypotheses carry weight
+        for f in ("Q", "L"):
+            assert np.array_equal(getattr(whole, f)[:, -25:], getattr(tail, f)), f
+        assert np.array_equal(whole.gamma[-25:], tail.gamma)
+
     def test_thread_counts_produce_identical_models(self):
         rng = np.random.default_rng(17)
         data = random_dataset(rng, 80, 700, 4, min_per_class=8)
@@ -583,8 +609,57 @@ class TestPredict:
             predict(model, np.zeros((2, 3)))
         with pytest.raises(ValidationError, match="non-finite"):
             predict(model, np.array([[np.inf]]))
+        with pytest.raises(ValidationError, match="must be 2-dimensional"):
+            predict(model, np.zeros((2, 2, 1)))
 
-    def test_row_chunking_identical(self):
+    def test_one_dimensional_row_is_one_query(self):
+        rng = np.random.default_rng(4)
+        model = fit(random_dataset(rng, 30, 6, 3, min_per_class=4))
+        row = rng.normal(size=6)
+        one, two = predict(model, row), predict(model, row[None, :])
+        assert np.array_equal(one.eta, two.eta)
+        assert np.array_equal(one.probabilities, two.probabilities)
+        assert one.labels == two.labels
+
+    def test_worker_count_capped_at_usable_cpus(self, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            """Records the worker count asked for and maps in this thread."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        rng = np.random.default_rng(6)
+        model = fit(random_dataset(rng, 40, 30, 3, min_per_class=5))
+        q = rng.normal(size=(50, 30))
+        want = predict(model, q, threads=1)
+        got = predict(model, q, threads=10**6)
+        assert all(w <= _resolve_threads(0) for w in workers)
+        assert np.array_equal(got.eta, want.eta)
+        assert np.array_equal(got.probabilities, want.probabilities)
+        # three usable CPUs: 0 means three, and no count goes beyond
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert [_resolve_threads(t) for t in (0, 1, 2, 3, 10**6)] == [3, 1, 2, 3, 3]
+        workers.clear()
+        got = predict(model, q, threads=10**6)
+        assert workers == [3]
+        assert np.array_equal(got.eta, want.eta)
+
+    def test_row_chunking_identical(self, monkeypatch):
+        # eight usable CPUs, so the thread counts below are not capped
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
         rng = np.random.default_rng(31)
         # p = 40 sets up one feature block; 2 * COEF_BLOCK + 3 two and a tail
         for k, p in ((3, 40), (3, 2 * COEF_BLOCK + 3), (6, 2 * COEF_BLOCK + 3)):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,15 @@ class TestEnumeration:
             enumerate_exhaustive(10)
         with pytest.raises(ValidationError, match=message):
             build_partition_set(10)
+
+    def test_bounds_of_the_class_count(self):
+        assert bell_number(0) == 1
+        with pytest.raises(ValidationError, match="nonnegative"):
+            bell_number(-1)
+        with pytest.raises(ValidationError, match="at least 1"):
+            enumerate_exhaustive(0)
+        with pytest.raises(ValidationError, match="at least 1"):
+            build_partition_set(0, "onevsrest")
 
 
 class TestCanonicalization:
@@ -216,6 +227,18 @@ class TestSchemes:
         for col in ps.columns:  # contiguous groups only
             assert all(b - a in (0, 1) for a, b in zip(col, col[1:]))
 
+    def test_ordinal_refused_beyond_the_exhaustive_bound(self):
+        # 2^14 = 16,384 columns fit under B_9 = 21,147; 2^15 = 32,768 do not
+        assert len(ordinal_columns(15)) == 2 ** 14
+        with mock.patch("multida.partitions.partition_set_from_columns") as built:
+            with pytest.raises(ValidationError,
+                               match=r"K=16 would have 2\^15 = 32768 columns, more than "
+                                     r"the B_9 = 21147 .* K <= 15\.$"):
+                build_partition_set(16, "ordinal")
+        built.assert_not_called()
+        with pytest.raises(ValidationError, match="K=20 would have"):
+            ordinal_columns(20)
+
     def test_user_matrix_canonicalized_deduplicated(self):
         matrix = [[2, 1, 1], [1, 2, 1], [1, 2, 1]]  # columns 211, 122, 112... as rows
         ps = build_partition_set(3, np.array(matrix))
@@ -252,6 +275,8 @@ class TestSchemes:
             build_partition_set(3, np.empty((3, 0), dtype=int))
         with pytest.raises(ValidationError, match="partition matrix itself"):
             build_partition_set(3, "user")
+        with pytest.raises(ValidationError, match="must be 2-dimensional"):
+            build_partition_set(3, np.array([1, 2, 2]))
 
 
 class TestGroupIndex:
@@ -282,6 +307,10 @@ class TestRefinement:
         # every partition refines the null
         for col in enumerate_exhaustive(4):
             assert refines(col, (1, 1, 1, 1))
+
+    def test_different_class_counts_rejected(self):
+        with pytest.raises(ValidationError, match="different class counts"):
+            refines((1, 2), (1, 1, 1))
 
     @given(st.integers(2, 5))
     @settings(max_examples=20)

@@ -17,6 +17,7 @@ from multida.simlab import (
     dependent_structure,
     gen_dependent,
     gen_independent,
+    generate,
     selection_error,
 )
 
@@ -24,11 +25,8 @@ from oracles import refit_cross_validate
 
 
 def truth_for(columns, true_col, p):
-    gamma0 = np.zeros((p, len(columns)))
-    gamma0[np.arange(p), true_col] = 1.0
     return TruthAssignment(
         columns=tuple(columns),
-        gamma0=gamma0,
         true_column=np.asarray(true_col),
         class_means=np.zeros((3, p)),
         class_sds=None,
@@ -54,7 +52,25 @@ class TestSimSpec:
 
     def test_fraction_bounds(self):
         with pytest.raises(ValidationError):
-            SimSpec("fs-consistency", n=10, p=5, K=2, discriminative_fraction=1.5)
+            SimSpec("ind-equal-var", n=10, p=5, K=2, discriminative_fraction=1.5)
+
+    def test_fewer_samples_than_classes(self):
+        with pytest.raises(ValidationError, match="need n >= K"):
+            SimSpec("ind-equal-var", n=2, p=5, K=3)
+
+    @pytest.mark.parametrize("density", [-0.1, 1.5])
+    def test_block_density_bounds(self, density):
+        with pytest.raises(ValidationError, match="block_density must lie in"):
+            SimSpec("dep-equal-cov", n=10, p=10, K=2, block_size=5, block_density=density)
+
+    def test_default_block_size(self):
+        spec = SimSpec("dep-equal-cov", n=10, p=50, K=2)
+        assert spec.effective_block_size == 5  # p / 10
+        assert dependent_structure(spec).factors[0][0].shape == (5, 5)
+        assert SimSpec("dep-equal-cov", n=10, p=5, K=2).effective_block_size == 1
+
+    def test_block_settings_only_shape_dependent_scenarios(self):
+        SimSpec("ind-equal-var", n=10, p=10, K=2, block_size=3, block_density=2.0)
 
     def test_block_divisibility(self):
         with pytest.raises(ValidationError, match="divisible"):
@@ -66,7 +82,7 @@ class TestSimSpec:
         ("mean_shift", float("nan")), ("mean_shift", float("inf")),
         ("variance_scale", float("nan")), ("variance_scale", -float("inf")),
     ])
-    @pytest.mark.parametrize("scenario", ["fs-consistency", "ind-unequal-var"])
+    @pytest.mark.parametrize("scenario", ["ind-equal-var", "ind-unequal-var"])
     def test_non_finite_settings_rejected(self, scenario, field, value):
         with pytest.raises(ValidationError, match=f"^{field} must be finite, got"):
             SimSpec(scenario, n=10, p=5, K=2, **{field: value})
@@ -86,31 +102,40 @@ class TestSimSpec:
         # the scale only shapes the unequal-variance scenario
         SimSpec("ind-equal-var", n=10, p=5, K=3, variance_scale=-1.0)
 
-    def test_default_shifts(self):
-        assert SimSpec("fs-consistency", n=9, p=5, K=3).effective_mean_shift == 2.0
-        assert SimSpec("ind-equal-var", n=9, p=5, K=3).effective_mean_shift == 0.5
+    def test_consistency_is_not_a_data_scenario(self):
+        # the sweep draws ind-equal-var data; no scenario of its own
+        with pytest.raises(ValidationError, match="unknown scenario 'fs-consistency'"):
+            SimSpec("fs-consistency", n=9, p=5, K=3)
 
 
 class TestGenIndependent:
+    def test_truth_holds_no_hypothesis_matrix(self):
+        # the planted hypotheses are held once, one column index per feature
+        spec = SimSpec("ind-equal-var", n=30, p=40, K=5, seed=2)
+        _, truth = generate(spec)
+        m = len(truth.columns)
+        arrays = [v for v in vars(truth).values() if isinstance(v, np.ndarray)]
+        assert all(a.size < spec.p * m for a in arrays)
+
     def test_discriminative_count(self):
-        spec = SimSpec("fs-consistency", n=500, p=500, K=3, seed=7)
+        spec = SimSpec("ind-equal-var", n=500, p=500, K=3, seed=7, mean_shift=2.0)
         data, truth = gen_independent(spec)
         assert int((truth.true_column != 0).sum()) == 50
-        assert truth.gamma0.sum() == 500  # one-hot rows
+        assert truth.true_column.shape == (500,)
         assert (data.n, data.p, data.K) == (500, 500, 3)
 
     def test_zero_fraction_all_null(self):
-        spec = SimSpec("fs-consistency", n=30, p=40, K=3,
+        spec = SimSpec("ind-equal-var", n=30, p=40, K=3, mean_shift=2.0,
                        discriminative_fraction=0.0, seed=1)
         _, truth = gen_independent(spec)
-        assert (truth.gamma0[:, 0] == 1).all()
+        assert (truth.true_column == 0).all()
 
     def test_seed_determinism(self):
         spec = SimSpec("ind-equal-var", n=40, p=30, K=4, seed=9)
         d1, t1 = gen_independent(spec)
         d2, t2 = gen_independent(spec)
         assert np.array_equal(d1.X, d2.X)
-        assert np.array_equal(t1.gamma0, t2.gamma0)
+        assert np.array_equal(t1.true_column, t2.true_column)
 
     def test_balanced_allocation(self):
         spec = SimSpec("ind-equal-var", n=100, p=5, K=4, seed=0)
@@ -204,6 +229,33 @@ class TestGenDependent:
             se = np.sqrt((vi * vj + true**2) / len(resid))
             assert abs(emp - true) <= 3.0 * se
 
+    def test_unequal_covariance_sampled_per_class(self):
+        spec = SimSpec("dep-unequal-cov", n=6000, p=30, K=3, block_size=10,
+                       block_density=0.5, seed=3)
+        data, truth = generate(spec)
+        st = dependent_structure(spec)
+        resid = data.X - truth.class_means[data.y - 1]
+        for c in range(3):
+            rows = resid[data.y == c + 1]
+            emp = rows.T @ rows / len(rows)
+            for i in range(30):
+                for j in range(i, 30):
+                    true = st.covariance_entry(i, j, c)
+                    vi = st.covariance_entry(i, i, c)
+                    vj = st.covariance_entry(j, j, c)
+                    se = np.sqrt((vi * vj + true**2) / len(rows))
+                    assert abs(emp[i, j] - true) <= 5.0 * se, (c, i, j)
+
+    def test_generate_dispatches_dependent_scenarios(self):
+        spec = SimSpec("dep-equal-cov", n=20, p=20, K=2, block_size=5, seed=4)
+        (d1, t1), (d2, t2) = generate(spec), gen_dependent(spec)
+        assert np.array_equal(d1.X, d2.X)
+        assert np.array_equal(t1.true_column, t2.true_column)
+
+    def test_rejects_independent_scenario(self):
+        with pytest.raises(ValidationError, match="not a dependent-feature scenario"):
+            dependent_structure(SimSpec("ind-equal-var", n=10, p=10, K=2))
+
     def test_unequal_covariance_differs_per_class(self):
         spec = SimSpec("dep-unequal-cov", n=40, p=20, K=2, block_size=5, seed=1)
         st = dependent_structure(spec)
@@ -224,8 +276,10 @@ def _selection_error_by_masks(model, truth):
                 over[m0, mm] = True
     under = ~over & ~np.eye(m, dtype=bool)
     tc = truth.true_column
-    p = truth.gamma0.shape[0]
-    e_soft = float(np.abs(model.gamma - truth.gamma0).sum())
+    p = len(tc)
+    gamma0 = np.zeros((p, m))
+    gamma0[np.arange(p), tc] = 1.0
+    e_soft = float(np.abs(model.gamma - gamma0).sum())
     return SimReport(
         E=e_soft,
         E_O=2.0 * float((model.gamma * over[tc]).sum()),
@@ -240,13 +294,13 @@ class TestSelectionError:
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_mask_reference(self, k, seed):
-        spec = SimSpec("fs-consistency", n=40, p=50, K=k, seed=seed)
+        spec = SimSpec("ind-equal-var", n=40, p=50, K=k, seed=seed, mean_shift=2.0)
         data, truth = gen_independent(spec)
         model = fit(data, penalty="aic")  # weight off the truth, on both sides
         assert selection_error(model, truth) == _selection_error_by_masks(model, truth)
 
     def test_refines_only_rows_of_true_columns(self):
-        spec = SimSpec("fs-consistency", n=40, p=50, K=6, seed=1)
+        spec = SimSpec("ind-equal-var", n=40, p=50, K=6, seed=1, mean_shift=2.0)
         data, truth = gen_independent(spec)
         model = fit(data)
         with mock.patch.object(simlab, "refines", wraps=refines) as calls:
@@ -292,7 +346,7 @@ class TestSelectionError:
         assert report.E == pytest.approx(report.E_O + report.E_U, abs=1e-9)
 
     def test_decomposition_identity_on_fitted_models(self):
-        spec = SimSpec("fs-consistency", n=60, p=80, K=3, seed=13)
+        spec = SimSpec("ind-equal-var", n=60, p=80, K=3, seed=13, mean_shift=2.0)
         data, truth = gen_independent(spec)
         for pen in ("bic", "ebic", "aic"):
             model = fit(data, penalty=pen)
@@ -302,7 +356,8 @@ class TestSelectionError:
 
     def test_dimension_mismatch(self):
         cols = enumerate_exhaustive(3)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match=r"model gamma is \(2, 5\), truth needs \(3, 5\)"):
             selection_error(FakeModel(cols, np.full((2, 5), 0.2)),
                             truth_for(cols, [0] * 3, 3))
 
@@ -314,6 +369,19 @@ class TestConsistencySweep:
         again = consistency_sweep([30, 60], p=50, k=3, replicates=2, seed=5)
         assert [r["E"] for r in rows] == [r["E"] for r in again]
         assert {r["n"] for r in rows} == {30, 60}
+
+    def test_draws_ind_equal_var_at_shift_2(self):
+        def scores(**shift):
+            rows = consistency_sweep([30], p=40, k=3, replicates=2, seed=5, **shift)
+            return [{k: v for k, v in r.items() if k != "fit_seconds"} for r in rows]
+
+        default = scores()
+        assert default == scores(mean_shift=2.0)
+        assert default != scores(mean_shift=0.5)
+        seed = int(np.random.default_rng([5, 30, 0]).integers(2**32))
+        data, truth = generate(SimSpec("ind-equal-var", n=30, p=40, K=3,
+                                       mean_shift=2.0, seed=seed))
+        assert default[0]["E"] == selection_error(fit(data), truth).E
 
     def test_columns_in_csv_order(self):
         (row,) = consistency_sweep([30], p=20, k=2, replicates=1, seed=5)
@@ -380,6 +448,8 @@ class TestCrossValidate:
     def test_fold_validation(self):
         with pytest.raises(ValidationError):
             cross_validate(self._separated(20), folds=1, trials=1, seed=0)
+        with pytest.raises(ValidationError, match="need at least 1 trial"):
+            cross_validate(self._separated(20), folds=2, trials=0, seed=0)
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest"])
