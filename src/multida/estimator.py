@@ -57,13 +57,32 @@ PRIOR_TERM_MODES = ("log", "plogp")
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-#: Features per block of ``model_from_stats``'s derivation.
-COEF_BLOCK = 1024
+#: Bytes of the widest array one block of ``model_from_stats`` holds: a
+#: row per hypothesis or class subset, whichever are more, and a column per
+#: feature (see ``_block_width``).
+_BLOCK_BYTES = 1 << 21
+
+#: Query cells (rows x features) each ``predict`` worker must get before a
+#: pool starts.  Two workers against one on a 2-core VM (single-threaded
+#: BLAS; K=4 at p = 500 and 5000, K=6 at p = 20000; best of interleaved
+#: runs) took 1.4-1.5x the time at 2^16 cells a worker, 0.8-1.1x at 2^18
+#: and 0.65-0.73x at 2^19, the smallest size at which they won at every p.
+_MIN_WORKER_CELLS = 1 << 19
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _check_cells_finite(a: np.ndarray, what: str) -> None:
+    """Raise ``ValidationError`` naming the first non-finite cell of the
+    2-D ``a`` in row-major order; a finite ``a`` costs one scan."""
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise ValidationError(
+            f"non-finite {what} value at row {i + 1}, column {j + 1}"
+        )
 
 
 @dataclass(frozen=True)
@@ -106,12 +125,7 @@ class Dataset:
             raise ValidationError(
                 f"{len(labels)} labels for {X.shape[0]} rows"
             )
-        bad = np.argwhere(~np.isfinite(X))
-        if bad.size:
-            i, j = bad[0]
-            raise ValidationError(
-                f"non-finite feature value at row {i + 1}, column {j + 1}"
-            )
+        _check_cells_finite(X, "feature")
         seen: dict[str, int] = {}
         codes = np.empty(len(labels), dtype=np.int64)
         for i, lab in enumerate(labels):
@@ -315,11 +329,15 @@ class Prediction:
     eta: np.ndarray             # n* x K
 
 
-def _hypothesis_sums(rows: np.ndarray, parts: PartitionSet) -> np.ndarray:
+def _hypothesis_sums(
+    rows: np.ndarray, parts: PartitionSet, out: np.ndarray | None = None
+) -> np.ndarray:
     """Sums (M x b) of subset rows (S x b) over each hypothesis's groups,
-    added group by group in slot order."""
+    added group by group in slot order, into ``out`` when given."""
     (_, first), *rest = parts.subsets.column_groups
-    out = rows[first]
+    if out is None:
+        out = np.empty((len(first), rows.shape[1]))
+    np.take(rows, first, axis=0, out=out, mode="clip")  # "clip": no buffered copy
     for hyps, groups in rest:
         out[hyps] += rows[groups]
     return out
@@ -332,6 +350,30 @@ def _subset_sums(rows: np.ndarray, parts: PartitionSet) -> np.ndarray:
     for groups, hyps in parts.subsets.group_columns:
         out[groups] += rows[hyps]
     return out
+
+
+def _class_sums(rows: np.ndarray, parts: PartitionSet, out: np.ndarray) -> None:
+    """Add to each row ``out[k]`` (K x b, zeros) the subset rows (S x b)
+    that hold class k in row order, one row per class and rank: the bits
+    of ``rows[class_rows[k]].sum(axis=0)`` without gathering those rows.
+    A one-column block is summed as that gather is, pairwise (see
+    ``_column_blocks``)."""
+    if rows.shape[1] == 1:
+        for acc, held in zip(out, parts.subsets.class_rows):
+            acc[:] = rows[held].sum(axis=0)
+        return
+    for classes, held in parts.subsets.class_groups:
+        out[classes] += rows[held]
+
+
+def _block_width(parts: PartitionSet) -> int:
+    """Features per block of ``model_from_stats``: as many as keep the
+    widest block array, max(M, S) x width doubles, within ``_BLOCK_BYTES``,
+    and at least 2.  Under the exhaustive scheme that is 17476 at K=4
+    (M = S = 15), 1291 at K=6 (M = 203) and 63 at K=8 (M = 4140).  The
+    width depends only on the hypothesis set, which a model file stores, so
+    a loaded model derives in the blocks of its fit."""
+    return max(2, _BLOCK_BYTES // (8 * max(parts.M, len(parts.subsets.masks))))
 
 
 def _column_blocks(p: int, size: int) -> list[slice]:
@@ -382,6 +424,7 @@ def accumulate_stats(data: Dataset) -> SufficientStats:
 def _chan_merge(
     n_a: np.ndarray, mean_a: np.ndarray, m2_a: np.ndarray,
     n_b: np.ndarray, mean_b: np.ndarray, m2_b: np.ndarray,
+    out: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Means and centred sums of squares of the union of two disjoint
     samples, row by row, by the pairwise update of Chan, Golub & LeVeque
@@ -392,10 +435,11 @@ def _chan_merge(
 
     ``n_a`` holds one count per row of ``mean_a``; ``n_b`` is one count or
     one per row, and ``mean_b``/``m2_b`` broadcast against ``mean_a``.
+    The results go to ``out`` (means, sums of squares) when given.
     """
     n_ab = n_a + n_b
-    d = mean_b - mean_a
-    mean = d * (n_b / n_ab)[:, None]
+    d = np.subtract(mean_b, mean_a, out=out[1])
+    mean = np.multiply(d, (n_b / n_ab)[:, None], out=out[0])
     mean += mean_a
     m2 = np.square(d, out=d)
     m2 *= (n_a * n_b / n_ab)[:, None]
@@ -418,8 +462,8 @@ def _merge_subsets(
     count[:parts.K], mean[:parts.K], m2[:parts.K] = stats.n_k, stats.mean, stats.m2
     for rows in idx.levels:
         pre, k = idx.prefix[rows], idx.top[rows]
-        mean[rows], m2[rows] = _chan_merge(count[pre], mean[pre], m2[pre],
-                                           stats.n_k[k], stats.mean[k], stats.m2[k])
+        _chan_merge(count[pre], mean[pre], m2[pre], stats.n_k[k], stats.mean[k],
+                    stats.m2[k], out=(mean[rows], m2[rows]))
         count[rows] = count[pre] + stats.n_k[k]
     return count, mean, m2
 
@@ -460,10 +504,11 @@ def fit_mles(stats: SufficientStats, parts: PartitionSet) -> Mles:
     floor = VARIANCE_FLOOR_SCALE * np.where(global_var > 0.0, global_var, 1.0)
 
     if parts.variance_mode == "equal":
-        var = _hypothesis_sums(m2, parts) / n
+        var = _hypothesis_sums(m2, parts)
+        var /= n
         admissible = n > parts.G
     else:
-        var = m2 / count[:, None]
+        var = np.divide(m2, count[:, None], out=m2)
         # smallest group of each hypothesis; z - G is its first slot
         admissible = np.minimum.reduceat(count[parts.subsets.slot_rows],
                                          parts.z - parts.G) >= 2
@@ -474,22 +519,39 @@ def fit_mles(stats: SufficientStats, parts: PartitionSet) -> Mles:
                 pi=stats.n_k / n, variance_floor=floor, admissible=admissible)
 
 
+def _lrt_rows(mles: Mles, out: np.ndarray) -> np.ndarray:
+    """``lrt``'s statistics as hypothesis rows (M x p), written to ``out``."""
+    parts = mles.parts
+    n = mles.count[-1]
+    if parts.variance_mode == "equal":
+        np.subtract(mles.log_var[:1], mles.log_var, out=out)
+        out *= n
+    else:
+        # the null's one group holds all n samples, so row 0 is n * log(s2_null)
+        _hypothesis_sums(mles.log_var * mles.count[:, None], parts, out=out)
+        np.subtract(out[0].copy(), out, out=out)
+    out[0] = 0.0
+    out[~mles.admissible] = -np.inf
+    return out
+
+
 def lrt(mles: Mles) -> np.ndarray:
     """Likelihood ratio statistics of every hypothesis of ``mles.parts``
     against the null, as a p x M matrix; n is the count of the last subset,
     which holds every class.  Column 1 is exactly zero; inadmissible
     columns are ``-inf`` so they carry no weight downstream."""
-    parts = mles.parts
-    n = mles.count[-1]
-    if parts.variance_mode == "equal":
-        lam = n * (mles.log_var[:1] - mles.log_var)
-    else:
-        # the null's one group holds all n samples, so row 0 is n * log(s2_null)
-        lam = _hypothesis_sums(mles.log_var * mles.count[:, None], parts)
-        lam = lam[:1] - lam
-    lam[0] = 0.0
-    lam[~mles.admissible] = -np.inf
-    return lam.T
+    return _lrt_rows(mles, np.empty((mles.parts.M, mles.mean.shape[1]))).T
+
+
+def _softmax_rows(lam: np.ndarray, nu: np.ndarray, C: float) -> np.ndarray:
+    """``gamma_weights`` in place on hypothesis rows (M x b): ``lam``
+    becomes the weights."""
+    lam *= 0.5
+    lam -= (C * nu)[:, None]
+    lam -= lam.max(axis=0)
+    np.exp(lam, out=lam)
+    lam /= lam.sum(axis=0)
+    return lam
 
 
 def gamma_weights(lam: np.ndarray, nu: np.ndarray, penalty: PenaltyConfig) -> np.ndarray:
@@ -498,12 +560,8 @@ def gamma_weights(lam: np.ndarray, nu: np.ndarray, penalty: PenaltyConfig) -> np
     max-subtraction.  ``lrt`` writes ``-inf``
     for inadmissible hypotheses, which therefore receive weight zero; the
     null score is exactly zero, so the normalizer never vanishes."""
-    scores = 0.5 * np.asarray(lam, dtype=np.float64)
-    scores -= penalty.C * np.asarray(nu, dtype=np.float64)
-    smax = scores.max(axis=1, keepdims=True)
-    w = np.exp(scores - smax)
-    w /= w.sum(axis=1, keepdims=True)
-    return w
+    scores = np.array(lam, dtype=np.float64).T
+    return _softmax_rows(scores, np.asarray(nu, dtype=np.float64), penalty.C).T
 
 
 def fit(
@@ -561,10 +619,11 @@ def model_from_stats(
     known ``prior_term_mode``, resolves ``penalty`` against ``stats.n``
     and p, and returns the model checked by ``validate_model``.
 
-    The derivation is one pass over blocks of ``COEF_BLOCK`` features, so
-    no p x z_M array is held.  Each block takes ``fit_mles``, ``lrt`` and
-    ``gamma_weights`` of its columns and its share of the per-class
-    coefficients (Q, L, c) of the score
+    The derivation is one pass over blocks of ``_block_width`` features,
+    so no p x z_M array is held.  Each block takes ``fit_mles`` of its
+    columns, ``lrt`` and ``gamma_weights`` in place in hypothesis-row
+    (M x block) layout, and its share of the per-class coefficients
+    (Q, L, c) of the score
 
         eta_k(x) = sum_j xc_j * (L[k, j] - Q[k, j] * xc_j / 2) + c[k],
 
@@ -588,38 +647,45 @@ def model_from_stats(
             f"expected one of {PRIOR_TERM_MODES}"
         )
     penalty = PenaltyConfig.resolve(penalty, n, p)
-    idx = parts.subsets
+    blocks = _column_blocks(p, _block_width(parts))
     gamma_t = np.empty((parts.M, p))
+    # lrt's rows of each block: gamma itself when one block spans p, else
+    # one contiguous buffer that the blocks share
+    lam_buf = (gamma_t.reshape(-1) if len(blocks) == 1
+               else np.empty(parts.M * max(c.stop - c.start for c in blocks)))
     mu_null = np.empty(p)
-    Q = np.empty((parts.K, p))
-    L = np.empty_like(Q)
-    subset_const = np.zeros(len(idx.masks))
+    Q = np.zeros((parts.K, p))
+    L = np.zeros_like(Q)
+    subset_const = np.zeros(len(parts.subsets.masks))
     log_const = 0.0
     with np.errstate(all="ignore"):
-        for cols in _column_blocks(p, COEF_BLOCK):
-            block = SufficientStats(stats.n_k, stats.mean[:, cols], stats.m2[:, cols])
-            mles = fit_mles(block, parts)
-            gamma_t[:, cols] = g = gamma_weights(lrt(mles), parts.nu, penalty).T
+        for cols in blocks:
+            mles = fit_mles(SufficientStats(stats.n_k, stats.mean[:, cols], stats.m2[:, cols]),
+                            parts)
+            # the block's own arrays are reused in place below
+            var, log_var, d = mles.var, mles.log_var, mles.mean
+            lam = lam_buf[:parts.M * (cols.stop - cols.start)].reshape(parts.M, -1)
+            g = _softmax_rows(_lrt_rows(mles, lam), parts.nu, penalty.C)
+            gamma_t[:, cols] = g  # numpy skips the copy when g is gamma_t
             # per subset (S x block): the weight of its squared deviation,
             # summed over the hypotheses that hold it as a group
             if parts.variance_mode == "equal":
-                w_var = _subset_sums(g / mles.var, parts)
                 # every class sees each hypothesis's one variance
-                log_const += (g * mles.log_var).sum()
+                log_const += np.multiply(g, log_var, out=log_var).sum()
+                w_var = _subset_sums(np.divide(g, var, out=var), parts)
             else:
-                w = _subset_sums(g, parts)
-                w_var = w / mles.var
-                subset_const += (w * mles.log_var).sum(axis=1)
-            mu_null[cols] = mles.mean[-1]
-            d = mles.mean - mles.mean[-1]  # subset means centred on the null mean
-            w_d = w_var * d
-            subset_const += (w_d * d).sum(axis=1)
-            for k, rows in enumerate(idx.class_rows):
-                Q[k, cols] = w_var[rows].sum(axis=0)
-                L[k, cols] = w_d[rows].sum(axis=0)
+                w_var = _subset_sums(g, parts)
+                subset_const += np.multiply(w_var, log_var, out=log_var).sum(axis=1)
+                w_var /= var
+            mu_null[cols] = d[-1]
+            d -= d[-1]  # subset means centred on the null mean
+            _class_sums(w_var, parts, Q[:, cols])
+            w_d = np.multiply(w_var, d, out=w_var)
+            _class_sums(w_d, parts, L[:, cols])
+            subset_const += np.multiply(w_d, d, out=d).sum(axis=1)
         pi = mles.pi
         prior = np.log(pi) if prior_term_mode == "log" else pi * np.log(pi)
-        class_const = np.array([subset_const[rows].sum() for rows in idx.class_rows])
+        class_const = np.array([subset_const[rows].sum() for rows in parts.subsets.class_rows])
         c = prior - 0.5 * (class_const + log_const + _LOG_2PI * gamma_t.sum())
     return validate_model(FittedModel(
         parts=parts,
@@ -649,7 +715,10 @@ def predict(
     quadratic form in the query row whose per-class coefficients the model
     holds (see ``model_from_stats``), so scoring costs O(n* * p * K): two
     ``einsum`` products per row chunk, of the centred rows with L and of
-    their squares with Q, with no n* x p temporary per class.  Ties in
+    their squares with Q, with no n* x p temporary per class.  The rows
+    split over at most ``threads`` workers, each taking at least
+    ``_MIN_WORKER_CELLS`` query cells; a call too small for two runs in
+    the calling thread, with no pool.  Ties in
     the argmax resolve to the lowest class code.  A score that is not
     finite (e.g. when a model's values overflow) raises ``NumericError``.
     """
@@ -662,14 +731,11 @@ def predict(
         raise ValidationError(
             f"query has {Xnew.shape[1]} columns; model expects p={model.p}"
         )
-    bad = np.argwhere(~np.isfinite(Xnew))
-    if bad.size:
-        i, j = bad[0]
-        raise ValidationError(
-            f"non-finite query value at row {i + 1}, column {j + 1}"
-        )
-    threads = _resolve_threads(threads)
+    _check_cells_finite(Xnew, "query")
     nq = Xnew.shape[0]
+    # a worker costs more than it saves unless it gets _MIN_WORKER_CELLS
+    workers = max(1, min(_resolve_threads(threads),
+                         nq * model.p // _MIN_WORKER_CELLS))
     eta = np.empty((nq, model.K))
 
     def work(rows: slice) -> None:
@@ -683,22 +749,18 @@ def predict(
             sq = np.einsum("ij,kj->ik", np.square(xc, out=xc), model.Q)
             eta[rows] = lin - 0.5 * sq + model.c
 
-    size = max(1, -(-nq // threads))
-    chunks = [slice(i, min(i + size, nq)) for i in range(0, nq, size)]
-    if threads == 1 or len(chunks) == 1:
-        for c in chunks:
-            work(c)
+    if workers == 1:
+        work(slice(0, nq))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, chunks))
+        size = -(-nq // workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, [slice(i, min(i + size, nq)) for i in range(0, nq, size)]))
 
-    bad_rows = np.flatnonzero(~np.isfinite(eta).all(axis=1))
-    if bad_rows.size:
-        raise NumericError(
-            f"non-finite discriminant score at query row {bad_rows[0] + 1}"
-        )
+    if not np.isfinite(eta).all():
+        row = np.argmin(np.isfinite(eta).all(axis=1))
+        raise NumericError(f"non-finite discriminant score at query row {row + 1}")
     shifted = eta - eta.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -750,11 +812,11 @@ def validate_model(model: FittedModel) -> FittedModel:
         raise ValidationError("class counts must be positive and sum to n")
     if np.any(stats.m2 < 0.0):
         raise ValidationError("class_m2 holds a negative value")
-    for name, values in (("class_means", stats.mean.T), ("class_m2", stats.m2.T),
-                         ("mu", model.mu_null[:, None]),
-                         ("gamma", model.gamma)):  # all p x ...
+    for name, values in (("class_means", stats.mean), ("class_m2", stats.m2),
+                         ("mu", model.mu_null[None, :]),
+                         ("gamma", model.gamma.T)):  # all ... x p, as stored
         if not np.isfinite(values).all():
-            j = int(np.argmin(np.isfinite(values).all(axis=1)))
+            j = int(np.argmin(np.isfinite(values).all(axis=0)))
             raise NumericError(f"{name} holds a non-finite value for feature "
                                f"{model.feature_names[j]!r}")
     return model

@@ -223,6 +223,7 @@ class SubsetIndex:
     levels: tuple[slice, ...]   # rows of each subset size from 2 up
     slot_rows: np.ndarray       # z_M, row of each slot's group
     class_rows: tuple[np.ndarray, ...]  # K, rows of the groups holding each class
+    class_groups: Ranked        # rank r: classes in > r groups, their group row r + 1
     column_groups: Ranked       # rank r: columns with > r groups, row of group r + 1
     group_columns: Ranked       # rank r: group rows in > r columns, their column r + 1
 
@@ -254,6 +255,7 @@ class SubsetIndex:
             for r in rows:
                 row_columns.setdefault(r, []).append(m)
         used = sorted(row_columns)
+        class_rows = {c: [r for r in used if order[r] >> c & 1] for c in range(k)}
         return cls(
             masks=np.array(order, dtype=np.int64),
             prefix=np.array(prefix, dtype=np.int64),
@@ -261,8 +263,8 @@ class SubsetIndex:
             levels=levels,
             slot_rows=np.array([r for rows in column_rows.values() for r in rows],
                                dtype=np.int64),
-            class_rows=tuple(np.array([r for r in used if order[r] >> c & 1], dtype=np.int64)
-                             for c in range(k)),
+            class_rows=tuple(np.array(rows, dtype=np.int64) for rows in class_rows.values()),
+            class_groups=_ranked(class_rows),
             column_groups=_ranked(column_rows),
             group_columns=_ranked(row_columns),
         )

@@ -255,10 +255,20 @@ def _draw_factor(b: int, density: float, rng: np.random.Generator) -> np.ndarray
 def dependent_structure(spec: SimSpec) -> DependentStructure:
     """Deterministic structure draws of a dependent scenario (factors,
     discriminative sets, permutation); reusable to recover the true
-    covariance that :func:`gen_dependent` sampled from."""
+    covariance that :func:`gen_dependent` sampled from.
+
+    round(discriminative_fraction * p) features are planted, split over
+    the classes as evenly as possible, the first classes taking one more
+    each; a positive fraction that rounds to no feature is refused."""
     if spec.scenario not in DEPENDENT_SCENARIOS:
         raise ValidationError(
             f"scenario {spec.scenario!r} is not a dependent-feature scenario"
+        )
+    n_disc = int(round(spec.discriminative_fraction * spec.p))
+    if n_disc == 0 and spec.discriminative_fraction > 0.0:
+        raise ValidationError(
+            f"discriminative_fraction={spec.discriminative_fraction} of p={spec.p} "
+            "features plants none; raise p or the fraction"
         )
     rng_struct = np.random.default_rng([spec.seed, 1])
     b = spec.effective_block_size
@@ -269,12 +279,9 @@ def dependent_structure(spec: SimSpec) -> DependentStructure:
         tuple(_draw_factor(b, spec.block_density, rng_struct) for _ in range(n_blocks))
         for _ in range(n_factor_sets)
     )
-    n_disc = int(round(spec.discriminative_fraction * spec.p))
-    share = n_disc // spec.K
-    disc_sets = tuple(
-        np.arange(k * share, (k + 1) * share, dtype=np.int64)
-        for k in range(spec.K)
-    )
+    sizes = _class_allocation(n_disc, spec.K)
+    starts = np.cumsum(sizes) - sizes
+    disc_sets = tuple(np.arange(a, a + m, dtype=np.int64) for a, m in zip(starts, sizes))
     perm = rng_struct.permutation(spec.p)
     return DependentStructure(
         factors=factors, shared=shared, perm=perm, disc_sets=disc_sets
@@ -458,11 +465,12 @@ def _cv_folds(
     """The test rows and the training statistics of every fold.  Each
     fold's per-class statistics are taken once, from its own rows; a
     fold's training statistics merge those of the other folds in
-    ascending fold order, so no training rows are copied."""
-    tests = [data.subset(idx) for idx in test_sets]
-    fold_stats = [accumulate_stats(test) for test in tests]
-    for f, test in enumerate(tests):
-        yield test, merge_stats(fold_stats[:f] + fold_stats[f + 1:])
+    ascending fold order, so no training rows are copied.  A fold's test
+    rows are copied when it is yielded, so one fold's copy is held at a
+    time."""
+    fold_stats = [accumulate_stats(data.subset(idx)) for idx in test_sets]
+    for f, idx in enumerate(test_sets):
+        yield data.subset(idx), merge_stats(fold_stats[:f] + fold_stats[f + 1:])
 
 
 def cross_validate(

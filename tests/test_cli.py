@@ -653,6 +653,12 @@ class TestSimulate:
                    "--k", "2", "--block-size", "7", "--seed", "4", "--out", str(out)],
         )
         assert_one_error_line(result, "p=20 is not divisible by block size 7")
+        result = runner.invoke(
+            main, ["simulate", "--scenario", "dep-equal-cov", "--n", "30", "--p", "4",
+                   "--k", "2", "--block-size", "2", "--seed", "4", "--out", str(out)],
+        )
+        assert_one_error_line(result, "discriminative_fraction=0.1 of p=4 features plants none")
+        assert not out.exists()
 
     def test_bad_grid_exits_2(self, runner, tmp_path):
         result = runner.invoke(

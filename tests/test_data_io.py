@@ -18,8 +18,10 @@ from multida.data_io import (
     save_dataset,
     save_model,
 )
-from multida.estimator import (COEF_BLOCK, Dataset, fit, fit_mles, gamma_weights, lrt,
-                               predict, selected_features, validate_model)
+from multida.estimator import (Dataset, _block_width, _column_blocks, fit, fit_mles,
+                               gamma_weights, lrt, predict, selected_features,
+                               validate_model)
+from multida.partitions import build_partition_set
 
 
 TOY = "label,x1\na,0\na,2\nb,4\nb,6\n"
@@ -447,8 +449,10 @@ class TestModelRoundTrip:
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
     @pytest.mark.parametrize("k", [3, 6])
     def test_model_holds_no_slot_arrays(self, tmp_path, k, variance_mode):
-        # p spans two blocks of the derivation and a tail
-        p = 2 * COEF_BLOCK + 3
+        # p spans two blocks of the derivation, the second with a merged tail
+        width = _block_width(build_partition_set(k, "exhaustive", variance_mode=variance_mode))
+        p = 2 * width + 1
+        assert [b.stop - b.start for b in _column_blocks(p, width)] == [width, width + 1]
         rng = np.random.default_rng(70 + k)
         y = np.repeat(np.arange(1, k + 1), 6)
         X = rng.normal(size=(len(y), p))

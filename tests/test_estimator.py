@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import os
 
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from multida import NumericError, ValidationError
 from multida.estimator import (
-    COEF_BLOCK,
+    _MIN_WORKER_CELLS,
     Dataset,
     PenaltyConfig,
     SufficientStats,
+    _block_width,
+    _column_blocks,
     _resolve_threads,
     accumulate_stats,
     fit,
@@ -52,6 +55,16 @@ def toy_parts():
     return build_partition_set(2, "exhaustive")
 
 
+def two_blocks_and_a_tail(k, scheme="exhaustive", variance_mode="equal"):
+    """A feature count that ``model_from_stats`` splits into two blocks,
+    the second holding a one-column tail merged into it, for ``k`` classes
+    under the given hypothesis set."""
+    width = _block_width(build_partition_set(k, scheme, variance_mode=variance_mode))
+    p = 2 * width + 1
+    assert [b.stop - b.start for b in _column_blocks(p, width)] == [width, width + 1]
+    return p
+
+
 def random_dataset(rng, n, p, k, min_per_class=1):
     while True:
         y = rng.integers(1, k + 1, size=n)
@@ -73,6 +86,14 @@ class TestDataset:
         X = np.array([[0.0], [np.nan]])
         with pytest.raises(ValidationError, match="row 2, column 1"):
             Dataset.from_arrays(X, ["a", "b"])
+
+    def test_names_first_non_finite_cell_in_row_order(self):
+        # column by column the first bad cell would be row 3, column 1
+        X = np.zeros((4, 5))
+        X[1, 3], X[1, 1], X[2, 0], X[3, 4] = np.nan, np.inf, -np.inf, np.nan
+        with pytest.raises(ValidationError, match="^non-finite feature value at "
+                                                  "row 2, column 2$"):
+            Dataset.from_arrays(X, ["a", "b", "a", "b"])
 
     def test_subset_keeps_encoding(self, toy_data):
         sub = toy_data.subset(np.array([1, 2, 3]))
@@ -433,21 +454,25 @@ class TestFit:
             assert np.array_equal(getattr(m1, f), getattr(m3, f)), f
 
     def test_tail_block_merged_into_the_one_before(self):
-        # p = COEF_BLOCK + 1 would leave a one-column tail block, whose sums
+        # p = 2 * width + 1 would leave a one-column tail block, whose sums
         # over hypotheses numpy takes pairwise; merged into the block before
         # it, the tail features get the bits of a fit on them alone (BIC's
         # constant does not depend on p)
         rng = np.random.default_rng(12)
-        data = random_dataset(rng, 48, COEF_BLOCK + 1, 4, min_per_class=8)
-        X = data.X.copy()
-        X[:, -25:] += 0.8 * (data.y[:, None] - 1)
-        labels = [data.class_labels[c - 1] for c in data.y]
-        whole = fit(Dataset.from_arrays(X, labels), penalty="bic")
-        tail = fit(Dataset.from_arrays(X[:, -25:], labels), penalty="bic")
-        assert tail.gamma[:, 1:].max() > 0.5  # the hypotheses carry weight
-        for f in ("Q", "L"):
-            assert np.array_equal(getattr(whole, f)[:, -25:], getattr(tail, f)), f
-        assert np.array_equal(whole.gamma[-25:], tail.gamma)
+        for variance_mode in ("equal", "unequal"):
+            p = two_blocks_and_a_tail(4, variance_mode=variance_mode)
+            data = random_dataset(rng, 48, p, 4, min_per_class=8)
+            X = data.X.copy()
+            X[:, -25:] += 0.8 * (data.y[:, None] - 1)
+            labels = [data.class_labels[c - 1] for c in data.y]
+            whole = fit(Dataset.from_arrays(X, labels), penalty="bic",
+                        variance_mode=variance_mode)
+            tail = fit(Dataset.from_arrays(X[:, -25:], labels), penalty="bic",
+                       variance_mode=variance_mode)
+            assert tail.gamma[:, 1:].max() > 0.5  # the hypotheses carry weight
+            for f in ("Q", "L", "mu_null"):
+                assert np.array_equal(getattr(whole, f)[..., -25:], getattr(tail, f)), f
+            assert np.array_equal(whole.gamma[-25:], tail.gamma)
 
     def test_thread_counts_produce_identical_models(self):
         rng = np.random.default_rng(17)
@@ -493,6 +518,33 @@ class TestModelFromStats:
         parts = build_partition_set(k, "exhaustive")
         with pytest.raises(ValidationError, match=message):
             self._derive(stats, parts, prior_term_mode=prior)
+
+    def test_first_bad_feature_named(self):
+        # the first bad cell of the stored K x p means is feature 4's; every
+        # check names the lowest feature with a bad value in any row
+        mean = np.zeros((2, 5))
+        mean[0, 3], mean[1, 1], mean[1, 4] = np.nan, np.inf, np.nan
+        stats = SufficientStats(n_k=np.array([3, 3]), mean=mean, m2=np.ones((2, 5)))
+        with pytest.raises(NumericError, match="^class_means holds a non-finite "
+                                               "value for feature 'x2'$"):
+            self._derive(stats, build_partition_set(2, "exhaustive"))
+        m2 = np.ones((2, 5))
+        m2[0, 4], m2[1, 2] = np.inf, np.nan
+        stats = SufficientStats(n_k=np.array([3, 3]), mean=np.zeros((2, 5)), m2=m2)
+        with pytest.raises(NumericError, match="^class_m2 holds a non-finite "
+                                               "value for feature 'x3'$"):
+            self._derive(stats, build_partition_set(2, "exhaustive"))
+        model = fit(random_dataset(np.random.default_rng(9), 30, 5, 3, min_per_class=4))
+        gamma = model.gamma.copy()
+        gamma[3, 0], gamma[1, 4], gamma[4, 2] = np.nan, np.inf, np.nan
+        with pytest.raises(NumericError, match="^gamma holds a non-finite "
+                                               "value for feature 'x2'$"):
+            validate_model(dataclasses.replace(model, gamma=gamma))
+        mu_null = model.mu_null.copy()
+        mu_null[[2, 4]] = np.nan
+        with pytest.raises(NumericError, match="^mu holds a non-finite "
+                                               "value for feature 'x3'$"):
+            validate_model(dataclasses.replace(model, mu_null=mu_null))
 
     def test_result_is_validated(self):
         stats = SufficientStats(n_k=np.array([3, 3]),
@@ -612,6 +664,16 @@ class TestPredict:
         with pytest.raises(ValidationError, match="must be 2-dimensional"):
             predict(model, np.zeros((2, 2, 1)))
 
+    def test_names_first_non_finite_query_cell_in_row_order(self):
+        model = fit(random_dataset(np.random.default_rng(7), 30, 5, 3, min_per_class=4))
+        # column by column the first bad cell would be row 3, column 1
+        q = np.zeros((4, 5))
+        q[1, 3], q[1, 1], q[2, 0], q[3, 4] = np.nan, np.inf, -np.inf, np.nan
+        for threads in (1, 2):
+            with pytest.raises(ValidationError, match="^non-finite query value at "
+                                                      "row 2, column 2$"):
+                predict(model, q, threads=threads)
+
     def test_one_dimensional_row_is_one_query(self):
         rng = np.random.default_rng(4)
         model = fit(random_dataset(rng, 30, 6, 3, min_per_class=4))
@@ -642,7 +704,8 @@ class TestPredict:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         rng = np.random.default_rng(6)
         model = fit(random_dataset(rng, 40, 30, 3, min_per_class=5))
-        q = rng.normal(size=(50, 30))
+        # enough rows for three workers' minimum number of cells
+        q = rng.normal(size=(3 * -(-_MIN_WORKER_CELLS // 30), 30))
         want = predict(model, q, threads=1)
         got = predict(model, q, threads=10**6)
         assert all(w <= _resolve_threads(0) for w in workers)
@@ -657,28 +720,70 @@ class TestPredict:
         assert np.array_equal(got.eta, want.eta)
 
     def test_row_chunking_identical(self, monkeypatch):
-        # eight usable CPUs, so the thread counts below are not capped
+        # eight usable CPUs, so the thread counts below are not capped, and
+        # a pool that records each chunk it maps
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
+        chunks = []
+        pool = concurrent.futures.ThreadPoolExecutor
+
+        class RecordingPool(pool):
+            def map(self, fn, items):
+                items = list(items)
+                chunks.append([s.stop - s.start for s in items])
+                return super().map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         rng = np.random.default_rng(31)
-        # p = 40 sets up one feature block; 2 * COEF_BLOCK + 3 two and a tail
-        for k, p in ((3, 40), (3, 2 * COEF_BLOCK + 3), (6, 2 * COEF_BLOCK + 3)):
+        # p = 40 sets up one feature block, the other two and a merged tail
+        for k, p in ((3, 40), (3, two_blocks_and_a_tail(3)), (6, two_blocks_and_a_tail(6))):
             data = random_dataset(rng, 20 * k, p, k, min_per_class=6)
-            q = rng.normal(size=(37, p))
+            # the fewest rows that give a worker its minimum number of cells
+            least = -(-_MIN_WORKER_CELLS // p)
+            q = rng.normal(size=(4 * least + 1, p))
             for variance_mode in ("equal", "unequal"):
                 model = fit(data, variance_mode=variance_mode)
                 a = predict(model, q, threads=1)
+                chunks.clear()
                 b = predict(model, q, threads=4)
                 assert np.array_equal(a.probabilities, b.probabilities)
                 assert np.array_equal(a.eta, b.eta)
-                # more threads than rows: every chunk is a single row
-                c = predict(model, q[:5], threads=8)
-                assert np.array_equal(a.eta[:5], c.eta)
-                assert np.array_equal(a.probabilities[:5], c.probabilities)
-                # 7 rows on 3 threads: chunks of 3, 3 and 1 rows
-                d = predict(model, q[:7], threads=3)
-                assert np.array_equal(a.eta[:7], d.eta)
-                assert np.array_equal(a.probabilities[:7], d.probabilities)
+                # chunks of least + 1 rows, the last one shorter
+                assert chunks == [[least + 1] * 3 + [least - 2]]
+                # more threads than the rows can feed: one worker per minimum
+                c = predict(model, q[:2 * least], threads=8)
+                assert np.array_equal(a.eta[:2 * least], c.eta)
+                assert np.array_equal(a.probabilities[:2 * least], c.probabilities)
+                assert chunks[-1] == [least, least]
+                # 3 * least + 1 rows on 3 threads: least + 1, least + 1, least - 1
+                d = predict(model, q[:3 * least + 1], threads=3)
+                assert np.array_equal(a.eta[:3 * least + 1], d.eta)
+                assert np.array_equal(a.probabilities[:3 * least + 1], d.probabilities)
+                assert chunks[-1] == [least + 1, least + 1, least - 1]
+                # too few cells for two workers: no pool
+                short = (2 * _MIN_WORKER_CELLS - 1) // p
+                e = predict(model, q[:short], threads=2)
+                assert np.array_equal(a.eta[:short], e.eta)
+                assert len(chunks) == 3
+
+    def test_small_call_starts_no_pool(self, monkeypatch):
+        # a 20-row fold of cv-k4-qda's shape on 2 threads runs in this thread
+        started = []
+
+        class NoPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rng = np.random.default_rng(41)
+        model = fit(random_dataset(rng, 80, 5000, 4, min_per_class=8),
+                    variance_mode="unequal")
+        q = rng.normal(size=(20, 5000))
+        one, two = predict(model, q, threads=1), predict(model, q, threads=2)
+        assert started == []
+        assert np.array_equal(one.eta, two.eta)
+        assert np.array_equal(one.probabilities, two.probabilities)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
@@ -687,12 +792,12 @@ class TestPredict:
     def test_eta_matches_slotwise_oracle(self, k, variance_mode, prior_term_mode, scheme):
         rng = np.random.default_rng(100 + k)
         y = np.repeat(np.arange(1, k + 1), 8)
-        # p = 12 sets up one feature block; 2 * COEF_BLOCK + 3 two and a tail
-        for p in (12, 2 * COEF_BLOCK + 3):
+        # p = 12 sets up one feature block, the other two and a merged tail
+        for p in (12, two_blocks_and_a_tail(k, scheme, variance_mode)):
             X = rng.normal(size=(y.size, p))
             X[:, :4] += 1.5 * (y[:, None] - 1) * np.array([1.0, -1.0, 0.5, 2.0])
             X[:, 4] *= 0.5 + y  # class-dependent spread
-            if p > COEF_BLOCK:  # features that carry weight in the tail block
+            if p > 12:  # features that carry weight in the tail block
                 X[:, -4:] += 3.0 * (y[:, None] - 1) * np.array([1.0, -1.0, 0.5, 2.0])
             q = rng.normal(size=(15, p)) * 2.0
             for offset in (0.0, 1e6):
@@ -701,7 +806,7 @@ class TestPredict:
                             variance_mode=variance_mode,
                             prior_term_mode=prior_term_mode)
                 assert model.gamma[:, 1:].max() > 0.5  # the hypotheses carry weight
-                if p > COEF_BLOCK:
+                if p > 12:
                     assert model.gamma[-4:, 1:].max() > 0.5
                 got = predict(model, q + offset).eta
                 want = slotwise_eta(model, q + offset)

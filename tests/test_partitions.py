@@ -175,6 +175,12 @@ class TestSubsetIndex:
         for c, rows in enumerate(idx.class_rows):
             assert rows.tolist() == sorted(r for r in set(idx.slot_rows.tolist())
                                            if masks[r] >> c & 1)
+        # the ranks walk each class's group rows in ascending order
+        walked = {c: [] for c in range(k)}
+        for classes, rows in idx.class_groups:
+            for c, r in zip(np.arange(k)[classes], rows, strict=True):
+                walked[int(c)].append(int(r))
+        assert walked == {c: rows.tolist() for c, rows in enumerate(idx.class_rows)}
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest", "ordinal"])

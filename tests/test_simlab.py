@@ -189,6 +189,27 @@ class TestGenDependent:
         for j in disc:
             assert max(cols[truth.true_column[j]]) == 2
 
+    @pytest.mark.parametrize("p, k, sizes", [
+        (20, 3, [1, 1, 0]), (40, 3, [2, 1, 1]), (60, 4, [2, 2, 1, 1]), (40, 4, [1, 1, 1, 1]),
+    ])
+    def test_plants_rounded_fraction_of_p(self, p, k, sizes):
+        # round(0.1 * p) features, the first classes taking one more each
+        spec = SimSpec("dep-unequal-cov", n=10 * k, p=p, K=k, block_size=10, seed=5)
+        st = dependent_structure(spec)
+        assert [len(s) for s in st.disc_sets] == sizes
+        assert np.concatenate(st.disc_sets).tolist() == list(range(sum(sizes)))
+        _, truth = gen_dependent(spec)
+        assert np.count_nonzero(truth.true_column) == round(0.1 * p)
+
+    def test_refuses_fraction_that_plants_none(self):
+        spec = SimSpec("dep-equal-cov", n=10, p=4, K=2, block_size=2)
+        with pytest.raises(ValidationError, match="discriminative_fraction=0.1 of p=4 "
+                                                  "features plants none"):
+            generate(spec)
+        # a zero fraction asks for none
+        generate(SimSpec("dep-equal-cov", n=10, p=4, K=2, block_size=2,
+                         discriminative_fraction=0.0))
+
     def test_mean_shift_applied_to_class_sets(self):
         spec = SimSpec("dep-equal-cov", n=4000, p=20, K=2, block_size=4,
                        discriminative_fraction=0.5, seed=8)
