@@ -4,13 +4,15 @@ Training CSVs carry one label column (named ``label`` unless overridden)
 plus numeric feature columns; prediction CSVs are purely numeric.  A CSV
 body is parsed by numpy's C reader; a file that reader does not take
 whole is read again row by row, which names the first bad cell.  A model
-is stored as one JSON document of its config and per-class statistics,
-floats written with full round-trip precision.  Loading re-derives the
-model with ``estimator.model_from_stats``, the one checked entry that
-``fit`` also uses, so save/load/predict is bit-identical and a document no
-fit could have made (fewer than 2 classes, fewer than K+1 samples, an
-unknown prior term mode, counts that are not positive or do not sum to n,
-non-finite statistics) is rejected.
+is stored as one JSON document of its config, its hypothesis matrix S and
+per-class statistics, floats written with full round-trip precision.
+Loading builds the set and the model with the checked entries ``fit``
+uses, ``partitions.build_partition_set`` (by name, or from S for ``user``)
+and ``estimator.model_from_stats``, so save/load/predict is bit-identical
+and a document no fit could have made (an S other than the set its scheme
+builds, fewer than 2 classes, fewer than K+1 samples, an unknown prior
+term mode, counts not positive or not summing to n, non-finite statistics)
+is rejected.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import FormatError, MultidaError, NumericError, ValidationError
 from .estimator import Dataset, FittedModel, PenaltyConfig, SufficientStats
-from .partitions import is_restricted_growth, partition_set_from_columns
+from .partitions import PartitionSet, build_partition_set
 from . import estimator
 
 MODEL_SCHEMA_VERSION = 2
@@ -380,7 +382,7 @@ def save_model(model: FittedModel, path: str | Path) -> None:
         "K": model.K,
         "class_label_map": list(model.class_labels),
         "scheme": model.parts.scheme,
-        "S": [[int(v) for v in col] for col in zip(*model.parts.columns)],
+        "S": _s_rows(model.parts),
         "variance_mode": model.variance_mode,
         "penalty": {"kind": model.penalty.kind, "C": model.penalty.C},
         "prior_term_mode": model.prior_term_mode,
@@ -413,25 +415,30 @@ def _require_strings(doc: dict, key: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _hypothesis_columns(doc: dict) -> tuple[tuple[int, ...], ...]:
-    """Columns of the K x M hypothesis matrix ``S``, checked for shape,
-    integer entries and restricted-growth form with the null first."""
-    k = _require_int(doc, "K")
+def _s_rows(parts: PartitionSet) -> list[list[int]]:
+    """The K x M hypothesis matrix ``S`` as K lists, as a document holds it."""
+    return [list(row) for row in zip(*parts.columns)]
+
+
+def _hypothesis_set(doc: dict, k: int) -> PartitionSet:
+    """The set ``build_partition_set`` makes from the document's scheme (from
+    ``S`` itself for ``user``), which must hold exactly the stored ``S``.
+    Checked first: ``scheme`` is a string (a list would be read as S), S
+    holds no bool (``True == 1``) and K is S's row count (K could be huge)."""
+    scheme = _require(doc, "scheme")
     s_rows = _require(doc, "S")
-    if k < 1 or not isinstance(s_rows, list) or len(s_rows) != k:
-        raise FormatError(f"S must be a list of K={k} rows (K >= 1)")
-    if not all(isinstance(row, list) for row in s_rows) or not s_rows[0]:
-        raise FormatError("S rows must be non-empty lists")
-    if len({len(row) for row in s_rows}) != 1:
-        raise FormatError("S rows differ in length")
-    if not all(type(v) is int for row in s_rows for v in row):
-        raise FormatError("S entries must be integers")
-    columns = tuple(zip(*s_rows))
-    if columns[0] != (1,) * k or not all(is_restricted_growth(c) for c in columns):
-        raise FormatError(
-            "S columns must be restricted-growth partitions, the null first"
-        )
-    return columns
+    if not isinstance(scheme, str):
+        raise FormatError(f"model field 'scheme' must be a string, got {type(scheme).__name__}")
+    if not (isinstance(s_rows, list) and len(s_rows) == k
+            and all(isinstance(row, list) for row in s_rows)
+            and len({len(row) for row in s_rows}) == 1
+            and all(type(v) is int for row in s_rows for v in row)):
+        raise FormatError(f"S must be K={k} lists of integers, all the same length")
+    parts = build_partition_set(k, s_rows if scheme == "user" else scheme,
+                                variance_mode=_require(doc, "variance_mode"))
+    if _s_rows(parts) != s_rows:
+        raise FormatError(f"S is not the hypothesis set scheme {scheme!r} builds for K={k}")
+    return parts
 
 
 def _class_array(doc: dict, key: str, k: int, p: int) -> np.ndarray:
@@ -444,18 +451,16 @@ def _class_array(doc: dict, key: str, k: int, p: int) -> np.ndarray:
 def _model_from_doc(doc: dict) -> FittedModel:
     """Derive a FittedModel from a parsed document; field errors raise
     ``FormatError``, values of the wrong type ``TypeError``/``ValueError``,
-    an unknown scheme or variance mode, or anything ``model_from_stats``
-    rejects, ``ValidationError``/``NumericError``."""
+    and what ``build_partition_set`` or ``model_from_stats`` rejects
+    ``ValidationError``/``NumericError``."""
     version = _require(doc, "schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise FormatError(
             f"unsupported schema_version {version}; "
             f"this build reads version {MODEL_SCHEMA_VERSION}"
         )
-    columns = _hypothesis_columns(doc)
-    k = len(columns[0])
-    parts = partition_set_from_columns(
-        columns, _require(doc, "scheme"), _require(doc, "variance_mode"))
+    k = _require_int(doc, "K")
+    parts = _hypothesis_set(doc, k)
     pen_doc = _require(doc, "penalty")
     try:
         c = pen_doc["C"]

@@ -24,6 +24,7 @@ subsets once and maps slots, columns and classes onto them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +36,9 @@ from .errors import ValidationError
 #: about 13 s and 218 MB before any fit starts, growing 6-8x per class.
 MAX_CLASSES = 9
 
-SCHEMES = ("exhaustive", "onevsrest", "ordinal", "user")
+#: Largest class count of any scheme: ``SubsetIndex`` masks are int64, one bit per class.
+MAX_INDEXED_CLASSES = 63
+
 VARIANCE_MODES = ("equal", "unequal")
 
 Column = tuple[int, ...]
@@ -51,15 +54,6 @@ def canonicalize(labels: Sequence[int]) -> Column:
             mapping[lab] = len(mapping) + 1
         out.append(mapping[lab])
     return tuple(out)
-
-
-def is_restricted_growth(labels: Sequence[int]) -> bool:
-    running_max = 0
-    for lab in labels:
-        if lab < 1 or lab > running_max + 1:
-            return False
-        running_max = max(running_max, lab)
-    return len(labels) > 0
 
 
 def group_index(class_label: int, column: Sequence[int]) -> int:
@@ -117,9 +111,9 @@ def enumerate_exhaustive(k: int) -> list[Column]:
         raise ValidationError("class count must be at least 1")
     if k > MAX_CLASSES:
         raise ValidationError(
-            f"exhaustive enumeration for K={k} would produce B_{k} = "
-            f"{bell_number(k)} columns; Bell numbers blow up quickly "
-            f"(B_15 = 1,382,958,545), so it takes K <= {MAX_CLASSES}."
+            f"exhaustive enumeration for K={k} would produce B_{k} columns; "
+            "Bell numbers blow up quickly (B_10 = 115,975, B_15 = 1,382,958,545), "
+            f"so it takes K <= {MAX_CLASSES}."
         )
     columns: list[Column] = []
     stack: list[tuple[list[int], int]] = [([1], 1)]
@@ -140,10 +134,8 @@ def one_vs_rest_columns(k: int) -> list[Column]:
     Duplicates collapse after canonicalization, so K=2 yields M=2 rather
     than K+1 (both singleton splits are the same partition).
     """
-    cols = {(1,) * k}
-    for single in range(k):
-        cols.add(canonicalize(tuple(2 if i == single else 1 for i in range(k))))
-    return sorted(cols, key=_column_sort_key)
+    cols = {canonicalize(tuple(2 if i == single else 1 for i in range(k))) for single in range(k)}
+    return sorted(cols | {(1,) * k}, key=_column_sort_key)
 
 
 def ordinal_columns(k: int) -> list[Column]:
@@ -151,22 +143,19 @@ def ordinal_columns(k: int) -> list[Column]:
 
     Refuses a set larger than the largest exhaustive one, B_9 = 21,147
     columns (see ``MAX_CLASSES``), before any column is built: so
-    ``k <= 15``.
+    ``k <= 15``, the bit length of B_9.
     """
-    if 2 ** (k - 1) > bell_number(MAX_CLASSES):
+    largest = bell_number(MAX_CLASSES)
+    if k > largest.bit_length():  # 2^(k-1) > B_9, without computing 2^(k-1)
         raise ValidationError(
-            f"the ordinal set for K={k} would have 2^{k - 1} = {2 ** (k - 1)} "
-            f"columns, more than the B_{MAX_CLASSES} = {bell_number(MAX_CLASSES)} "
-            "of the largest exhaustive set, so it takes K <= 15."
+            f"the ordinal set for K={k} would have 2^{k - 1} columns, more than "
+            f"the B_{MAX_CLASSES} = {largest} of the largest exhaustive set, "
+            f"so it takes K <= {largest.bit_length()}."
         )
-    cols: list[Column] = []
-    for mask in range(1 << (k - 1)):
-        labels = [1]
-        for i in range(k - 1):
-            labels.append(labels[-1] + ((mask >> i) & 1))
-        cols.append(tuple(labels))
-    cols.sort(key=_column_sort_key)
-    return cols
+    # bit i of the mask starts a new group at class i + 2
+    cols = (tuple(accumulate(((mask >> i) & 1 for i in range(k - 1)), initial=1))
+            for mask in range(1 << (k - 1)))
+    return sorted(cols, key=_column_sort_key)
 
 
 def allocation_matrix(
@@ -308,7 +297,7 @@ def _validate_user_matrix(matrix: np.ndarray, k: int) -> list[Column]:
     for j in range(matrix.shape[1]):
         col = tuple(int(v) for v in matrix[:, j])
         groups = set(col)
-        if min(groups) < 1 or groups != set(range(1, max(groups) + 1)):
+        if groups != set(range(1, len(groups) + 1)):
             raise ValidationError(
                 f"column {j + 1} of user partition matrix uses group labels "
                 f"{sorted(groups)}; labels must cover 1..G with no gaps"
@@ -339,34 +328,28 @@ def build_partition_set(
     single-class-versus-rest split and ``ordinal`` all contiguous interval
     partitions.  A matrix is canonicalized and deduplicated, with the null
     column prepended when missing, and the set is labelled ``user``.
-    Columns are sorted by group count, then lexicographically.
+    Columns are sorted by group count, then lexicographically.  Every
+    scheme takes K <= ``MAX_INDEXED_CLASSES`` = 63.
     """
+    if k < 1:
+        raise ValidationError("class count must be at least 1")
+    if k > MAX_INDEXED_CLASSES:  # checked before any column is built
+        raise ValidationError(f"K={k} classes is more than the {MAX_INDEXED_CLASSES} a "
+                              "hypothesis set takes, as it stores class subsets as 64-bit masks")
     if isinstance(scheme, str):
         if scheme not in _NAMED_SCHEMES:
             raise ValidationError(
                 f"unknown scheme {scheme!r}; expected one of {tuple(_NAMED_SCHEMES)} "
                 "or the K x M partition matrix itself"
             )
-        if k < 1:
-            raise ValidationError("class count must be at least 1")
-        return partition_set_from_columns(_NAMED_SCHEMES[scheme](k), scheme, variance_mode)
+        return _partition_set_from_columns(_NAMED_SCHEMES[scheme](k), scheme, variance_mode)
     raw = _validate_user_matrix(np.asarray(scheme, dtype=np.int64), k)
-    dedup = sorted({canonicalize(c) for c in raw}, key=_column_sort_key)
-    null = (1,) * k
-    columns = dedup if dedup[0] == null else [null] + dedup
-    return partition_set_from_columns(columns, "user", variance_mode)
+    # the null column has the fewest groups, so it sorts first
+    columns = sorted({(1,) * k} | {canonicalize(c) for c in raw}, key=_column_sort_key)
+    return _partition_set_from_columns(columns, "user", variance_mode)
 
 
-def _check_config(scheme: str, variance_mode: str) -> None:
-    if scheme not in SCHEMES:
-        raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if variance_mode not in VARIANCE_MODES:
-        raise ValidationError(
-            f"unknown variance mode {variance_mode!r}; expected one of {VARIANCE_MODES}"
-        )
-
-
-def partition_set_from_columns(
+def _partition_set_from_columns(
     columns: Sequence[Column], scheme: str, variance_mode: str
 ) -> PartitionSet:
     """PartitionSet for an ordered list of canonical columns, null first.
@@ -374,7 +357,10 @@ def partition_set_from_columns(
     Each group beyond the first costs one degree of freedom (its mean)
     under equal variances and two (mean and variance) under unequal ones.
     """
-    _check_config(scheme, variance_mode)
+    if variance_mode not in VARIANCE_MODES:
+        raise ValidationError(
+            f"unknown variance mode {variance_mode!r}; expected one of {VARIANCE_MODES}"
+        )
     g, z, a = allocation_matrix(columns)
     df_per_group = 1 if variance_mode == "equal" else 2
     return PartitionSet(

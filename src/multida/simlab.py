@@ -169,13 +169,25 @@ def _one_hot_truth(true_col: np.ndarray, m: int) -> np.ndarray:
     return gamma0
 
 
+def _n_planted(spec: SimSpec) -> int:
+    """round(discriminative_fraction * p), the number of planted features;
+    a positive fraction that rounds to no feature is refused."""
+    n_disc = int(round(spec.discriminative_fraction * spec.p))
+    if n_disc == 0 and spec.discriminative_fraction > 0.0:
+        raise ValidationError(
+            f"discriminative_fraction={spec.discriminative_fraction} of p={spec.p} "
+            "features plants none; raise p or the fraction"
+        )
+    return n_disc
+
+
 def gen_independent(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
     """Independent-feature scenario data.
 
-    Discriminative features draw a uniform non-null partition; group ``g``
-    gets mean ``(g-1) * mean_shift`` (and, in the unequal-variance scenario,
-    standard deviation ``1 + (g-1) * variance_scale``).  All remaining
-    features are standard normal.
+    Discriminative features (``_n_planted``) draw a uniform non-null
+    partition; group ``g`` gets mean ``(g-1) * mean_shift`` (and, in the
+    unequal-variance scenario, standard deviation ``1 + (g-1) * variance_scale``).
+    All remaining features are standard normal.
     """
     if spec.scenario not in INDEPENDENT_SCENARIOS:
         raise ValidationError(
@@ -189,7 +201,7 @@ def gen_independent(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
     counts = _class_allocation(spec.n, spec.K)
     y = _labels_from_counts(counts)
 
-    n_disc = int(round(spec.discriminative_fraction * spec.p))
+    n_disc = _n_planted(spec)
     disc = np.sort(rng_struct.choice(spec.p, size=n_disc, replace=False))
     true_col = np.zeros(spec.p, dtype=np.int64)
     if n_disc:
@@ -264,12 +276,7 @@ def dependent_structure(spec: SimSpec) -> DependentStructure:
         raise ValidationError(
             f"scenario {spec.scenario!r} is not a dependent-feature scenario"
         )
-    n_disc = int(round(spec.discriminative_fraction * spec.p))
-    if n_disc == 0 and spec.discriminative_fraction > 0.0:
-        raise ValidationError(
-            f"discriminative_fraction={spec.discriminative_fraction} of p={spec.p} "
-            "features plants none; raise p or the fraction"
-        )
+    n_disc = _n_planted(spec)
     rng_struct = np.random.default_rng([spec.seed, 1])
     b = spec.effective_block_size
     n_blocks = spec.p // b

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -773,10 +774,32 @@ class TestPartitions:
     def test_guard_exits_2(self, runner):
         result = runner.invoke(main, ["partitions", "--k", "10"])
         assert_one_error_line(
-            result, "exhaustive enumeration for K=10 would produce B_10 = 115975 columns")
+            result, "exhaustive enumeration for K=10 would produce B_10 columns")
         assert "K <= 9" in result.stderr
         result = runner.invoke(main, ["partitions", "--k", "16", "--scheme", "ordinal"])
-        assert_one_error_line(result, "the ordinal set for K=16 would have 2^15 = 32768")
+        assert_one_error_line(result, "the ordinal set for K=16 would have 2^15 columns")
+
+    # every scheme refuses K > 63 before any column is built; the simulator
+    # draws its truth from the exhaustive columns, whose refusal names B_K
+    # without computing it
+    @pytest.mark.parametrize("args, message", [
+        (["partitions", "--k", "2000"], "K=2000 classes is more than the 63"),
+        (["simulate", "--scenario", "ind-equal-var", "--k", "2000", "--n", "2000",
+          "--p", "10"], "exhaustive enumeration for K=2000 would produce B_2000 columns"),
+        (["partitions", "--k", "20000", "--scheme", "ordinal"],
+         "K=20000 classes is more than the 63"),
+        (["partitions", "--k", "20000"], "K=20000 classes is more than the 63"),
+        (["partitions", "--k", "20000", "--scheme", "onevsrest"],
+         "K=20000 classes is more than the 63"),
+    ], ids=["exhaustive-2000", "simulate-2000", "ordinal-20000", "exhaustive-20000",
+            "onevsrest-20000"])
+    def test_oversized_class_count_exits_2_at_once(self, runner, tmp_path, args, message):
+        out = tmp_path / "out.txt"
+        start = time.perf_counter()
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert_one_error_line(result, message)
+        assert not out.exists()
 
 
 class TestFilter:

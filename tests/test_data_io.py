@@ -546,9 +546,35 @@ class TestModelRoundTrip:
                           **{key: d[key][:1] for key in ("class_label_map", "class_counts",
                                                          "class_means", "class_m2")}},
          "invariant violation: training data must contain at least 2 classes"),
+        # an S other than the set its scheme builds, with the cheap checks
+        # before the build: a list for scheme would be read as S, and K
+        # must be the row count of S before any set of K classes is built
+        (None, lambda d: {**d, "S": [row[:2] for row in d["S"]]},
+         "S is not the hypothesis set scheme 'exhaustive' builds for K=4"),
+        (None, lambda d: {**d, "S": [row + row[-1:] for row in d["S"]]},
+         "S is not the hypothesis set scheme 'exhaustive' builds for K=4"),
+        (None, lambda d: {**d, "scheme": "ordinal"},
+         "S is not the hypothesis set scheme 'ordinal' builds for K=4"),
+        (None, lambda d: {**d, "scheme": "user", "S": [row[:1] + row[:0:-1] for row in d["S"]]},
+         "S is not the hypothesis set scheme 'user' builds for K=4"),
+        (None, lambda d: {**d, "scheme": "user", "S": [[1, 2], [1, 1], [1, 1], [1, 1]]},
+         "S is not the hypothesis set scheme 'user' builds for K=4"),
+        (None, lambda d: {**d, "scheme": "user", "S": [row[1:] for row in d["S"]]},
+         "S is not the hypothesis set scheme 'user' builds for K=4"),
+        (None, lambda d: {**d, "scheme": "user", "S": [[1, 1], [1, 2], [1, 0], [1, 2]]},
+         r"invariant violation: column 2 of user partition matrix uses group labels \[0, 1, 2\]"),
+        ("scheme", lambda v: [[1]], "model field 'scheme' must be a string, got list"),
+        ("K", lambda v: 3, "S must be K=3 lists of integers, all the same length"),
+        ("K", lambda v: 2**70, f"S must be K={2**70} lists of integers"),
+        # a small file naming a set whose class subsets overflow int64
+        (None, lambda d: {**d, "K": 64, "scheme": "onevsrest", "S": [[1]] * 64},
+         "invariant violation: K=64 classes is more than the 63"),
     ], ids=["pi-nan", "mu-nan", "sigma2-inf", "floor-nan", "counts-sum", "counts-zero",
             "m2-negative", "means-overflow", "m2-overflow", "pi-short", "labels-repeated",
-            "labels-short", "scheme-empty", "scheme-unknown", "n-below-K+1", "one-class"])
+            "labels-short", "scheme-empty", "scheme-unknown", "n-below-K+1", "one-class",
+            "S-2-columns", "S-column-repeated", "S-of-another-scheme", "user-S-unsorted",
+            "user-S-not-canonical", "user-S-no-null", "user-S-label-0", "scheme-list",
+            "K-not-rows", "K-huge", "K-over-mask"])
     def test_mutated_model_rejected(self, tmp_path, field, edit, message):
         model = self._model(k=4)
         assert model.parts.M == 15
@@ -564,10 +590,13 @@ class TestModelRoundTrip:
             load_model(path)
 
     @pytest.mark.parametrize("edit, message", [
-        ({"K": 0, "S": []}, "K=0"),
-        ({"S": [[1, 2], [1, 1], [1, 2]]}, "restricted-growth"),
-        ({"S": [[1, 1], [1], [1, 2]]}, "differ in length"),
-        ({"S": [[1, True], [1, 2], [1, 2]]}, "must be integers"),
+        ({"K": 0, "S": []}, "S must be K=0 lists of integers, all the same length"),
+        ({"S": [[1, 2], [1, 1], [1, 2]]},
+         "S is not the hypothesis set scheme 'exhaustive' builds for K=3"),
+        ({"S": [[1, 1], [1], [1, 2]]}, "S must be K=3 lists of integers, all the same length"),
+        # True == 1, so a bool would pass the comparison with the built S
+        ({"S": [[1, True, 1, 1, 1], [1, 1, 2, 2, 2], [1, 2, 1, 2, 3]]},
+         "S must be K=3 lists of integers"),
         ({"n": 36.0}, "'n' must be an integer"),
         ({"class_counts": {"a": 1}}, "'class_counts' must be a list"),
         ({"class_m2": 3}, "'class_m2' must be a K x p = 3 x 6 matrix"),
@@ -594,6 +623,31 @@ class TestModelRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=message):
             load_model(path)
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest", "ordinal", "user"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 6, 8])
+    def test_every_saved_set_loads_bit_identically(self, tmp_path, k, scheme, variance_mode):
+        if scheme == "user":
+            # S: class 1 against the rest (not canonical), then the two
+            # halves of the classes
+            scheme = np.array([[2] + [1] * (k - 1),
+                               [1] * (k // 2) + [2] * (k - k // 2)]).T
+        rng = np.random.default_rng(k)
+        y = np.repeat(np.arange(1, k + 1), 4)
+        X = rng.normal(size=(len(y), 5))
+        X[:, 0] += 2.0 * (y - 1)
+        model = fit(Dataset.from_arrays(X, [f"c{v}" for v in y]), scheme=scheme,
+                    variance_mode=variance_mode)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.parts.columns == model.parts.columns
+        assert loaded.parts.scheme == model.parts.scheme
+        for f in ("gamma", "Q", "L", "c", "mu_null"):
+            a, b = getattr(loaded, f), getattr(model, f)
+            assert a.dtype == b.dtype and a.shape == b.shape, f
+            assert a.tobytes() == b.tobytes(), f
 
     def test_non_object_document(self, tmp_path):
         path = tmp_path / "m.json"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from multida import ValidationError
 from multida.partitions import (
     MAX_CLASSES,
+    MAX_INDEXED_CLASSES,
     PartitionSet,
     allocation_matrix,
     bell_number,
@@ -15,7 +16,6 @@ from multida.partitions import (
     canonicalize,
     enumerate_exhaustive,
     group_index,
-    is_restricted_growth,
     one_vs_rest_columns,
     ordinal_columns,
     refines,
@@ -72,8 +72,8 @@ class TestEnumeration:
 
     def test_guard_refuses_large_k(self):
         assert MAX_CLASSES == 9
-        message = (r"exhaustive enumeration for K=10 would produce B_10 = 115975 columns;"
-                   r".*\(B_15 = 1,382,958,545\), so it takes K <= 9\.$")
+        message = (r"exhaustive enumeration for K=10 would produce B_10 columns; .*"
+                   r"\(B_10 = 115,975, B_15 = 1,382,958,545\), so it takes K <= 9\.$")
         with pytest.raises(ValidationError, match=message):
             enumerate_exhaustive(10)
         with pytest.raises(ValidationError, match=message):
@@ -88,6 +88,25 @@ class TestEnumeration:
         with pytest.raises(ValidationError, match="at least 1"):
             build_partition_set(0, "onevsrest")
 
+    def test_huge_class_count_refused_without_computing_its_count(self):
+        # the messages name B_K and 2^(K-1) but compute neither
+        with pytest.raises(ValidationError, match="K=20000 would produce B_20000 columns"):
+            enumerate_exhaustive(20000)
+        with pytest.raises(ValidationError, match="K=20000 would have 2\\^19999 columns"):
+            ordinal_columns(20000)
+
+    def test_every_scheme_refuses_more_classes_than_a_mask_holds(self):
+        # class subsets are int64 bitmasks: K=63 sets its sign bit never
+        assert MAX_INDEXED_CLASSES == 63
+        full = build_partition_set(63, "onevsrest").subsets.masks.max()
+        assert full == 2 ** 63 - 1
+        message = "K=64 classes is more than the 63 a hypothesis set takes"
+        with mock.patch("multida.partitions._partition_set_from_columns") as built:
+            for scheme in ("exhaustive", "onevsrest", "ordinal", np.ones((64, 1), int)):
+                with pytest.raises(ValidationError, match=message):
+                    build_partition_set(64, scheme)
+        built.assert_not_called()
+
 
 class TestCanonicalization:
     def test_known_relabeling(self):
@@ -98,7 +117,6 @@ class TestCanonicalization:
     def test_idempotent(self, labels):
         once = canonicalize(labels)
         assert canonicalize(once) == once
-        assert is_restricted_growth(once)
 
     @given(
         st.lists(st.integers(1, 5), min_size=2, max_size=7),
@@ -236,9 +254,9 @@ class TestSchemes:
     def test_ordinal_refused_beyond_the_exhaustive_bound(self):
         # 2^14 = 16,384 columns fit under B_9 = 21,147; 2^15 = 32,768 do not
         assert len(ordinal_columns(15)) == 2 ** 14
-        with mock.patch("multida.partitions.partition_set_from_columns") as built:
+        with mock.patch("multida.partitions._partition_set_from_columns") as built:
             with pytest.raises(ValidationError,
-                               match=r"K=16 would have 2\^15 = 32768 columns, more than "
+                               match=r"K=16 would have 2\^15 columns, more than "
                                      r"the B_9 = 21147 .* K <= 15\.$"):
                 build_partition_set(16, "ordinal")
         built.assert_not_called()
@@ -250,7 +268,7 @@ class TestSchemes:
         ps = build_partition_set(3, np.array(matrix))
         assert ps.scheme == "user"
         assert ps.columns[0] == (1, 1, 1)  # null prepended
-        assert all(is_restricted_growth(c) for c in ps.columns)
+        assert all(canonicalize(c) == c for c in ps.columns)
         assert len(set(ps.columns)) == ps.M
 
     # values recorded while a matrix came with scheme="user" as a second argument
@@ -275,6 +293,9 @@ class TestSchemes:
     def test_user_matrix_errors(self):
         with pytest.raises(ValidationError, match="column 2"):
             build_partition_set(3, np.array([[1, 1], [1, 3], [1, 3]]))
+        # a label far past K is a gap, found without listing 1..label
+        with pytest.raises(ValidationError, match=r"column 2 .* \[1, 1000000000000000000\]"):
+            build_partition_set(2, [[1, 1], [1, 10**18]])
         with pytest.raises(ValidationError, match="rows"):
             build_partition_set(3, np.array([[1, 1], [1, 2]]))
         with pytest.raises(ValidationError, match="zero columns"):

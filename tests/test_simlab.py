@@ -138,11 +138,22 @@ class TestGenIndependent:
         assert np.array_equal(t1.true_column, t2.true_column)
 
     def test_balanced_allocation(self):
-        spec = SimSpec("ind-equal-var", n=100, p=5, K=4, seed=0)
+        # no feature planted: the default 0.1 of p=5 rounds to none and is refused
+        spec = SimSpec("ind-equal-var", n=100, p=5, K=4, seed=0, discriminative_fraction=0.0)
         data, _ = gen_independent(spec)
         assert data.class_counts.tolist() == [25, 25, 25, 25]
-        uneven, _ = gen_independent(SimSpec("ind-equal-var", n=10, p=5, K=3, seed=0))
+        uneven, _ = gen_independent(SimSpec("ind-equal-var", n=10, p=5, K=3, seed=0,
+                                            discriminative_fraction=0.0))
         assert sorted(uneven.class_counts.tolist()) == [3, 3, 4]
+
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_refuses_fraction_that_plants_none(self, p):
+        # round(0.1 * 5) = 0; p=6 is the first width that plants a feature
+        with pytest.raises(ValidationError, match=f"discriminative_fraction=0.1 of p={p} "
+                                                  "features plants none"):
+            generate(SimSpec("ind-equal-var", n=10, p=p, K=2))
+        _, truth = generate(SimSpec("ind-equal-var", n=10, p=6, K=2))
+        assert np.count_nonzero(truth.true_column) == 1
 
     def test_group_mean_structure(self):
         spec = SimSpec("ind-equal-var", n=3000, p=10, K=3, seed=4,
