@@ -3,8 +3,10 @@
 Every command logs its parsed parameters, keyed by parameter name (the
 seed included, drawn randomly when not given), as one ``config:`` JSON
 line, the first line on stderr, before its body runs; so any run can be
-reproduced bit-exactly from its log.  Exit codes: 0 success, 2 usage or
-validation problems, 3 internal numeric failure.
+reproduced bit-exactly from its log, except the wall-clock
+``fit_seconds`` column of ``simulate --scenario fs-consistency``.  Exit
+codes: 0 success, 2 usage or validation problems, 3 internal numeric
+failure.
 """
 
 from __future__ import annotations

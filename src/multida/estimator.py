@@ -345,25 +345,19 @@ def _hypothesis_sums(
 
 def _subset_sums(rows: np.ndarray, parts: PartitionSet) -> np.ndarray:
     """Sums (S x b) of hypothesis rows (M x b) over the hypotheses that
-    hold each subset as a group; zero for subsets that are no group."""
-    out = np.zeros((len(parts.subsets.masks), rows.shape[1]))
-    for groups, hyps in parts.subsets.group_columns:
-        out[groups] += rows[hyps]
+    hold each subset as a group, added in ascending hypothesis order;
+    zero for subsets that are no group."""
+    out = np.empty((len(parts.subsets.masks), rows.shape[1]))
+    for acc, held in zip(out, parts.subsets.row_columns):
+        np.sum(rows[held], axis=0, out=acc)
     return out
 
 
 def _class_sums(rows: np.ndarray, parts: PartitionSet, out: np.ndarray) -> None:
-    """Add to each row ``out[k]`` (K x b, zeros) the subset rows (S x b)
-    that hold class k in row order, one row per class and rank: the bits
-    of ``rows[class_rows[k]].sum(axis=0)`` without gathering those rows.
-    A one-column block is summed as that gather is, pairwise (see
-    ``_column_blocks``)."""
-    if rows.shape[1] == 1:
-        for acc, held in zip(out, parts.subsets.class_rows):
-            acc[:] = rows[held].sum(axis=0)
-        return
-    for classes, held in parts.subsets.class_groups:
-        out[classes] += rows[held]
+    """Write to each row ``out[k]`` (K x b) the sum of the subset rows
+    (S x b) that hold class k, added in row order."""
+    for acc, held in zip(out, parts.subsets.class_rows):
+        np.sum(rows[held], axis=0, out=acc)
 
 
 def _block_width(parts: PartitionSet) -> int:
@@ -379,8 +373,9 @@ def _block_width(parts: PartitionSet) -> int:
 def _column_blocks(p: int, size: int) -> list[slice]:
     """Blocks of ``size`` features, the last one wider by one column where
     it would otherwise be one column wide.  No block is one column wide
-    unless ``p == 1``: numpy sums a single column pairwise but a wider block
-    row by row, so a one-column block would change the bits."""
+    unless ``p == 1``: numpy's axis-0 sum of a gather (``_subset_sums``,
+    ``_class_sums``) adds a wider block's rows one by one, in order, but a
+    single column's pairwise, so a one-column block would change the bits."""
     starts = list(range(0, p, size))
     if len(starts) > 1 and p - starts[-1] == 1:
         starts.pop()
@@ -654,8 +649,8 @@ def model_from_stats(
     lam_buf = (gamma_t.reshape(-1) if len(blocks) == 1
                else np.empty(parts.M * max(c.stop - c.start for c in blocks)))
     mu_null = np.empty(p)
-    Q = np.zeros((parts.K, p))
-    L = np.zeros_like(Q)
+    Q = np.empty((parts.K, p))
+    L = np.empty_like(Q)
     subset_const = np.zeros(len(parts.subsets.masks))
     log_const = 0.0
     with np.errstate(all="ignore"):

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ValidationError
 
 #: Largest class count the exhaustive scheme enumerates (B_9 = 21,147).  The
-#: set is built in about 0.3 s and 44 MB at K=9; K=10 (B_10 = 115,975) takes
+#: set is built in about 0.16 s and 44 MB at K=9; K=10 (B_10 = 115,975) takes
 #: about 13 s and 218 MB before any fit starts, growing 6-8x per class.
 MAX_CLASSES = 9
 
@@ -175,25 +175,6 @@ def allocation_matrix(
     return g, z, a
 
 
-Ranked = tuple[tuple[np.ndarray | slice, np.ndarray], ...]
-
-
-def _ranked(lists: dict[int, list[int]]) -> Ranked:
-    """``(keys, entries)`` for r = 0, 1, ...: the keys whose list has more
-    than r entries, in ascending order, and entry r of each, so a loop over
-    the ranks walks every list in order with one vectorized step per rank.
-    A run of consecutive keys is a slice, which indexes without a copy."""
-    depth = max(len(v) for v in lists.values())
-    out = []
-    for r in range(depth):
-        keys = sorted(key for key, v in lists.items() if len(v) > r)
-        entries = np.array([lists[key][r] for key in keys], dtype=np.int64)
-        run = keys == list(range(keys[0], keys[-1] + 1))
-        out.append((slice(keys[0], keys[-1] + 1) if run else np.array(keys, dtype=np.int64),
-                    entries))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class SubsetIndex:
     """The class subsets that groups pool, and how slots, columns and
@@ -204,17 +185,25 @@ class SubsetIndex:
     then by mask.  Every group of every column is a row, and so is each
     subset left by dropping its highest classes one at a time, so every
     row past the single classes is an earlier row (``prefix``) plus one
-    class (``top``)."""
+    class (``top``).
+
+    The derivation sums over three fields.  ``column_groups`` walks each
+    column's groups in slot order, one rank at a time; the columns come
+    sorted by group count, as ``build_partition_set`` orders them, so
+    the columns with more than r groups are a suffix slice.
+    ``row_columns`` and ``class_rows`` list, ascending, the columns that
+    hold each row as a group and the group rows that hold each class,
+    for one gather-and-sum per row and per class."""
 
     masks: np.ndarray           # S
     prefix: np.ndarray          # S, row without the highest class; -1 for single classes
     top: np.ndarray             # S, the highest class, zero-based
     levels: tuple[slice, ...]   # rows of each subset size from 2 up
     slot_rows: np.ndarray       # z_M, row of each slot's group
-    class_rows: tuple[np.ndarray, ...]  # K, rows of the groups holding each class
-    class_groups: Ranked        # rank r: classes in > r groups, their group row r + 1
-    column_groups: Ranked       # rank r: columns with > r groups, row of group r + 1
-    group_columns: Ranked       # rank r: group rows in > r columns, their column r + 1
+    row_columns: tuple[np.ndarray, ...]  # S, ascending columns holding each row as a group
+    class_rows: tuple[np.ndarray, ...]   # K, rows of the groups holding each class
+    # rank r: the columns with > r groups (a suffix), and the row of group r + 1 of each
+    column_groups: tuple[tuple[slice, np.ndarray], ...]
 
     @classmethod
     def from_columns(cls, columns: Sequence[Column]) -> "SubsetIndex":
@@ -238,24 +227,27 @@ class SubsetIndex:
                   for m, t, s in zip(order, top, size)]
         levels = tuple(slice(size.index(s), len(size) - size[::-1].index(s))
                        for s in range(2, max(size) + 1))
-        column_rows = {m: [row[g] for g in masks] for m, masks in enumerate(groups)}
-        row_columns: dict[int, list[int]] = {}
-        for m, rows in column_rows.items():
-            for r in rows:
-                row_columns.setdefault(r, []).append(m)
-        used = sorted(row_columns)
-        class_rows = {c: [r for r in used if order[r] >> c & 1] for c in range(k)}
+        slot_rows = np.array([row[g] for masks in groups for g in masks], dtype=np.int64)
+        holders: list[list[int]] = [[] for _ in order]
+        for m, masks in enumerate(groups):
+            for g in masks:
+                holders[row[g]].append(m)
+        used = [r for r, held in enumerate(holders) if held]
+        n_groups = np.array([len(masks) for masks in groups], dtype=np.int64)  # ascending
+        starts = np.cumsum(n_groups) - n_groups
+        # the first column with more than r groups, for each rank r
+        first = np.searchsorted(n_groups, np.arange(n_groups[-1]), side="right")
         return cls(
             masks=np.array(order, dtype=np.int64),
             prefix=np.array(prefix, dtype=np.int64),
             top=np.array(top, dtype=np.int64),
             levels=levels,
-            slot_rows=np.array([r for rows in column_rows.values() for r in rows],
-                               dtype=np.int64),
-            class_rows=tuple(np.array(rows, dtype=np.int64) for rows in class_rows.values()),
-            class_groups=_ranked(class_rows),
-            column_groups=_ranked(column_rows),
-            group_columns=_ranked(row_columns),
+            slot_rows=slot_rows,
+            row_columns=tuple(np.array(held, dtype=np.int64) for held in holders),
+            class_rows=tuple(np.array([r for r in used if order[r] >> c & 1], dtype=np.int64)
+                             for c in range(k)),
+            column_groups=tuple((slice(f, len(columns)), slot_rows[starts[f:] + r])
+                                for r, f in enumerate(first.tolist())),
         )
 
 

@@ -7,7 +7,9 @@ by a derivative-free numerical optimizer.  Two exceptions check a fast
 path against the slower path it replaced, on the same arithmetic:
 ``slotwise_mles`` merges classes into every flat slot with the package's
 ``_chan_merge``, and ``refit_cross_validate`` refits every fold with
-``fit`` to check cross-validation's merge of fold statistics.
+``fit`` to check cross-validation's merge of fold statistics.  The
+``slot_order_*`` loops add the derivation's per-hypothesis, per-subset and
+per-class sums one row at a time, in the order the fast sums must keep.
 """
 
 from __future__ import annotations
@@ -225,3 +227,44 @@ def slotwise_mles(stats, parts, variance_mode):
     lam[0] = 0.0
     lam[~admissible] = -np.inf
     return mean.T, sigma2.T, lam.T
+
+
+def _group_rows(parts):
+    """The subset row of each hypothesis's groups, in slot order, found
+    from the columns and the subset masks alone."""
+    row_of = {mask: r for r, mask in enumerate(parts.subsets.masks.tolist())}
+    return [[row_of[sum(1 << c for c, label in enumerate(col) if label == g)]
+             for g in range(1, max(col) + 1)]
+            for col in parts.columns]
+
+
+def slot_order_hypothesis_sums(rows, parts):
+    """M x b: each hypothesis's groups' subset rows (S x b), added in slot
+    order."""
+    out = []
+    for groups in _group_rows(parts):
+        acc = rows[groups[0]].copy()
+        for r in groups[1:]:
+            acc = acc + rows[r]
+        out.append(acc)
+    return np.array(out)
+
+
+def slot_order_subset_sums(rows, parts):
+    """S x b: for each slot in order, its hypothesis row (M x b) added into
+    the row of its subset, starting from zeros."""
+    out = np.zeros((len(parts.subsets.masks), rows.shape[1]))
+    for m, groups in enumerate(_group_rows(parts)):
+        for r in groups:
+            out[r] = out[r] + rows[m]
+    return out
+
+
+def slot_order_class_sums(rows, parts):
+    """K x b: for each class, the subset rows (S x b) of ``class_rows``,
+    added in ascending order from zeros."""
+    out = np.zeros((parts.K, rows.shape[1]))
+    for k, held in enumerate(parts.subsets.class_rows):
+        for r in sorted(held.tolist()):
+            out[k] = out[k] + rows[r]
+    return out

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import os
 
@@ -15,8 +16,11 @@ from multida.estimator import (
     PenaltyConfig,
     SufficientStats,
     _block_width,
+    _class_sums,
     _column_blocks,
+    _hypothesis_sums,
     _resolve_threads,
+    _subset_sums,
     accumulate_stats,
     fit,
     fit_mles,
@@ -33,6 +37,9 @@ from oracles import (
     bruteforce_posterior,
     numeric_mle_equal_var,
     numeric_mle_single_group,
+    slot_order_class_sums,
+    slot_order_hypothesis_sums,
+    slot_order_subset_sums,
     slotwise_eta,
     slotwise_mles,
 )
@@ -264,6 +271,36 @@ class TestSubsetMerge:
         _assert_matches_slotwise(accumulate_stats(data), parts)
 
 
+def _user_matrix(k):
+    """Two user columns: odd against even classes, and classes in pairs."""
+    return [[c % 2 + 1, c // 2 + 1] for c in range(k)]
+
+
+class TestSummationOrder:
+    """The derivation's sums add their rows in slot order, bit for bit, in
+    every block at least 2 features wide."""
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest", "ordinal", "user"])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_sums_match_the_slot_order_loops(self, k, scheme, variance_mode):
+        parts = build_partition_set(k, _user_matrix(k) if scheme == "user" else scheme,
+                                    variance_mode=variance_mode)
+        rng = np.random.default_rng([k, len(scheme), len(variance_mode)])
+        for width in (2, 3, 17):
+            # magnitudes spread over 16 decades, so any other order rounds differently
+            subset_rows, hyp_rows = (
+                rng.normal(size=(n, width)) * 10.0 ** rng.uniform(-8, 8, size=(n, width))
+                for n in (len(parts.subsets.masks), parts.M))
+            assert np.array_equal(_hypothesis_sums(subset_rows, parts),
+                                  slot_order_hypothesis_sums(subset_rows, parts))
+            assert np.array_equal(_subset_sums(hyp_rows, parts),
+                                  slot_order_subset_sums(hyp_rows, parts))
+            out = np.full((k, width), np.nan)
+            _class_sums(subset_rows, parts, out)
+            assert np.array_equal(out, slot_order_class_sums(subset_rows, parts))
+
+
 class TestLrt:
     def test_null_column_exactly_zero(self, toy_data, toy_parts):
         stats = accumulate_stats(toy_data)
@@ -457,11 +494,12 @@ class TestFit:
         # p = 2 * width + 1 would leave a one-column tail block, whose sums
         # over hypotheses numpy takes pairwise; merged into the block before
         # it, the tail features get the bits of a fit on them alone (BIC's
-        # constant does not depend on p)
+        # constant does not depend on p).  At K=8 the blocks are 63 wide and
+        # a subset sits in up to 877 hypotheses, the deepest subset sums.
         rng = np.random.default_rng(12)
-        for variance_mode in ("equal", "unequal"):
-            p = two_blocks_and_a_tail(4, variance_mode=variance_mode)
-            data = random_dataset(rng, 48, p, 4, min_per_class=8)
+        for (k, n), variance_mode in itertools.product(((4, 48), (8, 96)), ("equal", "unequal")):
+            p = two_blocks_and_a_tail(k, variance_mode=variance_mode)
+            data = random_dataset(rng, n, p, k, min_per_class=8)
             X = data.X.copy()
             X[:, -25:] += 0.8 * (data.y[:, None] - 1)
             labels = [data.class_labels[c - 1] for c in data.y]

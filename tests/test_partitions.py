@@ -163,42 +163,38 @@ class TestDerivedStructures:
 
 
 class TestSubsetIndex:
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest", "ordinal"])
-    def test_slots_columns_and_classes_map_onto_their_subsets(self, k, scheme):
+    @pytest.mark.parametrize("scheme,k", [
+        *((scheme, k) for k in (2, 3, 4, 5) for scheme in ("exhaustive", "onevsrest", "ordinal")),
+        ("exhaustive", 8),
+    ])
+    def test_slots_columns_and_classes_map_onto_their_subsets(self, scheme, k):
         ps = build_partition_set(k, scheme)
         idx = ps.subsets
         masks = idx.masks.tolist()
         assert len(set(masks)) == len(masks)
         # every slot's row is the set of classes the allocation sends there
-        a0 = ps.A - 1
-        for slot, row in enumerate(idx.slot_rows):
-            classes = np.flatnonzero((a0 == slot).any(axis=1))
-            assert masks[row] == sum(1 << int(c) for c in classes)
-        # the ranks walk each column's groups in slot order, and each
-        # group's columns in ascending order
+        slot_masks = np.zeros(ps.n_slots, dtype=np.int64)
+        for c, slots in enumerate(ps.A - 1):  # one slot per column: no repeats
+            slot_masks[slots] |= 1 << c
+        assert idx.masks[idx.slot_rows].tolist() == slot_masks.tolist()
+        # each group row lists the columns that hold it, ascending; a row
+        # that is only a prefix lists none
         starts = np.concatenate(([0], ps.z[:-1]))
+        holding = [set(slot_masks[s:e].tolist()) for s, e in zip(starts, ps.z)]
+        for r, held in enumerate(idx.row_columns):
+            assert held.tolist() == [m for m in range(ps.M) if masks[r] in holding[m]]
+        group_rows = set(idx.slot_rows.tolist())
+        assert {r for r, held in enumerate(idx.row_columns) if held.size} == group_rows
+        # each rank's columns are a suffix, and the ranks walk each
+        # column's groups in slot order
         walked = {m: [] for m in range(ps.M)}
         for hyps, rows in idx.column_groups:
-            for m, r in zip(np.arange(ps.M)[hyps], rows, strict=True):
-                walked[int(m)].append(int(r))
+            assert isinstance(hyps, slice) and hyps.stop == ps.M
+            for m, r in zip(range(hyps.start, ps.M), rows, strict=True):
+                walked[m].append(int(r))
         assert walked == {m: idx.slot_rows[starts[m]:ps.z[m]].tolist() for m in range(ps.M)}
-        seen = {}
-        for rows, hyps in idx.group_columns:
-            for r, m in zip(np.arange(len(masks))[rows], hyps, strict=True):
-                seen.setdefault(int(r), []).append(int(m))
-        assert seen == {int(r): sorted({int(m) for m in range(ps.M)
-                                        if r in idx.slot_rows[starts[m]:ps.z[m]]})
-                        for r in set(idx.slot_rows.tolist())}
         for c, rows in enumerate(idx.class_rows):
-            assert rows.tolist() == sorted(r for r in set(idx.slot_rows.tolist())
-                                           if masks[r] >> c & 1)
-        # the ranks walk each class's group rows in ascending order
-        walked = {c: [] for c in range(k)}
-        for classes, rows in idx.class_groups:
-            for c, r in zip(np.arange(k)[classes], rows, strict=True):
-                walked[int(c)].append(int(r))
-        assert walked == {c: rows.tolist() for c, rows in enumerate(idx.class_rows)}
+            assert rows.tolist() == sorted(r for r in group_rows if masks[r] >> c & 1)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest", "ordinal"])
