@@ -37,12 +37,16 @@ MODEL_SCHEMA_VERSION = 2
 
 def _check_delimiter(delimiter: str) -> None:
     """Refuse a delimiter the csv module cannot take (anything but one
-    character) or cannot tell from the end of a row (a line break)."""
+    character), cannot tell from the end of a row (a line break) or from
+    its quote character ``"``: a file split on quotes reads back as other
+    cells."""
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValidationError(f"delimiter must be one character, got {delimiter!r}")
     if delimiter in "\r\n":
         raise ValidationError(
             f"delimiter must be one character other than a line break, got {delimiter!r}")
+    if delimiter == '"':
+        raise ValidationError("delimiter must be a character other than the quote '\"'")
 
 
 @dataclass(frozen=True)

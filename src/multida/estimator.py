@@ -330,34 +330,123 @@ class Prediction:
 
 
 def _hypothesis_sums(
-    rows: np.ndarray, parts: PartitionSet, out: np.ndarray | None = None
+    rows: np.ndarray, parts: PartitionSet, out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sums (M x b) of subset rows (S x b) over each hypothesis's groups,
-    added group by group in slot order, into ``out`` when given."""
+    added group by group in slot order, into ``out`` when given.  Each
+    rank's group rows are gathered into ``tmp`` (allocated when not
+    given), as many at a time as it has rows."""
     (_, first), *rest = parts.subsets.column_groups
     if out is None:
         out = np.empty((len(first), rows.shape[1]))
+    if tmp is None:
+        tmp = np.empty_like(out)
     np.take(rows, first, axis=0, out=out, mode="clip")  # "clip": no buffered copy
     for hyps, groups in rest:
-        out[hyps] += rows[groups]
+        acc = out[hyps]  # a suffix slice, so a view
+        for i in range(0, len(groups), len(tmp)):
+            part = groups[i:i + len(tmp)]
+            acc[i:i + len(part)] += np.take(rows, part, axis=0, out=tmp[:len(part)], mode="clip")
     return out
 
 
-def _subset_sums(rows: np.ndarray, parts: PartitionSet) -> np.ndarray:
+def _subset_sums(
+    rows: np.ndarray, parts: PartitionSet, out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> np.ndarray:
     """Sums (S x b) of hypothesis rows (M x b) over the hypotheses that
     hold each subset as a group, added in ascending hypothesis order;
-    zero for subsets that are no group."""
-    out = np.empty((len(parts.subsets.masks), rows.shape[1]))
+    zero for subsets that are no group.  Each subset's rows are gathered
+    into ``tmp`` and summed along axis 0 into its row of ``out``; both
+    are allocated when not given."""
+    if out is None:
+        out = np.empty((len(parts.subsets.masks), rows.shape[1]))
+    if tmp is None:
+        tmp = np.empty_like(rows)
     for acc, held in zip(out, parts.subsets.row_columns):
-        np.sum(rows[held], axis=0, out=acc)
+        np.sum(np.take(rows, held, axis=0, out=tmp[:len(held)], mode="clip"), axis=0, out=acc)
     return out
 
 
-def _class_sums(rows: np.ndarray, parts: PartitionSet, out: np.ndarray) -> None:
+def _class_sums(
+    rows: np.ndarray, parts: PartitionSet, out: np.ndarray, tmp: np.ndarray | None = None
+) -> None:
     """Write to each row ``out[k]`` (K x b) the sum of the subset rows
-    (S x b) that hold class k, added in row order."""
+    (S x b) that hold class k, gathered in row order into ``tmp``
+    (allocated when not given) and summed along axis 0."""
+    if tmp is None:
+        tmp = np.empty_like(rows)
     for acc, held in zip(out, parts.subsets.class_rows):
-        np.sum(rows[held], axis=0, out=acc)
+        np.sum(np.take(rows, held, axis=0, out=tmp[:len(held)], mode="clip"), axis=0, out=acc)
+
+
+@dataclass(frozen=True)
+class _Block:
+    """The scratch arrays of one block of b features: each is its own
+    region of a ``_Workspace``, C-contiguous and (rows x b), or None when
+    the workspace holds no such region."""
+
+    mean: np.ndarray | None = None     # S, subset means
+    m2: np.ndarray | None = None       # S, centred sums of squares, then (unequal) variances
+    var: np.ndarray | None = None      # M, pooled variances (equal; no rows under unequal)
+    log_var: np.ndarray | None = None  # M (equal) or S
+    sums: np.ndarray | None = None     # S, lrt's unequal-variance terms, then variance weights
+    gather: np.ndarray | None = None   # the rows one step gathers (see _region_rows)
+    lam: np.ndarray | None = None      # M, lrt's rows when gamma's own cannot take them
+    floor: np.ndarray | None = None    # 1, the variance floor
+    reduce: np.ndarray | None = None   # 1, each feature's softmax maximum, then sum
+
+
+def _region_rows(parts: PartitionSet, n_blocks: int) -> dict[str, int]:
+    """The rows of each ``_Block`` region of a derivation under ``parts``
+    in ``n_blocks`` blocks.  ``gather`` holds what one step gathers and is
+    done with before it returns: the two operands of a merge run or the
+    rows of one subset or class sum, whichever is most, and hypothesis
+    sums gather through it in parts."""
+    idx = parts.subsets
+    n_sub, n_hyp, equal = len(idx.masks), parts.M, parts.variance_mode == "equal"
+    gather = max(2 * max((run.stop - run.start for run in idx.runs), default=0),
+                 *(len(held) for held in (*idx.row_columns, *idx.class_rows)))
+    return {
+        "mean": n_sub, "m2": n_sub,
+        "var": n_hyp if equal else 0,
+        "log_var": n_hyp if equal else n_sub,
+        "sums": n_sub, "gather": gather,
+        "lam": n_hyp if n_blocks > 1 else 0,
+        "floor": 1, "reduce": 1,
+    }
+
+
+#: The regions ``fit_mles`` writes.
+_MLE_REGIONS = ("mean", "m2", "var", "log_var", "gather", "floor")
+
+
+class _Workspace:
+    """The scratch memory of a derivation over ``blocks``, slices of the
+    features, under ``parts``: one buffer, allocated once and sized for
+    the widest block, that ``block`` splits into the disjoint regions of
+    a ``_Block``, all of them or those ``regions`` names.  Every block step
+    writes into those views, so a derivation allocates its block
+    temporaries once, however many blocks it has, and no array a model
+    keeps is a view of it.  ``lam`` has rows only when there are two
+    blocks or more; one block's statistics go straight into gamma."""
+
+    def __init__(self, parts: PartitionSet, blocks: list[slice],
+                 regions: Sequence[str] | None = None):
+        self.blocks = blocks
+        rows = _region_rows(parts, len(blocks))
+        self.rows = {name: rows[name] for name in (regions or rows)}
+        width = max((c.stop - c.start for c in blocks), default=0)
+        self.buf = np.empty(sum(self.rows.values()) * width)
+
+    def block(self, b: int) -> _Block:
+        """The views of a block ``b`` features wide."""
+        views, start = {}, 0
+        for name, rows in self.rows.items():
+            views[name] = self.buf[start:start + rows * b].reshape(rows, b)
+            start += rows * b
+        return _Block(**views)
 
 
 def _block_width(parts: PartitionSet) -> int:
@@ -380,6 +469,12 @@ def _column_blocks(p: int, size: int) -> list[slice]:
     if len(starts) > 1 and p - starts[-1] == 1:
         starts.pop()
     return [slice(s, e) for s, e in zip(starts, starts[1:] + [p])]
+
+
+def _derivation_workspace(parts: PartitionSet, p: int) -> _Workspace:
+    """The workspace of a p-feature derivation under ``parts``: blocks of
+    ``_block_width`` features, as ``_column_blocks`` lays them out."""
+    return _Workspace(parts, _column_blocks(p, _block_width(parts)))
 
 
 def _resolve_threads(threads: int) -> int:
@@ -443,24 +538,28 @@ def _chan_merge(
     return mean, m2
 
 
-def _merge_subsets(
-    stats: SufficientStats, parts: PartitionSet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counts, means and centred sums of squares (S x p) of every class
-    subset of ``parts.subsets``.  Each subset is its prefix subset merged
-    with its highest class by ``_chan_merge``, one size at a time, so the
-    classes of every subset enter in ascending order."""
+def _merge_subsets(stats: SufficientStats, parts: PartitionSet, ws: _Block) -> np.ndarray:
+    """Counts (S, as floats) of every class subset of ``parts.subsets``,
+    with their means and centred sums of squares written to ``ws.mean``
+    and ``ws.m2``.  Each subset is its prefix subset merged with its
+    highest class by ``_chan_merge``, one run of ``parts.subsets.runs``
+    at a time, so the classes of every subset enter in ascending order.
+    A run's prefix subsets are gathered into ``ws.gather``; its one
+    highest class broadcasts."""
     idx = parts.subsets
-    count = np.empty(len(idx.masks), dtype=np.int64)
-    mean = np.empty((len(idx.masks), stats.mean.shape[1]))
-    m2 = np.empty_like(mean)
+    b = stats.mean.shape[1]
+    count = np.empty(len(idx.masks))
+    mean, m2 = ws.mean, ws.m2
     count[:parts.K], mean[:parts.K], m2[:parts.K] = stats.n_k, stats.mean, stats.m2
-    for rows in idx.levels:
-        pre, k = idx.prefix[rows], idx.top[rows]
-        _chan_merge(count[pre], mean[pre], m2[pre], stats.n_k[k], stats.mean[k],
-                    stats.m2[k], out=(mean[rows], m2[rows]))
-        count[rows] = count[pre] + stats.n_k[k]
-    return count, mean, m2
+    for rows in idx.runs:
+        pre, k = idx.prefix[rows], idx.top[rows.start]  # rows 0..K-1 are the single classes
+        mean_a, m2_a = ws.gather[:2 * len(pre)].reshape(2, len(pre), b)
+        np.take(mean, pre, axis=0, out=mean_a, mode="clip")
+        np.take(m2, pre, axis=0, out=m2_a, mode="clip")
+        _chan_merge(count[pre], mean_a, m2_a, count[k], mean[k], m2[k],
+                    out=(mean[rows], m2[rows]))
+        count[rows] = count[pre] + count[k]
+    return count
 
 
 def merge_stats(samples: Sequence[SufficientStats]) -> SufficientStats:
@@ -490,16 +589,26 @@ def fit_mles(stats: SufficientStats, parts: PartitionSet) -> Mles:
     when that is zero), then logged once.  Hypotheses whose variance MLE
     is degenerate (multiQDA: any group with fewer than 2 samples;
     multiLDA: n <= G_m) are flagged inadmissible.  Work runs
-    subset-major; ``mu`` and ``sigma2`` gather it to the slots.
+    subset-major; ``mu`` and ``sigma2`` gather it to the slots.  The
+    arrays are views of one buffer allocated for this call.
     """
-    n = stats.n
-    count, mean, m2 = _merge_subsets(stats, parts)
+    p = stats.mean.shape[1]
+    return _fit_mles(stats, parts, _Workspace(parts, [slice(0, p)], _MLE_REGIONS).block(p))
 
-    global_var = m2[-1] / n  # the last subset holds every class
-    floor = VARIANCE_FLOOR_SCALE * np.where(global_var > 0.0, global_var, 1.0)
+
+def _fit_mles(stats: SufficientStats, parts: PartitionSet, ws: _Block) -> Mles:
+    """``fit_mles`` into the views of ``ws``."""
+    n = stats.n
+    count = _merge_subsets(stats, parts, ws)
+    mean, m2 = ws.mean, ws.m2
+
+    # the overall variance: the last subset holds every class
+    floor = np.divide(m2[-1], n, out=ws.floor[0])
+    floor[~(floor > 0.0)] = 1.0
+    floor *= VARIANCE_FLOOR_SCALE
 
     if parts.variance_mode == "equal":
-        var = _hypothesis_sums(m2, parts)
+        var = _hypothesis_sums(m2, parts, out=ws.var, tmp=ws.gather)
         var /= n
         admissible = n > parts.G
     else:
@@ -510,12 +619,18 @@ def fit_mles(stats: SufficientStats, parts: PartitionSet) -> Mles:
     np.maximum(var, floor, out=var)
     admissible[0] = True  # null pools all samples; n >= 2 is checked upstream
 
-    return Mles(parts=parts, count=count, mean=mean, var=var, log_var=np.log(var),
-                pi=stats.n_k / n, variance_floor=floor, admissible=admissible)
+    return Mles(parts=parts, count=count, mean=mean, var=var,
+                log_var=np.log(var, out=ws.log_var), pi=stats.n_k / n,
+                variance_floor=floor, admissible=admissible)
 
 
-def _lrt_rows(mles: Mles, out: np.ndarray) -> np.ndarray:
-    """``lrt``'s statistics as hypothesis rows (M x p), written to ``out``."""
+def _lrt_rows(
+    mles: Mles, out: np.ndarray, terms: np.ndarray | None = None, tmp: np.ndarray | None = None
+) -> np.ndarray:
+    """``lrt``'s statistics as hypothesis rows (M x p), written to ``out``.
+    Under unequal variances each subset's term (S x p) goes to ``terms``
+    and ``_hypothesis_sums`` gathers into ``tmp``; both are allocated when
+    not given."""
     parts = mles.parts
     n = mles.count[-1]
     if parts.variance_mode == "equal":
@@ -523,8 +638,9 @@ def _lrt_rows(mles: Mles, out: np.ndarray) -> np.ndarray:
         out *= n
     else:
         # the null's one group holds all n samples, so row 0 is n * log(s2_null)
-        _hypothesis_sums(mles.log_var * mles.count[:, None], parts, out=out)
-        np.subtract(out[0].copy(), out, out=out)
+        terms = np.multiply(mles.log_var, mles.count[:, None], out=terms)
+        _hypothesis_sums(terms, parts, out=out, tmp=tmp)
+        np.subtract(out[0], out[1:], out=out[1:])
     out[0] = 0.0
     out[~mles.admissible] = -np.inf
     return out
@@ -538,14 +654,15 @@ def lrt(mles: Mles) -> np.ndarray:
     return _lrt_rows(mles, np.empty((mles.parts.M, mles.mean.shape[1]))).T
 
 
-def _softmax_rows(lam: np.ndarray, nu: np.ndarray, C: float) -> np.ndarray:
+def _softmax_rows(lam: np.ndarray, nu: np.ndarray, C: float, row: np.ndarray) -> np.ndarray:
     """``gamma_weights`` in place on hypothesis rows (M x b): ``lam``
-    becomes the weights."""
+    becomes the weights; ``row`` (b) holds each column's maximum, then
+    its sum."""
     lam *= 0.5
     lam -= (C * nu)[:, None]
-    lam -= lam.max(axis=0)
+    lam -= np.max(lam, axis=0, out=row)
     np.exp(lam, out=lam)
-    lam /= lam.sum(axis=0)
+    lam /= np.sum(lam, axis=0, out=row)
     return lam
 
 
@@ -556,7 +673,8 @@ def gamma_weights(lam: np.ndarray, nu: np.ndarray, penalty: PenaltyConfig) -> np
     for inadmissible hypotheses, which therefore receive weight zero; the
     null score is exactly zero, so the normalizer never vanishes."""
     scores = np.array(lam, dtype=np.float64).T
-    return _softmax_rows(scores, np.asarray(nu, dtype=np.float64), penalty.C).T
+    return _softmax_rows(scores, np.asarray(nu, dtype=np.float64), penalty.C,
+                         np.empty(scores.shape[1])).T
 
 
 def fit(
@@ -628,7 +746,31 @@ def model_from_stats(
     weighted by the summed gamma of the hypotheses that have it as a
     group, so the block work is per subset and per hypothesis, never per
     slot.  Overflow is not reported while deriving: it leaves a
-    non-finite value, which ``validate_model`` rejects."""
+    non-finite value, which ``validate_model`` rejects.
+
+    Every block step writes into one workspace (``_Workspace``), allocated
+    once per call and sized for the widest block; only the model's own
+    arrays are allocated besides.  ``cross_validate`` holds one workspace
+    for all its folds (``_model_from_stats``)."""
+    return _model_from_stats(stats, parts, None, penalty=penalty,
+                             prior_term_mode=prior_term_mode, class_labels=class_labels,
+                             feature_names=feature_names)
+
+
+def _model_from_stats(
+    stats: SufficientStats,
+    parts: PartitionSet,
+    ws: _Workspace | None,
+    *,
+    penalty: str | PenaltyConfig,
+    prior_term_mode: str,
+    class_labels: tuple[str, ...],
+    feature_names: tuple[str, ...],
+) -> FittedModel:
+    """``model_from_stats``, deriving in ``ws``: a ``_derivation_workspace``
+    for ``parts`` and the features of ``stats``, which ``cross_validate``
+    holds for all its folds, or None for one of this call's own, freed
+    before the model is validated."""
     K, p, n = len(stats.n_k), stats.mean.shape[1], stats.n
     if K < 2:
         raise ValidationError("training data must contain at least 2 classes")
@@ -642,12 +784,22 @@ def model_from_stats(
             f"expected one of {PRIOR_TERM_MODES}"
         )
     penalty = PenaltyConfig.resolve(penalty, n, p)
-    blocks = _column_blocks(p, _block_width(parts))
+    arrays = _derive(stats, parts, penalty.C, prior_term_mode,
+                     ws if ws is not None else _derivation_workspace(parts, p))
+    return validate_model(FittedModel(
+        parts=parts, penalty=penalty, prior_term_mode=prior_term_mode,
+        class_labels=class_labels, feature_names=feature_names, stats=stats, **arrays))
+
+
+def _derive(
+    stats: SufficientStats, parts: PartitionSet, C: float, prior_term_mode: str,
+    ws: _Workspace,
+) -> dict[str, np.ndarray]:
+    """The derived arrays of ``model_from_stats`` (``pi``, ``gamma``,
+    ``admissible``, ``mu_null``, ``Q``, ``L`` and ``c``), read-only, one
+    block of ``ws.blocks`` at a time in the views of ``ws``."""
+    p, blocks = stats.mean.shape[1], ws.blocks
     gamma_t = np.empty((parts.M, p))
-    # lrt's rows of each block: gamma itself when one block spans p, else
-    # one contiguous buffer that the blocks share
-    lam_buf = (gamma_t.reshape(-1) if len(blocks) == 1
-               else np.empty(parts.M * max(c.stop - c.start for c in blocks)))
     mu_null = np.empty(p)
     Q = np.empty((parts.K, p))
     L = np.empty_like(Q)
@@ -655,48 +807,41 @@ def model_from_stats(
     log_const = 0.0
     with np.errstate(all="ignore"):
         for cols in blocks:
-            mles = fit_mles(SufficientStats(stats.n_k, stats.mean[:, cols], stats.m2[:, cols]),
-                            parts)
+            block = ws.block(cols.stop - cols.start)
+            mles = _fit_mles(SufficientStats(stats.n_k, stats.mean[:, cols], stats.m2[:, cols]),
+                             parts, block)
             # the block's own arrays are reused in place below
             var, log_var, d = mles.var, mles.log_var, mles.mean
-            lam = lam_buf[:parts.M * (cols.stop - cols.start)].reshape(parts.M, -1)
-            g = _softmax_rows(_lrt_rows(mles, lam), parts.nu, penalty.C)
+            # lrt's rows: gamma itself when one block spans p, else the
+            # workspace's, copied to gamma's columns
+            lam = gamma_t if len(blocks) == 1 else block.lam
+            g = _softmax_rows(_lrt_rows(mles, lam, block.sums, block.gather), parts.nu, C,
+                              block.reduce[0])
             gamma_t[:, cols] = g  # numpy skips the copy when g is gamma_t
             # per subset (S x block): the weight of its squared deviation,
             # summed over the hypotheses that hold it as a group
             if parts.variance_mode == "equal":
                 # every class sees each hypothesis's one variance
                 log_const += np.multiply(g, log_var, out=log_var).sum()
-                w_var = _subset_sums(np.divide(g, var, out=var), parts)
+                w_var = _subset_sums(np.divide(g, var, out=var), parts, block.sums,
+                                     block.gather)
             else:
-                w_var = _subset_sums(g, parts)
+                w_var = _subset_sums(g, parts, block.sums, block.gather)
                 subset_const += np.multiply(w_var, log_var, out=log_var).sum(axis=1)
                 w_var /= var
             mu_null[cols] = d[-1]
-            d -= d[-1]  # subset means centred on the null mean
-            _class_sums(w_var, parts, Q[:, cols])
+            d -= mu_null[cols]  # subset means centred on the null mean
+            _class_sums(w_var, parts, Q[:, cols], block.gather)
             w_d = np.multiply(w_var, d, out=w_var)
-            _class_sums(w_d, parts, L[:, cols])
+            _class_sums(w_d, parts, L[:, cols], block.gather)
             subset_const += np.multiply(w_d, d, out=d).sum(axis=1)
         pi = mles.pi
         prior = np.log(pi) if prior_term_mode == "log" else pi * np.log(pi)
         class_const = np.array([subset_const[rows].sum() for rows in parts.subsets.class_rows])
         c = prior - 0.5 * (class_const + log_const + _LOG_2PI * gamma_t.sum())
-    return validate_model(FittedModel(
-        parts=parts,
-        pi=_as_readonly(pi),
-        gamma=_as_readonly(gamma_t.T),
-        penalty=penalty,
-        prior_term_mode=prior_term_mode,
-        class_labels=class_labels,
-        feature_names=feature_names,
-        admissible=_as_readonly(mles.admissible),
-        stats=stats,
-        mu_null=_as_readonly(mu_null),
-        Q=_as_readonly(Q),
-        L=_as_readonly(L),
-        c=_as_readonly(c),
-    ))
+    return {"pi": _as_readonly(pi), "gamma": _as_readonly(gamma_t.T),
+            "admissible": _as_readonly(mles.admissible), "mu_null": _as_readonly(mu_null),
+            "Q": _as_readonly(Q), "L": _as_readonly(L), "c": _as_readonly(c)}
 
 
 def predict(

@@ -185,7 +185,8 @@ class SubsetIndex:
     then by mask.  Every group of every column is a row, and so is each
     subset left by dropping its highest classes one at a time, so every
     row past the single classes is an earlier row (``prefix``) plus one
-    class (``top``).
+    class (``top``).  Within a size, masks ascend, so the rows that share
+    their highest class are contiguous (``runs``).
 
     The derivation sums over three fields.  ``column_groups`` walks each
     column's groups in slot order, one rank at a time; the columns come
@@ -198,7 +199,7 @@ class SubsetIndex:
     masks: np.ndarray           # S
     prefix: np.ndarray          # S, row without the highest class; -1 for single classes
     top: np.ndarray             # S, the highest class, zero-based
-    levels: tuple[slice, ...]   # rows of each subset size from 2 up
+    runs: tuple[slice, ...]     # rows of each size from 2 up and highest class
     slot_rows: np.ndarray       # z_M, row of each slot's group
     row_columns: tuple[np.ndarray, ...]  # S, ascending columns holding each row as a group
     class_rows: tuple[np.ndarray, ...]   # K, rows of the groups holding each class
@@ -225,8 +226,9 @@ class SubsetIndex:
         top = [m.bit_length() - 1 for m in order]
         prefix = [row[m & ~(1 << t)] if s > 1 else -1
                   for m, t, s in zip(order, top, size)]
-        levels = tuple(slice(size.index(s), len(size) - size[::-1].index(s))
-                       for s in range(2, max(size) + 1))
+        starts = [r for r in range(k, len(order))
+                  if r == k or (size[r], top[r]) != (size[r - 1], top[r - 1])]
+        runs = tuple(slice(a, b) for a, b in zip(starts, starts[1:] + [len(order)]))
         slot_rows = np.array([row[g] for masks in groups for g in masks], dtype=np.int64)
         holders: list[list[int]] = [[] for _ in order]
         for m, masks in enumerate(groups):
@@ -241,7 +243,7 @@ class SubsetIndex:
             masks=np.array(order, dtype=np.int64),
             prefix=np.array(prefix, dtype=np.int64),
             top=np.array(top, dtype=np.int64),
-            levels=levels,
+            runs=runs,
             slot_rows=slot_rows,
             row_columns=tuple(np.array(held, dtype=np.int64) for held in holders),
             class_rows=tuple(np.array([r for r in used if order[r] >> c & 1], dtype=np.int64)

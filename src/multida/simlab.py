@@ -5,8 +5,9 @@ Generators are pure functions of (scenario spec, seed): structure draws
 the final feature permutation) and noise draws come from separate seeded
 streams, so equal specs always produce identical data.  The consistency
 sweep fits each replicate with ``estimator.fit``; cross-validation derives
-each fold's model with one ``estimator.model_from_stats`` call, the one
-checked entry from statistics to a model, so a fold is checked as a fit is.
+each fold's model by the one checked path from statistics to a model
+(``estimator.model_from_stats``, with one workspace held for all folds),
+so a fold is checked as a fit is.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .estimator import (
     Dataset,
     FittedModel,
     SufficientStats,
+    _derivation_workspace,
+    _model_from_stats,
     accumulate_stats,
     fit,
     merge_stats,
-    model_from_stats,
     predict,
     warn_if_null_only,
 )
@@ -163,6 +165,12 @@ def _labels_from_counts(counts: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(1, len(counts) + 1), counts)
 
 
+def _class_rows(counts: np.ndarray) -> list[slice]:
+    """The row slice of each class of ``_labels_from_counts(counts)``."""
+    ends = np.cumsum(counts).tolist()
+    return [slice(e - c, e) for e, c in zip(ends, counts.tolist())]
+
+
 def _one_hot_truth(true_col: np.ndarray, m: int) -> np.ndarray:
     gamma0 = np.zeros((len(true_col), m))
     gamma0[np.arange(len(true_col)), true_col] = 1.0
@@ -187,7 +195,9 @@ def gen_independent(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
     Discriminative features (``_n_planted``) draw a uniform non-null
     partition; group ``g`` gets mean ``(g-1) * mean_shift`` (and, in the
     unequal-variance scenario, standard deviation ``1 + (g-1) * variance_scale``).
-    All remaining features are standard normal.
+    All remaining features are standard normal.  The noise is drawn into
+    X, which is then scaled and shifted in place one class's rows at a
+    time (rows are sorted by class), so X is the only n x p array made.
     """
     if spec.scenario not in INDEPENDENT_SCENARIOS:
         raise ValidationError(
@@ -216,9 +226,11 @@ def gen_independent(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
         if spec.scenario == "ind-unequal-var":
             class_sds[:, disc] = 1.0 + (group_of_class - 1) * spec.variance_scale
 
-    X = class_means[y - 1] + class_sds[y - 1] * rng_noise.standard_normal(
-        (spec.n, spec.p)
-    )
+    X = rng_noise.standard_normal((spec.n, spec.p))
+    for k, rows in enumerate(_class_rows(counts)):
+        xk = X[rows]
+        xk *= class_sds[k]
+        xk += class_means[k]
     data = Dataset.from_arrays(X, [str(k) for k in y])
     truth = TruthAssignment(
         columns=columns,
@@ -300,9 +312,10 @@ def gen_dependent(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
 
     Rows are sampled as ``z @ B`` per block (covariance ``B^T B``) without
     forming the dense covariance; class ``k`` adds ``mean_shift`` on its
-    contiguous discriminative set, and a seed-fixed permutation of the
-    feature indices is applied last.  Truth tracks the mean structure:
-    features in class ``k``'s set carry the k-vs-rest partition.
+    contiguous discriminative set, in place on its rows, and a seed-fixed
+    permutation of the feature indices is applied last.  Truth tracks the
+    mean structure: features in class ``k``'s set carry the k-vs-rest
+    partition.
     """
     structure = dependent_structure(spec)
     rng_noise = np.random.default_rng([spec.seed, 2])
@@ -324,18 +337,19 @@ def gen_dependent(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
         true_col[structure.disc_sets[k]] = m_idx
 
     X = np.empty((spec.n, spec.p))
+    class_rows = _class_rows(counts)
     if structure.shared:
         for l in range(n_blocks):
             z = rng_noise.standard_normal((spec.n, b))
             X[:, l * b : (l + 1) * b] = z @ structure.factors[0][l]
     else:
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        for k in range(spec.K):
-            rows = slice(offsets[k], offsets[k + 1])
+        for k, rows in enumerate(class_rows):
             for l in range(n_blocks):
                 z = rng_noise.standard_normal((counts[k], b))
                 X[rows, l * b : (l + 1) * b] = z @ structure.factors[k][l]
-    X += class_means[y - 1]
+    for k, rows in enumerate(class_rows):
+        xk = X[rows]
+        xk += class_means[k]
 
     perm = structure.perm
     X = X[:, perm]
@@ -498,17 +512,21 @@ def cross_validate(
     seeded by (seed, t), so any subset of trials can be reproduced or run
     concurrently without changing results.  The partition set is built
     once, from ``scheme`` (a scheme name or the K x M matrix S).  Each
-    fold's model comes from one ``model_from_stats`` call, with the checks
-    and the penalty of a fit, on its training statistics, merged from
-    per-fold class statistics (``_cv_folds``); the training rows are never
-    copied or refitted.  ``threads`` splits each fold's
-    prediction rows.
+    fold's model is derived as ``model_from_stats`` derives it, with the
+    checks and the penalty of a fit, on its training statistics, merged
+    from per-fold class statistics (``_cv_folds``); the training rows are
+    never copied or refitted.  All folds derive in one workspace, allocated
+    here, so no fold allocates the derivation's block memory again, and
+    each fold's model is released before the next one is derived.
+    ``threads`` splits each fold's prediction rows.
     """
     if folds < 2:
         raise ValidationError("need at least 2 folds")
     if trials < 1:
         raise ValidationError("need at least 1 trial")
     parts = build_partition_set(data.K, scheme, variance_mode=variance_mode)
+    # every fold derives p features under parts, so one workspace serves all
+    ws = _derivation_workspace(parts, data.p)
     rows: list[CvRow] = []
     per_trial = np.empty(trials)
     for t in range(trials):
@@ -516,16 +534,17 @@ def cross_validate(
         test_sets = _stratified_folds(data.y, folds, rng)
         fold_errors = np.empty(folds)
         for f, (test, train) in enumerate(_cv_folds(data, test_sets)):
-            model = model_from_stats(train, parts, penalty=penalty,
-                                     prior_term_mode=prior_term_mode,
-                                     class_labels=data.class_labels,
-                                     feature_names=data.feature_names)
+            model = _model_from_stats(train, parts, ws, penalty=penalty,
+                                      prior_term_mode=prior_term_mode,
+                                      class_labels=data.class_labels,
+                                      feature_names=data.feature_names)
             warn_if_null_only(model)
             pred = predict(model, test.X, threads=threads)
             wrong = int((pred.codes != test.y).sum())
             err = wrong / test.n
             fold_errors[f] = err
             rows.append(CvRow(t + 1, f + 1, test.n, wrong, err))
+            del model, pred  # one fold's model and prediction at a time
         per_trial[t] = fold_errors.mean()
     mean = float(per_trial.mean())
     sd = float(per_trial.std(ddof=1)) if trials > 1 else 0.0

@@ -10,6 +10,8 @@ path against the slower path it replaced, on the same arithmetic:
 ``fit`` to check cross-validation's merge of fold statistics.  The
 ``slot_order_*`` loops add the derivation's per-hypothesis, per-subset and
 per-class sums one row at a time, in the order the fast sums must keep.
+``independent_X`` and ``dependent_X`` build the simulators' data with the
+n x p gathers of class means and sds that the generators no longer make.
 """
 
 from __future__ import annotations
@@ -268,3 +270,36 @@ def slot_order_class_sums(rows, parts):
         for r in sorted(held.tolist()):
             out[k] = out[k] + rows[r]
     return out
+
+
+def independent_X(spec, truth, y):
+    """X of ``simlab.gen_independent``: every row's class means plus its
+    class sds times the noise, each gathered to n x p."""
+    z = np.random.default_rng([spec.seed, 2]).standard_normal((spec.n, spec.p))
+    return truth.class_means[y - 1] + truth.class_sds[y - 1] * z
+
+
+def dependent_X(spec, y):
+    """X of ``simlab.gen_dependent``: the block draws, plus every row's
+    class means gathered to n x p, with the feature permutation last."""
+    from multida.simlab import dependent_structure
+
+    structure = dependent_structure(spec)
+    rng = np.random.default_rng([spec.seed, 2])
+    b = spec.effective_block_size
+    counts = np.bincount(y, minlength=spec.K + 1)[1:]
+    class_means = np.zeros((spec.K, spec.p))
+    for k, disc in enumerate(structure.disc_sets):
+        class_means[k, disc] = spec.mean_shift
+    X = np.empty((spec.n, spec.p))
+    if structure.shared:
+        for l in range(spec.p // b):
+            X[:, l * b:(l + 1) * b] = rng.standard_normal((spec.n, b)) @ structure.factors[0][l]
+    else:
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        for k in range(spec.K):
+            for l in range(spec.p // b):
+                z = rng.standard_normal((counts[k], b))
+                X[offsets[k]:offsets[k + 1], l * b:(l + 1) * b] = z @ structure.factors[k][l]
+    X += class_means[y - 1]
+    return X[:, structure.perm]

@@ -413,6 +413,25 @@ def test_line_break_delimiter_exits_2(runner, toy_csv, tmp_path, delimiter):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "cv", "filter"])
+def test_quote_delimiter_exits_2(runner, tmp_path, command):
+    # csv.writer splits a row on '"' into a file whose quoting reads back as
+    # other cells: a 5 x 3 table with labels "" and '"' read back 5 x 1
+    csv_path, out = tmp_path / "quoted.csv", tmp_path / "out.csv"
+    with open(csv_path, "w", newline="") as fh:
+        csv.writer(fh, delimiter='"').writerows(
+            [["0", "", "", ""], *([label, *map(repr, row.tolist())] for label, row in
+                                  zip(["", '"', "", "", ""], np.arange(15.0).reshape(5, 3)))])
+    args = {
+        "train": ["train", csv_path, "--out", out, "--features-out", tmp_path / "f.csv"],
+        "cv": ["cv", csv_path, "--out", out],
+        "filter": ["filter", csv_path, "--rule", "zero-mad", "--out", out],
+    }[command]
+    result = runner.invoke(main, [*map(str, args), "--label-col", "0", "--delimiter", '"'])
+    assert_one_error_line(result, "delimiter must be a character other than the quote '\"'")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "predict", "cv", "simulate",
                                      "partitions", "filter"])
 def test_config_line_carries_every_parameter(runner, toy_csv, wide_csv, tmp_path,

@@ -307,6 +307,14 @@ def datasets_to_save(draw):
 
 
 class TestSaveDataset:
+    def test_quote_delimiter_refused_before_the_file_opens(self, tmp_path):
+        data = Dataset.from_arrays(np.ones((2, 1)), ["a", "b"])
+        with pytest.raises(ValidationError, match="other than the quote"):
+            save_dataset(data, tmp_path / "d.csv", delimiter='"')
+        assert not (tmp_path / "d.csv").exists()
+        with pytest.raises(ValidationError, match="other than the quote"):
+            CsvSchema(delimiter='"')
+
     @given(case=datasets_to_save())
     @settings(max_examples=500, deadline=None, derandomize=True)
     def test_bytes_match_per_cell_repr(self, tmp_path_factory, case):
@@ -320,6 +328,10 @@ class TestSaveDataset:
         if delim in "\r\n":  # the reference writes a file no reader splits back
             assert got == (None, (ValidationError, "delimiter must be one character "
                                   f"other than a line break, got {delim!r}"))
+            return
+        if delim == '"':  # the reference writes a file that reads back as other cells
+            assert got == (None, (ValidationError, "delimiter must be a character "
+                                  "other than the quote '\"'"))
             return
         assert got == _written(_save_dataset_per_cell, data, tmp / "ref.csv", **kwargs)
         if got[1] is not None:

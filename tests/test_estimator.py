@@ -18,7 +18,9 @@ from multida.estimator import (
     _block_width,
     _class_sums,
     _column_blocks,
+    _derivation_workspace,
     _hypothesis_sums,
+    _model_from_stats,
     _resolve_threads,
     _subset_sums,
     accumulate_stats,
@@ -255,6 +257,22 @@ class TestSubsetMerge:
         _assert_matches_slotwise(accumulate_stats(data), parts)
 
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_many_groups_of_one_size(self, k, variance_mode):
+        # k(k-1)/2 pairs from k hypotheses, k - 1 of them merged onto the
+        # highest class: many merge rows of one size from few hypotheses
+        S = _one_factorization(k)
+        parts = build_partition_set(k, S, variance_mode=variance_mode)
+        assert parts.M == k
+        assert max(run.stop - run.start for run in parts.subsets.runs) == k - 1
+        data = random_dataset(np.random.default_rng(k), 6 * k, 6, k, min_per_class=2)
+        stats = accumulate_stats(data)
+        _assert_matches_slotwise(stats, parts)
+        model = fit(data, scheme=S, penalty="bic", variance_mode=variance_mode)
+        assert np.array_equal(model.gamma, gamma_weights(lrt(fit_mles(stats, parts)),
+                                                         parts.nu, model.penalty))
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
     def test_offset_data(self, variance_mode):
         rng = np.random.default_rng(8)
         data = random_dataset(rng, 30, 5, 4, min_per_class=2)
@@ -269,6 +287,21 @@ class TestSubsetMerge:
         data = Dataset.from_arrays(rng.normal(size=(12, 4)), y)
         parts = build_partition_set(3, "exhaustive", variance_mode=variance_mode)
         _assert_matches_slotwise(accumulate_stats(data), parts)
+
+
+def _one_factorization(k):
+    """S (k x k) of the null and the k - 1 perfect matchings of an even k
+    classes, by the round-robin schedule: every pair of classes is a group
+    of exactly one hypothesis."""
+    S = [[1] * k]
+    for r in range(k - 1):
+        col = [0] * k
+        pairs = [(k - 1, r), *(((r + i) % (k - 1), (r - i) % (k - 1)) for i in range(1, k // 2))]
+        for g, pair in enumerate(pairs, 1):
+            for c in pair:
+                col[c] = g
+        S.append(col)
+    return np.array(S).T
 
 
 def _user_matrix(k):
@@ -299,6 +332,18 @@ class TestSummationOrder:
             out = np.full((k, width), np.nan)
             _class_sums(subset_rows, parts, out)
             assert np.array_equal(out, slot_order_class_sums(subset_rows, parts))
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_hypothesis_sums_gather_in_parts(self, k, variance_mode):
+        # a scratch of fewer rows than a rank's groups takes them in turns
+        parts = build_partition_set(k, "exhaustive", variance_mode=variance_mode)
+        rows = np.random.default_rng(k).normal(size=(len(parts.subsets.masks), 5))
+        rows *= 10.0 ** np.arange(-8, 9, 4)
+        want = slot_order_hypothesis_sums(rows, parts)
+        for n_tmp in (1, 3, parts.M - 2):
+            got = _hypothesis_sums(rows, parts, tmp=np.full((n_tmp, 5), np.nan))
+            assert np.array_equal(got, want), n_tmp
 
 
 class TestLrt:
@@ -583,6 +628,36 @@ class TestModelFromStats:
         with pytest.raises(NumericError, match="^mu holds a non-finite "
                                                "value for feature 'x3'$"):
             validate_model(dataclasses.replace(model, mu_null=mu_null))
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    @pytest.mark.parametrize("blocks", ["one", "two-and-a-tail"])
+    def test_second_derivation_leaves_the_first_model_as_it_was(self, variance_mode, blocks):
+        # each call's own workspace (model_from_stats), and one workspace
+        # held for both (as cross_validate holds one for all its folds): no
+        # array a model keeps may be a view of the derivation's memory
+        p = 40 if blocks == "one" else two_blocks_and_a_tail(4, variance_mode=variance_mode)
+        parts = build_partition_set(4, "exhaustive", variance_mode=variance_mode)
+        rng = np.random.default_rng([p, len(variance_mode)])
+        first, second = (accumulate_stats(random_dataset(rng, 48, p, 4, min_per_class=4))
+                         for _ in range(2))
+        shared = _derivation_workspace(parts, p)
+        assert len(shared.blocks) == (1 if blocks == "one" else 2)
+        fields = ("gamma", "Q", "L", "c", "mu_null")
+        for ws in (None, shared):
+            model = _model_from_stats(first, parts, ws, penalty="bic", prior_term_mode="log",
+                                      class_labels=tuple("abcd"),
+                                      feature_names=tuple(f"x{j}" for j in range(p)))
+            if ws is None:
+                assert np.array_equal(model.gamma, self._derive(
+                    first, parts, penalty="bic", class_labels=tuple("abcd")).gamma)
+            kept = {f: getattr(model, f).copy() for f in fields}
+            other = _model_from_stats(second, parts, ws, penalty="bic", prior_term_mode="log",
+                                      class_labels=tuple("abcd"),
+                                      feature_names=tuple(f"x{j}" for j in range(p)))
+            assert not np.array_equal(other.Q, model.Q)
+            for f in fields:
+                assert np.array_equal(getattr(model, f), kept[f]), f
+                assert not np.shares_memory(getattr(model, f), shared.buf), f
 
     def test_result_is_validated(self):
         stats = SufficientStats(n_k=np.array([3, 3]),

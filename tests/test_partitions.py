@@ -210,10 +210,10 @@ class TestSubsetIndex:
             assert masks[idx.prefix[r]] == masks[r] - top
             assert idx.prefix[r] < r
         assert (idx.prefix[:k] == -1).all()
-        merged = [r for level in idx.levels for r in range(len(masks))[level]]
+        merged = [r for run in idx.runs for r in range(len(masks))[run]]
         assert merged == list(range(k, len(masks)))
-        assert all(len({sizes[r] for r in range(len(masks))[level]}) == 1
-                   for level in idx.levels)
+        assert all(len({(sizes[r], idx.top[r]) for r in range(len(masks))[run]}) == 1
+                   for run in idx.runs)
 
     def test_exhaustive_holds_every_subset(self):
         assert sorted(build_partition_set(5, "exhaustive").subsets.masks) == list(range(1, 32))

@@ -21,7 +21,7 @@ from multida.simlab import (
     selection_error,
 )
 
-from oracles import refit_cross_validate
+from oracles import dependent_X, independent_X, refit_cross_validate
 
 
 def truth_for(columns, true_col, p):
@@ -294,6 +294,31 @@ class TestGenDependent:
         assert not st.shared
         assert len(st.factors) == 2
         assert not np.allclose(st.factors[0][0], st.factors[1][0])
+
+
+class TestGeneratorsMatchTheirExpressions:
+    """The generators scale and shift their draws in place, one class's
+    rows at a time; X stays bit for bit what the n x p expressions give."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("scenario", ["ind-equal-var", "ind-unequal-var"])
+    def test_independent(self, scenario, seed):
+        # n = 23 over K = 4 leaves uneven classes (6, 6, 6, 5); the shift
+        # and scale are not powers of two, so every product rounds
+        for n, p, k in ((23, 40, 4), (100, 300, 3)):
+            spec = SimSpec(scenario, n=n, p=p, K=k, mean_shift=1.3, variance_scale=0.7,
+                           discriminative_fraction=0.5, seed=seed)
+            data, truth = gen_independent(spec)
+            assert np.bincount(data.y).tolist()[1:] == simlab._class_allocation(n, k).tolist()
+            assert data.X.tobytes() == independent_X(spec, truth, data.y).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("scenario", ["dep-equal-cov", "dep-unequal-cov"])
+    def test_dependent(self, scenario, seed):
+        spec = SimSpec(scenario, n=23, p=40, K=4, mean_shift=1.3, block_size=8,
+                       discriminative_fraction=0.5, seed=seed)
+        data, _ = gen_dependent(spec)
+        assert data.X.tobytes() == dependent_X(spec, data.y).tobytes()
 
 
 def _selection_error_by_masks(model, truth):
