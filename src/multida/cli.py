@@ -199,7 +199,7 @@ def train(input, out, features_out, threshold, penalty, variance, scheme,
             for name, m, w in rows
         ],
     )
-    non_null = int(np.sum(np.argmax(model.gamma, axis=1) != 0))
+    non_null = int(np.count_nonzero(model.top))
     click.echo(f"n={model.n} p={model.p} K={model.K} M={model.M}")
     click.echo(f"penalty={model.penalty.kind} C={model.penalty.C:.6g} "
                f"variance={model.variance_mode} scheme={model.parts.scheme}")

@@ -22,6 +22,11 @@ Conventions used throughout:
   The public slot arrays (``mu``, ``sigma2``: slot ``a_km - 1`` holds the
   component of class ``k`` under hypothesis ``m``) are gathers of the
   subset rows.
+* A model stores no p x M array.  Prediction reads only the per-class
+  score coefficients, and selection only each feature's top hypothesis
+  and its weight, which the derivation keeps; the hypothesis weights
+  ``gamma``, like ``lam``, ``mu`` and ``sigma2``, are derived when first
+  read.
 * All softmax computations subtract the row maximum before exponentiating.
 * A model is a function of its per-class counts, means and centred sums
   of squares (``SufficientStats``), the hypothesis set and the config.
@@ -262,20 +267,23 @@ class Mles:
 @dataclass(frozen=True)
 class FittedModel:
     """Immutable fitted multiDA model (multiLDA or multiQDA): the class
-    statistics and config, the hypothesis weights ``gamma`` and the score
+    statistics and config, each feature's top-weighted hypothesis
+    (``top``, ties to the lowest index) and its weight, and the score
     coefficients of ``model_from_stats``.  The slot arrays ``mu``,
-    ``sigma2``, ``variance_floor`` and ``lam`` are derived by ``fit_mles``
-    and ``lrt`` when first read."""
+    ``sigma2``, ``variance_floor``, the p x M ``lam`` and the p x M
+    hypothesis weights ``gamma`` are derived by ``fit_mles``, ``lrt`` and
+    ``gamma_weights`` when first read; ``predict`` reads none of them."""
 
     parts: PartitionSet
     pi: np.ndarray
-    gamma: np.ndarray
     penalty: PenaltyConfig
     prior_term_mode: str
     class_labels: tuple[str, ...]
     feature_names: tuple[str, ...]
     admissible: np.ndarray = field(repr=False)
     stats: SufficientStats = field(repr=False)  # all that save_model stores
+    top: np.ndarray = field(repr=False)         # p, int64
+    top_weight: np.ndarray = field(repr=False)  # p
     mu_null: np.ndarray = field(repr=False)  # p
     Q: np.ndarray = field(repr=False)        # K x p
     L: np.ndarray = field(repr=False)        # K x p
@@ -283,7 +291,7 @@ class FittedModel:
 
     @property
     def p(self) -> int:
-        return self.gamma.shape[0]
+        return self.Q.shape[1]
 
     @property
     def K(self) -> int:
@@ -304,19 +312,22 @@ class FittedModel:
     @cached_property
     def _mles(self) -> Mles:
         with np.errstate(all="ignore"):
-            mles = fit_mles(self.stats, self.parts)
-        for a in (mles.mu, mles.sigma2, mles.variance_floor):
-            _as_readonly(a)
-        return mles
+            return fit_mles(self.stats, self.parts)
 
-    mu = property(lambda self: self._mles.mu)                          # p x z_M
-    sigma2 = property(lambda self: self._mles.sigma2)                  # p x (M or z_M)
-    variance_floor = property(lambda self: self._mles.variance_floor)  # p
+    # each gathered when first read: lam and gamma need neither mu nor sigma2
+    mu = property(lambda self: _as_readonly(self._mles.mu))              # p x z_M
+    sigma2 = property(lambda self: _as_readonly(self._mles.sigma2))      # p x (M or z_M)
+    variance_floor = property(lambda self: _as_readonly(self._mles.variance_floor))  # p
 
     @cached_property
     def lam(self) -> np.ndarray:
         with np.errstate(all="ignore"):
             return _as_readonly(lrt(self._mles))
+
+    @cached_property
+    def gamma(self) -> np.ndarray:  # p x M
+        with np.errstate(all="ignore"):
+            return _as_readonly(gamma_weights(self.lam, self.parts.nu, self.penalty))
 
 
 @dataclass(frozen=True)
@@ -351,34 +362,20 @@ def _hypothesis_sums(
     return out
 
 
-def _subset_sums(
-    rows: np.ndarray, parts: PartitionSet, out: np.ndarray | None = None,
+def _gather_sums(
+    rows: np.ndarray, index: Sequence[np.ndarray], out: np.ndarray,
     tmp: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sums (S x b) of hypothesis rows (M x b) over the hypotheses that
-    hold each subset as a group, added in ascending hypothesis order;
-    zero for subsets that are no group.  Each subset's rows are gathered
-    into ``tmp`` and summed along axis 0 into its row of ``out``; both
-    are allocated when not given."""
-    if out is None:
-        out = np.empty((len(parts.subsets.masks), rows.shape[1]))
+    """Write to each row ``out[i]`` the sum of the ``rows`` that
+    ``index[i]`` lists, gathered in that order into ``tmp`` (allocated
+    when not given) and summed along axis 0; zero where it lists none.
+    With ``parts.subsets.row_columns`` it sums hypothesis rows (M x b) to
+    subsets (S x b), with ``class_rows`` subset rows to classes (K x b)."""
     if tmp is None:
         tmp = np.empty_like(rows)
-    for acc, held in zip(out, parts.subsets.row_columns):
+    for acc, held in zip(out, index):
         np.sum(np.take(rows, held, axis=0, out=tmp[:len(held)], mode="clip"), axis=0, out=acc)
     return out
-
-
-def _class_sums(
-    rows: np.ndarray, parts: PartitionSet, out: np.ndarray, tmp: np.ndarray | None = None
-) -> None:
-    """Write to each row ``out[k]`` (K x b) the sum of the subset rows
-    (S x b) that hold class k, gathered in row order into ``tmp``
-    (allocated when not given) and summed along axis 0."""
-    if tmp is None:
-        tmp = np.empty_like(rows)
-    for acc, held in zip(out, parts.subsets.class_rows):
-        np.sum(np.take(rows, held, axis=0, out=tmp[:len(held)], mode="clip"), axis=0, out=acc)
 
 
 @dataclass(frozen=True)
@@ -393,14 +390,14 @@ class _Block:
     log_var: np.ndarray | None = None  # M (equal) or S
     sums: np.ndarray | None = None     # S, lrt's unequal-variance terms, then variance weights
     gather: np.ndarray | None = None   # the rows one step gathers (see _region_rows)
-    lam: np.ndarray | None = None      # M, lrt's rows when gamma's own cannot take them
+    lam: np.ndarray | None = None      # M, lrt's rows, then the block's gamma
     floor: np.ndarray | None = None    # 1, the variance floor
     reduce: np.ndarray | None = None   # 1, each feature's softmax maximum, then sum
 
 
-def _region_rows(parts: PartitionSet, n_blocks: int) -> dict[str, int]:
-    """The rows of each ``_Block`` region of a derivation under ``parts``
-    in ``n_blocks`` blocks.  ``gather`` holds what one step gathers and is
+def _region_rows(parts: PartitionSet) -> dict[str, int]:
+    """The rows of each ``_Block`` region of a derivation under
+    ``parts``.  ``gather`` holds what one step gathers and is
     done with before it returns: the two operands of a merge run or the
     rows of one subset or class sum, whichever is most, and hypothesis
     sums gather through it in parts."""
@@ -413,7 +410,7 @@ def _region_rows(parts: PartitionSet, n_blocks: int) -> dict[str, int]:
         "var": n_hyp if equal else 0,
         "log_var": n_hyp if equal else n_sub,
         "sums": n_sub, "gather": gather,
-        "lam": n_hyp if n_blocks > 1 else 0,
+        "lam": n_hyp,
         "floor": 1, "reduce": 1,
     }
 
@@ -429,13 +426,12 @@ class _Workspace:
     a ``_Block``, all of them or those ``regions`` names.  Every block step
     writes into those views, so a derivation allocates its block
     temporaries once, however many blocks it has, and no array a model
-    keeps is a view of it.  ``lam`` has rows only when there are two
-    blocks or more; one block's statistics go straight into gamma."""
+    keeps is a view of it."""
 
     def __init__(self, parts: PartitionSet, blocks: list[slice],
                  regions: Sequence[str] | None = None):
         self.blocks = blocks
-        rows = _region_rows(parts, len(blocks))
+        rows = _region_rows(parts)
         self.rows = {name: rows[name] for name in (regions or rows)}
         width = max((c.stop - c.start for c in blocks), default=0)
         self.buf = np.empty(sum(self.rows.values()) * width)
@@ -462,9 +458,9 @@ def _block_width(parts: PartitionSet) -> int:
 def _column_blocks(p: int, size: int) -> list[slice]:
     """Blocks of ``size`` features, the last one wider by one column where
     it would otherwise be one column wide.  No block is one column wide
-    unless ``p == 1``: numpy's axis-0 sum of a gather (``_subset_sums``,
-    ``_class_sums``) adds a wider block's rows one by one, in order, but a
-    single column's pairwise, so a one-column block would change the bits."""
+    unless ``p == 1``: numpy's axis-0 sum of a gather (``_gather_sums``)
+    adds a wider block's rows one by one, in order, but a single column's
+    pairwise, so a one-column block would change the bits."""
     starts = list(range(0, p, size))
     if len(starts) > 1 and p - starts[-1] == 1:
         starts.pop()
@@ -742,6 +738,8 @@ def model_from_stats(
 
     with ``xc = x - mu_null``; centring on the null mean guards the
     expanded square against cancellation when the data sit far from 0.
+    The block's gamma stays in the workspace: the model keeps each
+    feature's top hypothesis and its weight, and ``c`` the sum of gamma.
     A class's coefficients sum over the subsets that hold it, each subset
     weighted by the summed gamma of the hypotheses that have it as a
     group, so the block work is per subset and per hypothesis, never per
@@ -795,51 +793,56 @@ def _derive(
     stats: SufficientStats, parts: PartitionSet, C: float, prior_term_mode: str,
     ws: _Workspace,
 ) -> dict[str, np.ndarray]:
-    """The derived arrays of ``model_from_stats`` (``pi``, ``gamma``,
-    ``admissible``, ``mu_null``, ``Q``, ``L`` and ``c``), read-only, one
-    block of ``ws.blocks`` at a time in the views of ``ws``."""
-    p, blocks = stats.mean.shape[1], ws.blocks
-    gamma_t = np.empty((parts.M, p))
+    """The derived arrays of ``model_from_stats`` (``pi``, ``top``,
+    ``top_weight``, ``admissible``, ``mu_null``, ``Q``, ``L`` and ``c``),
+    read-only, one block of ``ws.blocks`` at a time in the views of ``ws``.
+    Each block's gamma lives only in the workspace: its column maxima and
+    their first hypothesis are kept, and its sum goes into ``c``."""
+    p = stats.mean.shape[1]
+    top = np.empty(p, dtype=np.int64)
+    top_weight = np.empty(p)
     mu_null = np.empty(p)
     Q = np.empty((parts.K, p))
     L = np.empty_like(Q)
     subset_const = np.zeros(len(parts.subsets.masks))
-    log_const = 0.0
+    log_const = gamma_sum = 0.0
     with np.errstate(all="ignore"):
-        for cols in blocks:
+        for cols in ws.blocks:
             block = ws.block(cols.stop - cols.start)
             mles = _fit_mles(SufficientStats(stats.n_k, stats.mean[:, cols], stats.m2[:, cols]),
                              parts, block)
             # the block's own arrays are reused in place below
             var, log_var, d = mles.var, mles.log_var, mles.mean
-            # lrt's rows: gamma itself when one block spans p, else the
-            # workspace's, copied to gamma's columns
-            lam = gamma_t if len(blocks) == 1 else block.lam
-            g = _softmax_rows(_lrt_rows(mles, lam, block.sums, block.gather), parts.nu, C,
+            g = _softmax_rows(_lrt_rows(mles, block.lam, block.sums, block.gather), parts.nu, C,
                               block.reduce[0])
-            gamma_t[:, cols] = g  # numpy skips the copy when g is gamma_t
+            gamma_sum += g.sum()
+            # an axis-0 argmax would copy g; the first row equal to the
+            # maximum is np.argmax's pick
+            np.max(g, axis=0, out=top_weight[cols])
+            np.argmax(g == top_weight[cols], axis=0, out=top[cols])
             # per subset (S x block): the weight of its squared deviation,
             # summed over the hypotheses that hold it as a group
             if parts.variance_mode == "equal":
                 # every class sees each hypothesis's one variance
                 log_const += np.multiply(g, log_var, out=log_var).sum()
-                w_var = _subset_sums(np.divide(g, var, out=var), parts, block.sums,
-                                     block.gather)
+                w_var = _gather_sums(np.divide(g, var, out=var), parts.subsets.row_columns,
+                                     block.sums, block.gather)
             else:
-                w_var = _subset_sums(g, parts, block.sums, block.gather)
+                w_var = _gather_sums(g, parts.subsets.row_columns, block.sums, block.gather)
                 subset_const += np.multiply(w_var, log_var, out=log_var).sum(axis=1)
                 w_var /= var
             mu_null[cols] = d[-1]
             d -= mu_null[cols]  # subset means centred on the null mean
-            _class_sums(w_var, parts, Q[:, cols], block.gather)
+            _gather_sums(w_var, parts.subsets.class_rows, Q[:, cols], block.gather)
             w_d = np.multiply(w_var, d, out=w_var)
-            _class_sums(w_d, parts, L[:, cols], block.gather)
+            _gather_sums(w_d, parts.subsets.class_rows, L[:, cols], block.gather)
             subset_const += np.multiply(w_d, d, out=d).sum(axis=1)
         pi = mles.pi
         prior = np.log(pi) if prior_term_mode == "log" else pi * np.log(pi)
         class_const = np.array([subset_const[rows].sum() for rows in parts.subsets.class_rows])
-        c = prior - 0.5 * (class_const + log_const + _LOG_2PI * gamma_t.sum())
-    return {"pi": _as_readonly(pi), "gamma": _as_readonly(gamma_t.T),
+        c = prior - 0.5 * (class_const + log_const + _LOG_2PI * gamma_sum)
+    return {"pi": _as_readonly(pi), "top": _as_readonly(top),
+            "top_weight": _as_readonly(top_weight),
             "admissible": _as_readonly(mles.admissible), "mu_null": _as_readonly(mu_null),
             "Q": _as_readonly(Q), "L": _as_readonly(L), "c": _as_readonly(c)}
 
@@ -917,13 +920,13 @@ def predict(
 def selected_features(
     model: FittedModel, threshold: float = 0.5
 ) -> list[tuple[str, int, float]]:
-    """Features whose top-weighted hypothesis is non-null with weight at
-    least ``threshold``, as (name, hypothesis index, weight) sorted by
-    weight descending."""
+    """Features whose top-weighted hypothesis (``model.top``) is non-null
+    with weight (``model.top_weight``) at least ``threshold``, as (name,
+    hypothesis index, weight) sorted by weight descending; gamma is not
+    derived."""
     if not 0.0 < threshold <= 1.0:
         raise ValidationError("threshold must lie in (0, 1]")
-    top = np.argmax(model.gamma, axis=1)
-    weight = model.gamma[np.arange(model.p), top]
+    top, weight = model.top, model.top_weight
     keep = (top != 0) & (weight >= threshold)
     rows = [
         (model.feature_names[j], int(top[j]) + 1, float(weight[j]))
@@ -937,7 +940,9 @@ def validate_model(model: FittedModel) -> FittedModel:
     """Return ``model`` once the parts of it a caller can break hold:
     K distinct class labels, positive class counts, finite
     class statistics with ``class_m2 >= 0``, and a finite null mean
-    (``mu``) and ``gamma``; it reads only stored arrays.  A structural
+    (``mu``) and gamma.  It reads only stored arrays, none of them p x M:
+    a non-finite gamma column has a NaN maximum, so ``top_weight`` stands
+    for gamma.  A structural
     fault raises ``ValidationError``; a non-finite value (e.g. from
     overflowing statistics) raises ``NumericError`` naming the field and
     the first bad feature.  The rest holds by construction.
@@ -954,7 +959,7 @@ def validate_model(model: FittedModel) -> FittedModel:
         raise ValidationError("class_m2 holds a negative value")
     for name, values in (("class_means", stats.mean), ("class_m2", stats.m2),
                          ("mu", model.mu_null[None, :]),
-                         ("gamma", model.gamma.T)):  # all ... x p, as stored
+                         ("gamma", model.top_weight[None, :])):  # all ... x p
         if not np.isfinite(values).all():
             j = int(np.argmin(np.isfinite(values).all(axis=0)))
             raise NumericError(f"{name} holds a non-finite value for feature "

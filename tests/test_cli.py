@@ -191,6 +191,21 @@ class TestTrain:
         assert not out.exists()
 
 
+def test_train_predict_and_cv_derive_no_gamma(runner, wide_csv, tmp_path, no_gamma):
+    model, features = str(tmp_path / "m.json"), tmp_path / "f.csv"
+    result = runner.invoke(main, ["train", wide_csv, "--seed", "1", "--out", model,
+                                  "--features-out", str(features)])
+    assert result.exit_code == 0, result.output
+    assert "features with non-null argmax: 1" in result.output
+    assert read_csv(features)[1][0] == "g0"
+    result = runner.invoke(main, ["predict", wide_csv, "--model", model, "--seed", "1",
+                                  "--out", str(tmp_path / "p.csv")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["cv", wide_csv, "--folds", "2", "--trials", "1",
+                                  "--seed", "1", "--out", str(tmp_path / "cv.csv")])
+    assert result.exit_code == 0, result.output
+
+
 class TestNoHeader:
     """A headerless file reads as the same file with the header
     ``label,x1..xp``: the label named by index, the features x1..xp."""

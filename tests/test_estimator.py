@@ -16,13 +16,12 @@ from multida.estimator import (
     PenaltyConfig,
     SufficientStats,
     _block_width,
-    _class_sums,
     _column_blocks,
     _derivation_workspace,
+    _gather_sums,
     _hypothesis_sums,
     _model_from_stats,
     _resolve_threads,
-    _subset_sums,
     accumulate_stats,
     fit,
     fit_mles,
@@ -327,10 +326,11 @@ class TestSummationOrder:
                 for n in (len(parts.subsets.masks), parts.M))
             assert np.array_equal(_hypothesis_sums(subset_rows, parts),
                                   slot_order_hypothesis_sums(subset_rows, parts))
-            assert np.array_equal(_subset_sums(hyp_rows, parts),
-                                  slot_order_subset_sums(hyp_rows, parts))
+            out = np.full((len(parts.subsets.masks), width), np.nan)
+            _gather_sums(hyp_rows, parts.subsets.row_columns, out)
+            assert np.array_equal(out, slot_order_subset_sums(hyp_rows, parts))
             out = np.full((k, width), np.nan)
-            _class_sums(subset_rows, parts, out)
+            _gather_sums(subset_rows, parts.subsets.class_rows, out)
             assert np.array_equal(out, slot_order_class_sums(subset_rows, parts))
 
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
@@ -617,12 +617,14 @@ class TestModelFromStats:
         with pytest.raises(NumericError, match="^class_m2 holds a non-finite "
                                                "value for feature 'x3'$"):
             self._derive(stats, build_partition_set(2, "exhaustive"))
+        # gamma is derived on read; its stored stand-in is each feature's
+        # top weight, which a non-finite gamma column makes NaN
         model = fit(random_dataset(np.random.default_rng(9), 30, 5, 3, min_per_class=4))
-        gamma = model.gamma.copy()
-        gamma[3, 0], gamma[1, 4], gamma[4, 2] = np.nan, np.inf, np.nan
+        top_weight = model.top_weight.copy()
+        top_weight[[1, 3]], top_weight[4] = np.nan, np.inf
         with pytest.raises(NumericError, match="^gamma holds a non-finite "
                                                "value for feature 'x2'$"):
-            validate_model(dataclasses.replace(model, gamma=gamma))
+            validate_model(dataclasses.replace(model, top_weight=top_weight))
         mu_null = model.mu_null.copy()
         mu_null[[2, 4]] = np.nan
         with pytest.raises(NumericError, match="^mu holds a non-finite "
@@ -666,6 +668,72 @@ class TestModelFromStats:
         with pytest.raises(NumericError, match="class_means holds a non-finite "
                                                "value for feature 'x2'"):
             self._derive(stats, build_partition_set(2, "exhaustive"))
+
+
+class TestGammaOnRead:
+    """A model keeps each feature's top hypothesis and its weight, not the
+    p x M gamma, which it derives when first read."""
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    @pytest.mark.parametrize("scheme", ["exhaustive", "user"])
+    @pytest.mark.parametrize("blocks", ["one", "two-and-a-tail"])
+    def test_top_is_the_argmax_of_gamma(self, blocks, scheme, variance_mode):
+        # K=8 with the null and the 7 perfect matchings as a user S
+        k, S = (6, scheme) if scheme == "exhaustive" else (8, _one_factorization(8))
+        p = 40 if blocks == "one" else two_blocks_and_a_tail(k, S, variance_mode)
+        data = random_dataset(np.random.default_rng([k, p]), 8 * k, p, k, min_per_class=4)
+        X = data.X.copy()
+        X[:, ::3] += 0.8 * (data.y[:, None] - 1)
+        model = fit(Dataset.from_arrays(X, [str(v) for v in data.y]), scheme=S,
+                    penalty="bic", variance_mode=variance_mode)
+        assert len(_derivation_workspace(model.parts, p).blocks) == (1 if blocks == "one" else 2)
+        assert model.top.dtype == np.int64 and len(set(model.top.tolist())) > 1
+        assert np.array_equal(model.top, np.argmax(model.gamma, axis=1))
+        assert model.top_weight.tobytes() == model.gamma[np.arange(p), model.top].tobytes()
+
+    @pytest.mark.parametrize("variance_mode, C", [("equal", 10.0), ("unequal", 5.0)])
+    def test_tie_goes_to_the_lower_hypothesis(self, variance_mode, C):
+        # classes 1 and 2 mirror each other about class 3, so hypotheses
+        # {1}{2,3} and {2}{1,3} (indices 2 and 3) get the same bits, and
+        # the penalty puts them above the null and the full split
+        stats = SufficientStats(n_k=np.array([10, 10, 10]),
+                                mean=np.array([[-2.0, 0.0], [2.0, 0.0], [0.0, 0.0]]),
+                                m2=np.full((3, 2), 10.0))
+        model = model_from_stats(stats, build_partition_set(3, "exhaustive",
+                                                            variance_mode=variance_mode),
+                                 penalty=PenaltyConfig("custom", C), prior_term_mode="log",
+                                 class_labels=tuple("abc"), feature_names=("x1", "x2"))
+        gamma = model.gamma
+        assert gamma[0, 2] == gamma[0, 3] == gamma[0].max()
+        assert model.top.tolist() == [2, 0]
+        assert model.top_weight.tobytes() == gamma[[0, 1], [2, 0]].tobytes()
+
+    def test_fit_save_load_predict_and_cv_derive_no_gamma(self, tmp_path, no_gamma):
+        from multida.data_io import load_model, save_model
+        from multida.simlab import cross_validate
+
+        data = random_dataset(np.random.default_rng(4), 40, 12, 4, min_per_class=4)
+        model = fit(data, penalty="bic")
+        selected_features(model, 0.3)
+        labels = predict(model, data.X).labels
+        save_model(model, tmp_path / "m.json")
+        assert predict(load_model(tmp_path / "m.json"), data.X).labels == labels
+        cross_validate(data, folds=2, trials=1)
+        with pytest.raises(AssertionError, match="derived a p x M"):
+            model.gamma
+
+    def test_model_keeps_no_p_by_m_array(self):
+        import tracemalloc
+
+        p = 2000
+        data = random_dataset(np.random.default_rng(6), 60, p, 6, min_per_class=4)
+        tracemalloc.start()
+        try:
+            model = fit(data)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < p * model.M * 8 / 4
 
 
 class TestShiftScaleInvariance:
