@@ -24,9 +24,9 @@ Conventions used throughout:
   subset rows.
 * A model stores no p x M array.  Prediction reads only the per-class
   score coefficients, and selection only each feature's top hypothesis
-  and its weight, which the derivation keeps; the hypothesis weights
-  ``gamma``, like ``lam``, ``mu`` and ``sigma2``, are derived when first
-  read.
+  and its weight, which the derivation keeps; ``gamma``, ``lam``, ``mu``,
+  ``sigma2`` and ``variance_floor`` are each derived when first read, by
+  the derivation's own walk over feature blocks, keeping only that array.
 * All softmax computations subtract the row maximum before exponentiating.
 * A model is a function of its per-class counts, means and centred sums
   of squares (``SufficientStats``), the hypothesis set and the config.
@@ -47,7 +47,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -220,9 +220,10 @@ class SufficientStats:
     """Per-class sample counts, means and centred sums of squares.
 
     ``n_k[k]``, ``mean[k, j]`` and ``m2[k, j]`` refer to class ``k + 1``
-    and feature ``j``; ``m2`` is the two-pass sum of squared deviations
-    from the class mean.  Every other fitted quantity derives from these,
-    the sample count ``n`` included.
+    and feature ``j``; ``m2`` is the sum of squared deviations from the
+    class mean, by the corrected two-pass of ``accumulate_stats`` (or
+    ``merge_stats`` of such sums).  Every other fitted quantity derives
+    from these, the sample count ``n`` included.
     """
 
     n_k: np.ndarray   # K
@@ -271,8 +272,8 @@ class FittedModel:
     (``top``, ties to the lowest index) and its weight, and the score
     coefficients of ``model_from_stats``.  The slot arrays ``mu``,
     ``sigma2``, ``variance_floor``, the p x M ``lam`` and the p x M
-    hypothesis weights ``gamma`` are derived by ``fit_mles``, ``lrt`` and
-    ``gamma_weights`` when first read; ``predict`` reads none of them."""
+    hypothesis weights ``gamma`` are each derived block by block when first
+    read (``_derived``); ``predict`` reads none of them."""
 
     parts: PartitionSet
     pi: np.ndarray
@@ -309,25 +310,29 @@ class FittedModel:
     def variance_mode(self) -> str:
         return self.parts.variance_mode
 
-    @cached_property
-    def _mles(self) -> Mles:
+    def _derived(self, name: str) -> np.ndarray:
+        """The array ``name``, derived block by block (``_block_mles``) into
+        a rows x p output; its transpose has the whole-p stages' bits and layout."""
+        out = None
         with np.errstate(all="ignore"):
-            return fit_mles(self.stats, self.parts)
+            for cols, block, mles in _block_mles(self.stats, self.parts,
+                                                 _derivation_workspace(self.parts, self.p)):
+                if name in ("lam", "gamma"):
+                    rows = _lrt_rows(mles, block.lam, block.sums, block.gather)
+                    if name == "gamma":
+                        _softmax_rows(rows, self.parts.nu, self.penalty.C, block.reduce[0])
+                else:
+                    rows = getattr(mles, name).T
+                if out is None:
+                    out = np.empty((*rows.shape[:-1], self.p))
+                out[..., cols] = rows
+        return _as_readonly(out.T)
 
-    # each gathered when first read: lam and gamma need neither mu nor sigma2
-    mu = property(lambda self: _as_readonly(self._mles.mu))              # p x z_M
-    sigma2 = property(lambda self: _as_readonly(self._mles.sigma2))      # p x (M or z_M)
-    variance_floor = property(lambda self: _as_readonly(self._mles.variance_floor))  # p
-
-    @cached_property
-    def lam(self) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return _as_readonly(lrt(self._mles))
-
-    @cached_property
-    def gamma(self) -> np.ndarray:  # p x M
-        with np.errstate(all="ignore"):
-            return _as_readonly(gamma_weights(self.lam, self.parts.nu, self.penalty))
+    mu = cached_property(lambda self: self._derived("mu"))                  # p x z_M
+    sigma2 = cached_property(lambda self: self._derived("sigma2"))          # p x (M or z_M)
+    variance_floor = cached_property(lambda self: self._derived("variance_floor"))  # p
+    lam = cached_property(lambda self: self._derived("lam"))                # p x M
+    gamma = cached_property(lambda self: self._derived("gamma"))            # p x M
 
 
 @dataclass(frozen=True)
@@ -381,18 +386,17 @@ def _gather_sums(
 @dataclass(frozen=True)
 class _Block:
     """The scratch arrays of one block of b features: each is its own
-    region of a ``_Workspace``, C-contiguous and (rows x b), or None when
-    the workspace holds no such region."""
+    region of a ``_Workspace``, C-contiguous and (rows x b)."""
 
-    mean: np.ndarray | None = None     # S, subset means
-    m2: np.ndarray | None = None       # S, centred sums of squares, then (unequal) variances
-    var: np.ndarray | None = None      # M, pooled variances (equal; no rows under unequal)
-    log_var: np.ndarray | None = None  # M (equal) or S
-    sums: np.ndarray | None = None     # S, lrt's unequal-variance terms, then variance weights
-    gather: np.ndarray | None = None   # the rows one step gathers (see _region_rows)
-    lam: np.ndarray | None = None      # M, lrt's rows, then the block's gamma
-    floor: np.ndarray | None = None    # 1, the variance floor
-    reduce: np.ndarray | None = None   # 1, each feature's softmax maximum, then sum
+    mean: np.ndarray     # S, subset means
+    m2: np.ndarray       # S, centred sums of squares, then (unequal) variances
+    var: np.ndarray      # M, pooled variances (equal; no rows under unequal)
+    log_var: np.ndarray  # M (equal) or S
+    sums: np.ndarray     # S, lrt's unequal-variance terms, then variance weights
+    gather: np.ndarray   # the rows one step gathers (see _region_rows)
+    lam: np.ndarray      # M, lrt's rows, then the block's gamma
+    floor: np.ndarray    # 1, the variance floor
+    reduce: np.ndarray   # 1, each feature's softmax maximum, then sum
 
 
 def _region_rows(parts: PartitionSet) -> dict[str, int]:
@@ -415,24 +419,17 @@ def _region_rows(parts: PartitionSet) -> dict[str, int]:
     }
 
 
-#: The regions ``fit_mles`` writes.
-_MLE_REGIONS = ("mean", "m2", "var", "log_var", "gather", "floor")
-
-
 class _Workspace:
     """The scratch memory of a derivation over ``blocks``, slices of the
     features, under ``parts``: one buffer, allocated once and sized for
     the widest block, that ``block`` splits into the disjoint regions of
-    a ``_Block``, all of them or those ``regions`` names.  Every block step
-    writes into those views, so a derivation allocates its block
-    temporaries once, however many blocks it has, and no array a model
-    keeps is a view of it."""
+    a ``_Block``.  Every block step writes into those views, so a
+    derivation allocates its block temporaries once, however many blocks
+    it has, and no array a model keeps is a view of it."""
 
-    def __init__(self, parts: PartitionSet, blocks: list[slice],
-                 regions: Sequence[str] | None = None):
+    def __init__(self, parts: PartitionSet, blocks: list[slice]):
         self.blocks = blocks
-        rows = _region_rows(parts)
-        self.rows = {name: rows[name] for name in (regions or rows)}
+        self.rows = _region_rows(parts)
         width = max((c.stop - c.start for c in blocks), default=0)
         self.buf = np.empty(sum(self.rows.values()) * width)
 
@@ -488,21 +485,31 @@ def _resolve_threads(threads: int) -> int:
 
 def accumulate_stats(data: Dataset) -> SufficientStats:
     """Per-class counts, means and centred sums of squares of the K
-    classes of ``data``, in two passes over each class's rows (the mean
-    first, then the squared deviations from it), so the result does not
-    depend on where the data sit.
+    classes of ``data``, by the corrected two-pass of Chan, Golub &
+    LeVeque (1983): the mean first, then the sum of the squared deviations
+    d from it less (sum d)**2 / n_k.  The correction removes the rounding
+    of the mean, which the plain two-pass lets into the sum of squares far
+    from zero (a relative error near 1e-7 at an offset of 1e12), so the
+    result stays within rounding of the exact one wherever the data sit.
+    A sum below 0 (a constant column can round there) is clamped to 0.
 
     Overflow is not reported here: it leaves a non-finite statistic,
     which ``validate_model`` turns into an error.
     """
     mean = np.empty((data.K, data.p))
     m2 = np.empty((data.K, data.p))
+    d_sum = np.empty((data.K, data.p))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(data.K):
             xk = data.X[data.y == k + 1]
             mean[k] = mk = xk.sum(axis=0) / xk.shape[0]
             xk -= mk
-            m2[k] = np.square(xk, out=xk).sum(axis=0)
+            xk.sum(axis=0, out=d_sum[k])
+            np.square(xk, out=xk).sum(axis=0, out=m2[k])
+        np.square(d_sum, out=d_sum)
+        d_sum /= data.class_counts[:, None].astype(np.float64)  # an int divisor is slower
+        m2 -= d_sum
+        np.maximum(m2, 0.0, out=m2)
     return SufficientStats(n_k=data.class_counts, mean=_as_readonly(mean),
                            m2=_as_readonly(m2))
 
@@ -588,36 +595,40 @@ def fit_mles(stats: SufficientStats, parts: PartitionSet) -> Mles:
     subset-major; ``mu`` and ``sigma2`` gather it to the slots.  The
     arrays are views of one buffer allocated for this call.
     """
-    p = stats.mean.shape[1]
-    return _fit_mles(stats, parts, _Workspace(parts, [slice(0, p)], _MLE_REGIONS).block(p))
+    return next(_block_mles(stats, parts, _Workspace(parts, [slice(0, stats.mean.shape[1])])))[2]
 
 
-def _fit_mles(stats: SufficientStats, parts: PartitionSet, ws: _Block) -> Mles:
-    """``fit_mles`` into the views of ``ws``."""
+def _block_mles(stats: SufficientStats, parts: PartitionSet,
+                ws: _Workspace) -> Iterator[tuple[slice, _Block, Mles]]:
+    """``fit_mles`` of each block of ``ws.blocks`` in turn, with the block's
+    columns and its views of ``ws``, which the next block overwrites."""
     n = stats.n
-    count = _merge_subsets(stats, parts, ws)
-    mean, m2 = ws.mean, ws.m2
+    for cols in ws.blocks:
+        block = ws.block(cols.stop - cols.start)
+        count = _merge_subsets(SufficientStats(stats.n_k, stats.mean[:, cols], stats.m2[:, cols]),
+                               parts, block)
+        m2 = block.m2
 
-    # the overall variance: the last subset holds every class
-    floor = np.divide(m2[-1], n, out=ws.floor[0])
-    floor[~(floor > 0.0)] = 1.0
-    floor *= VARIANCE_FLOOR_SCALE
+        # the overall variance: the last subset holds every class
+        floor = np.divide(m2[-1], n, out=block.floor[0])
+        floor[~(floor > 0.0)] = 1.0
+        floor *= VARIANCE_FLOOR_SCALE
 
-    if parts.variance_mode == "equal":
-        var = _hypothesis_sums(m2, parts, out=ws.var, tmp=ws.gather)
-        var /= n
-        admissible = n > parts.G
-    else:
-        var = np.divide(m2, count[:, None], out=m2)
-        # smallest group of each hypothesis; z - G is its first slot
-        admissible = np.minimum.reduceat(count[parts.subsets.slot_rows],
-                                         parts.z - parts.G) >= 2
-    np.maximum(var, floor, out=var)
-    admissible[0] = True  # null pools all samples; n >= 2 is checked upstream
+        if parts.variance_mode == "equal":
+            var = _hypothesis_sums(m2, parts, out=block.var, tmp=block.gather)
+            var /= n
+            admissible = n > parts.G
+        else:
+            var = np.divide(m2, count[:, None], out=m2)
+            # smallest group of each hypothesis; z - G is its first slot
+            admissible = np.minimum.reduceat(count[parts.subsets.slot_rows],
+                                             parts.z - parts.G) >= 2
+        np.maximum(var, floor, out=var)
+        admissible[0] = True  # null pools all samples; n >= 2 is checked upstream
 
-    return Mles(parts=parts, count=count, mean=mean, var=var,
-                log_var=np.log(var, out=ws.log_var), pi=stats.n_k / n,
-                variance_floor=floor, admissible=admissible)
+        yield cols, block, Mles(parts=parts, count=count, mean=block.mean, var=var,
+                                log_var=np.log(var, out=block.log_var), pi=stats.n_k / n,
+                                variance_floor=floor, admissible=admissible)
 
 
 def _lrt_rows(
@@ -728,11 +739,11 @@ def model_from_stats(
     known ``prior_term_mode``, resolves ``penalty`` against ``stats.n``
     and p, and returns the model checked by ``validate_model``.
 
-    The derivation is one pass over blocks of ``_block_width`` features,
-    so no p x z_M array is held.  Each block takes ``fit_mles`` of its
-    columns, ``lrt`` and ``gamma_weights`` in place in hypothesis-row
-    (M x block) layout, and its share of the per-class coefficients
-    (Q, L, c) of the score
+    The derivation is one pass over blocks of ``_block_width`` features
+    (``_block_mles``), so no p x z_M array is held.  Each block takes
+    ``fit_mles`` of its columns, ``lrt`` and ``gamma_weights`` in place in
+    hypothesis-row (M x block) layout, and its share of the per-class
+    coefficients (Q, L, c) of the score
 
         eta_k(x) = sum_j xc_j * (L[k, j] - Q[k, j] * xc_j / 2) + c[k],
 
@@ -807,10 +818,7 @@ def _derive(
     subset_const = np.zeros(len(parts.subsets.masks))
     log_const = gamma_sum = 0.0
     with np.errstate(all="ignore"):
-        for cols in ws.blocks:
-            block = ws.block(cols.stop - cols.start)
-            mles = _fit_mles(SufficientStats(stats.n_k, stats.mean[:, cols], stats.m2[:, cols]),
-                             parts, block)
+        for cols, block, mles in _block_mles(stats, parts, ws):
             # the block's own arrays are reused in place below
             var, log_var, d = mles.var, mles.log_var, mles.mean
             g = _softmax_rows(_lrt_rows(mles, block.lam, block.sums, block.gather), parts.nu, C,

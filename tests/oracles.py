@@ -12,9 +12,13 @@ path against the slower path it replaced, on the same arithmetic:
 per-class sums one row at a time, in the order the fast sums must keep.
 ``independent_X`` and ``dependent_X`` build the simulators' data with the
 n x p gathers of class means and sds that the generators no longer make.
+``exact_class_m2`` computes the class sums of squares in exact rational
+arithmetic on the same float data.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
@@ -303,3 +307,17 @@ def dependent_X(spec, y):
                 X[offsets[k]:offsets[k + 1], l * b:(l + 1) * b] = z @ structure.factors[k][l]
     X += class_means[y - 1]
     return X[:, structure.perm]
+
+
+def exact_class_m2(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-class centred sums of squares (K x p, classes 1..K of ``y``) of
+    the float data ``X`` about the exact class mean, computed in
+    ``Fraction``s and rounded once to float."""
+    classes = np.unique(y)
+    m2 = np.empty((len(classes), X.shape[1]))
+    for i, k in enumerate(classes):
+        for j in range(X.shape[1]):
+            xs = [Fraction(float(v)) for v in X[y == k, j]]
+            mu = sum(xs, Fraction(0)) / len(xs)
+            m2[i, j] = float(sum(((x - mu) ** 2 for x in xs), Fraction(0)))
+    return m2

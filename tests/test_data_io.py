@@ -476,7 +476,7 @@ class TestModelRoundTrip:
         save_model(model, tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.json")
         for m in (model, loaded):
-            assert "_mles" not in vars(m) and "lam" not in vars(m)
+            assert not {"mu", "sigma2", "lam", "gamma"} & vars(m).keys()
             assert all(np.shape(v) != (p, m.parts.n_slots) for v in vars(m).values())
         whole = fit_mles(model.stats, model.parts)
         gamma = gamma_weights(lrt(whole), model.parts.nu, model.penalty)

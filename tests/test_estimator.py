@@ -36,6 +36,7 @@ from multida.partitions import build_partition_set
 
 from oracles import (
     bruteforce_posterior,
+    exact_class_m2,
     numeric_mle_equal_var,
     numeric_mle_single_group,
     slot_order_class_sums,
@@ -152,6 +153,23 @@ class TestSufficientStats:
         assert stats.n_k.tolist() == [1, 2]
         assert stats.mean[:, 0].tolist() == [1.0, 2.5]
         assert stats.m2[:, 0].tolist() == [0.0, 0.5]
+
+    @pytest.mark.parametrize("offset", [0.0, 1e8, 1e12, 1e14])
+    def test_m2_is_exact_far_from_zero(self, offset):
+        # the plain two-pass lets the mean's rounding into m2: a relative
+        # error of 8.8e-8 at 1e12 and 5.6e-4 at 1e14 on this data
+        rng = np.random.default_rng(31)
+        y = np.repeat([1, 2, 3], 20)
+        X = rng.normal(size=(60, 5)) + offset
+        stats = accumulate_stats(Dataset.from_arrays(X, [str(v) for v in y]))
+        m2 = exact_class_m2(X, y)
+        assert (m2 > 0).all()
+        assert (np.abs(stats.m2 - m2) <= 1e-15 * m2).all()
+
+    def test_constant_column_has_m2_zero(self):
+        X = np.column_stack([np.full(7, 0.1), np.arange(7.0)])
+        stats = accumulate_stats(Dataset.from_arrays(X, list("aaabbbb")))
+        assert stats.m2[:, 0].tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("k,scheme", [(3, "exhaustive"), (4, "onevsrest"), (4, "ordinal")])
     def test_invariants_random(self, k, scheme):
@@ -675,11 +693,11 @@ class TestGammaOnRead:
     p x M gamma, which it derives when first read."""
 
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
-    @pytest.mark.parametrize("scheme", ["exhaustive", "user"])
+    @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest", "ordinal", "user"])
     @pytest.mark.parametrize("blocks", ["one", "two-and-a-tail"])
     def test_top_is_the_argmax_of_gamma(self, blocks, scheme, variance_mode):
         # K=8 with the null and the 7 perfect matchings as a user S
-        k, S = (6, scheme) if scheme == "exhaustive" else (8, _one_factorization(8))
+        k, S = (8, _one_factorization(8)) if scheme == "user" else (6, scheme)
         p = 40 if blocks == "one" else two_blocks_and_a_tail(k, S, variance_mode)
         data = random_dataset(np.random.default_rng([k, p]), 8 * k, p, k, min_per_class=4)
         X = data.X.copy()
@@ -690,6 +708,16 @@ class TestGammaOnRead:
         assert model.top.dtype == np.int64 and len(set(model.top.tolist())) > 1
         assert np.array_equal(model.top, np.argmax(model.gamma, axis=1))
         assert model.top_weight.tobytes() == model.gamma[np.arange(p), model.top].tobytes()
+        # each array read block by block is the whole-p derivation's, bit for bit
+        whole = fit_mles(model.stats, model.parts)
+        lam = lrt(whole)
+        for name, want in (("mu", whole.mu), ("sigma2", whole.sigma2),
+                           ("variance_floor", whole.variance_floor), ("lam", lam),
+                           ("gamma", gamma_weights(lam, model.parts.nu, model.penalty))):
+            got = getattr(model, name)
+            assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape,
+                                                           want.strides), name
+            assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("variance_mode, C", [("equal", 10.0), ("unequal", 5.0)])
     def test_tie_goes_to_the_lower_hypothesis(self, variance_mode, C):
@@ -734,6 +762,18 @@ class TestGammaOnRead:
         finally:
             tracemalloc.stop()
         assert kept < p * model.M * 8 / 4
+
+    def test_reading_gamma_keeps_only_gamma(self):
+        import tracemalloc
+
+        model = fit(random_dataset(np.random.default_rng(6), 60, 2000, 6, min_per_class=4))
+        tracemalloc.start()
+        try:
+            gamma = model.gamma
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 1.1 * gamma.nbytes
 
 
 class TestShiftScaleInvariance:
