@@ -449,7 +449,7 @@ def _class_array(doc: dict, key: str, k: int, p: int) -> np.ndarray:
     values = np.array(_require(doc, key), dtype=np.float64)
     if values.shape != (k, p):
         raise FormatError(f"model field {key!r} must be a K x p = {k} x {p} matrix")
-    return estimator._as_readonly(values)
+    return values
 
 
 def _model_from_doc(doc: dict) -> FittedModel:
@@ -482,7 +482,7 @@ def _model_from_doc(doc: dict) -> FittedModel:
         raise FormatError(f"model field 'class_counts' must be a list of K={k} integers")
     n = _require_int(doc, "n")
     stats = SufficientStats(
-        n_k=estimator._as_readonly(np.array(counts, dtype=np.int64)),
+        n_k=np.array(counts, dtype=np.int64),
         mean=_class_array(doc, "class_means", k, len(feature_names)),
         m2=_class_array(doc, "class_m2", k, len(feature_names)),
     )

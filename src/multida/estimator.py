@@ -223,12 +223,18 @@ class SufficientStats:
     and feature ``j``; ``m2`` is the sum of squared deviations from the
     class mean, by the corrected two-pass of ``accumulate_stats`` (or
     ``merge_stats`` of such sums).  Every other fitted quantity derives
-    from these, the sample count ``n`` included.
+    from these, the sample count ``n`` included.  The arrays are made
+    read-only when the statistics are built, so no model derived from
+    them can change under the caller who passed them.
     """
 
     n_k: np.ndarray   # K
     mean: np.ndarray  # K x p
     m2: np.ndarray    # K x p
+
+    def __post_init__(self):
+        for a in (self.n_k, self.mean, self.m2):
+            a.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -316,7 +322,7 @@ class FittedModel:
         out = None
         with np.errstate(all="ignore"):
             for cols, block, mles in _block_mles(self.stats, self.parts,
-                                                 _derivation_workspace(self.parts, self.p)):
+                                                 _Workspace(self.parts, self.p)):
                 if name in ("lam", "gamma"):
                     rows = _lrt_rows(mles, block.lam, block.sums, block.gather)
                     if name == "gamma":
@@ -393,45 +399,36 @@ class _Block:
     var: np.ndarray      # M, pooled variances (equal; no rows under unequal)
     log_var: np.ndarray  # M (equal) or S
     sums: np.ndarray     # S, lrt's unequal-variance terms, then variance weights
-    gather: np.ndarray   # the rows one step gathers (see _region_rows)
+    gather: np.ndarray   # the rows one step gathers (see _Workspace)
     lam: np.ndarray      # M, lrt's rows, then the block's gamma
     floor: np.ndarray    # 1, the variance floor
     reduce: np.ndarray   # 1, each feature's softmax maximum, then sum
 
 
-def _region_rows(parts: PartitionSet) -> dict[str, int]:
-    """The rows of each ``_Block`` region of a derivation under
-    ``parts``.  ``gather`` holds what one step gathers and is
-    done with before it returns: the two operands of a merge run or the
-    rows of one subset or class sum, whichever is most, and hypothesis
-    sums gather through it in parts."""
-    idx = parts.subsets
-    n_sub, n_hyp, equal = len(idx.masks), parts.M, parts.variance_mode == "equal"
-    gather = max(2 * max((run.stop - run.start for run in idx.runs), default=0),
-                 *(len(held) for held in (*idx.row_columns, *idx.class_rows)))
-    return {
-        "mean": n_sub, "m2": n_sub,
-        "var": n_hyp if equal else 0,
-        "log_var": n_hyp if equal else n_sub,
-        "sums": n_sub, "gather": gather,
-        "lam": n_hyp,
-        "floor": 1, "reduce": 1,
-    }
-
-
 class _Workspace:
-    """The scratch memory of a derivation over ``blocks``, slices of the
-    features, under ``parts``: one buffer, allocated once and sized for
-    the widest block, that ``block`` splits into the disjoint regions of
-    a ``_Block``.  Every block step writes into those views, so a
-    derivation allocates its block temporaries once, however many blocks
-    it has, and no array a model keeps is a view of it."""
+    """The scratch memory of a p-feature derivation under ``parts``: its
+    ``blocks``, slices of ``width`` features (``_block_width`` when not
+    given) as ``_column_blocks`` lays them out, and one buffer, allocated
+    once and sized for the widest block, that ``block`` splits into the
+    disjoint regions of a ``_Block``.  ``rows`` gives each region's row
+    count; ``gather`` holds what one step gathers and is done with before
+    it returns: the two operands of a merge run or the rows of one subset
+    or class sum, whichever is most, and hypothesis sums gather through it
+    in parts.  Every block step writes into those views, so a derivation
+    allocates its block temporaries once, however many blocks it has, and
+    no array a model keeps is a view of it."""
 
-    def __init__(self, parts: PartitionSet, blocks: list[slice]):
-        self.blocks = blocks
-        self.rows = _region_rows(parts)
-        width = max((c.stop - c.start for c in blocks), default=0)
-        self.buf = np.empty(sum(self.rows.values()) * width)
+    def __init__(self, parts: PartitionSet, p: int, width: int | None = None):
+        self.blocks = _column_blocks(p, width or _block_width(parts))
+        idx = parts.subsets
+        n_sub, n_hyp, equal = len(idx.masks), parts.M, parts.variance_mode == "equal"
+        gather = max(2 * max((run.stop - run.start for run in idx.runs), default=0),
+                     *(len(held) for held in (*idx.row_columns, *idx.class_rows)))
+        self.rows = {"mean": n_sub, "m2": n_sub, "var": n_hyp if equal else 0,
+                     "log_var": n_hyp if equal else n_sub, "sums": n_sub, "gather": gather,
+                     "lam": n_hyp, "floor": 1, "reduce": 1}
+        widest = max((c.stop - c.start for c in self.blocks), default=0)
+        self.buf = np.empty(sum(self.rows.values()) * widest)
 
     def block(self, b: int) -> _Block:
         """The views of a block ``b`` features wide."""
@@ -462,12 +459,6 @@ def _column_blocks(p: int, size: int) -> list[slice]:
     if len(starts) > 1 and p - starts[-1] == 1:
         starts.pop()
     return [slice(s, e) for s, e in zip(starts, starts[1:] + [p])]
-
-
-def _derivation_workspace(parts: PartitionSet, p: int) -> _Workspace:
-    """The workspace of a p-feature derivation under ``parts``: blocks of
-    ``_block_width`` features, as ``_column_blocks`` lays them out."""
-    return _Workspace(parts, _column_blocks(p, _block_width(parts)))
 
 
 def _resolve_threads(threads: int) -> int:
@@ -510,8 +501,7 @@ def accumulate_stats(data: Dataset) -> SufficientStats:
         d_sum /= data.class_counts[:, None].astype(np.float64)  # an int divisor is slower
         m2 -= d_sum
         np.maximum(m2, 0.0, out=m2)
-    return SufficientStats(n_k=data.class_counts, mean=_as_readonly(mean),
-                           m2=_as_readonly(m2))
+    return SufficientStats(n_k=data.class_counts, mean=mean, m2=m2)
 
 
 def _chan_merge(
@@ -541,28 +531,27 @@ def _chan_merge(
     return mean, m2
 
 
-def _merge_subsets(stats: SufficientStats, parts: PartitionSet, ws: _Block) -> np.ndarray:
-    """Counts (S, as floats) of every class subset of ``parts.subsets``,
-    with their means and centred sums of squares written to ``ws.mean``
-    and ``ws.m2``.  Each subset is its prefix subset merged with its
-    highest class by ``_chan_merge``, one run of ``parts.subsets.runs``
-    at a time, so the classes of every subset enter in ascending order.
-    A run's prefix subsets are gathered into ``ws.gather``; its one
-    highest class broadcasts."""
+def _merge_subsets(mean: np.ndarray, m2: np.ndarray, count: np.ndarray,
+                   parts: PartitionSet, ws: _Block) -> None:
+    """Means and centred sums of squares of every class subset of
+    ``parts.subsets``, from the classes' ``mean`` and ``m2`` (K x b) and
+    the subsets' ``count``, written to ``ws.mean`` and ``ws.m2``.  Each
+    subset is its prefix subset merged with its highest class by
+    ``_chan_merge``, one run of ``parts.subsets.runs`` at a time, so the
+    classes of every subset enter in ascending order.  A run's prefix
+    subsets are gathered into ``ws.gather``; its one highest class
+    broadcasts."""
     idx = parts.subsets
-    b = stats.mean.shape[1]
-    count = np.empty(len(idx.masks))
-    mean, m2 = ws.mean, ws.m2
-    count[:parts.K], mean[:parts.K], m2[:parts.K] = stats.n_k, stats.mean, stats.m2
+    b = mean.shape[1]
+    mean_s, m2_s = ws.mean, ws.m2
+    mean_s[:parts.K], m2_s[:parts.K] = mean, m2
     for rows in idx.runs:
         pre, k = idx.prefix[rows], idx.top[rows.start]  # rows 0..K-1 are the single classes
         mean_a, m2_a = ws.gather[:2 * len(pre)].reshape(2, len(pre), b)
-        np.take(mean, pre, axis=0, out=mean_a, mode="clip")
-        np.take(m2, pre, axis=0, out=m2_a, mode="clip")
-        _chan_merge(count[pre], mean_a, m2_a, count[k], mean[k], m2[k],
-                    out=(mean[rows], m2[rows]))
-        count[rows] = count[pre] + count[k]
-    return count
+        np.take(mean_s, pre, axis=0, out=mean_a, mode="clip")
+        np.take(m2_s, pre, axis=0, out=m2_a, mode="clip")
+        _chan_merge(count[pre], mean_a, m2_a, count[k], mean_s[k], m2_s[k],
+                    out=(mean_s[rows], m2_s[rows]))
 
 
 def merge_stats(samples: Sequence[SufficientStats]) -> SufficientStats:
@@ -576,8 +565,7 @@ def merge_stats(samples: Sequence[SufficientStats]) -> SufficientStats:
         for s in rest:
             mean, m2 = _chan_merge(n_k, mean, m2, s.n_k, s.mean, s.m2)
             n_k = n_k + s.n_k
-    return SufficientStats(n_k=_as_readonly(n_k), mean=_as_readonly(mean),
-                           m2=_as_readonly(m2))
+    return SufficientStats(n_k=n_k, mean=mean, m2=m2)
 
 
 def fit_mles(stats: SufficientStats, parts: PartitionSet) -> Mles:
@@ -592,21 +580,37 @@ def fit_mles(stats: SufficientStats, parts: PartitionSet) -> Mles:
     when that is zero), then logged once.  Hypotheses whose variance MLE
     is degenerate (multiQDA: any group with fewer than 2 samples;
     multiLDA: n <= G_m) are flagged inadmissible.  Work runs
-    subset-major; ``mu`` and ``sigma2`` gather it to the slots.  The
-    arrays are views of one buffer allocated for this call.
+    subset-major; ``mu`` and ``sigma2`` gather it to the slots.  This is
+    ``_block_mles`` over one block of all p features (``_Workspace`` with
+    ``width=p``), so the per-feature arrays are views of one buffer
+    allocated for this call.
     """
-    return next(_block_mles(stats, parts, _Workspace(parts, [slice(0, stats.mean.shape[1])])))[2]
+    p = stats.mean.shape[1]
+    return next(_block_mles(stats, parts, _Workspace(parts, p, width=p)))[2]
 
 
 def _block_mles(stats: SufficientStats, parts: PartitionSet,
                 ws: _Workspace) -> Iterator[tuple[slice, _Block, Mles]]:
     """``fit_mles`` of each block of ``ws.blocks`` in turn, with the block's
-    columns and its views of ``ws``, which the next block overwrites."""
-    n = stats.n
+    columns and its views of ``ws``, which the next block overwrites.  What
+    holds for every feature (the subset counts, admissibility and pi) is
+    computed once, before the first block, and every block's ``Mles``
+    shares it, read-only."""
+    idx, n = parts.subsets, stats.n
+    # each subset's count, the sum of its classes' counts
+    count = (((idx.masks[:, None] >> np.arange(parts.K)) & 1) @ stats.n_k).astype(np.float64)
+    if parts.variance_mode == "equal":
+        admissible = n > parts.G
+    else:
+        # smallest group of each hypothesis; z - G is its first slot
+        admissible = np.minimum.reduceat(count[idx.slot_rows], parts.z - parts.G) >= 2
+    admissible[0] = True  # null pools all samples; n >= 2 is checked upstream
+    pi = stats.n_k / n
+    for a in (count, admissible, pi):
+        a.setflags(write=False)
     for cols in ws.blocks:
         block = ws.block(cols.stop - cols.start)
-        count = _merge_subsets(SufficientStats(stats.n_k, stats.mean[:, cols], stats.m2[:, cols]),
-                               parts, block)
+        _merge_subsets(stats.mean[:, cols], stats.m2[:, cols], count, parts, block)
         m2 = block.m2
 
         # the overall variance: the last subset holds every class
@@ -617,17 +621,12 @@ def _block_mles(stats: SufficientStats, parts: PartitionSet,
         if parts.variance_mode == "equal":
             var = _hypothesis_sums(m2, parts, out=block.var, tmp=block.gather)
             var /= n
-            admissible = n > parts.G
         else:
             var = np.divide(m2, count[:, None], out=m2)
-            # smallest group of each hypothesis; z - G is its first slot
-            admissible = np.minimum.reduceat(count[parts.subsets.slot_rows],
-                                             parts.z - parts.G) >= 2
         np.maximum(var, floor, out=var)
-        admissible[0] = True  # null pools all samples; n >= 2 is checked upstream
 
         yield cols, block, Mles(parts=parts, count=count, mean=block.mean, var=var,
-                                log_var=np.log(var, out=block.log_var), pi=stats.n_k / n,
+                                log_var=np.log(var, out=block.log_var), pi=pi,
                                 variance_floor=floor, admissible=admissible)
 
 
@@ -757,9 +756,11 @@ def model_from_stats(
     slot.  Overflow is not reported while deriving: it leaves a
     non-finite value, which ``validate_model`` rejects.
 
-    Every block step writes into one workspace (``_Workspace``), allocated
-    once per call and sized for the widest block; only the model's own
-    arrays are allocated besides.  ``cross_validate`` holds one workspace
+    The subset counts, admissibility and pi hold for every feature, so
+    ``_block_mles`` computes them once, before the first block.  Every
+    block step writes into one workspace (``_Workspace``), allocated once
+    per call and sized for the widest block; only the model's own arrays
+    are allocated besides.  ``cross_validate`` holds one workspace
     for all its folds (``_model_from_stats``)."""
     return _model_from_stats(stats, parts, None, penalty=penalty,
                              prior_term_mode=prior_term_mode, class_labels=class_labels,
@@ -776,10 +777,10 @@ def _model_from_stats(
     class_labels: tuple[str, ...],
     feature_names: tuple[str, ...],
 ) -> FittedModel:
-    """``model_from_stats``, deriving in ``ws``: a ``_derivation_workspace``
-    for ``parts`` and the features of ``stats``, which ``cross_validate``
-    holds for all its folds, or None for one of this call's own, freed
-    before the model is validated."""
+    """``model_from_stats``, deriving in ``ws``: a ``_Workspace(parts, p)``
+    for the p features of ``stats``, which ``cross_validate`` holds for
+    all its folds, or None for one of this call's own, freed before the
+    model is validated."""
     K, p, n = len(stats.n_k), stats.mean.shape[1], stats.n
     if K < 2:
         raise ValidationError("training data must contain at least 2 classes")
@@ -794,7 +795,7 @@ def _model_from_stats(
         )
     penalty = PenaltyConfig.resolve(penalty, n, p)
     arrays = _derive(stats, parts, penalty.C, prior_term_mode,
-                     ws if ws is not None else _derivation_workspace(parts, p))
+                     ws if ws is not None else _Workspace(parts, p))
     return validate_model(FittedModel(
         parts=parts, penalty=penalty, prior_term_mode=prior_term_mode,
         class_labels=class_labels, feature_names=feature_names, stats=stats, **arrays))
@@ -849,9 +850,8 @@ def _derive(
         prior = np.log(pi) if prior_term_mode == "log" else pi * np.log(pi)
         class_const = np.array([subset_const[rows].sum() for rows in parts.subsets.class_rows])
         c = prior - 0.5 * (class_const + log_const + _LOG_2PI * gamma_sum)
-    return {"pi": _as_readonly(pi), "top": _as_readonly(top),
-            "top_weight": _as_readonly(top_weight),
-            "admissible": _as_readonly(mles.admissible), "mu_null": _as_readonly(mu_null),
+    return {"pi": pi, "top": _as_readonly(top), "top_weight": _as_readonly(top_weight),
+            "admissible": mles.admissible, "mu_null": _as_readonly(mu_null),
             "Q": _as_readonly(Q), "L": _as_readonly(L), "c": _as_readonly(c)}
 
 

@@ -115,15 +115,10 @@ def enumerate_exhaustive(k: int) -> list[Column]:
             "Bell numbers blow up quickly (B_10 = 115,975, B_15 = 1,382,958,545), "
             f"so it takes K <= {MAX_CLASSES}."
         )
-    columns: list[Column] = []
-    stack: list[tuple[list[int], int]] = [([1], 1)]
-    while stack:
-        prefix, running_max = stack.pop()
-        if len(prefix) == k:
-            columns.append(tuple(prefix))
-            continue
-        for lab in range(running_max + 1, 0, -1):
-            stack.append((prefix + [lab], max(running_max, lab)))
+    # each class joins a group of the classes before it or opens the next one
+    columns: list[Column] = [(1,)]
+    for _ in range(k - 1):
+        columns = [col + (g,) for col in columns for g in range(1, max(col) + 2)]
     columns.sort(key=_column_sort_key)
     return columns
 
@@ -206,6 +201,11 @@ class SubsetIndex:
     # rank r: the columns with > r groups (a suffix), and the row of group r + 1 of each
     column_groups: tuple[tuple[slice, np.ndarray], ...]
 
+    def __post_init__(self):
+        for a in (self.masks, self.prefix, self.top, self.slot_rows, *self.row_columns,
+                  *self.class_rows, *(rows for _, rows in self.column_groups)):
+            a.setflags(write=False)
+
     @classmethod
     def from_columns(cls, columns: Sequence[Column]) -> "SubsetIndex":
         k = len(columns[0])
@@ -255,7 +255,8 @@ class SubsetIndex:
 
 @dataclass(frozen=True)
 class PartitionSet:
-    """Immutable bundle of hypothesis columns and derived index structures."""
+    """Immutable bundle of hypothesis columns and derived index structures;
+    its arrays, and those of ``subsets``, are read-only once built."""
 
     K: int
     M: int
@@ -267,6 +268,10 @@ class PartitionSet:
     scheme: str
     variance_mode: str
     subsets: SubsetIndex = field(repr=False)
+
+    def __post_init__(self):
+        for a in (self.G, self.nu, self.z, self.A):
+            a.setflags(write=False)
 
     @property
     def n_slots(self) -> int:

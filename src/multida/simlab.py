@@ -24,8 +24,8 @@ from .estimator import (
     Dataset,
     FittedModel,
     SufficientStats,
-    _derivation_workspace,
     _model_from_stats,
+    _Workspace,
     accumulate_stats,
     fit,
     merge_stats,
@@ -466,18 +466,16 @@ def _stratified_folds(
     y: np.ndarray, folds: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Test-index sets of a stratified K-fold split."""
-    k_max = int(y.max())
-    assignments = [[] for _ in range(folds)]
-    for k in range(1, k_max + 1):
+    fold = np.empty(len(y), dtype=np.int64)
+    for k in range(1, int(y.max()) + 1):
         idx = np.flatnonzero(y == k)
         if len(idx) < folds:
             raise ValidationError(
                 f"class {k} has {len(idx)} samples, fewer than {folds} folds"
             )
-        shuffled = rng.permutation(idx)
-        for t, i in enumerate(shuffled):
-            assignments[t % folds].append(i)
-    return [np.sort(np.array(a, dtype=np.int64)) for a in assignments]
+        # each class's rows, shuffled, deal out to the folds in turn
+        fold[rng.permutation(idx)] = np.arange(len(idx)) % folds
+    return [np.flatnonzero(fold == f) for f in range(folds)]
 
 
 def _cv_folds(
@@ -526,7 +524,7 @@ def cross_validate(
         raise ValidationError("need at least 1 trial")
     parts = build_partition_set(data.K, scheme, variance_mode=variance_mode)
     # every fold derives p features under parts, so one workspace serves all
-    ws = _derivation_workspace(parts, data.p)
+    ws = _Workspace(parts, data.p)
     rows: list[CvRow] = []
     per_trial = np.empty(trials)
     for t in range(trials):

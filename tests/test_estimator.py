@@ -17,11 +17,11 @@ from multida.estimator import (
     SufficientStats,
     _block_width,
     _column_blocks,
-    _derivation_workspace,
     _gather_sums,
     _hypothesis_sums,
     _model_from_stats,
     _resolve_threads,
+    _Workspace,
     accumulate_stats,
     fit,
     fit_mles,
@@ -32,7 +32,7 @@ from multida.estimator import (
     selected_features,
     validate_model,
 )
-from multida.partitions import build_partition_set
+from multida.partitions import bell_number, build_partition_set
 
 from oracles import (
     bruteforce_posterior,
@@ -660,7 +660,7 @@ class TestModelFromStats:
         rng = np.random.default_rng([p, len(variance_mode)])
         first, second = (accumulate_stats(random_dataset(rng, 48, p, 4, min_per_class=4))
                          for _ in range(2))
-        shared = _derivation_workspace(parts, p)
+        shared = _Workspace(parts, p)
         assert len(shared.blocks) == (1 if blocks == "one" else 2)
         fields = ("gamma", "Q", "L", "c", "mu_null")
         for ws in (None, shared):
@@ -679,6 +679,21 @@ class TestModelFromStats:
                 assert np.array_equal(getattr(model, f), kept[f]), f
                 assert not np.shares_memory(getattr(model, f), shared.buf), f
 
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    def test_model_cannot_change_under_its_caller(self, variance_mode):
+        # a model built from the caller's own arrays: a write through the
+        # caller's names or the model's would change a later gamma read or
+        # a save/load round trip, but not top or Q
+        n_k, mean, m2 = np.array([4, 4, 4]), np.eye(3, 5), np.ones((3, 5))
+        model = self._derive(SufficientStats(n_k=n_k, mean=mean, m2=m2),
+                             build_partition_set(3, "exhaustive", variance_mode=variance_mode))
+        subsets = model.parts.subsets
+        for a in (n_k, mean, m2, model.stats.mean, model.parts.nu, model.parts.G,
+                  model.parts.A, subsets.slot_rows, subsets.masks, subsets.row_columns[-1],
+                  subsets.class_rows[0], subsets.column_groups[-1][1]):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
     def test_result_is_validated(self):
         stats = SufficientStats(n_k=np.array([3, 3]),
                                 mean=np.array([[0.0, np.nan], [1.0, 2.0]]),
@@ -693,18 +708,28 @@ class TestGammaOnRead:
     p x M gamma, which it derives when first read."""
 
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
-    @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest", "ordinal", "user"])
+    @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest", "ordinal", "user",
+                                        "one-sample-class"])
     @pytest.mark.parametrize("blocks", ["one", "two-and-a-tail"])
     def test_top_is_the_argmax_of_gamma(self, blocks, scheme, variance_mode):
-        # K=8 with the null and the 7 perfect matchings as a user S
-        k, S = (8, _one_factorization(8)) if scheme == "user" else (6, scheme)
+        # K=8 with the null and the 7 perfect matchings as a user S; the
+        # exhaustive set with one sample in class 6, which under unequal
+        # variances makes every hypothesis with {6} as a group inadmissible
+        k, S = {"user": (8, _one_factorization(8)),
+                "one-sample-class": (6, "exhaustive")}.get(scheme, (6, scheme))
         p = 40 if blocks == "one" else two_blocks_and_a_tail(k, S, variance_mode)
         data = random_dataset(np.random.default_rng([k, p]), 8 * k, p, k, min_per_class=4)
+        if scheme == "one-sample-class":
+            data = data.subset(np.r_[np.flatnonzero(data.y != k), np.flatnonzero(data.y == k)[0]])
         X = data.X.copy()
         X[:, ::3] += 0.8 * (data.y[:, None] - 1)
         model = fit(Dataset.from_arrays(X, [str(v) for v in data.y]), scheme=S,
                     penalty="bic", variance_mode=variance_mode)
-        assert len(_derivation_workspace(model.parts, p).blocks) == (1 if blocks == "one" else 2)
+        assert len(_Workspace(model.parts, p).blocks) == (1 if blocks == "one" else 2)
+        if scheme == "one-sample-class" and variance_mode == "unequal":
+            inadmissible = ~model.admissible
+            assert inadmissible.sum() == bell_number(k - 1)
+            assert not model.gamma[:, inadmissible].any()
         assert model.top.dtype == np.int64 and len(set(model.top.tolist())) > 1
         assert np.array_equal(model.top, np.argmax(model.gamma, axis=1))
         assert model.top_weight.tobytes() == model.gamma[np.arange(p), model.top].tobytes()

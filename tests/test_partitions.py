@@ -50,12 +50,12 @@ class TestEnumeration:
         assert len(enumerate_exhaustive(5)) == len(all_partitions_blocks(list(range(5))))
         assert len(enumerate_exhaustive(5)) == 52
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", range(1, 10))
     def test_counts_match_bell_triangle(self, k):
         assert len(enumerate_exhaustive(k)) == bell_triangle(k)
         assert bell_number(k) == bell_triangle(k)
 
-    @pytest.mark.parametrize("k", range(2, 8))
+    @pytest.mark.parametrize("k", range(2, 10))
     def test_partitions_are_exactly_all_set_partitions(self, k):
         got = {partition_blocks_from_column(c) for c in enumerate_exhaustive(k)}
         want = {
@@ -65,10 +65,11 @@ class TestEnumeration:
         assert got == want
 
     def test_null_first_and_sorted(self):
-        cols = enumerate_exhaustive(4)
-        assert cols[0] == (1, 1, 1, 1)
-        keys = [(max(c), c) for c in cols]
-        assert keys == sorted(keys)
+        for k in (1, 2, 4, 7, 9):
+            cols = enumerate_exhaustive(k)
+            assert cols[0] == (1,) * k
+            keys = [(max(c), c) for c in cols]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     def test_guard_refuses_large_k(self):
         assert MAX_CLASSES == 9
