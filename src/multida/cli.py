@@ -1,12 +1,16 @@
-"""Command-line front-end: train, predict, cv, simulate, partitions, filter.
+"""Command-line front-end: train, predict, cv, simulate, consistency,
+partitions, filter.
 
 Every command logs its parsed parameters, keyed by parameter name (the
 seed included, drawn randomly when not given), as one ``config:`` JSON
 line, the first line on stderr, before its body runs; so any run can be
 reproduced bit-exactly from its log, except the wall-clock
-``fit_seconds`` column of ``simulate --scenario fs-consistency``.  Exit
-codes: 0 success, 2 usage or validation problems, 3 internal numeric
-failure.
+``fit_seconds`` column of ``consistency``.  A command reads the options
+it takes, with these exceptions: the scenario settings of ``simulate``
+that ``SimSpec`` lists as read by some scenarios only, the ``--seed`` of
+``train`` and ``predict``, and ``train --threads``, which is checked but
+not used.  Exit codes: 0 success, 2 usage or validation problems, 3
+internal numeric failure.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ def _guarded(fn):
     errors to one stderr line and exit code 2 or 3."""
     @functools.wraps(fn)
     def wrapper(**params):
-        _log_config(click.get_current_context().info_name, **params)
+        config = {"command": click.get_current_context().info_name, **params}
+        click.echo("config: " + json.dumps(config, sort_keys=True), err=True)
         try:
             return fn(**params)
         except (ValidationError, FormatError) as exc:
@@ -65,13 +70,6 @@ def _guarded(fn):
 def _resolve_seed(ctx, param, seed: int | None) -> int:
     """--seed callback: draw a seed when none is given, so it is logged."""
     return int.from_bytes(os.urandom(4), "little") if seed is None else seed
-
-
-def _log_config(command: str, **params) -> None:
-    click.echo(
-        "config: " + json.dumps({"command": command, **params}, sort_keys=True),
-        err=True,
-    )
 
 
 def _parse_scheme(scheme: str) -> str | np.ndarray:
@@ -119,6 +117,10 @@ def _fmt(value) -> str:
 
 # shared option stacks
 
+#: an output file: click refuses an existing directory before the command runs
+_out_path = click.Path(dir_okay=False)
+
+
 def _options(*decorators):
     """One decorator applying ``decorators`` so they list in the given order."""
     def apply(fn):
@@ -134,11 +136,14 @@ _fit_options = _options(
                  help="Penalty: ebic, bic, aic or custom:<C>."),
     click.option("--variance", type=click.Choice(["equal", "unequal"]), default="equal",
                  show_default=True, help="equal fits multiLDA, unequal fits multiQDA."),
-    click.option("--scheme", default="exhaustive", show_default=True,
-                 help="Hypothesis scheme: exhaustive, onevsrest, ordinal or user:<csv>."),
     click.option("--prior-term", type=click.Choice(["log", "plogp"]), default="log",
                  show_default=True, help="Class-prior term in the discriminant score."),
 )
+
+#: the fit options of a command that fits any hypothesis set
+_scheme_fit_options = _options(_fit_options, click.option(
+    "--scheme", default="exhaustive", show_default=True,
+    help="Hypothesis scheme: exhaustive, onevsrest, ordinal or user:<csv>."))
 
 _io_options = _options(
     click.option("--label-col", default="label", show_default=True,
@@ -147,14 +152,29 @@ _io_options = _options(
     click.option("--delimiter", default=",", show_default=True),
 )
 
+_seed_option = click.option("--seed", type=int, default=None, callback=_resolve_seed,
+                            help="Random seed; drawn and logged when omitted.")
+
 _run_options = _options(
-    click.option("--seed", type=int, default=None, callback=_resolve_seed,
-                 help="Random seed; drawn and logged when omitted."),
+    _seed_option,
     click.option("--threads", type=int, default=1, show_default=True,
                  help="Worker threads for prediction rows (0 = every usable CPU, the "
                       "cap for any count); fitting is single-threaded and output is "
                       "thread-count independent."),
 )
+
+
+def _design_options(mean_shift: float):
+    """The simulated design: features, classes, the planted fraction and
+    the group mean shift, whose default each command sets."""
+    return _options(
+        click.option("--p", type=int, default=2000, show_default=True),
+        click.option("--k", type=int, default=4, show_default=True),
+        click.option("--frac", type=float, default=0.10, show_default=True,
+                     help="Fraction of discriminative features."),
+        click.option("--mean-shift", type=float, default=mean_shift, show_default=True,
+                     help="Group mean shift."),
+    )
 
 
 @click.group()
@@ -166,13 +186,13 @@ def main():
 
 @main.command()
 @click.argument("input", metavar="TRAINING_CSV", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", default="model.json", show_default=True,
+@click.option("--out", type=_out_path, default="model.json", show_default=True,
               help="Model file to write.")
-@click.option("--features-out", default="selected_features.csv", show_default=True,
-              help="Selected-features CSV to write.")
+@click.option("--features-out", type=_out_path, default="selected_features.csv",
+              show_default=True, help="Selected-features CSV to write.")
 @click.option("--threshold", type=float, default=0.5, show_default=True,
               help="Minimum top-hypothesis weight for the selected-features table.")
-@_fit_options
+@_scheme_fit_options
 @_io_options
 @_run_options
 @_guarded
@@ -212,7 +232,7 @@ def train(input, out, features_out, threshold, penalty, variance, scheme,
 @click.argument("input", metavar="QUERY_CSV", type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", required=True,
               type=click.Path(exists=True, dir_okay=False), help="Fitted model file.")
-@click.option("--out", default="predictions.csv", show_default=True)
+@click.option("--out", type=_out_path, default="predictions.csv", show_default=True)
 @_io_options
 @_run_options
 @_guarded
@@ -237,8 +257,8 @@ def predict_cmd(input, model, out, label_col, no_header, delimiter, seed, thread
 @click.argument("input", metavar="TRAINING_CSV", type=click.Path(exists=True, dir_okay=False))
 @click.option("--folds", type=int, default=5, show_default=True)
 @click.option("--trials", type=int, default=50, show_default=True)
-@click.option("--out", default="cv_results.csv", show_default=True)
-@_fit_options
+@click.option("--out", type=_out_path, default="cv_results.csv", show_default=True)
+@_scheme_fit_options
 @_io_options
 @_run_options
 @_guarded
@@ -262,58 +282,26 @@ def cv(input, folds, trials, out, penalty, variance, scheme, prior_term,
 
 
 @main.command()
-@click.option("--scenario", type=click.Choice(["fs-consistency", *SCENARIOS]),
-              required=True)
+@click.option("--scenario", type=click.Choice(SCENARIOS), required=True,
+              help="Data scenario; the selection sweep is `multida consistency`.")
 @click.option("--n", type=int, default=100, show_default=True)
-@click.option("--p", type=int, default=2000, show_default=True)
-@click.option("--k", type=int, default=4, show_default=True)
-@click.option("--n-grid", default="50,100,200,500", show_default=True,
-              help="Sample sizes for the fs-consistency sweep.")
-@click.option("--replicates", type=int, default=20, show_default=True,
-              help="Replicates per grid point (fs-consistency).")
+@_design_options(SimSpec.mean_shift)
 @click.option("--folds", type=int, default=5, show_default=True)
 @click.option("--trials", type=int, default=50, show_default=True)
-@click.option("--frac", type=float, default=0.10, show_default=True,
-              help="Fraction of discriminative features.")
-@click.option("--mean-shift", type=float, default=None,
-              help="Group mean shift (default 2 for fs-consistency, else 0.5).")
 @click.option("--variance-scale", type=float, default=1.0, show_default=True)
 @click.option("--block-size", type=int, default=None,
               help="Covariance block size (default p/10).")
 @click.option("--block-density", type=float, default=0.25, show_default=True)
-@click.option("--out", default="simulation.csv", show_default=True)
-@_fit_options
+@click.option("--out", type=_out_path, default="simulation.csv", show_default=True)
+@_scheme_fit_options
 @_run_options
 @_guarded
-def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
-             mean_shift, variance_scale, block_size, block_density, out, penalty,
-             variance, scheme, prior_term, seed, threads):
-    """Run a synthetic scenario: a selection-consistency sweep or a
-    cross-validated prediction benchmark, written as tidy CSV."""
-    # forwarded only when given, so each callee keeps its own default
-    shift = {} if mean_shift is None else {"mean_shift": mean_shift}
-    if scenario == "fs-consistency":
-        if scheme != "exhaustive":
-            raise ValidationError(
-                f"--scheme {scheme}: fs-consistency scores selection against "
-                "every exhaustive partition, so it needs --scheme exhaustive"
-            )
-        try:
-            n_values = [int(v) for v in n_grid.split(",") if v.strip()]
-        except ValueError:
-            raise ValidationError(f"cannot parse --n-grid {n_grid!r}") from None
-        rows = consistency_sweep(
-            n_values, p=p, k=k, replicates=replicates,
-            penalty=penalty, variance_mode=variance, prior_term_mode=prior_term,
-            discriminative_fraction=frac, seed=seed, **shift,
-        )
-        _write_csv(
-            out,
-            list(rows[0].keys()),
-            [[_fmt(v) for v in r.values()] for r in rows],
-        )
-        click.echo(f"{len(rows)} rows ({replicates} replicates per grid point) -> {out}")
-        return
+def simulate(scenario, n, p, k, folds, trials, frac, mean_shift, variance_scale,
+             block_size, block_density, out, penalty, variance, scheme, prior_term,
+             seed, threads):
+    """Cross-validate a fit on a synthetic scenario, written as tidy CSV.
+    The scale and block settings reach only the scenarios that draw with
+    them (see ``SimSpec``)."""
     scheme = _parse_scheme(scheme)
     spec = SimSpec(
         scenario=scenario,
@@ -321,11 +309,11 @@ def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
         p=p,
         K=k,
         discriminative_fraction=frac,
+        mean_shift=mean_shift,
         variance_scale=variance_scale,
         block_size=block_size,
         block_density=block_density,
         seed=seed,
-        **shift,
     )
     data, _ = generate(spec)
     t0 = time.perf_counter()
@@ -351,12 +339,40 @@ def simulate(scenario, n, p, k, n_grid, replicates, folds, trials, frac,
 
 
 @main.command()
+@click.option("--n-grid", default="50,100,200,500", show_default=True,
+              help="Sample sizes, comma-separated.")
+@click.option("--replicates", type=int, default=20, show_default=True,
+              help="Replicates per sample size.")
+@_design_options(2.0)
+@click.option("--out", type=_out_path, default="consistency.csv", show_default=True)
+@_fit_options
+@_seed_option
+@_guarded
+def consistency(n_grid, replicates, p, k, frac, mean_shift, out, penalty, variance,
+                prior_term, seed):
+    """Feature-selection consistency as n grows: fit ``ind-equal-var``
+    replicates over every exhaustive partition and score their selection
+    error against the planted truth, written as tidy CSV."""
+    try:
+        n_values = [int(v) for v in n_grid.split(",") if v.strip()]
+    except ValueError:
+        raise ValidationError(f"cannot parse --n-grid {n_grid!r}") from None
+    rows = consistency_sweep(
+        n_values, p=p, k=k, replicates=replicates,
+        penalty=penalty, variance_mode=variance, prior_term_mode=prior_term,
+        mean_shift=mean_shift, discriminative_fraction=frac, seed=seed,
+    )
+    _write_csv(out, list(rows[0]), [[_fmt(v) for v in r.values()] for r in rows])
+    click.echo(f"{len(rows)} rows ({replicates} replicates per grid point) -> {out}")
+
+
+@main.command()
 @click.option("--k", type=int, required=True, help="Class count.")
 @click.option("--scheme", default="exhaustive", show_default=True,
               help="exhaustive, onevsrest, ordinal or user:<csv>.")
 @click.option("--variance", type=click.Choice(["equal", "unequal"]),
               default="equal", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
+@click.option("--out", type=_out_path, default=None,
               help="Write the listing to a file instead of stdout.")
 @_guarded
 def partitions(k, scheme, variance, out):
@@ -384,8 +400,8 @@ def partitions(k, scheme, variance, out):
 @click.argument("input", metavar="TRAINING_CSV", type=click.Path(exists=True, dir_okay=False))
 @click.option("--rule", required=True,
               help="zero-mad or class-median-below:<threshold>.")
-@click.option("--out", default="filtered.csv", show_default=True)
-@click.option("--indices-out", default=None,
+@click.option("--out", type=_out_path, default="filtered.csv", show_default=True)
+@click.option("--indices-out", type=_out_path, default=None,
               help="Optional CSV mapping kept features to original columns.")
 @_io_options
 @_guarded

@@ -80,6 +80,12 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned_readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, copied first if it is a view: the base a view
+    reads could still be written."""
+    return _as_readonly(a if a.flags.owndata else a.copy())
+
+
 def _check_cells_finite(a: np.ndarray, what: str) -> None:
     """Raise ``ValidationError`` naming the first non-finite cell of the
     2-D ``a`` in row-major order; a finite ``a`` costs one scan."""
@@ -149,10 +155,10 @@ class Dataset:
             )
         counts = np.bincount(codes, minlength=len(seen) + 1)[1:]
         return cls(
-            X=_as_readonly(X),
+            X=_owned_readonly(X),
             y=_as_readonly(codes),
             class_labels=tuple(seen),
-            class_counts=_as_readonly(counts),
+            class_counts=_owned_readonly(counts),
             feature_names=names,
         )
 
@@ -224,8 +230,9 @@ class SufficientStats:
     class mean, by the corrected two-pass of ``accumulate_stats`` (or
     ``merge_stats`` of such sums).  Every other fitted quantity derives
     from these, the sample count ``n`` included.  The arrays are made
-    read-only when the statistics are built, so no model derived from
-    them can change under the caller who passed them.
+    read-only when the statistics are built, and a view is copied first,
+    so no model derived from them can change under the caller who passed
+    them.
     """
 
     n_k: np.ndarray   # K
@@ -233,8 +240,8 @@ class SufficientStats:
     m2: np.ndarray    # K x p
 
     def __post_init__(self):
-        for a in (self.n_k, self.mean, self.m2):
-            a.setflags(write=False)
+        for name in ("n_k", "mean", "m2"):
+            object.__setattr__(self, name, _owned_readonly(getattr(self, name)))
 
     @property
     def n(self) -> int:

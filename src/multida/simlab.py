@@ -171,12 +171,6 @@ def _class_rows(counts: np.ndarray) -> list[slice]:
     return [slice(e - c, e) for e, c in zip(ends, counts.tolist())]
 
 
-def _one_hot_truth(true_col: np.ndarray, m: int) -> np.ndarray:
-    gamma0 = np.zeros((len(true_col), m))
-    gamma0[np.arange(len(true_col)), true_col] = 1.0
-    return gamma0
-
-
 def _n_planted(spec: SimSpec) -> int:
     """round(discriminative_fraction * p), the number of planted features;
     a positive fraction that rounds to no feature is refused."""
@@ -376,10 +370,11 @@ def generate(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
 def selection_error(model: FittedModel, truth: TruthAssignment) -> SimReport:
     """Soft selection error ``E = sum |gamma - gamma0|`` with its
     overfitting/underfitting decomposition and the hard misassignment
-    rate; ``gamma0`` is the one-hot of ``truth.true_column``, built here.
+    rate; ``gamma0`` is the one-hot of ``truth.true_column``.
 
     Overfitting mass sits on strict refinements of the true partition;
     underfitting mass on every other wrong hypothesis; ``E = E_O + E_U``.
+    One p x M scratch besides gamma holds each summand in turn.
     """
     if model.parts.columns != truth.columns:
         raise ValidationError(
@@ -388,9 +383,10 @@ def selection_error(model: FittedModel, truth: TruthAssignment) -> SimReport:
     tc = truth.true_column
     cols = truth.columns
     p, m = len(tc), len(cols)
-    if model.gamma.shape != (p, m):
+    gamma = model.gamma
+    if gamma.shape != (p, m):
         raise ValidationError(
-            f"model gamma is {model.gamma.shape}, truth needs {(p, m)}"
+            f"model gamma is {gamma.shape}, truth needs {(p, m)}"
         )
     # row u of over marks the strict refinements of true column true_cols[u],
     # row u of under every other wrong hypothesis; only true columns get a row
@@ -399,10 +395,13 @@ def selection_error(model: FittedModel, truth: TruthAssignment) -> SimReport:
                      for m0 in true_cols], dtype=bool)
     under = ~over
     under[np.arange(len(true_cols)), true_cols] = False
-    e_soft = float(np.abs(model.gamma - _one_hot_truth(tc, m)).sum())
-    e_over = 2.0 * float((model.gamma * over[row]).sum())
-    e_under = 2.0 * float((model.gamma * under[row]).sum())
-    hard = float(np.mean(np.argmax(model.gamma, axis=1) != tc))
+    # a C-ordered copy, so argmax along its rows copies nothing
+    scratch = np.array(gamma, order="C")
+    hard = float(np.mean(np.argmax(scratch, axis=1) != tc))
+    scratch[np.arange(p), tc] -= 1.0
+    e_soft = float(np.abs(scratch, out=scratch).sum())
+    e_over = 2.0 * float(np.multiply(gamma, over[row], out=scratch).sum())
+    e_under = 2.0 * float(np.multiply(gamma, under[row], out=scratch).sum())
     return SimReport(
         E=e_soft,
         E_O=e_over,

@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -302,6 +303,14 @@ def assert_one_error_line(result, message):
     assert lines[1].startswith(f"error: {message}")
 
 
+def assert_no_such_option(result, option):
+    """Exit 2 from click's refusal of an option the command does not take:
+    the command never ran, so stderr carries no ``config:`` line."""
+    assert result.exit_code == 2, result.stderr
+    assert "config: " not in result.stderr
+    assert f"No such option '{option}'" in result.stderr
+
+
 #: a process whose locale encoding is ASCII (the C locale, with neither
 #: UTF-8 mode nor locale coercion), and in which an ``open`` that falls
 #: back on the locale's encoding raises
@@ -447,7 +456,7 @@ def test_quote_delimiter_exits_2(runner, tmp_path, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "predict", "cv", "simulate",
+@pytest.mark.parametrize("command", ["train", "predict", "cv", "simulate", "consistency",
                                      "partitions", "filter"])
 def test_config_line_carries_every_parameter(runner, toy_csv, wide_csv, tmp_path,
                                              command):
@@ -460,6 +469,8 @@ def test_config_line_carries_every_parameter(runner, toy_csv, wide_csv, tmp_path
         "cv": ["cv", wide_csv, "--folds", "2", "--trials", "1", "--out", out],
         "simulate": ["simulate", "--scenario", "ind-equal-var", "--n", "20", "--p", "6",
                      "--k", "2", "--folds", "2", "--trials", "1", "--out", out],
+        "consistency": ["consistency", "--n-grid", "30", "--replicates", "1", "--p", "20",
+                        "--k", "2", "--out", out],
         "partitions": ["partitions", "--k", "3", "--out", out],
         "filter": ["filter", toy_csv, "--rule", "zero-mad", "--out", out],
     }[command]
@@ -470,6 +481,109 @@ def test_config_line_carries_every_parameter(runner, toy_csv, wide_csv, tmp_path
     cfg = json.loads(first.removeprefix("config: "))
     assert cfg["command"] == command
     assert set(cfg) == {"command"} | {p.name for p in main.commands[command].params}
+
+
+def _valid_runs(tmp_path):
+    """The arguments of a run of each command that exits 0, and every file
+    those runs write; each writes the first, ``out.csv``."""
+    data = tmp_path / "d.csv"
+    data.write_text("label,x1,x2\n" + "".join(
+        f"{'abc'[i % 3]},{i % 3 + i / 50},{i % 5}\n" for i in range(30)))
+    model, out = tmp_path / "m.json", tmp_path / "out.csv"
+    save_model(fit(load_dataset(data)), model)
+    seed = ["--seed", "1"]
+    runs = {
+        "train": ["train", data, "--out", out, "--features-out", tmp_path / "f.csv", *seed],
+        "predict": ["predict", data, "--model", model, "--out", out, *seed],
+        "cv": ["cv", data, "--folds", "2", "--trials", "1", "--out", out, *seed],
+        # a dependent scenario reads --block-size and --block-density
+        "simulate": ["simulate", "--scenario", "dep-equal-cov", "--n", "20", "--p", "20",
+                     "--k", "2", "--folds", "2", "--trials", "1", "--out", out, *seed],
+        "consistency": ["consistency", "--n-grid", "30", "--replicates", "1", "--p", "20",
+                        "--k", "2", "--out", out, *seed],
+        "partitions": ["partitions", "--k", "3", "--out", out],
+        "filter": ["filter", data, "--rule", "zero-mad", "--out", out,
+                   "--indices-out", tmp_path / "i.csv"],
+    }
+    outputs = [out, tmp_path / "f.csv", tmp_path / "i.csv"]
+    return {c: list(map(str, args)) for c, args in runs.items()}, outputs
+
+
+#: every option of every command, with an invalid value for each that has
+#: one (``None``: a flag, which has no value)
+OPTIONS = {
+    "train": {"--out": "DIR", "--features-out": "DIR", "--threshold": "0",
+              "--penalty": "bogus", "--variance": "bogus", "--prior-term": "bogus",
+              "--scheme": "bogus", "--label-col": "nope", "--no-header": None,
+              "--delimiter": "ab", "--seed": "x", "--threads": "-1"},
+    "predict": {"--model": "MISSING", "--out": "DIR", "--label-col": "nope",
+                "--no-header": None, "--delimiter": "ab", "--seed": "x", "--threads": "-1"},
+    "cv": {"--folds": "1", "--trials": "0", "--out": "DIR", "--penalty": "bogus",
+           "--variance": "bogus", "--prior-term": "bogus", "--scheme": "bogus",
+           "--label-col": "nope", "--no-header": None, "--delimiter": "ab", "--seed": "x",
+           "--threads": "-1"},
+    "simulate": {"--scenario": "bogus", "--n": "1", "--p": "0", "--k": "1",
+                 "--frac": "2", "--folds": "1", "--trials": "0", "--mean-shift": "nan",
+                 "--variance-scale": "nan", "--block-size": "0", "--block-density": "2",
+                 "--out": "DIR", "--penalty": "bogus", "--variance": "bogus",
+                 "--prior-term": "bogus", "--scheme": "bogus", "--seed": "x",
+                 "--threads": "-1"},
+    "consistency": {"--n-grid": "a", "--replicates": "0", "--p": "0", "--k": "1",
+                    "--frac": "2", "--mean-shift": "inf", "--out": "DIR",
+                    "--penalty": "bogus", "--variance": "bogus", "--prior-term": "bogus",
+                    "--seed": "x"},
+    "partitions": {"--k": "0", "--scheme": "bogus", "--variance": "bogus", "--out": "DIR"},
+    "filter": {"--rule": "bogus", "--out": "DIR", "--indices-out": "DIR",
+               "--label-col": "nope", "--no-header": None, "--delimiter": "ab"},
+}
+
+
+def test_options_table_lists_every_option():
+    assert set(OPTIONS) == set(main.commands)
+    for command, options in OPTIONS.items():
+        assert set(options) == {p.opts[0] for p in main.commands[command].params
+                                if isinstance(p, click.Option)}, command
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (command, option, value) for command, options in OPTIONS.items()
+    for option, value in options.items() if value is not None
+], ids=lambda v: v)
+def test_invalid_option_value_exits_2(runner, tmp_path, command, option, value):
+    runs, outputs = _valid_runs(tmp_path)
+    value = {"DIR": str(tmp_path), "MISSING": str(tmp_path / "missing.json")}.get(value, value)
+    result = runner.invoke(main, [*runs[command], option, value])
+    assert result.exit_code == 2, result.output
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_valid_run_writes_its_output(runner, tmp_path, command):
+    runs, outputs = _valid_runs(tmp_path)
+    result = runner.invoke(main, runs[command])
+    assert result.exit_code == 0, result.output
+    assert outputs[0].exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--scenario", "fs-consistency"],
+    ["consistency", "--scheme", "ordinal"],
+    ["consistency", "--threads", "2"],
+    ["simulate", "--scenario", "ind-equal-var", "--n-grid", "30"],
+    ["simulate", "--scenario", "ind-equal-var", "--replicates", "2"],
+], ids=["simulate-fs-consistency", "consistency-scheme", "consistency-threads",
+        "simulate-n-grid", "simulate-replicates"])
+def test_option_a_command_does_not_read_is_refused(runner, tmp_path, args):
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, [*args, "--seed", "1", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "config: " not in result.stderr  # refused before the command runs
+    assert not out.exists()
+
+
+def test_scenario_help_names_the_consistency_command(runner):
+    result = runner.invoke(main, ["simulate", "--help"])
+    assert "sweep is `multida consistency`" in " ".join(result.output.split())
 
 
 class TestPredict:
@@ -619,10 +733,13 @@ class TestCv:
 
 
 class TestSimulate:
+    """``simulate``'s cross-validated scenarios and the ``consistency``
+    selection sweep."""
+
     def test_consistency_rows(self, runner, tmp_path):
         out = tmp_path / "cons.csv"
         result = runner.invoke(
-            main, ["simulate", "--scenario", "fs-consistency", "--p", "100",
+            main, ["consistency", "--p", "100",
                    "--k", "3", "--n-grid", "40,80", "--replicates", "2",
                    "--seed", "4", "--out", str(out)],
         )
@@ -634,7 +751,7 @@ class TestSimulate:
     def test_default_replicates_is_20(self, runner, tmp_path):
         out = tmp_path / "cons.csv"
         result = runner.invoke(
-            main, ["simulate", "--scenario", "fs-consistency", "--p", "50",
+            main, ["consistency", "--p", "50",
                    "--k", "2", "--n-grid", "30", "--seed", "4", "--out", str(out)],
         )
         assert result.exit_code == 0
@@ -654,11 +771,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("shift", [[], ["--mean-shift", "1.0"]], ids=["default", "given"])
     def test_consistency_rows_are_the_sweep(self, runner, tmp_path, shift):
-        # --mean-shift reaches the sweep only when given: the sweep's own
-        # default is 2, SimSpec's is 0.5
+        # the command's --mean-shift defaults to 2, the sweep's own default
         out = tmp_path / "cons.csv"
         result = runner.invoke(
-            main, ["simulate", "--scenario", "fs-consistency", "--p", "40", "--k", "3",
+            main, ["consistency", "--p", "40", "--k", "3",
                    "--n-grid", "30", "--replicates", "2", "--seed", "4",
                    "--out", str(out), *shift],
         )
@@ -697,7 +813,7 @@ class TestSimulate:
 
     def test_bad_grid_exits_2(self, runner, tmp_path):
         result = runner.invoke(
-            main, ["simulate", "--scenario", "fs-consistency",
+            main, ["consistency",
                    "--n-grid", "a,b", "--seed", "1", "--out", str(tmp_path / "x.csv")],
         )
         assert result.exit_code == 2
@@ -706,16 +822,21 @@ class TestSimulate:
         (["--n-grid", ","], "the sample-size grid is empty"),
         (["--n-grid", ""], "the sample-size grid is empty"),
         (["--replicates", "0"], "need at least 1 replicate, got 0"),
-        (["--scheme", "ordinal"], "--scheme ordinal: fs-consistency scores selection"),
+        # the sweep scores selection, so the command has no --scheme: click
+        # refuses it before the command runs, with no config line
+        (["--scheme", "ordinal"], None),
         (["--mean-shift", "inf"], "mean_shift must be finite, got inf"),
     ], ids=["comma-grid", "empty-grid", "no-replicates", "ordinal-scheme", "shift-inf"])
     def test_bad_consistency_settings_exit_2(self, runner, tmp_path, extra, message):
         out = tmp_path / "x.csv"
         result = runner.invoke(
-            main, ["simulate", "--scenario", "fs-consistency", "--p", "20", "--k", "2",
+            main, ["consistency", "--p", "20", "--k", "2",
                    "--seed", "1", "--out", str(out), *extra],
         )
-        assert_one_error_line(result, message)
+        if message is None:
+            assert_no_such_option(result, extra[0])
+        else:
+            assert_one_error_line(result, message)
         assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
@@ -740,7 +861,7 @@ class TestSimulate:
     def test_consistency_takes_prior_term(self, runner, tmp_path):
         out = tmp_path / "x.csv"
         result = runner.invoke(
-            main, ["simulate", "--scenario", "fs-consistency", "--p", "20", "--k", "3",
+            main, ["consistency", "--p", "20", "--k", "3",
                    "--n-grid", "30", "--replicates", "1", "--seed", "1", "--out", str(out),
                    "--prior-term", "plogp"],
         )
@@ -748,14 +869,15 @@ class TestSimulate:
         assert len(read_csv(out)) == 1 + 1
 
     def test_consistency_refuses_user_scheme_unread(self, runner, tmp_path):
+        # refused as an unknown option, before the user file is looked for
         out = tmp_path / "x.csv"
         result = runner.invoke(
-            main, ["simulate", "--scenario", "fs-consistency", "--p", "6",
+            main, ["consistency", "--p", "6",
                    "--scheme", f"user:{tmp_path / 'missing.csv'}",
                    "--seed", "1", "--out", str(out)],
         )
-        assert_one_error_line(result, f"--scheme user:{tmp_path / 'missing.csv'}: "
-                                      "fs-consistency scores selection against")
+        assert_no_such_option(result, "--scheme")
+        assert "missing.csv" not in result.stderr
         assert not out.exists()
 
     def test_missing_user_scheme_exits_2(self, runner, tmp_path):

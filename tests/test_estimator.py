@@ -694,6 +694,21 @@ class TestModelFromStats:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = a.flat[0]
 
+    def test_views_of_the_callers_arrays_are_copied(self):
+        # a read-only view still reads its base, which the caller can write;
+        # arrays that own their data, as the readers and generators pass,
+        # are kept without a copy
+        base, m2 = np.eye(3, 5), np.ones((3, 5))
+        model = self._derive(SufficientStats(n_k=np.array([4, 4, 4]), mean=base[:, :], m2=m2),
+                             build_partition_set(3, "exhaustive"))
+        Xb = np.zeros((4, 3))
+        data = Dataset.from_arrays(Xb[:, :], ["a", "b", "a", "b"])
+        base[0, 0] += 5
+        Xb[0, 0] = 99
+        assert model.stats.mean[0, 0] == 1.0 and data.X[0, 0] == 0.0
+        assert model.stats.m2 is m2
+        assert Dataset.from_arrays(Xb, ["a", "b", "a", "b"]).X is Xb
+
     def test_result_is_validated(self):
         stats = SufficientStats(n_k=np.array([3, 3]),
                                 mean=np.array([[0.0, np.nan], [1.0, 2.0]]),

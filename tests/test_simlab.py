@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -410,6 +411,20 @@ class TestSelectionError:
             r = selection_error(model, truth)
             assert r.E == pytest.approx(r.E_O + r.E_U, abs=1e-9)
             assert 0.0 <= r.hard_rate <= 1.0
+
+    def test_peak_is_one_scratch_besides_gamma(self):
+        # one p x M float scratch and a p x M bool mask, both under gamma's size
+        data, truth = gen_independent(SimSpec("ind-equal-var", n=60, p=3000, K=6, seed=1,
+                                              mean_shift=2.0))
+        model = fit(data)
+        gamma = model.gamma  # derived on read, so read before tracing
+        tracemalloc.start()
+        try:
+            selection_error(model, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * gamma.nbytes
 
     def test_dimension_mismatch(self):
         cols = enumerate_exhaustive(3)
