@@ -9,8 +9,10 @@ reproduced bit-exactly from its log, except the wall-clock
 it takes, with these exceptions: the scenario settings of ``simulate``
 that ``SimSpec`` lists as read by some scenarios only, the ``--seed`` of
 ``train`` and ``predict``, and ``train --threads``, which is checked but
-not used.  Exit codes: 0 success, 2 usage or validation problems, 3
-internal numeric failure.
+not used.  Every output file is checked before the command's work, so
+one that cannot be written leaves no output at all.  Exit codes: 0
+success, 2 usage or validation problems and I/O errors, 3 internal
+numeric failure.
 """
 
 from __future__ import annotations
@@ -48,16 +50,37 @@ from .simlab import (
 )
 
 
+#: the parameters that name a file a command writes
+_OUTPUTS = ("out", "features_out", "indices_out")
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output file that could not be opened for writing: its
+    directory is missing, is no directory, or refuses writes."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValidationError(f"cannot write {path}: no directory {directory}")
+    if not os.access(directory, os.W_OK | os.X_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise ValidationError(f"cannot write {path}: permission denied")
+
+
 def _guarded(fn):
-    """Log the command's ``config:`` line, then run it, mapping library
-    errors to one stderr line and exit code 2 or 3."""
+    """Log the command's ``config:`` line, check that every output file
+    can be written, then run the command, mapping library errors to one
+    stderr line and exit code 2 or 3.  So a command whose output cannot
+    be written writes none of its outputs, and an I/O failure later on
+    still ends in one line and exit code 2."""
     @functools.wraps(fn)
     def wrapper(**params):
         config = {"command": click.get_current_context().info_name, **params}
         click.echo("config: " + json.dumps(config, sort_keys=True), err=True)
         try:
+            for name in _OUTPUTS:
+                if params.get(name) is not None:
+                    _check_writable(params[name])
             return fn(**params)
-        except (ValidationError, FormatError) as exc:
+        except (ValidationError, FormatError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except NumericError as exc:
@@ -200,9 +223,9 @@ def train(input, out, features_out, threshold, penalty, variance, scheme,
           prior_term, label_col, no_header, delimiter, seed, threads):
     """Fit a model on a labeled CSV and write it to disk."""
     scheme = _parse_scheme(scheme)
-    data = load_dataset(input, _schema(label_col, no_header, delimiter))
+    # no name holds the data set, so fit can free it before deriving
     model = fit(
-        data,
+        load_dataset(input, _schema(label_col, no_header, delimiter)),
         scheme=scheme,
         penalty=penalty,
         variance_mode=variance,

@@ -378,9 +378,15 @@ def save_model(model: FittedModel, path: str | Path) -> None:
     """Persist a fitted model as a JSON document (schema version 2): the
     config, the hypothesis matrix ``S`` and the per-class counts, means
     and centred sums of squares.  ``load_model`` re-derives everything
-    else with the code ``fit`` uses."""
+    else with the code ``fit`` uses.
+
+    The bytes are those of one ``json.dumps`` of the whole document, but
+    the document is streamed: the fields before ``class_means`` go through
+    one ``json.dumps``, then ``class_means`` and ``class_m2`` are written
+    one class row at a time, so neither the document's text nor a K x p
+    list of Python floats is held."""
     stats = model.stats
-    doc = {
+    head = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "n": model.n,
         "K": model.K,
@@ -392,11 +398,16 @@ def save_model(model: FittedModel, path: str | Path) -> None:
         "prior_term_mode": model.prior_term_mode,
         "feature_names": list(model.feature_names),
         "class_counts": stats.n_k.tolist(),
-        "class_means": stats.mean.tolist(),
-        "class_m2": stats.m2.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(json.dumps(head)[:-1])  # the closing brace comes last
+        for key, rows in (("class_means", stats.mean), ("class_m2", stats.m2)):
+            fh.write(f', "{key}": [')
+            fh.write(json.dumps(rows[0].tolist()))
+            for row in rows[1:]:
+                fh.write(", " + json.dumps(row.tolist()))
+            fh.write("]")
+        fh.write("}")
 
 
 def _require(doc: dict, key: str):

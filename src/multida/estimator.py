@@ -491,22 +491,27 @@ def accumulate_stats(data: Dataset) -> SufficientStats:
     result stays within rounding of the exact one wherever the data sit.
     A sum below 0 (a constant column can round there) is clamped to 0.
 
+    Besides the K x p ``mean`` and ``m2`` it returns, it holds one class's
+    rows at a time: each class's copy is released before the next is
+    taken, and the correction goes through one p-wide scratch row.
+
     Overflow is not reported here: it leaves a non-finite statistic,
     which ``validate_model`` turns into an error.
     """
     mean = np.empty((data.K, data.p))
     m2 = np.empty((data.K, data.p))
-    d_sum = np.empty((data.K, data.p))
+    d_sum = np.empty(data.p)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(data.K):
             xk = data.X[data.y == k + 1]
             mean[k] = mk = xk.sum(axis=0) / xk.shape[0]
             xk -= mk
-            xk.sum(axis=0, out=d_sum[k])
+            xk.sum(axis=0, out=d_sum)
             np.square(xk, out=xk).sum(axis=0, out=m2[k])
-        np.square(d_sum, out=d_sum)
-        d_sum /= data.class_counts[:, None].astype(np.float64)  # an int divisor is slower
-        m2 -= d_sum
+            del xk  # before the next class's copy is taken
+            np.square(d_sum, out=d_sum)
+            d_sum /= data.class_counts[k]
+            m2[k] -= d_sum
         np.maximum(m2, 0.0, out=m2)
     return SufficientStats(n_k=data.class_counts, mean=mean, m2=m2)
 
@@ -707,13 +712,23 @@ def fit(
     ``build_partition_set``.  The fit runs on one thread; ``threads`` is
     only checked (>= 0), so the output is identical for any thread count.
     Warns when no non-null hypothesis is admissible.
+
+    The model needs only the per-class statistics, so ``fit`` lets go of
+    ``data`` once ``accumulate_stats`` has taken them, before the
+    derivation allocates its workspace.  The n x p matrix is then freed
+    if the caller holds no reference to it either: ``fit(load_dataset(
+    path))`` on CPython 3.11 or later, which moves a call's arguments
+    into the callee's frame.  On 3.10 the caller's stack keeps the
+    argument until ``fit`` returns.
     """
     parts = build_partition_set(data.K, scheme, variance_mode=variance_mode)
     _resolve_threads(threads)
+    stats = accumulate_stats(data)
+    class_labels, feature_names = data.class_labels, data.feature_names
+    del data
     model = model_from_stats(
-        accumulate_stats(data), parts, penalty=penalty,
-        prior_term_mode=prior_term_mode, class_labels=data.class_labels,
-        feature_names=data.feature_names)
+        stats, parts, penalty=penalty, prior_term_mode=prior_term_mode,
+        class_labels=class_labels, feature_names=feature_names)
     warn_if_null_only(model)
     return model
 

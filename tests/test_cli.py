@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import click
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from multida import cli, estimator
 from multida.cli import main
 from multida.data_io import load_dataset, load_model, save_model
 from multida.estimator import fit
@@ -205,6 +207,30 @@ def test_train_predict_and_cv_derive_no_gamma(runner, wide_csv, tmp_path, no_gam
     result = runner.invoke(main, ["cv", wide_csv, "--folds", "2", "--trials", "1",
                                   "--seed", "1", "--out", str(tmp_path / "cv.csv")])
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "CPython 3.10 keeps a call's arguments on the caller's stack until the "
+    "call returns, so the loaded matrix lives through the fit there"))
+def test_train_derives_without_the_data_set(runner, wide_csv, tmp_path, monkeypatch):
+    refs, alive = [], []
+
+    def load(*args, **kwargs):
+        data = load_dataset(*args, **kwargs)
+        refs.append(weakref.ref(data.X))
+        return data
+
+    def derive(*args, _derive=estimator.model_from_stats, **kwargs):
+        alive.append(refs[0]() is not None)
+        return _derive(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_dataset", load)
+    monkeypatch.setattr(estimator, "model_from_stats", derive)
+    result = runner.invoke(main, ["train", wide_csv, "--seed", "1",
+                                  "--out", str(tmp_path / "m.json"),
+                                  "--features-out", str(tmp_path / "f.csv")])
+    assert result.exit_code == 0, result.output
+    assert alive == [False]
 
 
 class TestNoHeader:
@@ -563,6 +589,31 @@ def test_valid_run_writes_its_output(runner, tmp_path, command):
     result = runner.invoke(main, runs[command])
     assert result.exit_code == 0, result.output
     assert outputs[0].exists()
+
+
+@pytest.mark.parametrize("parent", ["missing", "a-file"])
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in OPTIONS.items()
+    for option, value in options.items() if value == "DIR"
+], ids=lambda v: v)
+def test_unwritable_output_exits_2_before_writing(runner, tmp_path, command, option,
+                                                   parent):
+    runs, outputs = _valid_runs(tmp_path)
+    (tmp_path / "a-file").touch()
+    target = str(tmp_path / parent / "x.csv")
+    result = runner.invoke(main, [*runs[command], option, target])
+    assert_one_error_line(result, f"cannot write {target}: no directory")
+    assert not any(path.exists() for path in outputs)
+
+
+def test_failed_write_exits_2(runner, tmp_path, monkeypatch):
+    def refuse(path, header, rows):
+        raise PermissionError(13, "Permission denied", path)
+
+    runs, _ = _valid_runs(tmp_path)
+    monkeypatch.setattr(cli, "_write_csv", refuse)
+    result = runner.invoke(main, runs["predict"])
+    assert_one_error_line(result, "[Errno 13] Permission denied")
 
 
 @pytest.mark.parametrize("args", [

@@ -1,5 +1,7 @@
 import csv
 import json
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,9 +20,9 @@ from multida.data_io import (
     save_dataset,
     save_model,
 )
-from multida.estimator import (Dataset, _block_width, _column_blocks, fit, fit_mles,
-                               gamma_weights, lrt, predict, selected_features,
-                               validate_model)
+from multida.estimator import (Dataset, SufficientStats, _block_width, _column_blocks, fit,
+                               fit_mles, gamma_weights, lrt, model_from_stats, predict,
+                               selected_features, validate_model)
 from multida.partitions import build_partition_set
 
 
@@ -513,6 +515,69 @@ class TestModelRoundTrip:
         assert doc["schema_version"] == 2
         assert doc["class_counts"] == [6, 6, 1]
         assert np.array(doc["class_means"]).shape == (3, p)
+
+    @staticmethod
+    def _stats_model(k, p, scheme="exhaustive"):
+        """A model derived from random class statistics whose floats span
+        many magnitudes, with labels and feature names that are non-ASCII
+        or hold quotes and backslashes, which ``json`` escapes."""
+        rng = np.random.default_rng(100 * k + p)
+        mean = rng.normal(size=(k, p)) * 10.0 ** rng.integers(-8, 9, size=(k, p))
+        mean[0, 0], mean[-1, -1] = -0.0, 3.0
+        m2 = rng.uniform(0.5, 2.0, size=(k, p)) * 10.0 ** rng.integers(-6, 7, size=(k, p))
+        stats = SufficientStats(n_k=np.arange(3, k + 3), mean=mean, m2=m2)
+        return model_from_stats(
+            stats, build_partition_set(k, scheme), penalty="ebic", prior_term_mode="log",
+            class_labels=tuple(f'c"{i}\\é\t' for i in range(k - 1)) + ("日本 🙂",),
+            feature_names=tuple(f"f{j}'ü\"" for j in range(p)))
+
+    @staticmethod
+    def _document(model):
+        """The whole document as one dict: ``save_model`` writes the bytes
+        of one ``json.dumps`` of it."""
+        stats = model.stats
+        return {
+            "schema_version": 2,
+            "n": model.n,
+            "K": model.K,
+            "class_label_map": list(model.class_labels),
+            "scheme": model.parts.scheme,
+            "S": [list(row) for row in zip(*model.parts.columns)],
+            "variance_mode": model.variance_mode,
+            "penalty": {"kind": model.penalty.kind, "C": model.penalty.C},
+            "prior_term_mode": model.prior_term_mode,
+            "feature_names": list(model.feature_names),
+            "class_counts": stats.n_k.tolist(),
+            "class_means": stats.mean.tolist(),
+            "class_m2": stats.m2.tolist(),
+        }
+
+    @pytest.mark.parametrize("scheme", ["named", "user"])
+    @pytest.mark.parametrize("p", [1, 2, 3000])
+    @pytest.mark.parametrize("k", [2, 4, 9])
+    def test_bytes_are_one_dumps_of_the_document(self, tmp_path, k, p, scheme):
+        if scheme == "user":  # the null hypothesis and the last class alone
+            scheme = np.array([[1] * k, [1] * (k - 1) + [2]]).T
+        elif k == 9 and p == 3000:
+            scheme = "ordinal"  # the exhaustive set derives 3000 features in 5 s
+        else:
+            scheme = "exhaustive"
+        model = self._stats_model(k, p, scheme)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        assert path.read_bytes() == json.dumps(self._document(model)).encode("ascii")
+
+    def test_save_holds_no_list_of_every_float(self, tmp_path):
+        k, p = 6, 20000
+        model = self._stats_model(k, p)
+        tracemalloc.start()
+        try:
+            save_model(model, tmp_path / "m.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one K x p list of Python floats: a float object and a pointer each
+        assert peak < k * p * (sys.getsizeof(1.0) + 8)
 
     def test_file_size_per_feature(self, tmp_path):
         # K=4 stores 8 floats per feature; the derived arrays are not stored

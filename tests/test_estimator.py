@@ -166,6 +166,37 @@ class TestSufficientStats:
         assert (m2 > 0).all()
         assert (np.abs(stats.m2 - m2) <= 1e-15 * m2).all()
 
+    @pytest.mark.parametrize("offset", [0.0, 1e12])
+    def test_matches_the_corrected_two_pass_bit_for_bit(self, offset):
+        rng = np.random.default_rng(33)
+        data = random_dataset(rng, 50, 40, 4, min_per_class=2)
+        X = data.X + offset
+        stats = accumulate_stats(Dataset.from_arrays(X, [str(v) for v in data.y]))
+        for k in range(4):
+            xk = X[data.y == k + 1]
+            mean = xk.sum(axis=0) / len(xk)
+            d = xk - mean
+            m2 = np.maximum((d * d).sum(axis=0) - d.sum(axis=0) ** 2 / len(xk), 0.0)
+            assert stats.mean[k].tobytes() == mean.tobytes()
+            assert stats.m2[k].tobytes() == m2.tobytes()
+
+    def test_peak_is_the_statistics_and_one_class_copy(self):
+        import tracemalloc
+
+        p = 5000
+        y = np.repeat([1, 2, 3, 4], [30, 20, 10, 15])
+        data = Dataset.from_arrays(np.random.default_rng(34).normal(size=(len(y), p)),
+                                   [str(v) for v in y])
+        tracemalloc.start()
+        try:
+            stats = accumulate_stats(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest_class = 30 * p * 8
+        # besides: a few p-wide rows (a class's sums and the scratch row)
+        assert peak <= stats.mean.nbytes + stats.m2.nbytes + largest_class + 4 * p * 8
+
     def test_constant_column_has_m2_zero(self):
         X = np.column_stack([np.full(7, 0.1), np.arange(7.0)])
         stats = accumulate_stats(Dataset.from_arrays(X, list("aaabbbb")))
