@@ -9,8 +9,13 @@ reproduced bit-exactly from its log, except the wall-clock
 it takes, with these exceptions: the scenario settings of ``simulate``
 that ``SimSpec`` lists as read by some scenarios only, the ``--seed`` of
 ``train`` and ``predict``, and ``train --threads``, which is checked but
-not used.  Every output file is checked before the command's work, so
-one that cannot be written leaves no output at all.  Exit codes: 0
+not used.  ``cv`` and ``simulate`` cross-validate with
+``estimator.cross_validate``; ``simulate`` draws its data with
+``simlab.generate`` and ``consistency`` runs ``simlab.consistency_sweep``.
+The library refuses a seed that is not a non-negative integer, and a
+sweep size below K, before it draws, so those exit 2 too.  Every output
+file is checked before the command's work, so one that cannot be
+written leaves no output at all.  Exit codes: 0
 success, 2 usage or validation problems and I/O errors, 3 internal
 numeric failure.
 """
@@ -39,13 +44,12 @@ from .data_io import (
     save_model,
 )
 from .errors import FormatError, NumericError, ValidationError
-from .estimator import fit, predict, selected_features
+from .estimator import cross_validate, fit, predict, selected_features
 from .partitions import build_partition_set
 from .simlab import (
     SCENARIOS,
     SimSpec,
     consistency_sweep,
-    cross_validate,
     generate,
 )
 

@@ -33,9 +33,10 @@ Conventions used throughout:
   ``model_from_stats`` is the one checked entry from those to a model: it
   checks the training set, resolves the penalty, derives everything else
   in one pass over feature blocks and checks the result with
-  ``validate_model``.  ``fit``, each fold of ``simlab.cross_validate``
-  (from fold statistics merged by ``merge_stats``) and
-  ``data_io.load_model`` make that one call.
+  ``validate_model``.  ``fit``, each fold of ``cross_validate`` (from
+  fold statistics merged by ``_merge_stats``) and ``data_io.load_model``
+  make that one call; the folds of one ``cross_validate`` share one
+  derivation workspace (``_Workspace``), which no other module sees.
 * Fitting runs on one thread; only ``predict`` splits its rows over
   worker threads.
 """
@@ -228,7 +229,7 @@ class SufficientStats:
     ``n_k[k]``, ``mean[k, j]`` and ``m2[k, j]`` refer to class ``k + 1``
     and feature ``j``; ``m2`` is the sum of squared deviations from the
     class mean, by the corrected two-pass of ``accumulate_stats`` (or
-    ``merge_stats`` of such sums).  Every other fitted quantity derives
+    ``_merge_stats`` of such sums).  Every other fitted quantity derives
     from these, the sample count ``n`` included.  The arrays are made
     read-only when the statistics are built, and a view is copied first,
     so no model derived from them can change under the caller who passed
@@ -346,6 +347,23 @@ class FittedModel:
     variance_floor = cached_property(lambda self: self._derived("variance_floor"))  # p
     lam = cached_property(lambda self: self._derived("lam"))                # p x M
     gamma = cached_property(lambda self: self._derived("gamma"))            # p x M
+
+
+@dataclass(frozen=True)
+class CvRow:
+    trial: int
+    fold: int
+    n_test: int
+    n_wrong: int
+    error: float
+
+
+@dataclass(frozen=True)
+class CvResult:
+    rows: tuple[CvRow, ...]
+    per_trial: np.ndarray
+    mean: float
+    sd: float
 
 
 @dataclass(frozen=True)
@@ -481,6 +499,13 @@ def _resolve_threads(threads: int) -> int:
     return usable if threads == 0 else min(threads, usable)
 
 
+def check_seed(seed: int) -> None:
+    """Raise ``ValidationError`` unless ``seed`` is a non-negative
+    integer, as numpy's seed sequences need; checked before any draw."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def accumulate_stats(data: Dataset) -> SufficientStats:
     """Per-class counts, means and centred sums of squares of the K
     classes of ``data``, by the corrected two-pass of Chan, Golub &
@@ -566,7 +591,7 @@ def _merge_subsets(mean: np.ndarray, m2: np.ndarray, count: np.ndarray,
                     out=(mean_s[rows], m2_s[rows]))
 
 
-def merge_stats(samples: Sequence[SufficientStats]) -> SufficientStats:
+def _merge_stats(samples: Sequence[SufficientStats]) -> SufficientStats:
     """Per-class statistics of the union of disjoint samples of the same
     classes and features, merged in the given order by ``_chan_merge``.
     Cross-validation builds each fold's training statistics this way from
@@ -729,11 +754,11 @@ def fit(
     model = model_from_stats(
         stats, parts, penalty=penalty, prior_term_mode=prior_term_mode,
         class_labels=class_labels, feature_names=feature_names)
-    warn_if_null_only(model)
+    _warn_if_null_only(model)
     return model
 
 
-def warn_if_null_only(model: FittedModel) -> None:
+def _warn_if_null_only(model: FittedModel) -> None:
     """Warn the caller of a fit when no non-null hypothesis is admissible."""
     if model.M > 1 and not model.admissible[1:].any():
         warnings.warn(
@@ -945,6 +970,95 @@ def predict(
         codes=_as_readonly(codes),
         eta=_as_readonly(eta),
     )
+
+
+def _stratified_folds(
+    y: np.ndarray, folds: int, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """Test-index sets of a stratified K-fold split."""
+    fold = np.empty(len(y), dtype=np.int64)
+    for k in range(1, int(y.max()) + 1):
+        idx = np.flatnonzero(y == k)
+        if len(idx) < folds:
+            raise ValidationError(
+                f"class {k} has {len(idx)} samples, fewer than {folds} folds"
+            )
+        # each class's rows, shuffled, deal out to the folds in turn
+        fold[rng.permutation(idx)] = np.arange(len(idx)) % folds
+    return [np.flatnonzero(fold == f) for f in range(folds)]
+
+
+def _cv_folds(
+    data: Dataset, test_sets: Sequence[np.ndarray]
+) -> Iterator[tuple[Dataset, SufficientStats]]:
+    """The test rows and the training statistics of every fold.  Each
+    fold's per-class statistics are taken once, from its own rows; a
+    fold's training statistics merge those of the other folds in
+    ascending fold order, so no training rows are copied.  A fold's test
+    rows are copied when it is yielded, so one fold's copy is held at a
+    time."""
+    fold_stats = [accumulate_stats(data.subset(idx)) for idx in test_sets]
+    for f, idx in enumerate(test_sets):
+        yield data.subset(idx), _merge_stats(fold_stats[:f] + fold_stats[f + 1:])
+
+
+def cross_validate(
+    data: Dataset,
+    folds: int = 5,
+    trials: int = 50,
+    *,
+    seed: int = 0,
+    scheme: str | np.ndarray = "exhaustive",
+    penalty: str = "ebic",
+    variance_mode: str = "equal",
+    prior_term_mode: str = "log",
+    threads: int = 1,
+) -> CvResult:
+    """Repeated stratified k-fold cross-validation.
+
+    Fold assignments for trial ``t`` come from an independent stream
+    seeded by (seed, t), so any subset of trials can be reproduced or run
+    concurrently without changing results; ``seed`` must be a
+    non-negative integer (``check_seed``).  The partition set is built
+    once, from ``scheme`` (a scheme name or the K x M matrix S).  Each
+    fold's model is derived as ``model_from_stats`` derives it, with the
+    checks and the penalty of a fit, on its training statistics, merged
+    from per-fold class statistics (``_cv_folds``); the training rows are
+    never copied or refitted.  All folds derive in one workspace, allocated
+    here, so no fold allocates the derivation's block memory again, and
+    each fold's model is released before the next one is derived.
+    ``threads`` splits each fold's prediction rows.
+    """
+    if folds < 2:
+        raise ValidationError("need at least 2 folds")
+    if trials < 1:
+        raise ValidationError("need at least 1 trial")
+    check_seed(seed)
+    parts = build_partition_set(data.K, scheme, variance_mode=variance_mode)
+    # every fold derives p features under parts, so one workspace serves all
+    ws = _Workspace(parts, data.p)
+    rows: list[CvRow] = []
+    per_trial = np.empty(trials)
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        test_sets = _stratified_folds(data.y, folds, rng)
+        fold_errors = np.empty(folds)
+        for f, (test, train) in enumerate(_cv_folds(data, test_sets)):
+            model = _model_from_stats(train, parts, ws, penalty=penalty,
+                                      prior_term_mode=prior_term_mode,
+                                      class_labels=data.class_labels,
+                                      feature_names=data.feature_names)
+            _warn_if_null_only(model)
+            pred = predict(model, test.X, threads=threads)
+            wrong = int((pred.codes != test.y).sum())
+            err = wrong / test.n
+            fold_errors[f] = err
+            rows.append(CvRow(t + 1, f + 1, test.n, wrong, err))
+            del model, pred  # one fold's model and prediction at a time
+        per_trial[t] = fold_errors.mean()
+    mean = float(per_trial.mean())
+    sd = float(per_trial.std(ddof=1)) if trials > 1 else 0.0
+    return CvResult(rows=tuple(rows), per_trial=per_trial, mean=mean, sd=sd)
 
 
 def selected_features(

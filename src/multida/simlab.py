@@ -1,37 +1,26 @@
-"""Simulation scenarios, selection-error metrics and cross-validation.
+"""Simulation scenarios, selection-error metrics and the consistency sweep.
 
 Generators are pure functions of (scenario spec, seed): structure draws
 (which features are discriminative, which partitions, covariance factors,
 the final feature permutation) and noise draws come from separate seeded
 streams, so equal specs always produce identical data.  The consistency
-sweep fits each replicate with ``estimator.fit``; cross-validation derives
-each fold's model by the one checked path from statistics to a model
-(``estimator.model_from_stats``, with one workspace held for all folds),
-so a fold is checked as a fit is.
+sweep fits each replicate with ``estimator.fit``; cross-validation of
+generated data is ``estimator.cross_validate``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import (
-    Dataset,
-    FittedModel,
-    SufficientStats,
-    _model_from_stats,
-    _Workspace,
-    accumulate_stats,
-    fit,
-    merge_stats,
-    predict,
-    warn_if_null_only,
-)
+from .estimator import Dataset, FittedModel, check_seed, fit
+# re-exported only because bench/spans.py patches simlab.cross_validate and simlab.predict
+from .estimator import cross_validate, predict
 from .partitions import (
     Column,
     build_partition_set,
@@ -56,7 +45,8 @@ class SimSpec:
     ``mean_shift`` on its own feature set.  In the unequal-variance
     scenario group ``g`` has standard deviation
     ``1 + (g - 1) * variance_scale``, which must be positive for every
-    group up to ``K``.  Both settings must be finite.
+    group up to ``K``.  Both settings must be finite, and ``seed`` a
+    non-negative integer.
     Dependent scenarios build block covariance from ``p / block_size``
     sparse factors (``block_size`` defaults to ``p / 10``) with
     ``block_density`` off-diagonal fill; only they read and check those
@@ -80,7 +70,10 @@ class SimSpec:
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
         if self.n < self.K or self.p < 1 or self.K < 2:
-            raise ValidationError("need n >= K, p >= 1, K >= 2")
+            raise ValidationError(
+                f"need n >= K, p >= 1, K >= 2; got n={self.n}, p={self.p}, K={self.K}"
+            )
+        check_seed(self.seed)
         if not 0.0 <= self.discriminative_fraction <= 1.0:
             raise ValidationError("discriminative_fraction must lie in [0, 1]")
         for name in ("mean_shift", "variance_scale"):
@@ -122,23 +115,6 @@ class TruthAssignment:
     true_column: np.ndarray   # p, zero-based column index
     class_means: np.ndarray   # K x p
     class_sds: np.ndarray | None  # K x p for independent scenarios
-
-
-@dataclass(frozen=True)
-class CvRow:
-    trial: int
-    fold: int
-    n_test: int
-    n_wrong: int
-    error: float
-
-
-@dataclass(frozen=True)
-class CvResult:
-    rows: tuple[CvRow, ...]
-    per_trial: np.ndarray
-    mean: float
-    sd: float
 
 
 @dataclass(frozen=True)
@@ -370,7 +346,8 @@ def generate(spec: SimSpec) -> tuple[Dataset, TruthAssignment]:
 def selection_error(model: FittedModel, truth: TruthAssignment) -> SimReport:
     """Soft selection error ``E = sum |gamma - gamma0|`` with its
     overfitting/underfitting decomposition and the hard misassignment
-    rate; ``gamma0`` is the one-hot of ``truth.true_column``.
+    rate, read from the fit's own top hypothesis (``model.top``);
+    ``gamma0`` is the one-hot of ``truth.true_column``.
 
     Overfitting mass sits on strict refinements of the true partition;
     underfitting mass on every other wrong hypothesis; ``E = E_O + E_U``.
@@ -395,9 +372,8 @@ def selection_error(model: FittedModel, truth: TruthAssignment) -> SimReport:
                      for m0 in true_cols], dtype=bool)
     under = ~over
     under[np.arange(len(true_cols)), true_cols] = False
-    # a C-ordered copy, so argmax along its rows copies nothing
+    hard = float(np.mean(model.top != tc))
     scratch = np.array(gamma, order="C")
-    hard = float(np.mean(np.argmax(scratch, axis=1) != tc))
     scratch[np.arange(p), tc] -= 1.0
     e_soft = float(np.abs(scratch, out=scratch).sum())
     e_over = 2.0 * float(np.multiply(gamma, over[row], out=scratch).sum())
@@ -431,25 +407,21 @@ def consistency_sweep(
     ``partitions.MAX_CLASSES`` = 9) and scored by ``selection_error``.  One
     row per (n, p, K, replicate) with the ``SimReport`` metrics, then
     ``fit_seconds``, the time of the fit alone; directly writable as tidy
-    CSV."""
+    CSV.  Every grid point's spec, ``seed`` included, is checked before
+    the first replicate seed is drawn from (seed, n, replicate)."""
     if len(n_values) == 0:
         raise ValidationError("the sample-size grid is empty")
     if replicates < 1:
         raise ValidationError(f"need at least 1 replicate, got {replicates}")
+    specs = [SimSpec(scenario="ind-equal-var", n=n, p=p, K=k,
+                     discriminative_fraction=discriminative_fraction,
+                     mean_shift=mean_shift, seed=seed) for n in n_values]
     metrics = [f.name for f in fields(SimReport)]
     rows = []
-    for n in n_values:
+    for n, spec in zip(n_values, specs):
         for rep in range(replicates):
-            spec = SimSpec(
-                scenario="ind-equal-var",
-                n=n,
-                p=p,
-                K=k,
-                discriminative_fraction=discriminative_fraction,
-                mean_shift=mean_shift,
-                seed=int(np.random.default_rng([seed, n, rep]).integers(2**32)),
-            )
-            data, truth = generate(spec)
+            rep_seed = int(np.random.default_rng([seed, n, rep]).integers(2**32))
+            data, truth = generate(replace(spec, seed=rep_seed))
             t0 = time.perf_counter()
             model = fit(data, penalty=penalty, variance_mode=variance_mode,
                         prior_term_mode=prior_term_mode)
@@ -460,89 +432,3 @@ def consistency_sweep(
                          "fit_seconds": fit_seconds})
     return rows
 
-
-def _stratified_folds(
-    y: np.ndarray, folds: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Test-index sets of a stratified K-fold split."""
-    fold = np.empty(len(y), dtype=np.int64)
-    for k in range(1, int(y.max()) + 1):
-        idx = np.flatnonzero(y == k)
-        if len(idx) < folds:
-            raise ValidationError(
-                f"class {k} has {len(idx)} samples, fewer than {folds} folds"
-            )
-        # each class's rows, shuffled, deal out to the folds in turn
-        fold[rng.permutation(idx)] = np.arange(len(idx)) % folds
-    return [np.flatnonzero(fold == f) for f in range(folds)]
-
-
-def _cv_folds(
-    data: Dataset, test_sets: Sequence[np.ndarray]
-) -> Iterator[tuple[Dataset, SufficientStats]]:
-    """The test rows and the training statistics of every fold.  Each
-    fold's per-class statistics are taken once, from its own rows; a
-    fold's training statistics merge those of the other folds in
-    ascending fold order, so no training rows are copied.  A fold's test
-    rows are copied when it is yielded, so one fold's copy is held at a
-    time."""
-    fold_stats = [accumulate_stats(data.subset(idx)) for idx in test_sets]
-    for f, idx in enumerate(test_sets):
-        yield data.subset(idx), merge_stats(fold_stats[:f] + fold_stats[f + 1:])
-
-
-def cross_validate(
-    data: Dataset,
-    folds: int = 5,
-    trials: int = 50,
-    *,
-    seed: int = 0,
-    scheme: str | np.ndarray = "exhaustive",
-    penalty: str = "ebic",
-    variance_mode: str = "equal",
-    prior_term_mode: str = "log",
-    threads: int = 1,
-) -> CvResult:
-    """Repeated stratified k-fold cross-validation.
-
-    Fold assignments for trial ``t`` come from an independent stream
-    seeded by (seed, t), so any subset of trials can be reproduced or run
-    concurrently without changing results.  The partition set is built
-    once, from ``scheme`` (a scheme name or the K x M matrix S).  Each
-    fold's model is derived as ``model_from_stats`` derives it, with the
-    checks and the penalty of a fit, on its training statistics, merged
-    from per-fold class statistics (``_cv_folds``); the training rows are
-    never copied or refitted.  All folds derive in one workspace, allocated
-    here, so no fold allocates the derivation's block memory again, and
-    each fold's model is released before the next one is derived.
-    ``threads`` splits each fold's prediction rows.
-    """
-    if folds < 2:
-        raise ValidationError("need at least 2 folds")
-    if trials < 1:
-        raise ValidationError("need at least 1 trial")
-    parts = build_partition_set(data.K, scheme, variance_mode=variance_mode)
-    # every fold derives p features under parts, so one workspace serves all
-    ws = _Workspace(parts, data.p)
-    rows: list[CvRow] = []
-    per_trial = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        test_sets = _stratified_folds(data.y, folds, rng)
-        fold_errors = np.empty(folds)
-        for f, (test, train) in enumerate(_cv_folds(data, test_sets)):
-            model = _model_from_stats(train, parts, ws, penalty=penalty,
-                                      prior_term_mode=prior_term_mode,
-                                      class_labels=data.class_labels,
-                                      feature_names=data.feature_names)
-            warn_if_null_only(model)
-            pred = predict(model, test.X, threads=threads)
-            wrong = int((pred.codes != test.y).sum())
-            err = wrong / test.n
-            fold_errors[f] = err
-            rows.append(CvRow(t + 1, f + 1, test.n, wrong, err))
-            del model, pred  # one fold's model and prediction at a time
-        per_trial[t] = fold_errors.mean()
-    mean = float(per_trial.mean())
-    sd = float(per_trial.std(ddof=1)) if trials > 1 else 0.0
-    return CvResult(rows=tuple(rows), per_trial=per_trial, mean=mean, sd=sd)

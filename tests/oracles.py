@@ -170,10 +170,9 @@ def slotwise_eta(model, X: np.ndarray) -> np.ndarray:
 
 
 def refit_cross_validate(data, folds, trials, *, seed, **fit_options):
-    """(n_test, n_wrong) of every fold of ``simlab.cross_validate``'s folds,
+    """(n_test, n_wrong) of every fold of ``estimator.cross_validate``'s folds,
     by copying each fold's training rows and refitting them from scratch."""
-    from multida.estimator import fit, predict
-    from multida.simlab import _stratified_folds
+    from multida.estimator import _stratified_folds, fit, predict
 
     rows = []
     for t in range(trials):

@@ -12,6 +12,7 @@ from multida.data_io import load_model, save_model
 from multida.estimator import (
     Dataset,
     accumulate_stats,
+    cross_validate,
     fit,
     fit_mles,
     lrt,
@@ -26,7 +27,6 @@ from multida.partitions import (
 from multida.simlab import (
     SimSpec,
     consistency_sweep,
-    cross_validate,
     gen_independent,
     generate,
     selection_error,

@@ -15,8 +15,8 @@ from click.testing import CliRunner
 from multida import cli, estimator
 from multida.cli import main
 from multida.data_io import load_dataset, load_model, save_model
-from multida.estimator import fit
-from multida.simlab import SimSpec, consistency_sweep, cross_validate, generate
+from multida.estimator import cross_validate, fit
+from multida.simlab import SimSpec, consistency_sweep, generate
 
 
 TOY = "label,x1\na,0\na,2\nb,4\nb,6\n"
@@ -860,6 +860,24 @@ class TestSimulate:
                    "--k", "2", "--block-size", "2", "--seed", "4", "--out", str(out)],
         )
         assert_one_error_line(result, "discriminative_fraction=0.1 of p=4 features plants none")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["cv", "{wide}", "--folds", "3", "--trials", "1", "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
+        (["simulate", "--scenario", "ind-equal-var", "--n", "20", "--p", "6", "--k", "2",
+          "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["consistency", "--p", "20", "--k", "2", "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
+        (["consistency", "--p", "20", "--k", "2", "--n-grid", "-5", "--seed", "1"],
+         "need n >= K, p >= 1, K >= 2; got n=-5"),
+    ], ids=["cv-seed", "simulate-seed", "consistency-seed", "consistency-grid"])
+    def test_bad_seed_or_grid_exits_2(self, runner, wide_csv, tmp_path, args, message):
+        # refused before numpy sees the seed, which would raise a traceback
+        out = tmp_path / "x.csv"
+        result = runner.invoke(
+            main, [a.format(wide=wide_csv) for a in args] + ["--out", str(out)])
+        assert_one_error_line(result, message)
         assert not out.exists()
 
     def test_bad_grid_exits_2(self, runner, tmp_path):

@@ -23,6 +23,7 @@ from multida.estimator import (
     _resolve_threads,
     _Workspace,
     accumulate_stats,
+    cross_validate,
     fit,
     fit_mles,
     gamma_weights,
@@ -809,7 +810,6 @@ class TestGammaOnRead:
 
     def test_fit_save_load_predict_and_cv_derive_no_gamma(self, tmp_path, no_gamma):
         from multida.data_io import load_model, save_model
-        from multida.simlab import cross_validate
 
         data = random_dataset(np.random.default_rng(4), 40, 12, 4, min_per_class=4)
         model = fit(data, penalty="bic")

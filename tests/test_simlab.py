@@ -1,20 +1,27 @@
+import ast
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from multida import NumericError, ValidationError, simlab
-from multida.estimator import Dataset, accumulate_stats, fit
+import multida
+from multida import NumericError, ValidationError, estimator, simlab
+from multida.estimator import (
+    Dataset,
+    _cv_folds,
+    _stratified_folds,
+    accumulate_stats,
+    cross_validate,
+    fit,
+)
 from multida.partitions import build_partition_set, enumerate_exhaustive, refines
 from multida.simlab import (
     SimReport,
     SimSpec,
     TruthAssignment,
-    _cv_folds,
-    _stratified_folds,
     consistency_sweep,
-    cross_validate,
     dependent_structure,
     gen_dependent,
     gen_independent,
@@ -43,6 +50,7 @@ class FakeModel:
         )
         assert self.parts.columns == tuple(columns)
         self.gamma = np.asarray(gamma, dtype=float)
+        self.top = np.argmax(self.gamma, axis=1)
         self.p = self.gamma.shape[0]
 
 
@@ -58,6 +66,15 @@ class TestSimSpec:
     def test_fewer_samples_than_classes(self):
         with pytest.raises(ValidationError, match="need n >= K"):
             SimSpec("ind-equal-var", n=2, p=5, K=3)
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, "1", None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            SimSpec("ind-equal-var", n=10, p=5, K=2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(3), 2**40])
+    def test_integer_seeds_accepted(self, seed):
+        assert SimSpec("ind-equal-var", n=10, p=5, K=2, seed=seed).seed == seed
 
     @pytest.mark.parametrize("density", [-0.1, 1.5])
     def test_block_density_bounds(self, density):
@@ -468,6 +485,17 @@ class TestConsistencySweep:
         with pytest.raises(ValidationError, match=message):
             consistency_sweep([30], p=20, k=3, replicates=1, seed=5, **setting)
 
+    @pytest.mark.parametrize("n_values, seed, message", [
+        ([30], -1, "seed must be a non-negative integer, got -1"),
+        ([-5], 1, "need n >= K"),
+        ([30, 2], 1, "need n >= K.*got n=2"),
+    ], ids=["seed", "negative-n", "last-n-below-K"])
+    def test_bad_seed_or_grid_refused_before_any_draw(self, n_values, seed, message):
+        with mock.patch.object(simlab, "generate") as draws, \
+                pytest.raises(ValidationError, match=message):
+            consistency_sweep(n_values, p=20, k=3, replicates=1, seed=seed)
+        assert draws.call_count == 0
+
     @pytest.mark.parametrize("n_values, replicates", [([], 2), ([30], 0)])
     def test_empty_sweep_rejected(self, n_values, replicates):
         with pytest.raises(ValidationError):
@@ -523,6 +551,24 @@ class TestCrossValidate:
         with pytest.raises(ValidationError, match="need at least 1 trial"):
             cross_validate(self._separated(20), folds=2, trials=0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_bad_seed_refused(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            cross_validate(self._separated(20), folds=2, trials=1, seed=seed)
+
+    def test_every_fold_calls_the_estimator_names(self):
+        # a tracer wraps estimator.accumulate_stats and estimator.predict
+        # under those names, so every fold must look them up there
+        folds, trials = 4, 3
+        with mock.patch.object(estimator, "accumulate_stats",
+                               wraps=estimator.accumulate_stats) as stats, \
+                mock.patch.object(estimator, "predict", wraps=estimator.predict) as pred:
+            multida.cross_validate(self._separated(40), folds=folds, trials=trials, seed=0)
+        assert stats.call_count == folds * trials
+        assert pred.call_count == folds * trials
+        assert simlab.cross_validate is estimator.cross_validate
+        assert simlab.predict is estimator.predict
+
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest"])
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
@@ -574,3 +620,29 @@ class TestCrossValidate:
         X[:, 2] *= 1e200
         with pytest.raises(NumericError, match="'x3'"):
             cross_validate(Dataset.from_arrays(X, data.y), folds=4, trials=1)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_imports_another_modules_private_names():
+    """No package module imports a ``_`` name from another, or reads one
+    off a module it imported with ``from . import``."""
+    package = Path(multida.__file__).parent
+    breaches = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+                   for a in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("multida")):
+                breaches += [f"{path.name}:{node.lineno} imports {a.name}"
+                             for a in node.names if _private(a.name)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and _private(node.attr)):
+                breaches.append(f"{path.name}:{node.lineno} reads "
+                                f"{node.value.id}.{node.attr}")
+    assert breaches == []
