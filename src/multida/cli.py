@@ -37,6 +37,7 @@ from . import __version__
 from .data_io import (
     CsvSchema,
     filter_features,
+    load_class_stats,
     load_dataset,
     load_matrix,
     load_model,
@@ -44,7 +45,9 @@ from .data_io import (
     save_model,
 )
 from .errors import FormatError, NumericError, ValidationError
-from .estimator import cross_validate, fit, predict, selected_features
+from .estimator import cross_validate, fit_stats, predict, selected_features
+# imported only because bench/spans.py patches cli.fit by name; no command calls it
+from .estimator import fit
 from .partitions import build_partition_set
 from .simlab import (
     SCENARIOS,
@@ -227,9 +230,11 @@ def train(input, out, features_out, threshold, penalty, variance, scheme,
           prior_term, label_col, no_header, delimiter, seed, threads):
     """Fit a model on a labeled CSV and write it to disk."""
     scheme = _parse_scheme(scheme)
-    # no name holds the data set, so fit can free it before deriving
-    model = fit(
-        load_dataset(input, _schema(label_col, no_header, delimiter)),
+    # the CSV streams into the class statistics: no n x p matrix is held
+    stats, class_labels, feature_names = load_class_stats(
+        input, _schema(label_col, no_header, delimiter))
+    model = fit_stats(
+        stats, class_labels, feature_names,
         scheme=scheme,
         penalty=penalty,
         variance_mode=variance,

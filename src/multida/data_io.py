@@ -3,9 +3,14 @@
 Training CSVs carry one label column (named ``label`` unless overridden)
 plus numeric feature columns; prediction CSVs are purely numeric.  A CSV
 body is parsed by numpy's C reader; a file that reader does not take
-whole is read again row by row, which names the first bad cell.  A model
-is stored as one JSON document of its config, its hypothesis matrix S and
-per-class statistics, floats written with full round-trip precision.
+whole is read again row by row, which names the first bad cell.  Both
+readers hand the rows over in chunks (``_CHUNK_CHARS``):
+``load_dataset`` and ``load_matrix`` gather them into one matrix, and
+``load_class_stats`` folds them into per-class statistics
+(``estimator.StatsAccumulator``), so ``multida train`` holds no n x p
+matrix.  A model is stored as one JSON document of its config, its
+hypothesis matrix S and per-class statistics, floats written with full
+round-trip precision.
 Loading builds the set and the model with the checked entries ``fit``
 uses, ``partitions.build_partition_set`` (by name, or from S for ``user``)
 and ``estimator.model_from_stats``, so save/load/predict is bit-identical
@@ -24,11 +29,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .errors import FormatError, MultidaError, NumericError, ValidationError
-from .estimator import Dataset, FittedModel, PenaltyConfig, SufficientStats
+from .estimator import Dataset, FittedModel, PenaltyConfig, StatsAccumulator, SufficientStats
 from .partitions import PartitionSet, build_partition_set
 from . import estimator
 
@@ -133,18 +139,37 @@ def _has_long_cell(line: str, delimiter: str, limit: int) -> bool:
     return max(map(len, line.split(delimiter))) > limit
 
 
-def _read_plain(path: str | Path, fh, schema: CsvSchema, labeled: bool
-                ) -> tuple[list[str], list[str], np.ndarray] | None:
-    """Parse the body of an open file with one ``np.loadtxt`` call.
+#: Text per ``np.loadtxt`` call of the plain reader, in characters; a
+#: chunk is as many lines as reach it, at least one.  The row reader hands
+#: over as many rows as take this many bytes as floats.
+_CHUNK_CHARS = 1 << 18
+
+
+def _loadtxt(lines: list[str], delimiter: str, p: int) -> np.ndarray:
+    """The values of ``lines``, each p cells, by numpy's C reader; raises
+    ``ValueError`` unless every line has p cells that parse to finite
+    values."""
+    values = np.loadtxt(lines, delimiter=delimiter, dtype=np.float64, ndmin=2,
+                        comments=None, quotechar=None)
+    if values.shape != (len(lines), p) or not np.isfinite(values).all():
+        raise ValueError("not plain CSV")
+    return values
+
+
+def _read_plain(path: str | Path, fh, schema: CsvSchema, labeled: bool,
+                sink: Callable[[], _Rows | StatsAccumulator]
+                ) -> tuple[list[str], _Rows | StatsAccumulator]:
+    """Parse the body of an open file into ``sink()``, one ``np.loadtxt``
+    call on each chunk of about ``_CHUNK_CHARS`` characters of lines.
 
     The header goes through ``csv.reader``; each body line has its label
     cell split off and the rest goes to numpy's C reader.  A label cell
     wrapped in one pair of quotes with no quote inside (R's ``write.csv``
     quotes every label) loses the pair, as it does in the csv module.
-    Returns None, or raises, whenever the row reader might see the file
-    differently: any other quote, a NUL character, a cell over the csv
-    field size limit, a ragged row, an empty body, or a cell that
-    ``loadtxt`` cannot parse or that is not finite.
+    Raises whenever the row reader might see the file differently: any
+    other quote, a NUL character, a cell over the csv field size limit, a
+    ragged row, an empty body, or a cell that ``loadtxt`` cannot parse or
+    that is not finite.
     """
     delim = schema.delimiter
     header = None
@@ -154,48 +179,48 @@ def _read_plain(path: str | Path, fh, schema: CsvSchema, labeled: bool
     lines = (line for line in (line.rstrip("\r\n") for line in fh) if line)
     first = next(lines, None)
     if first is None:
-        return None
+        raise ValueError("no body")
     width, label_idx, names = _layout(path, schema, labeled, header, first.split(delim))
     limit = csv.field_size_limit()
     n_split = min(label_idx + 2, width)
+    out = sink()
     labels: list[str] = []
-    n_rows = 0
-
-    def body():
-        nonlocal n_rows
-        for line in itertools.chain([first], lines):
-            # Python 3.10's csv module rejects NUL
-            if "\0" in line or _has_long_cell(line, delim, limit):
-                raise ValueError("not plain CSV")
-            if label_idx >= 0:
-                cells = line.split(delim, label_idx + 1)
-                if len(cells) != n_split:
-                    raise ValueError("ragged row")
-                label = cells.pop(label_idx)
-                if len(label) > 1 and label[0] == label[-1] == '"':
-                    label = label[1:-1]
-                if '"' in label:
-                    raise ValueError("quote inside a label")
-                labels.append(label)
-                line = delim.join(cells)
-            if '"' in line:
-                raise ValueError("quoted cell")
-            if not line:
-                raise ValueError("empty row")  # loadtxt would skip it
-            n_rows += 1
-            yield line
-
-    values = np.loadtxt(body(), delimiter=delim, dtype=np.float64, ndmin=2,
-                        comments=None, quotechar=None)
-    if values.shape != (n_rows, len(names)) or not np.isfinite(values).all():
-        return None
-    return names, labels, values
+    chunk: list[str] = []
+    size = 0
+    for line in itertools.chain([first], lines):
+        # Python 3.10's csv module rejects NUL
+        if "\0" in line or _has_long_cell(line, delim, limit):
+            raise ValueError("not plain CSV")
+        if label_idx >= 0:
+            cells = line.split(delim, label_idx + 1)
+            if len(cells) != n_split:
+                raise ValueError("ragged row")
+            label = cells.pop(label_idx)
+            if len(label) > 1 and label[0] == label[-1] == '"':
+                label = label[1:-1]
+            if '"' in label:
+                raise ValueError("quote inside a label")
+            labels.append(label)
+            line = delim.join(cells)
+        if '"' in line:
+            raise ValueError("quoted cell")
+        if not line:
+            raise ValueError("empty row")  # loadtxt would skip it
+        chunk.append(line)
+        size += len(line)
+        if size >= _CHUNK_CHARS:
+            out.add(labels, _loadtxt(chunk, delim, len(names)))
+            labels, chunk, size = [], [], 0
+    if chunk:
+        out.add(labels, _loadtxt(chunk, delim, len(names)))
+    return names, out
 
 
-def _read_rows(
-    path: str | Path, schema: CsvSchema, *, labeled: bool
-) -> tuple[list[str], list[str], np.ndarray]:
-    """The row reader: every row goes through ``csv.reader``.
+def _read_rows(path: str | Path, schema: CsvSchema, *, labeled: bool,
+               sink: Callable[[], _Rows | StatsAccumulator]
+               ) -> tuple[list[str], _Rows | StatsAccumulator]:
+    """The row reader: every row goes through ``csv.reader``, and the rows
+    go to ``sink()`` in chunks of about ``_CHUNK_CHARS`` bytes of values.
 
     Rows are checked for width and converted one at a time, so the file's
     text is never held whole.  Each row goes through one ``np.array``
@@ -210,6 +235,8 @@ def _read_rows(
             header = next(rows, None) if schema.has_header else None
             first = next(rows, None)
             width, label_idx, names = _layout(path, schema, labeled, header, first)
+            chunk_rows = max(1, _CHUNK_CHARS // (8 * max(1, len(names))))
+            out = sink()
             row_no = 1 + int(schema.has_header)
             labels: list[str] = []
             values: list[np.ndarray] = []
@@ -229,30 +256,65 @@ def _read_rows(
                                      for text, name in zip(row, names)])
                 values.append(vals)
                 row_no += 1
+                if len(values) == chunk_rows:
+                    out.add(labels, np.array(values, dtype=np.float64))
+                    labels, values = [], []
+            if values:
+                out.add(labels, np.array(values, dtype=np.float64))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
     except csv.Error as exc:
         raise FormatError(f"{path}: malformed CSV ({exc})") from None
-    return names, labels, np.array(values, dtype=np.float64)
+    return names, out
 
 
-def _read_table(
-    path: str | Path, schema: CsvSchema, *, labeled: bool
-) -> tuple[list[str], list[str], np.ndarray]:
-    """Read a delimited file into (feature names, label cells, values).
+def _read_table(path: str | Path, schema: CsvSchema, *, labeled: bool,
+                sink: Callable[[], _Rows | StatsAccumulator]
+                ) -> tuple[list[str], _Rows | StatsAccumulator]:
+    """Read a delimited file into a new ``sink()``, whose ``add`` takes the
+    label cells and values of one chunk of rows at a time, in file order;
+    returns the feature names and the sink.
 
     The body is parsed by numpy's C reader (``_read_plain``).  Any file
     it does not take whole, bad ones included, is read again from the
-    start by the row reader (``_read_rows``), which names the first bad
-    cell.  Both give bit-identical values for every file they accept.
-    A leading UTF-8 byte order mark is dropped.
+    start by the row reader (``_read_rows``) into a sink of its own, and
+    the first one is dropped; the row reader names the first bad cell.
+    Both give bit-identical values for every file they accept.  A leading
+    UTF-8 byte order mark is dropped.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            table = _read_plain(path, fh, schema, labeled)
+            return _read_plain(path, fh, schema, labeled, sink)
     except (ValueError, csv.Error, MultidaError):  # UnicodeDecodeError is a ValueError
-        table = None
-    return table if table is not None else _read_rows(path, schema, labeled=labeled)
+        pass
+    return _read_rows(path, schema, labeled=labeled, sink=sink)
+
+
+class _Rows:
+    """A sink that gathers the chunks of a table into one matrix.  The
+    matrix grows in place by a quarter of its rows at a time, as numpy's
+    own reader grows its result, so a table of n rows never holds much
+    more than n rows' values."""
+
+    def __init__(self) -> None:
+        self.labels: list[str] = []
+        self.values: np.ndarray | None = None
+        self.n = 0
+
+    def add(self, labels: list[str], values: np.ndarray) -> None:
+        self.labels += labels
+        if self.values is None:
+            self.values = values.copy()  # a matrix of its own, which resize may grow
+        else:
+            if self.n + len(values) > len(self.values):
+                rows = max(self.n + len(values), len(self.values) + len(self.values) // 4)
+                self.values.resize((rows, values.shape[1]), refcheck=False)
+            self.values[self.n:self.n + len(values)] = values
+        self.n += len(values)
+
+    def matrix(self) -> np.ndarray:
+        self.values.resize((self.n, self.values.shape[1]), refcheck=False)
+        return self.values
 
 
 def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
@@ -262,13 +324,39 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
     recorded on the returned Dataset.  Any non-numeric or non-finite
     feature cell is rejected with its position.
     """
+    _check_labeled(schema)
+    names, rows = _read_table(path, schema, labeled=True, sink=_Rows)
+    data = Dataset.from_arrays(rows.matrix(), rows.labels, feature_names=names)
+    _check_classes(path, data.K)
+    return data
+
+
+def load_class_stats(
+    path: str | Path, schema: CsvSchema = CsvSchema()
+) -> tuple[SufficientStats, tuple[str, ...], tuple[str, ...]]:
+    """The per-class statistics of a labeled training matrix, its class
+    labels and its feature names, read as ``load_dataset`` reads the file
+    and refused where it refuses it, but with no n x p matrix: each chunk
+    of rows goes into a ``StatsAccumulator``.  So ``fit_stats`` of the
+    result is ``fit(load_dataset(path))`` bit for bit wherever each class
+    folds once, as when every class's rows come in one run that fits
+    ``estimator._BLOCK_BYTES``; elsewhere the statistics agree within
+    rounding."""
+    _check_labeled(schema)
+    names, acc = _read_table(path, schema, labeled=True, sink=StatsAccumulator)
+    stats, class_labels = acc.finish()
+    _check_classes(path, len(class_labels))
+    return stats, class_labels, tuple(names)
+
+
+def _check_labeled(schema: CsvSchema) -> None:
     if schema.label_column is None:
         raise ValidationError("training ingestion requires a label column")
-    names, labels, X = _read_table(path, schema, labeled=True)
-    data = Dataset.from_arrays(X, labels, feature_names=names)
-    if data.K < 2:
+
+
+def _check_classes(path: str | Path, k: int) -> None:
+    if k < 2:
         raise ValidationError(f"{path}: fewer than 2 classes in label column")
-    return data
 
 
 def load_matrix(
@@ -278,8 +366,8 @@ def load_matrix(
 
     When the schema names a label column that is present, it is ignored.
     """
-    names, _, X = _read_table(path, schema, labeled=False)
-    return X, names
+    names, rows = _read_table(path, schema, labeled=False, sink=_Rows)
+    return rows.matrix(), names
 
 
 #: Every character a float's ``repr`` can hold ("inf" and "nan" included).

@@ -33,10 +33,16 @@ Conventions used throughout:
   ``model_from_stats`` is the one checked entry from those to a model: it
   checks the training set, resolves the penalty, derives everything else
   in one pass over feature blocks and checks the result with
-  ``validate_model``.  ``fit``, each fold of ``cross_validate`` (from
-  fold statistics merged by ``_merge_stats``) and ``data_io.load_model``
-  make that one call; the folds of one ``cross_validate`` share one
-  derivation workspace (``_Workspace``), which no other module sees.
+  ``validate_model``.  ``fit`` and ``fit_stats``, each fold of
+  ``cross_validate`` (from fold statistics merged by ``_merge_stats``) and
+  ``data_io.load_model`` make that one call; the folds of one
+  ``cross_validate`` share one derivation workspace (``_Workspace``), which
+  no other module sees.
+* Memory is bounded by ``_BLOCK_BYTES`` where n or p could make it grow:
+  ``StatsAccumulator`` takes the statistics of rows handed over in chunks
+  (``multida train`` streams its CSV into one) and holds at most that
+  many bytes of rows before it folds a class, and a one-off derivation
+  keeps its whole workspace within it.
 * Fitting runs on one thread; only ``predict`` splits its rows over
   worker threads.
 """
@@ -63,10 +69,20 @@ PRIOR_TERM_MODES = ("log", "plogp")
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-#: Bytes of the widest array one block of ``model_from_stats`` holds: a
-#: row per hypothesis or class subset, whichever are more, and a column per
-#: feature (see ``_block_width``).
+#: The memory limit of the bounded stages, in bytes: the rows a
+#: ``StatsAccumulator`` holds over all its classes, the whole workspace of
+#: a one-off derivation (``_Workspace``), and the widest array of one
+#: block of a derivation that shares its workspace: a row per hypothesis
+#: or class subset, whichever are more, and a column per feature (see
+#: ``_block_width``).
 _BLOCK_BYTES = 1 << 21
+
+#: The narrowest block a one-off derivation cuts to keep its workspace
+#: within ``_BLOCK_BYTES``, unless ``_block_width`` is narrower still.
+#: Narrower blocks cost time: at K=5, p=20000 (exhaustive, equal
+#: variances; 2-core VM, best of 35) a derivation at this width took
+#: 23.2 ms against 21.0 ms at ``_block_width`` (5041 features).
+_MIN_BLOCK_WIDTH = 2048
 
 #: Query cells (rows x features) each ``predict`` worker must get before a
 #: pool starts.  Two workers against one on a 2-core VM (single-threaded
@@ -432,19 +448,27 @@ class _Block:
 
 class _Workspace:
     """The scratch memory of a p-feature derivation under ``parts``: its
-    ``blocks``, slices of ``width`` features (``_block_width`` when not
-    given) as ``_column_blocks`` lays them out, and one buffer, allocated
-    once and sized for the widest block, that ``block`` splits into the
-    disjoint regions of a ``_Block``.  ``rows`` gives each region's row
-    count; ``gather`` holds what one step gathers and is done with before
-    it returns: the two operands of a merge run or the rows of one subset
-    or class sum, whichever is most, and hypothesis sums gather through it
-    in parts.  Every block step writes into those views, so a derivation
-    allocates its block temporaries once, however many blocks it has, and
-    no array a model keeps is a view of it."""
+    ``blocks``, slices of ``width`` features as ``_column_blocks`` lays
+    them out, and one buffer, allocated once and sized for the widest
+    block, that ``block`` splits into the disjoint regions of a
+    ``_Block``.  ``rows`` gives each region's row count; ``gather`` holds
+    what one step gathers and is done with before it returns: the two
+    operands of a merge run or the rows of one subset or class sum,
+    whichever is most, and hypothesis sums gather through it in parts.
+    Every block step writes into those views, so a derivation allocates
+    its block temporaries once, however many blocks it has, and no array a
+    model keeps is a view of it.
+
+    Without a ``width`` the workspace is a one-off derivation's: its whole
+    buffer is kept within ``_BLOCK_BYTES``, but no block is narrower than
+    ``_block_width`` or ``_MIN_BLOCK_WIDTH``, whichever is smaller.  At
+    K=4 (exhaustive, p=10000) that gives blocks of 2621 features and a
+    2 MiB buffer, against one block and 7.6 MiB at ``_block_width``; from
+    K=6 on (exhaustive) the width is ``_block_width``'s.  A workspace
+    shared by many derivations (``cross_validate``) passes
+    ``_block_width``: narrower blocks would cost each of them time."""
 
     def __init__(self, parts: PartitionSet, p: int, width: int | None = None):
-        self.blocks = _column_blocks(p, width or _block_width(parts))
         idx = parts.subsets
         n_sub, n_hyp, equal = len(idx.masks), parts.M, parts.variance_mode == "equal"
         gather = max(2 * max((run.stop - run.start for run in idx.runs), default=0),
@@ -452,6 +476,11 @@ class _Workspace:
         self.rows = {"mean": n_sub, "m2": n_sub, "var": n_hyp if equal else 0,
                      "log_var": n_hyp if equal else n_sub, "sums": n_sub, "gather": gather,
                      "lam": n_hyp, "floor": 1, "reduce": 1}
+        if width is None:
+            width = max(min(_block_width(parts), _MIN_BLOCK_WIDTH),
+                        _BLOCK_BYTES // (8 * sum(self.rows.values())))
+        self.width = width
+        self.blocks = _column_blocks(p, width)
         widest = max((c.stop - c.start for c in self.blocks), default=0)
         self.buf = np.empty(sum(self.rows.values()) * widest)
 
@@ -465,12 +494,13 @@ class _Workspace:
 
 
 def _block_width(parts: PartitionSet) -> int:
-    """Features per block of ``model_from_stats``: as many as keep the
-    widest block array, max(M, S) x width doubles, within ``_BLOCK_BYTES``,
-    and at least 2.  Under the exhaustive scheme that is 17476 at K=4
-    (M = S = 15), 1291 at K=6 (M = 203) and 63 at K=8 (M = 4140).  The
-    width depends only on the hypothesis set, which a model file stores, so
-    a loaded model derives in the blocks of its fit."""
+    """Features per block of a shared workspace (``cross_validate``): as
+    many as keep the widest block array, max(M, S) x width doubles, within
+    ``_BLOCK_BYTES``, and at least 2.  Under the exhaustive scheme that is
+    17476 at K=4 (M = S = 15), 1291 at K=6 (M = 203) and 63 at K=8
+    (M = 4140).  A one-off derivation narrows it further (``_Workspace``).
+    Either width depends only on the hypothesis set, which a model file
+    stores, so a loaded model derives in the blocks of its fit."""
     return max(2, _BLOCK_BYTES // (8 * max(parts.M, len(parts.subsets.masks))))
 
 
@@ -506,15 +536,30 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _fold(xk: np.ndarray, mean: np.ndarray, m2: np.ndarray, d_sum: np.ndarray) -> None:
+    """The corrected two-pass of Chan, Golub & LeVeque (1983) over one
+    class's rows ``xk`` (n_k x p, overwritten): the mean first, then the
+    sum of the squared deviations d from it less (sum d)**2 / n_k.  Writes
+    the mean, the sum of squares and sum d (p each) to ``mean``, ``m2`` and
+    ``d_sum``.  The correction removes the rounding of the mean, which the
+    plain two-pass lets into the sum of squares far from zero (a relative
+    error near 1e-7 at an offset of 1e12), so the result stays within
+    rounding of the exact one wherever the data sit.  A sum below 0 (a
+    constant column can round there) is clamped to 0."""
+    n = xk.shape[0]
+    np.divide(xk.sum(axis=0), n, out=mean)
+    xk -= mean
+    xk.sum(axis=0, out=d_sum)
+    np.square(xk, out=xk).sum(axis=0, out=m2)
+    correction = np.square(d_sum, out=xk[0])  # the rows are spent: no allocation
+    correction /= n
+    m2 -= correction
+    np.maximum(m2, 0.0, out=m2)
+
+
 def accumulate_stats(data: Dataset) -> SufficientStats:
     """Per-class counts, means and centred sums of squares of the K
-    classes of ``data``, by the corrected two-pass of Chan, Golub &
-    LeVeque (1983): the mean first, then the sum of the squared deviations
-    d from it less (sum d)**2 / n_k.  The correction removes the rounding
-    of the mean, which the plain two-pass lets into the sum of squares far
-    from zero (a relative error near 1e-7 at an offset of 1e12), so the
-    result stays within rounding of the exact one wherever the data sit.
-    A sum below 0 (a constant column can round there) is clamped to 0.
+    classes of ``data``, by one ``_fold`` per class.
 
     Besides the K x p ``mean`` and ``m2`` it returns, it holds one class's
     rows at a time: each class's copy is released before the next is
@@ -529,16 +574,111 @@ def accumulate_stats(data: Dataset) -> SufficientStats:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(data.K):
             xk = data.X[data.y == k + 1]
-            mean[k] = mk = xk.sum(axis=0) / xk.shape[0]
-            xk -= mk
-            xk.sum(axis=0, out=d_sum)
-            np.square(xk, out=xk).sum(axis=0, out=m2[k])
+            _fold(xk, mean[k], m2[k], d_sum)
             del xk  # before the next class's copy is taken
-            np.square(d_sum, out=d_sum)
-            d_sum /= data.class_counts[k]
-            m2[k] -= d_sum
-        np.maximum(m2, 0.0, out=m2)
     return SufficientStats(n_k=data.class_counts, mean=mean, m2=m2)
+
+
+@dataclass
+class _Folded:
+    """What the folds of one class of a ``StatsAccumulator`` leave: its
+    row count, the first fold's mean ``s``, the class mean less ``s``
+    (``shifted``), the centred sum of squares, and whether one fold made
+    them."""
+
+    n: int
+    s: np.ndarray
+    shifted: np.ndarray
+    m2: np.ndarray
+    once: bool = True
+
+
+class StatsAccumulator:
+    """Per-class statistics of rows handed over in chunks, without all of
+    them held at once: ``add`` takes each chunk's labels and rows, and
+    ``finish`` gives the ``SufficientStats`` and the class labels, coded
+    1..K in order of first appearance as ``Dataset.from_arrays`` codes
+    them.
+
+    Rows wait in per-class buffers, copied from the chunks.  Whenever the
+    rows held, over all classes, take more than ``_BLOCK_BYTES``, the
+    class holding the most rows (the first of them on a tie) folds: its
+    rows go through ``_fold`` and are released.  ``finish`` folds every
+    class that still holds rows.  So a class that folds once gets the bits
+    ``accumulate_stats`` gives it; that is every class whose rows come in
+    one run that fits the limit, wherever the run lies in the file.
+
+    A class that folds again is merged by ``_chan_merge`` on means shifted
+    by its first fold's mean s.  A fold's shifted mean is (mean - s) plus
+    the mean of its rows' deviations from its own rounded mean, which
+    ``_fold`` sums anyway: that term restores the rounding of the fold's
+    mean, and mean - s, a difference of two values near the class, rounds
+    at the scale of the class's spread, not of its offset from zero.  So
+    the rounding of no mean enters a merge, and the merged m2 stays within
+    rounding of the exact sum far from zero, however the class's rows are
+    split.  The class mean is s plus the merged shifted mean.
+
+    Overflow is not reported here, as in ``accumulate_stats``.
+    """
+
+    def __init__(self) -> None:
+        self._codes: dict[str, int] = {}
+        self._held: list[list[np.ndarray]] = []  # per class: its waiting rows
+        self._held_rows: list[int] = []
+        self._folded: list[_Folded | None] = []
+        self._p = 0
+
+    def add(self, labels: Sequence, rows: np.ndarray) -> None:
+        """Take one chunk: ``rows`` (n x p) and their ``labels``."""
+        codes = np.empty(len(labels), dtype=np.int64)
+        for i, lab in enumerate(labels):
+            codes[i] = code = self._codes.setdefault(str(lab), len(self._codes))
+            if code == len(self._held):
+                self._held.append([])
+                self._held_rows.append(0)
+                self._folded.append(None)
+        rows = np.asarray(rows, dtype=np.float64)
+        self._p = rows.shape[1]
+        counts = np.bincount(codes)
+        for k in np.flatnonzero(counts).tolist():
+            self._held[k].append(rows[codes == k])
+            self._held_rows[k] += int(counts[k])
+        while sum(self._held_rows) * self._p * 8 > _BLOCK_BYTES:
+            self._fold_class(self._held_rows.index(max(self._held_rows)))
+
+    def _fold_class(self, k: int) -> None:
+        held, self._held[k], self._held_rows[k] = self._held[k], [], 0
+        xk = held[0] if len(held) == 1 else np.concatenate(held)
+        del held
+        n = xk.shape[0]
+        mean, m2, d_sum = (np.empty(self._p) for _ in range(3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _fold(xk, mean, m2, d_sum)
+            del xk
+            d_sum /= n  # the fold's mean less its rounded mean
+            a = self._folded[k]
+            if a is None:
+                self._folded[k] = _Folded(n, mean, d_sum, m2)
+                return
+            mean -= a.s
+            mean += d_sum
+            shifted, m2 = _chan_merge(np.array([a.n]), a.shifted[None], a.m2[None],
+                                      n, mean[None], m2[None])
+        self._folded[k] = _Folded(a.n + n, a.s, shifted[0], m2[0], once=False)
+
+    def finish(self) -> tuple[SufficientStats, tuple[str, ...]]:
+        """The statistics of every row taken, and the class labels."""
+        for k, rows in enumerate(self._held_rows):
+            if rows:
+                self._fold_class(k)
+        n_k = np.array([a.n for a in self._folded], dtype=np.int64)
+        mean = np.empty((len(n_k), self._p))
+        m2 = np.empty_like(mean)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, a in enumerate(self._folded):
+                mean[k] = a.s if a.once else a.s + a.shifted
+                m2[k] = a.m2
+        return SufficientStats(n_k=n_k, mean=mean, m2=m2), tuple(self._codes)
 
 
 def _chan_merge(
@@ -730,13 +870,8 @@ def fit(
     threads: int = 1,
 ) -> FittedModel:
     """Fit a multiDA model: sufficient statistics, closed-form MLEs,
-    penalized LRT statistics and posterior hypothesis weights.
-
-    The hypothesis set is built from ``scheme``, a scheme name or the
-    K x M matrix S, and ``variance_mode`` for ``data.K`` classes by
-    ``build_partition_set``.  The fit runs on one thread; ``threads`` is
-    only checked (>= 0), so the output is identical for any thread count.
-    Warns when no non-null hypothesis is admissible.
+    penalized LRT statistics and posterior hypothesis weights.  This is
+    ``fit_stats`` of ``accumulate_stats(data)``.
 
     The model needs only the per-class statistics, so ``fit`` lets go of
     ``data`` once ``accumulate_stats`` has taken them, before the
@@ -744,13 +879,37 @@ def fit(
     if the caller holds no reference to it either: ``fit(load_dataset(
     path))`` on CPython 3.11 or later, which moves a call's arguments
     into the callee's frame.  On 3.10 the caller's stack keeps the
-    argument until ``fit`` returns.
+    argument until ``fit`` returns.  ``multida train`` holds no matrix at
+    all: it streams its CSV into the statistics
+    (``data_io.load_class_stats``) and calls ``fit_stats``.
     """
-    parts = build_partition_set(data.K, scheme, variance_mode=variance_mode)
-    _resolve_threads(threads)
     stats = accumulate_stats(data)
     class_labels, feature_names = data.class_labels, data.feature_names
     del data
+    return fit_stats(stats, class_labels, feature_names, scheme=scheme, penalty=penalty,
+                     variance_mode=variance_mode, prior_term_mode=prior_term_mode,
+                     threads=threads)
+
+
+def fit_stats(
+    stats: SufficientStats,
+    class_labels: tuple[str, ...],
+    feature_names: tuple[str, ...],
+    *,
+    scheme: str | np.ndarray = "exhaustive",
+    penalty: str | PenaltyConfig = "ebic",
+    variance_mode: str = "equal",
+    prior_term_mode: str = "log",
+    threads: int = 1,
+) -> FittedModel:
+    """Fit a multiDA model to per-class statistics: ``model_from_stats``
+    under the hypothesis set that ``build_partition_set`` builds from
+    ``scheme`` (a scheme name or the K x M matrix S) and ``variance_mode``
+    for the K classes of ``stats``.  The fit runs on one thread;
+    ``threads`` is only checked (>= 0), so the output is identical for any
+    thread count.  Warns when no non-null hypothesis is admissible."""
+    parts = build_partition_set(len(stats.n_k), scheme, variance_mode=variance_mode)
+    _resolve_threads(threads)
     model = model_from_stats(
         stats, parts, penalty=penalty, prior_term_mode=prior_term_mode,
         class_labels=class_labels, feature_names=feature_names)
@@ -785,8 +944,8 @@ def model_from_stats(
     known ``prior_term_mode``, resolves ``penalty`` against ``stats.n``
     and p, and returns the model checked by ``validate_model``.
 
-    The derivation is one pass over blocks of ``_block_width`` features
-    (``_block_mles``), so no p x z_M array is held.  Each block takes
+    The derivation is one pass over blocks of features (``_block_mles``,
+    as wide as ``_Workspace`` lays them out), so no p x z_M array is held.  Each block takes
     ``fit_mles`` of its columns, ``lrt`` and ``gamma_weights`` in place in
     hypothesis-row (M x block) layout, and its share of the per-class
     coefficients (Q, L, c) of the score
@@ -1036,7 +1195,7 @@ def cross_validate(
     check_seed(seed)
     parts = build_partition_set(data.K, scheme, variance_mode=variance_mode)
     # every fold derives p features under parts, so one workspace serves all
-    ws = _Workspace(parts, data.p)
+    ws = _Workspace(parts, data.p, _block_width(parts))
     rows: list[CvRow] = []
     per_trial = np.empty(trials)
     for t in range(trials):

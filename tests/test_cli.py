@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-import weakref
 from pathlib import Path
 
 import click
@@ -12,10 +11,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from multida import cli, estimator
+from multida import cli, data_io, estimator
 from multida.cli import main
 from multida.data_io import load_dataset, load_model, save_model
-from multida.estimator import cross_validate, fit
+from multida.estimator import cross_validate, fit, predict, selected_features
 from multida.simlab import SimSpec, consistency_sweep, generate
 
 
@@ -209,28 +208,108 @@ def test_train_predict_and_cv_derive_no_gamma(runner, wide_csv, tmp_path, no_gam
     assert result.exit_code == 0, result.output
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
-    "CPython 3.10 keeps a call's arguments on the caller's stack until the "
-    "call returns, so the loaded matrix lives through the fit there"))
-def test_train_derives_without_the_data_set(runner, wide_csv, tmp_path, monkeypatch):
-    refs, alive = [], []
+class TestStreamedTrain:
+    """``train`` streams its CSV into class statistics: a class that folds
+    once has the bits of ``fit(load_dataset(path))``, a class that folds
+    again agrees within rounding, and no n x p matrix is held."""
 
-    def load(*args, **kwargs):
-        data = load_dataset(*args, **kwargs)
-        refs.append(weakref.ref(data.X))
+    @pytest.fixture
+    def rows(self):
+        # 4 classes of 30 rows, in contiguous runs as simlab draws them
+        data, _ = generate(SimSpec("ind-equal-var", n=120, p=60, K=4, mean_shift=2.0,
+                                   seed=11))
         return data
 
-    def derive(*args, _derive=estimator.model_from_stats, **kwargs):
-        alive.append(refs[0]() is not None)
-        return _derive(*args, **kwargs)
+    @staticmethod
+    def write(path, data, order):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["label", *data.feature_names])
+            for i in order:
+                writer.writerow([data.class_labels[data.y[i] - 1],
+                                 *map(repr, data.X[i].tolist())])
+        return str(path)
 
-    monkeypatch.setattr(cli, "load_dataset", load)
-    monkeypatch.setattr(estimator, "model_from_stats", derive)
-    result = runner.invoke(main, ["train", wide_csv, "--seed", "1",
-                                  "--out", str(tmp_path / "m.json"),
-                                  "--features-out", str(tmp_path / "f.csv")])
-    assert result.exit_code == 0, result.output
-    assert alive == [False]
+    @staticmethod
+    def train(runner, path, out, *args):
+        model, features = out / "m.json", out / "f.csv"
+        result = runner.invoke(main, ["train", path, "--seed", "1", "--out", str(model),
+                                      "--features-out", str(features), *args])
+        assert result.exit_code == 0, result.output
+        return model, features
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        """The row count of every fold, with the reader handing over one
+        line at a time."""
+        calls = []
+
+        def fold(xk, *args, _fold=estimator._fold):
+            calls.append(len(xk))
+            return _fold(xk, *args)
+
+        monkeypatch.setattr(data_io, "_CHUNK_CHARS", 1)
+        monkeypatch.setattr(estimator, "_fold", fold)
+        return calls
+
+    def test_contiguous_runs_give_the_library_fit(self, runner, rows, tmp_path, folds,
+                                                  monkeypatch):
+        # a run of 30 rows fits the limit of 31 rows, so each class folds
+        # once, when the next class's rows push the rows held over it
+        monkeypatch.setattr(estimator, "_BLOCK_BYTES", 31 * rows.p * 8)
+        path = self.write(tmp_path / "runs.csv", rows, range(rows.n))
+        model, features = self.train(runner, path, tmp_path)
+        assert folds == [30, 30, 30, 30]
+        ref = fit(load_dataset(path))
+        save_model(ref, tmp_path / "ref.json")
+        assert model.read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert read_csv(features)[1:] == [
+            [name, str(m), ref.parts.column_label(m), repr(w)]
+            for name, m, w in selected_features(ref)]
+
+    @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest"])
+    def test_interleaved_labels_select_the_same(self, runner, rows, tmp_path, folds,
+                                                monkeypatch, scheme):
+        # rows dealt out class by class keep the order in which the labels
+        # first appear; a limit of 3 rows folds each class many times
+        monkeypatch.setattr(estimator, "_BLOCK_BYTES", 3 * rows.p * 8)
+        dealt = np.arange(rows.n).reshape(4, 30).T.ravel()
+        outputs = []
+        for name, order in (("runs", range(rows.n)), ("dealt", dealt)):
+            (tmp_path / name).mkdir()
+            path = self.write(tmp_path / name / "train.csv", rows, order)
+            outputs.append(self.train(runner, path, tmp_path / name, "--scheme", scheme))
+        assert len(folds) > 3 * 4
+        (model_a, features_a), (model_b, features_b) = outputs
+        assert [row[:2] for row in read_csv(features_a)] == \
+            [row[:2] for row in read_csv(features_b)]
+        assert len(read_csv(features_a)) > 5
+        a, b = load_model(model_a), load_model(model_b)
+        assert a.class_labels == b.class_labels
+        assert np.array_equal(a.top, b.top)
+        pa, pb = predict(a, rows.X), predict(b, rows.X)
+        assert pa.labels == pb.labels
+        assert np.abs(pa.probabilities - pb.probabilities).max() <= 1e-12
+
+    def test_peak_is_below_one_data_matrix(self, runner, tmp_path):
+        # 400 x 2000 values (6.4 MB as floats), over the 2 MiB row limit,
+        # with labels dealt out so every class folds several times
+        import tracemalloc
+
+        n, p = 400, 2000
+        rng = np.random.default_rng(5)
+        y = np.arange(n) % 4
+        X = rng.normal(size=(n, p)) + 0.5 * y[:, None] * (np.arange(p) < 50)
+        path = tmp_path / "big.csv"
+        np.savetxt(path, np.column_stack([y, X]), fmt=["%d"] + ["%.17g"] * p, delimiter=",",
+                   header="label," + ",".join(f"x{j}" for j in range(p)), comments="")
+        tracemalloc.start()
+        try:
+            self.train(runner, str(path), tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * p * 8
 
 
 class TestNoHeader:

@@ -20,7 +20,7 @@ from multida.data_io import (
     save_dataset,
     save_model,
 )
-from multida.estimator import (Dataset, SufficientStats, _block_width, _column_blocks, fit,
+from multida.estimator import (Dataset, SufficientStats, _column_blocks, _Workspace, fit,
                                fit_mles, gamma_weights, lrt, model_from_stats, predict,
                                selected_features, validate_model)
 from multida.partitions import build_partition_set
@@ -206,8 +206,8 @@ class TestStreamingReader:
         schema = CsvSchema(label_column=None, delimiter=delimiter)
         outcomes = []
         for read in (data_io._read_table, data_io._read_rows):
-            names, _, X = read(path, schema, labeled=False)
-            outcomes.append((names, X.tobytes()))
+            names, rows = read(path, schema, labeled=False, sink=data_io._Rows)
+            outcomes.append((names, rows.matrix().tobytes()))
         assert outcomes[0] == outcomes[1]
 
     # the csv module ends a row at "\n" or "\r", whatever the delimiter
@@ -226,10 +226,10 @@ class TestStreamingReader:
         path = tmp_path / "plain.csv"
         path.write_bytes(text.encode())
         with mock.patch.object(data_io, "_read_rows", side_effect=AssertionError):
-            names, labels, X = data_io._read_table(path, schema, labeled=False)
+            names, rows = data_io._read_table(path, schema, labeled=False, sink=data_io._Rows)
         assert names == ["x1", "x2"]
-        assert labels == ([] if schema.label_column is None else ["a", "b"])
-        assert X.tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+        assert rows.labels == ([] if schema.label_column is None else ["a", "b"])
+        assert rows.matrix().tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
 
     def test_quoted_file_goes_to_row_reader(self, tmp_path):
         # quotes the label split cannot undo: a quoted value, a quote inside
@@ -464,7 +464,8 @@ class TestModelRoundTrip:
     @pytest.mark.parametrize("k", [3, 6])
     def test_model_holds_no_slot_arrays(self, tmp_path, k, variance_mode):
         # p spans two blocks of the derivation, the second with a merged tail
-        width = _block_width(build_partition_set(k, "exhaustive", variance_mode=variance_mode))
+        width = _Workspace(build_partition_set(k, "exhaustive", variance_mode=variance_mode),
+                           1).width
         p = 2 * width + 1
         assert [b.stop - b.start for b in _column_blocks(p, width)] == [width, width + 1]
         rng = np.random.default_rng(70 + k)

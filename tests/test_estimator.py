@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multida import NumericError, ValidationError
+from multida import NumericError, ValidationError, estimator
 from multida.estimator import (
     _MIN_WORKER_CELLS,
     Dataset,
     PenaltyConfig,
+    StatsAccumulator,
     SufficientStats,
     _block_width,
     _column_blocks,
@@ -69,7 +70,7 @@ def two_blocks_and_a_tail(k, scheme="exhaustive", variance_mode="equal"):
     """A feature count that ``model_from_stats`` splits into two blocks,
     the second holding a one-column tail merged into it, for ``k`` classes
     under the given hypothesis set."""
-    width = _block_width(build_partition_set(k, scheme, variance_mode=variance_mode))
+    width = _Workspace(build_partition_set(k, scheme, variance_mode=variance_mode), 1).width
     p = 2 * width + 1
     assert [b.stop - b.start for b in _column_blocks(p, width)] == [width, width + 1]
     return p
@@ -156,9 +157,12 @@ class TestSufficientStats:
         assert stats.m2[:, 0].tolist() == [0.0, 0.5]
 
     @pytest.mark.parametrize("offset", [0.0, 1e8, 1e12, 1e14])
-    def test_m2_is_exact_far_from_zero(self, offset):
+    def test_m2_is_exact_far_from_zero(self, offset, monkeypatch):
         # the plain two-pass lets the mean's rounding into m2: a relative
-        # error of 8.8e-8 at 1e12 and 5.6e-4 at 1e14 on this data
+        # error of 8.8e-8 at 1e12 and 5.6e-4 at 1e14 on this data.  The
+        # streamed statistics hold to the same bound when a class's rows
+        # fold in runs of 1 or 2 rows, of up to 4, or once (no row limit),
+        # in file order and shuffled, handed over in chunks of 1 to 5 rows.
         rng = np.random.default_rng(31)
         y = np.repeat([1, 2, 3], 20)
         X = rng.normal(size=(60, 5)) + offset
@@ -166,6 +170,21 @@ class TestSufficientStats:
         m2 = exact_class_m2(X, y)
         assert (m2 > 0).all()
         assert (np.abs(stats.m2 - m2) <= 1e-15 * m2).all()
+        for limit, order in itertools.product((1, 3, None), ("file", "shuffled")):
+            monkeypatch.setattr(estimator, "_BLOCK_BYTES", (limit or len(y)) * X[0].nbytes)
+            rows = np.arange(len(y)) if order == "file" else rng.permutation(len(y))
+            acc = StatsAccumulator()
+            for chunk in np.array_split(rows, np.cumsum(rng.integers(1, 6, size=len(y)))):
+                if len(chunk):
+                    acc.add([str(v) for v in y[chunk]], X[chunk])
+            streamed, labels = acc.finish()
+            assert labels == (("1", "2", "3") if order == "file" else
+                              tuple(dict.fromkeys(str(v) for v in y[rows])))
+            streamed_m2 = streamed.m2[[labels.index(str(k)) for k in (1, 2, 3)]]
+            assert (np.abs(streamed_m2 - m2) <= 1e-15 * m2).all(), (limit, order)
+            if limit is None and order == "file":
+                assert streamed.m2.tobytes() == stats.m2.tobytes()
+                assert streamed.mean.tobytes() == stats.mean.tobytes()
 
     @pytest.mark.parametrize("offset", [0.0, 1e12])
     def test_matches_the_corrected_two_pass_bit_for_bit(self, offset):
@@ -618,6 +637,50 @@ class TestFit:
 
 class TestModelFromStats:
     """The one checked entry from statistics to a model."""
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    @pytest.mark.parametrize("k, scheme", [(4, "exhaustive"), (5, "onevsrest"),
+                                           (6, "exhaustive")])
+    def test_block_width_changes_no_column(self, k, scheme, variance_mode):
+        # every per-feature array is a function of that feature's column
+        # alone: blocks of any width, and the features in any order, give
+        # its bits; c sums over blocks, so its bits may move
+        rng = np.random.default_rng([k, len(variance_mode)])
+        p = 301
+        data = random_dataset(rng, 8 * k, p, k, min_per_class=4)
+        X = data.X.copy()
+        X[:, ::4] += 0.8 * (data.y[:, None] - 1)
+        labels = [str(v) for v in data.y]
+        parts = build_partition_set(k, scheme, variance_mode=variance_mode)
+        stats = accumulate_stats(Dataset.from_arrays(X, labels))
+        names = tuple(f"x{j}" for j in range(p))
+        ref, *others = (
+            _model_from_stats(stats, parts, _Workspace(parts, p, width), penalty="bic",
+                              prior_term_mode="log", class_labels=tuple(sorted(set(labels))),
+                              feature_names=names)
+            for width in (p, 2, 7, 64))
+        assert len(set(ref.top.tolist())) > 1
+        perm = rng.permutation(p)
+        permuted = fit(Dataset.from_arrays(X[:, perm], labels), scheme=scheme, penalty="bic",
+                       variance_mode=variance_mode)
+        for model, cols in [*((m, slice(None)) for m in others), (permuted, perm)]:
+            for f in ("top", "top_weight", "mu_null", "Q", "L"):
+                assert getattr(model, f).tobytes() == getattr(ref, f)[..., cols].tobytes(), f
+            assert np.allclose(model.c, ref.c, rtol=1e-12, atol=0)
+
+    def test_one_off_workspace_stays_within_the_limit(self):
+        # its whole buffer within _BLOCK_BYTES unless the width floor,
+        # _block_width or _MIN_BLOCK_WIDTH, whichever is smaller, binds
+        for k, scheme, variance_mode in itertools.product(
+                (3, 4, 5, 6, 8), ("exhaustive", "onevsrest", "ordinal"), ("equal", "unequal")):
+            parts = build_partition_set(k, scheme, variance_mode=variance_mode)
+            ws = _Workspace(parts, 20000)
+            floor = min(_block_width(parts), estimator._MIN_BLOCK_WIDTH)
+            assert ws.width >= floor
+            assert ws.width == floor or ws.buf.nbytes <= estimator._BLOCK_BYTES
+            if k >= 6 and scheme == "exhaustive":
+                assert ws.width == _block_width(parts)
+        assert _Workspace(build_partition_set(4, "exhaustive"), 10000).width == 2621
 
     def _derive(self, stats, parts, **config):
         return model_from_stats(stats, parts, **{
