@@ -9,7 +9,10 @@ reproduced bit-exactly from its log, except the wall-clock
 it takes, with these exceptions: the scenario settings of ``simulate``
 that ``SimSpec`` lists as read by some scenarios only, the ``--seed`` of
 ``train`` and ``predict``, and ``train --threads``, which is checked but
-not used.  ``cv`` and ``simulate`` cross-validate with
+not used.  ``train`` streams its CSV into class statistics
+(``data_io.load_class_stats``) and fits them with ``estimator.fit``, the
+one fit entry.  A ``--scheme user:<csv>`` file is read as UTF-8 with or
+without a byte order mark.  ``cv`` and ``simulate`` cross-validate with
 ``estimator.cross_validate``; ``simulate`` draws its data with
 ``simlab.generate`` and ``consistency`` runs ``simlab.consistency_sweep``.
 The library refuses a seed that is not a non-negative integer, and a
@@ -29,6 +32,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 import click
 import numpy as np
@@ -45,9 +49,7 @@ from .data_io import (
     save_model,
 )
 from .errors import FormatError, NumericError, ValidationError
-from .estimator import cross_validate, fit_stats, predict, selected_features
-# imported only because bench/spans.py patches cli.fit by name; no command calls it
-from .estimator import fit
+from .estimator import cross_validate, fit, predict, selected_features
 from .partitions import build_partition_set
 from .simlab import (
     SCENARIOS,
@@ -104,14 +106,18 @@ def _resolve_seed(ctx, param, seed: int | None) -> int:
 
 def _parse_scheme(scheme: str) -> str | np.ndarray:
     """The hypothesis set a --scheme value names: a scheme name, or the
-    matrix S read from the file of ``user:<path>``."""
+    matrix S read from the file of ``user:<path>``, as UTF-8 with or
+    without a byte order mark.  An empty file reads as a matrix of no
+    rows, which ``build_partition_set`` refuses."""
     if scheme.startswith("user:"):
         path = scheme.split(":", 1)[1]
         if not path:
             raise ValidationError("--scheme user:<path> needs a file path")
         try:
-            matrix = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2,
-                                encoding="utf-8")
+            with warnings.catch_warnings():  # loadtxt warns of an empty file
+                warnings.simplefilter("ignore")
+                matrix = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2,
+                                    encoding="utf-8-sig")
         except OSError as exc:
             raise ValidationError(f"cannot read partition matrix: {exc}") from None
         except ValueError as exc:
@@ -231,16 +237,9 @@ def train(input, out, features_out, threshold, penalty, variance, scheme,
     """Fit a model on a labeled CSV and write it to disk."""
     scheme = _parse_scheme(scheme)
     # the CSV streams into the class statistics: no n x p matrix is held
-    stats, class_labels, feature_names = load_class_stats(
-        input, _schema(label_col, no_header, delimiter))
-    model = fit_stats(
-        stats, class_labels, feature_names,
-        scheme=scheme,
-        penalty=penalty,
-        variance_mode=variance,
-        prior_term_mode=prior_term,
-        threads=threads,
-    )
+    model = fit(load_class_stats(input, _schema(label_col, no_header, delimiter)),
+                scheme=scheme, penalty=penalty, variance_mode=variance,
+                prior_term_mode=prior_term, threads=threads)
     rows = selected_features(model, threshold)  # checks --threshold
     save_model(model, out)
     _write_csv(

@@ -7,8 +7,9 @@ whole is read again row by row, which names the first bad cell.  Both
 readers hand the rows over in chunks (``_CHUNK_CHARS``):
 ``load_dataset`` and ``load_matrix`` gather them into one matrix, and
 ``load_class_stats`` folds them into per-class statistics
-(``estimator.StatsAccumulator``), so ``multida train`` holds no n x p
-matrix.  A model is stored as one JSON document of its config, its
+(``estimator.StatsAccumulator``), which carry the class labels and
+feature names and are all ``fit`` needs, so ``multida train`` holds no n
+x p matrix.  A model is stored as one JSON document of its config, its
 hypothesis matrix S and per-class statistics, floats written with full
 round-trip precision.
 Loading builds the set and the model with the checked entries ``fit``
@@ -16,8 +17,8 @@ uses, ``partitions.build_partition_set`` (by name, or from S for ``user``)
 and ``estimator.model_from_stats``, so save/load/predict is bit-identical
 and a document no fit could have made (an S other than the set its scheme
 builds, fewer than 2 classes, fewer than K+1 samples, an unknown prior
-term mode, counts not positive or not summing to n, non-finite statistics)
-is rejected.
+term mode, counts not positive or not summing to n, other than K distinct
+labels, non-finite statistics) is rejected.
 """
 
 from __future__ import annotations
@@ -331,22 +332,20 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
     return data
 
 
-def load_class_stats(
-    path: str | Path, schema: CsvSchema = CsvSchema()
-) -> tuple[SufficientStats, tuple[str, ...], tuple[str, ...]]:
-    """The per-class statistics of a labeled training matrix, its class
-    labels and its feature names, read as ``load_dataset`` reads the file
-    and refused where it refuses it, but with no n x p matrix: each chunk
-    of rows goes into a ``StatsAccumulator``.  So ``fit_stats`` of the
+def load_class_stats(path: str | Path, schema: CsvSchema = CsvSchema()) -> SufficientStats:
+    """The per-class statistics of a labeled training matrix, with its
+    class labels and feature names, read as ``load_dataset`` reads the
+    file and refused where it refuses it, but with no n x p matrix: each
+    chunk of rows goes into a ``StatsAccumulator``.  So ``fit`` of the
     result is ``fit(load_dataset(path))`` bit for bit wherever each class
     folds once, as when every class's rows come in one run that fits
     ``estimator._BLOCK_BYTES``; elsewhere the statistics agree within
     rounding."""
     _check_labeled(schema)
     names, acc = _read_table(path, schema, labeled=True, sink=StatsAccumulator)
-    stats, class_labels = acc.finish()
-    _check_classes(path, len(class_labels))
-    return stats, class_labels, tuple(names)
+    stats = acc.finish(tuple(names))
+    _check_classes(path, len(stats.n_k))
+    return stats
 
 
 def _check_labeled(schema: CsvSchema) -> None:
@@ -584,15 +583,13 @@ def _model_from_doc(doc: dict) -> FittedModel:
         n_k=np.array(counts, dtype=np.int64),
         mean=_class_array(doc, "class_means", k, len(feature_names)),
         m2=_class_array(doc, "class_m2", k, len(feature_names)),
-    )
-    if stats.n != n:
-        raise ValidationError("class counts must be positive and sum to n")
-    return estimator.model_from_stats(
-        stats, parts, penalty=penalty,
-        prior_term_mode=_require(doc, "prior_term_mode"),
         class_labels=_require_strings(doc, "class_label_map"),
         feature_names=feature_names,
     )
+    if stats.n != n:
+        raise ValidationError("class counts must be positive and sum to n")
+    return estimator.model_from_stats(stats, parts, penalty=penalty,
+                                      prior_term_mode=_require(doc, "prior_term_mode"))
 
 
 def load_model(path: str | Path) -> FittedModel:

@@ -29,15 +29,16 @@ Conventions used throughout:
   the derivation's own walk over feature blocks, keeping only that array.
 * All softmax computations subtract the row maximum before exponentiating.
 * A model is a function of its per-class counts, means and centred sums
-  of squares (``SufficientStats``), the hypothesis set and the config.
+  of squares (``SufficientStats``, which carry the class labels and
+  feature names that index them), the hypothesis set and the config.
   ``model_from_stats`` is the one checked entry from those to a model: it
   checks the training set, resolves the penalty, derives everything else
   in one pass over feature blocks and checks the result with
-  ``validate_model``.  ``fit`` and ``fit_stats``, each fold of
-  ``cross_validate`` (from fold statistics merged by ``_merge_stats``) and
-  ``data_io.load_model`` make that one call; the folds of one
-  ``cross_validate`` share one derivation workspace (``_Workspace``), which
-  no other module sees.
+  ``validate_model``.  ``fit`` (of a ``Dataset`` or of its statistics),
+  each fold of ``cross_validate`` (from fold statistics merged by
+  ``_merge_stats``) and ``data_io.load_model`` make that one call; the
+  folds of one ``cross_validate`` share one derivation workspace
+  (``_Workspace``), which no other module sees.
 * Memory is bounded by ``_BLOCK_BYTES`` where n or p could make it grow:
   ``StatsAccumulator`` takes the statistics of rows handed over in chunks
   (``multida train`` streams its CSV into one) and holds at most that
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -240,25 +241,36 @@ class PenaltyConfig:
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Per-class sample counts, means and centred sums of squares.
+    """Per-class sample counts, means and centred sums of squares, with
+    the class labels and feature names that index them.
 
-    ``n_k[k]``, ``mean[k, j]`` and ``m2[k, j]`` refer to class ``k + 1``
-    and feature ``j``; ``m2`` is the sum of squared deviations from the
-    class mean, by the corrected two-pass of ``accumulate_stats`` (or
-    ``_merge_stats`` of such sums).  Every other fitted quantity derives
-    from these, the sample count ``n`` included.  The arrays are made
-    read-only when the statistics are built, and a view is copied first,
-    so no model derived from them can change under the caller who passed
-    them.
+    ``n_k[k]``, ``mean[k, j]`` and ``m2[k, j]`` refer to class
+    ``class_labels[k]`` (code ``k + 1``) and feature ``feature_names[j]``;
+    ``m2`` is the sum of squared deviations from the class mean, by the
+    corrected two-pass of ``accumulate_stats`` (or ``_merge_stats`` of
+    such sums).  Every other fitted quantity derives from these, the
+    sample count ``n`` included.  Building them checks that there are K
+    distinct labels and p names.  The arrays are made read-only, and a
+    view is copied first, so no model derived from them can change under
+    the caller who passed them.
     """
 
     n_k: np.ndarray   # K
     mean: np.ndarray  # K x p
     m2: np.ndarray    # K x p
+    class_labels: tuple[str, ...]   # K
+    feature_names: tuple[str, ...]  # p
 
     def __post_init__(self):
         for name in ("n_k", "mean", "m2"):
             object.__setattr__(self, name, _owned_readonly(getattr(self, name)))
+        K, p = len(self.n_k), self.mean.shape[1]
+        if len(self.class_labels) != K:
+            raise ValidationError("class label count does not match K")
+        if len(set(self.class_labels)) != K:
+            raise ValidationError("class labels must be distinct")
+        if len(self.feature_names) != p:
+            raise ValidationError(f"{len(self.feature_names)} feature names for {p} columns")
 
     @property
     def n(self) -> int:
@@ -298,9 +310,10 @@ class Mles:
 @dataclass(frozen=True)
 class FittedModel:
     """Immutable fitted multiDA model (multiLDA or multiQDA): the class
-    statistics and config, each feature's top-weighted hypothesis
-    (``top``, ties to the lowest index) and its weight, and the score
-    coefficients of ``model_from_stats``.  The slot arrays ``mu``,
+    statistics (whose ``n``, ``class_labels`` and ``feature_names`` it
+    reads) and config, each feature's top-weighted hypothesis (``top``,
+    ties to the lowest index) and its weight, and the score coefficients
+    of ``model_from_stats``.  The slot arrays ``mu``,
     ``sigma2``, ``variance_floor``, the p x M ``lam`` and the p x M
     hypothesis weights ``gamma`` are each derived block by block when first
     read (``_derived``); ``predict`` reads none of them."""
@@ -309,8 +322,6 @@ class FittedModel:
     pi: np.ndarray
     penalty: PenaltyConfig
     prior_term_mode: str
-    class_labels: tuple[str, ...]
-    feature_names: tuple[str, ...]
     admissible: np.ndarray = field(repr=False)
     stats: SufficientStats = field(repr=False)  # all that save_model stores
     top: np.ndarray = field(repr=False)         # p, int64
@@ -335,6 +346,14 @@ class FittedModel:
     @property
     def n(self) -> int:
         return self.stats.n
+
+    @property
+    def class_labels(self) -> tuple[str, ...]:
+        return self.stats.class_labels
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return self.stats.feature_names
 
     @property
     def variance_mode(self) -> str:
@@ -559,7 +578,8 @@ def _fold(xk: np.ndarray, mean: np.ndarray, m2: np.ndarray, d_sum: np.ndarray) -
 
 def accumulate_stats(data: Dataset) -> SufficientStats:
     """Per-class counts, means and centred sums of squares of the K
-    classes of ``data``, by one ``_fold`` per class.
+    classes of ``data``, by one ``_fold`` per class, with its class labels
+    and feature names.
 
     Besides the K x p ``mean`` and ``m2`` it returns, it holds one class's
     rows at a time: each class's copy is released before the next is
@@ -576,7 +596,8 @@ def accumulate_stats(data: Dataset) -> SufficientStats:
             xk = data.X[data.y == k + 1]
             _fold(xk, mean[k], m2[k], d_sum)
             del xk  # before the next class's copy is taken
-    return SufficientStats(n_k=data.class_counts, mean=mean, m2=m2)
+    return SufficientStats(n_k=data.class_counts, mean=mean, m2=m2,
+                           class_labels=data.class_labels, feature_names=data.feature_names)
 
 
 @dataclass
@@ -596,9 +617,8 @@ class _Folded:
 class StatsAccumulator:
     """Per-class statistics of rows handed over in chunks, without all of
     them held at once: ``add`` takes each chunk's labels and rows, and
-    ``finish`` gives the ``SufficientStats`` and the class labels, coded
-    1..K in order of first appearance as ``Dataset.from_arrays`` codes
-    them.
+    ``finish`` gives the ``SufficientStats``, its classes coded 1..K in
+    order of first appearance as ``Dataset.from_arrays`` codes them.
 
     Rows wait in per-class buffers, copied from the chunks.  Whenever the
     rows held, over all classes, take more than ``_BLOCK_BYTES``, the
@@ -666,8 +686,9 @@ class StatsAccumulator:
                                       n, mean[None], m2[None])
         self._folded[k] = _Folded(a.n + n, a.s, shifted[0], m2[0], once=False)
 
-    def finish(self) -> tuple[SufficientStats, tuple[str, ...]]:
-        """The statistics of every row taken, and the class labels."""
+    def finish(self, feature_names: tuple[str, ...]) -> SufficientStats:
+        """The statistics of every row taken, its features named
+        ``feature_names``."""
         for k, rows in enumerate(self._held_rows):
             if rows:
                 self._fold_class(k)
@@ -678,7 +699,8 @@ class StatsAccumulator:
             for k, a in enumerate(self._folded):
                 mean[k] = a.s if a.once else a.s + a.shifted
                 m2[k] = a.m2
-        return SufficientStats(n_k=n_k, mean=mean, m2=m2), tuple(self._codes)
+        return SufficientStats(n_k=n_k, mean=mean, m2=m2, class_labels=tuple(self._codes),
+                               feature_names=feature_names)
 
 
 def _chan_merge(
@@ -731,9 +753,11 @@ def _merge_subsets(mean: np.ndarray, m2: np.ndarray, count: np.ndarray,
                     out=(mean_s[rows], m2_s[rows]))
 
 
-def _merge_stats(samples: Sequence[SufficientStats]) -> SufficientStats:
+def _merge_stats(samples: Sequence[SufficientStats], shift: np.ndarray) -> SufficientStats:
     """Per-class statistics of the union of disjoint samples of the same
-    classes and features, merged in the given order by ``_chan_merge``.
+    classes and features, each taken of its rows less ``shift`` (K x p),
+    merged in the given order by ``_chan_merge``; the merged means get
+    ``shift`` back, and the labels are the first sample's.
     Cross-validation builds each fold's training statistics this way from
     the statistics of the other folds."""
     first, *rest = samples
@@ -742,7 +766,9 @@ def _merge_stats(samples: Sequence[SufficientStats]) -> SufficientStats:
         for s in rest:
             mean, m2 = _chan_merge(n_k, mean, m2, s.n_k, s.mean, s.m2)
             n_k = n_k + s.n_k
-    return SufficientStats(n_k=n_k, mean=mean, m2=m2)
+        mean = mean + shift
+    return SufficientStats(n_k=n_k, mean=mean, m2=m2, class_labels=first.class_labels,
+                           feature_names=first.feature_names)
 
 
 def fit_mles(stats: SufficientStats, parts: PartitionSet) -> Mles:
@@ -861,7 +887,7 @@ def gamma_weights(lam: np.ndarray, nu: np.ndarray, penalty: PenaltyConfig) -> np
 
 
 def fit(
-    data: Dataset,
+    data: Dataset | SufficientStats,
     *,
     scheme: str | np.ndarray = "exhaustive",
     penalty: str | PenaltyConfig = "ebic",
@@ -869,50 +895,28 @@ def fit(
     prior_term_mode: str = "log",
     threads: int = 1,
 ) -> FittedModel:
-    """Fit a multiDA model: sufficient statistics, closed-form MLEs,
-    penalized LRT statistics and posterior hypothesis weights.  This is
-    ``fit_stats`` of ``accumulate_stats(data)``.
-
-    The model needs only the per-class statistics, so ``fit`` lets go of
-    ``data`` once ``accumulate_stats`` has taken them, before the
-    derivation allocates its workspace.  The n x p matrix is then freed
-    if the caller holds no reference to it either: ``fit(load_dataset(
-    path))`` on CPython 3.11 or later, which moves a call's arguments
-    into the callee's frame.  On 3.10 the caller's stack keeps the
-    argument until ``fit`` returns.  ``multida train`` holds no matrix at
-    all: it streams its CSV into the statistics
-    (``data_io.load_class_stats``) and calls ``fit_stats``.
-    """
-    stats = accumulate_stats(data)
-    class_labels, feature_names = data.class_labels, data.feature_names
-    del data
-    return fit_stats(stats, class_labels, feature_names, scheme=scheme, penalty=penalty,
-                     variance_mode=variance_mode, prior_term_mode=prior_term_mode,
-                     threads=threads)
-
-
-def fit_stats(
-    stats: SufficientStats,
-    class_labels: tuple[str, ...],
-    feature_names: tuple[str, ...],
-    *,
-    scheme: str | np.ndarray = "exhaustive",
-    penalty: str | PenaltyConfig = "ebic",
-    variance_mode: str = "equal",
-    prior_term_mode: str = "log",
-    threads: int = 1,
-) -> FittedModel:
-    """Fit a multiDA model to per-class statistics: ``model_from_stats``
+    """Fit a multiDA model to a data set's rows or to per-class statistics
+    (rows go through ``accumulate_stats`` first): ``model_from_stats``
     under the hypothesis set that ``build_partition_set`` builds from
     ``scheme`` (a scheme name or the K x M matrix S) and ``variance_mode``
-    for the K classes of ``stats``.  The fit runs on one thread;
-    ``threads`` is only checked (>= 0), so the output is identical for any
-    thread count.  Warns when no non-null hypothesis is admissible."""
+    for the K classes.  The fit runs on one thread; ``threads`` is only
+    checked (>= 0), so the output is identical for any thread count.
+    Warns when no non-null hypothesis is admissible.
+
+    The model needs only the per-class statistics, so ``fit`` lets go of
+    ``data`` once it has them, before the derivation allocates its
+    workspace.  The n x p matrix is then freed if the caller holds no
+    reference to it either: ``fit(load_dataset(path))`` on CPython 3.11
+    or later, which moves a call's arguments into the callee's frame.  On
+    3.10 the caller's stack keeps the argument until ``fit`` returns.
+    ``multida train`` holds no matrix at all: it streams its CSV into the
+    statistics, ``fit(data_io.load_class_stats(path))``.
+    """
+    stats = data if isinstance(data, SufficientStats) else accumulate_stats(data)
+    del data
     parts = build_partition_set(len(stats.n_k), scheme, variance_mode=variance_mode)
     _resolve_threads(threads)
-    model = model_from_stats(
-        stats, parts, penalty=penalty, prior_term_mode=prior_term_mode,
-        class_labels=class_labels, feature_names=feature_names)
+    model = model_from_stats(stats, parts, penalty=penalty, prior_term_mode=prior_term_mode)
     _warn_if_null_only(model)
     return model
 
@@ -933,8 +937,6 @@ def model_from_stats(
     *,
     penalty: str | PenaltyConfig,
     prior_term_mode: str,
-    class_labels: tuple[str, ...],
-    feature_names: tuple[str, ...],
 ) -> FittedModel:
     """The one checked entry from per-class sufficient statistics, the
     hypothesis set and the config to a model; ``fit``, ``cross_validate``
@@ -969,8 +971,7 @@ def model_from_stats(
     are allocated besides.  ``cross_validate`` holds one workspace
     for all its folds (``_model_from_stats``)."""
     return _model_from_stats(stats, parts, None, penalty=penalty,
-                             prior_term_mode=prior_term_mode, class_labels=class_labels,
-                             feature_names=feature_names)
+                             prior_term_mode=prior_term_mode)
 
 
 def _model_from_stats(
@@ -980,8 +981,6 @@ def _model_from_stats(
     *,
     penalty: str | PenaltyConfig,
     prior_term_mode: str,
-    class_labels: tuple[str, ...],
-    feature_names: tuple[str, ...],
 ) -> FittedModel:
     """``model_from_stats``, deriving in ``ws``: a ``_Workspace(parts, p)``
     for the p features of ``stats``, which ``cross_validate`` holds for
@@ -1002,9 +1001,8 @@ def _model_from_stats(
     penalty = PenaltyConfig.resolve(penalty, n, p)
     arrays = _derive(stats, parts, penalty.C, prior_term_mode,
                      ws if ws is not None else _Workspace(parts, p))
-    return validate_model(FittedModel(
-        parts=parts, penalty=penalty, prior_term_mode=prior_term_mode,
-        class_labels=class_labels, feature_names=feature_names, stats=stats, **arrays))
+    return validate_model(FittedModel(parts=parts, penalty=penalty,
+                                      prior_term_mode=prior_term_mode, stats=stats, **arrays))
 
 
 def _derive(
@@ -1148,17 +1146,29 @@ def _stratified_folds(
 
 
 def _cv_folds(
-    data: Dataset, test_sets: Sequence[np.ndarray]
+    data: Dataset, test_sets: Sequence[np.ndarray], centre: np.ndarray
 ) -> Iterator[tuple[Dataset, SufficientStats]]:
     """The test rows and the training statistics of every fold.  Each
-    fold's per-class statistics are taken once, from its own rows; a
-    fold's training statistics merge those of the other folds in
-    ascending fold order, so no training rows are copied.  A fold's test
-    rows are copied when it is yielded, so one fold's copy is held at a
-    time."""
-    fold_stats = [accumulate_stats(data.subset(idx)) for idx in test_sets]
+    fold's per-class statistics are taken once, of its own rows less
+    ``centre`` (K x p, each class's mean over ``data``); a fold's training
+    statistics merge those of the other folds in ascending fold order,
+    then get ``centre`` back (``_merge_stats``), so no training rows are
+    copied.  The merge takes differences of fold means, which the shift
+    brings near 0, so their rounding is at the scale of a class's spread,
+    not of its distance from 0, and the merged m2 stays within rounding of
+    the training rows' own far from zero.  A fold's shifted rows take the
+    place of its copy, and its test rows are copied when it is yielded, so
+    one copy of a fold's rows is held at a time."""
+    fold_stats = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fold in map(data.subset, test_sets):
+            shifted = centre[fold.y - 1]
+            fold = replace(fold, X=np.subtract(fold.X, shifted, out=shifted))  # the unshifted copy goes
+            fold_stats.append(accumulate_stats(fold))
+            del fold, shifted  # before the next fold's rows are copied
     for f, idx in enumerate(test_sets):
-        yield data.subset(idx), _merge_stats(fold_stats[:f] + fold_stats[f + 1:])
+        train = _merge_stats(fold_stats[:f] + fold_stats[f + 1:], centre)
+        yield data.subset(idx), train  # the test rows are copied once the merge is done
 
 
 def cross_validate(
@@ -1182,8 +1192,9 @@ def cross_validate(
     once, from ``scheme`` (a scheme name or the K x M matrix S).  Each
     fold's model is derived as ``model_from_stats`` derives it, with the
     checks and the penalty of a fit, on its training statistics, merged
-    from per-fold class statistics (``_cv_folds``); the training rows are
-    never copied or refitted.  All folds derive in one workspace, allocated
+    from per-fold class statistics taken about the class means, which are
+    computed once here (``_cv_folds``); the training rows are never copied
+    or refitted.  All folds derive in one workspace, allocated
     here, so no fold allocates the derivation's block memory again, and
     each fold's model is released before the next one is derived.
     ``threads`` splits each fold's prediction rows.
@@ -1196,17 +1207,17 @@ def cross_validate(
     parts = build_partition_set(data.K, scheme, variance_mode=variance_mode)
     # every fold derives p features under parts, so one workspace serves all
     ws = _Workspace(parts, data.p, _block_width(parts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = np.array([data.X[data.y == k].mean(axis=0) for k in range(1, data.K + 1)])
     rows: list[CvRow] = []
     per_trial = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         test_sets = _stratified_folds(data.y, folds, rng)
         fold_errors = np.empty(folds)
-        for f, (test, train) in enumerate(_cv_folds(data, test_sets)):
+        for f, (test, train) in enumerate(_cv_folds(data, test_sets, centre)):
             model = _model_from_stats(train, parts, ws, penalty=penalty,
-                                      prior_term_mode=prior_term_mode,
-                                      class_labels=data.class_labels,
-                                      feature_names=data.feature_names)
+                                      prior_term_mode=prior_term_mode)
             _warn_if_null_only(model)
             pred = predict(model, test.X, threads=threads)
             wrong = int((pred.codes != test.y).sum())
@@ -1241,7 +1252,7 @@ def selected_features(
 
 def validate_model(model: FittedModel) -> FittedModel:
     """Return ``model`` once the parts of it a caller can break hold:
-    K distinct class labels, positive class counts, finite
+    positive class counts (``SufficientStats`` checks the labels), finite
     class statistics with ``class_m2 >= 0``, and a finite null mean
     (``mu``) and gamma.  It reads only stored arrays, none of them p x M:
     a non-finite gamma column has a NaN maximum, so ``top_weight`` stands
@@ -1250,11 +1261,6 @@ def validate_model(model: FittedModel) -> FittedModel:
     overflowing statistics) raises ``NumericError`` naming the field and
     the first bad feature.  The rest holds by construction.
     ``model_from_stats`` calls it on every model it derives."""
-    K = model.K
-    if len(model.class_labels) != K:
-        raise ValidationError("class label count does not match K")
-    if len(set(model.class_labels)) != K:
-        raise ValidationError("class labels must be distinct")
     stats = model.stats
     if np.any(stats.n_k < 1):
         raise ValidationError("class counts must be positive and sum to n")

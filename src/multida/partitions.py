@@ -56,15 +56,6 @@ def canonicalize(labels: Sequence[int]) -> Column:
     return tuple(out)
 
 
-def group_index(class_label: int, column: Sequence[int]) -> int:
-    """Group that ``class_label`` (1-based) belongs to under ``column``."""
-    if not 1 <= class_label <= len(column):
-        raise ValidationError(
-            f"class label {class_label} outside 1..{len(column)}"
-        )
-    return column[class_label - 1]
-
-
 def refines(fine: Sequence[int], coarse: Sequence[int]) -> bool:
     """True when every group of ``fine`` is contained in a group of
     ``coarse`` (i.e. ``fine`` splits ``coarse`` further or equals it)."""

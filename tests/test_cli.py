@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import click
 import numpy as np
@@ -13,8 +15,9 @@ from click.testing import CliRunner
 
 from multida import cli, data_io, estimator
 from multida.cli import main
-from multida.data_io import load_dataset, load_model, save_model
-from multida.estimator import cross_validate, fit, predict, selected_features
+from multida.data_io import load_class_stats, load_dataset, load_model, save_model
+from multida.estimator import (SufficientStats, cross_validate, fit, predict,
+                               selected_features)
 from multida.simlab import SimSpec, consistency_sweep, generate
 
 
@@ -192,6 +195,43 @@ class TestTrain:
         assert_one_error_line(result, message if content is None else f"{path}: {message}")
         assert not out.exists()
 
+    def test_user_scheme_with_byte_order_mark(self, runner, wide_csv, tmp_path):
+        # spreadsheets' "CSV UTF-8" export starts the file with one
+        outputs = []
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            smat, model = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            smat.write_bytes(bom + b"1,1\n1,2\n1,2\n")
+            listing = runner.invoke(main, ["partitions", "--k", "3", "--scheme", f"user:{smat}"])
+            assert listing.exit_code == 0, listing.output
+            result = runner.invoke(main, ["train", wide_csv, "--scheme", f"user:{smat}",
+                                          "--seed", "1", "--out", str(model),
+                                          "--features-out", str(tmp_path / "f.csv")])
+            assert result.exit_code == 0, result.output
+            outputs.append((listing.stdout, model.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_empty_user_scheme_exits_2_without_a_warning(self, runner, wide_csv, tmp_path):
+        # pytest records warnings, so one turned into an error shows here
+        path = tmp_path / "s.csv"
+        path.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(
+                main, ["train", wide_csv, "--scheme", f"user:{path}", "--seed", "1",
+                       "--out", str(tmp_path / "m.json"),
+                       "--features-out", str(tmp_path / "f.csv")])
+        assert_one_error_line(result, "user partition matrix has 0 rows, expected K=3")
+
+    def test_train_fits_through_the_cli_name_once(self, runner, wide_csv, tmp_path):
+        # a tracer wraps cli.fit, so train must look its one fit up there
+        with mock.patch.object(cli, "fit", wraps=cli.fit) as fits:
+            result = runner.invoke(main, ["train", wide_csv, "--seed", "1",
+                                          "--out", str(tmp_path / "m.json"),
+                                          "--features-out", str(tmp_path / "f.csv")])
+        assert result.exit_code == 0, result.output
+        assert fits.call_count == 1
+        assert isinstance(fits.call_args.args[0], SufficientStats)
+
 
 def test_train_predict_and_cv_derive_no_gamma(runner, wide_csv, tmp_path, no_gamma):
     model, features = str(tmp_path / "m.json"), tmp_path / "f.csv"
@@ -266,6 +306,17 @@ class TestStreamedTrain:
         assert read_csv(features)[1:] == [
             [name, str(m), ref.parts.column_label(m), repr(w)]
             for name, m, w in selected_features(ref)]
+
+    def test_class_statistics_fit_as_the_data_set(self, rows, tmp_path, folds):
+        path = self.write(tmp_path / "runs.csv", rows, range(rows.n))
+        stats = load_class_stats(path)
+        assert folds == [30, 30, 30, 30]
+        streamed, ref = fit(stats), fit(load_dataset(path))
+        save_model(streamed, tmp_path / "streamed.json")
+        save_model(ref, tmp_path / "ref.json")
+        assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert selected_features(streamed) == selected_features(ref)
+        assert len(selected_features(ref)) > 5
 
     @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest"])
     def test_interleaved_labels_select_the_same(self, runner, rows, tmp_path, folds,

@@ -526,11 +526,12 @@ class TestModelRoundTrip:
         mean = rng.normal(size=(k, p)) * 10.0 ** rng.integers(-8, 9, size=(k, p))
         mean[0, 0], mean[-1, -1] = -0.0, 3.0
         m2 = rng.uniform(0.5, 2.0, size=(k, p)) * 10.0 ** rng.integers(-6, 7, size=(k, p))
-        stats = SufficientStats(n_k=np.arange(3, k + 3), mean=mean, m2=m2)
-        return model_from_stats(
-            stats, build_partition_set(k, scheme), penalty="ebic", prior_term_mode="log",
+        stats = SufficientStats(
+            n_k=np.arange(3, k + 3), mean=mean, m2=m2,
             class_labels=tuple(f'c"{i}\\é\t' for i in range(k - 1)) + ("日本 🙂",),
             feature_names=tuple(f"f{j}'ü\"" for j in range(p)))
+        return model_from_stats(stats, build_partition_set(k, scheme), penalty="ebic",
+                                prior_term_mode="log")
 
     @staticmethod
     def _document(model):

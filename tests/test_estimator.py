@@ -86,6 +86,14 @@ def random_dataset(rng, n, p, k, min_per_class=1):
     return Dataset.from_arrays(X, [str(v) for v in y])
 
 
+def labelled(n_k, mean, m2):
+    """``SufficientStats`` of the given arrays, the classes labelled a, b,
+    ... and the features x1, x2, ..."""
+    k, p = np.shape(mean)
+    return SufficientStats(n_k=n_k, mean=mean, m2=m2, class_labels=tuple("abcdefghi"[:k]),
+                           feature_names=tuple(f"x{j + 1}" for j in range(p)))
+
+
 class TestDataset:
     def test_encoding_first_appearance(self):
         d = Dataset.from_arrays(np.zeros((4, 2)), ["z", "q", "z", "m"])
@@ -135,6 +143,16 @@ class TestPenalty:
 
 
 class TestSufficientStats:
+    @pytest.mark.parametrize("labels, names, message", [
+        (("a",), ("x1", "x2"), "class label count does not match K"),
+        (("a", "a"), ("x1", "x2"), "class labels must be distinct"),
+        (("a", "b"), ("x1",), "1 feature names for 2 columns"),
+    ], ids=["label-count", "repeated-label", "name-count"])
+    def test_labels_and_names_are_checked(self, labels, names, message):
+        with pytest.raises(ValidationError, match=message):
+            SufficientStats(n_k=np.array([2, 2]), mean=np.zeros((2, 2)), m2=np.ones((2, 2)),
+                            class_labels=labels, feature_names=names)
+
     def test_hand_accumulation(self, toy_data, toy_parts):
         stats = accumulate_stats(toy_data)
         # class a holds 0, 2; class b holds 4, 6
@@ -177,7 +195,8 @@ class TestSufficientStats:
             for chunk in np.array_split(rows, np.cumsum(rng.integers(1, 6, size=len(y)))):
                 if len(chunk):
                     acc.add([str(v) for v in y[chunk]], X[chunk])
-            streamed, labels = acc.finish()
+            streamed = acc.finish(tuple(f"x{j + 1}" for j in range(5)))
+            labels = streamed.class_labels
             assert labels == (("1", "2", "3") if order == "file" else
                               tuple(dict.fromkeys(str(v) for v in y[rows])))
             streamed_m2 = streamed.m2[[labels.index(str(k)) for k in (1, 2, 3)]]
@@ -533,6 +552,19 @@ class TestPosteriorOracle:
 
 
 class TestFit:
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    def test_statistics_fit_as_their_rows(self, variance_mode):
+        data = random_dataset(np.random.default_rng(12), 40, 30, 3, min_per_class=4)
+        data = Dataset.from_arrays(data.X + 0.9 * (data.y[:, None] == 2),
+                                   [f"c{v}" for v in data.y])
+        a = fit(data, penalty="bic", variance_mode=variance_mode)
+        b = fit(accumulate_stats(data), penalty="bic", variance_mode=variance_mode)
+        assert (a.class_labels, a.feature_names) == (b.class_labels, b.feature_names)
+        assert (a.parts.columns, a.penalty, a.n) == (b.parts.columns, b.penalty, b.n)
+        assert a.top.any()
+        for f in ("pi", "top", "top_weight", "mu_null", "Q", "L", "c", "gamma"):
+            assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f
+
     def test_toy_composition(self, toy_data):
         model = fit(toy_data, penalty="ebic")
         np.testing.assert_allclose(model.gamma[0], TOY_GAMMA, rtol=1e-12)
@@ -653,11 +685,9 @@ class TestModelFromStats:
         labels = [str(v) for v in data.y]
         parts = build_partition_set(k, scheme, variance_mode=variance_mode)
         stats = accumulate_stats(Dataset.from_arrays(X, labels))
-        names = tuple(f"x{j}" for j in range(p))
         ref, *others = (
             _model_from_stats(stats, parts, _Workspace(parts, p, width), penalty="bic",
-                              prior_term_mode="log", class_labels=tuple(sorted(set(labels))),
-                              feature_names=names)
+                              prior_term_mode="log")
             for width in (p, 2, 7, 64))
         assert len(set(ref.top.tolist())) > 1
         perm = rng.permutation(p)
@@ -683,19 +713,15 @@ class TestModelFromStats:
         assert _Workspace(build_partition_set(4, "exhaustive"), 10000).width == 2621
 
     def _derive(self, stats, parts, **config):
-        return model_from_stats(stats, parts, **{
-            "penalty": "ebic", "prior_term_mode": "log",
-            "class_labels": tuple("abc"[:parts.K]),
-            "feature_names": tuple(f"x{j + 1}" for j in range(stats.mean.shape[1])),
-            **config})
+        return model_from_stats(stats, parts, **{"penalty": "ebic", "prior_term_mode": "log",
+                                                 **config})
 
     @pytest.mark.parametrize("penalty", ["ebic", "bic", "custom:3.5"])
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
     def test_request_resolves_as_fit(self, penalty, variance_mode):
         data = random_dataset(np.random.default_rng(3), 40, 30, 3, min_per_class=4)
         parts = build_partition_set(3, "exhaustive", variance_mode=variance_mode)
-        model = self._derive(accumulate_stats(data), parts, penalty=penalty,
-                             class_labels=data.class_labels)
+        model = self._derive(accumulate_stats(data), parts, penalty=penalty)
         want = fit(data, penalty=penalty, variance_mode=variance_mode)
         assert model.penalty == want.penalty == PenaltyConfig.resolve(penalty, 40, 30)
         for f in ("gamma", "Q", "L", "c", "mu_null"):
@@ -709,8 +735,7 @@ class TestModelFromStats:
     ], ids=["one-class", "n-below-K+1", "no-features", "prior-mode"])
     def test_untrainable_statistics_rejected(self, n_k, p, prior, message):
         k = len(n_k)
-        stats = SufficientStats(n_k=np.array(n_k), mean=np.zeros((k, p)),
-                                m2=np.ones((k, p)))
+        stats = labelled(np.array(n_k), np.zeros((k, p)), np.ones((k, p)))
         parts = build_partition_set(k, "exhaustive")
         with pytest.raises(ValidationError, match=message):
             self._derive(stats, parts, prior_term_mode=prior)
@@ -720,13 +745,13 @@ class TestModelFromStats:
         # check names the lowest feature with a bad value in any row
         mean = np.zeros((2, 5))
         mean[0, 3], mean[1, 1], mean[1, 4] = np.nan, np.inf, np.nan
-        stats = SufficientStats(n_k=np.array([3, 3]), mean=mean, m2=np.ones((2, 5)))
+        stats = labelled(np.array([3, 3]), mean, np.ones((2, 5)))
         with pytest.raises(NumericError, match="^class_means holds a non-finite "
                                                "value for feature 'x2'$"):
             self._derive(stats, build_partition_set(2, "exhaustive"))
         m2 = np.ones((2, 5))
         m2[0, 4], m2[1, 2] = np.inf, np.nan
-        stats = SufficientStats(n_k=np.array([3, 3]), mean=np.zeros((2, 5)), m2=m2)
+        stats = labelled(np.array([3, 3]), np.zeros((2, 5)), m2)
         with pytest.raises(NumericError, match="^class_m2 holds a non-finite "
                                                "value for feature 'x3'$"):
             self._derive(stats, build_partition_set(2, "exhaustive"))
@@ -759,16 +784,12 @@ class TestModelFromStats:
         assert len(shared.blocks) == (1 if blocks == "one" else 2)
         fields = ("gamma", "Q", "L", "c", "mu_null")
         for ws in (None, shared):
-            model = _model_from_stats(first, parts, ws, penalty="bic", prior_term_mode="log",
-                                      class_labels=tuple("abcd"),
-                                      feature_names=tuple(f"x{j}" for j in range(p)))
+            model = _model_from_stats(first, parts, ws, penalty="bic", prior_term_mode="log")
             if ws is None:
-                assert np.array_equal(model.gamma, self._derive(
-                    first, parts, penalty="bic", class_labels=tuple("abcd")).gamma)
+                assert np.array_equal(model.gamma,
+                                      self._derive(first, parts, penalty="bic").gamma)
             kept = {f: getattr(model, f).copy() for f in fields}
-            other = _model_from_stats(second, parts, ws, penalty="bic", prior_term_mode="log",
-                                      class_labels=tuple("abcd"),
-                                      feature_names=tuple(f"x{j}" for j in range(p)))
+            other = _model_from_stats(second, parts, ws, penalty="bic", prior_term_mode="log")
             assert not np.array_equal(other.Q, model.Q)
             for f in fields:
                 assert np.array_equal(getattr(model, f), kept[f]), f
@@ -780,7 +801,7 @@ class TestModelFromStats:
         # caller's names or the model's would change a later gamma read or
         # a save/load round trip, but not top or Q
         n_k, mean, m2 = np.array([4, 4, 4]), np.eye(3, 5), np.ones((3, 5))
-        model = self._derive(SufficientStats(n_k=n_k, mean=mean, m2=m2),
+        model = self._derive(labelled(n_k, mean, m2),
                              build_partition_set(3, "exhaustive", variance_mode=variance_mode))
         subsets = model.parts.subsets
         for a in (n_k, mean, m2, model.stats.mean, model.parts.nu, model.parts.G,
@@ -794,7 +815,7 @@ class TestModelFromStats:
         # arrays that own their data, as the readers and generators pass,
         # are kept without a copy
         base, m2 = np.eye(3, 5), np.ones((3, 5))
-        model = self._derive(SufficientStats(n_k=np.array([4, 4, 4]), mean=base[:, :], m2=m2),
+        model = self._derive(labelled(np.array([4, 4, 4]), base[:, :], m2),
                              build_partition_set(3, "exhaustive"))
         Xb = np.zeros((4, 3))
         data = Dataset.from_arrays(Xb[:, :], ["a", "b", "a", "b"])
@@ -805,9 +826,8 @@ class TestModelFromStats:
         assert Dataset.from_arrays(Xb, ["a", "b", "a", "b"]).X is Xb
 
     def test_result_is_validated(self):
-        stats = SufficientStats(n_k=np.array([3, 3]),
-                                mean=np.array([[0.0, np.nan], [1.0, 2.0]]),
-                                m2=np.ones((2, 2)))
+        stats = labelled(np.array([3, 3]), np.array([[0.0, np.nan], [1.0, 2.0]]),
+                         np.ones((2, 2)))
         with pytest.raises(NumericError, match="class_means holds a non-finite "
                                                "value for feature 'x2'"):
             self._derive(stats, build_partition_set(2, "exhaustive"))
@@ -859,13 +879,11 @@ class TestGammaOnRead:
         # classes 1 and 2 mirror each other about class 3, so hypotheses
         # {1}{2,3} and {2}{1,3} (indices 2 and 3) get the same bits, and
         # the penalty puts them above the null and the full split
-        stats = SufficientStats(n_k=np.array([10, 10, 10]),
-                                mean=np.array([[-2.0, 0.0], [2.0, 0.0], [0.0, 0.0]]),
-                                m2=np.full((3, 2), 10.0))
+        stats = labelled(np.array([10, 10, 10]),
+                         np.array([[-2.0, 0.0], [2.0, 0.0], [0.0, 0.0]]), np.full((3, 2), 10.0))
         model = model_from_stats(stats, build_partition_set(3, "exhaustive",
                                                             variance_mode=variance_mode),
-                                 penalty=PenaltyConfig("custom", C), prior_term_mode="log",
-                                 class_labels=tuple("abc"), feature_names=("x1", "x2"))
+                                 penalty=PenaltyConfig("custom", C), prior_term_mode="log")
         gamma = model.gamma
         assert gamma[0, 2] == gamma[0, 3] == gamma[0].max()
         assert model.top.tolist() == [2, 0]

@@ -15,7 +15,6 @@ from multida.partitions import (
     build_partition_set,
     canonicalize,
     enumerate_exhaustive,
-    group_index,
     one_vs_rest_columns,
     ordinal_columns,
     refines,
@@ -301,25 +300,6 @@ class TestSchemes:
             build_partition_set(3, "user")
         with pytest.raises(ValidationError, match="must be 2-dimensional"):
             build_partition_set(3, np.array([1, 2, 2]))
-
-
-class TestGroupIndex:
-    def test_lookup(self):
-        assert group_index(3, (1, 1, 2)) == 2
-        assert group_index(1, (1, 1, 1)) == 1
-        assert group_index(2, (1, 2, 3)) == 2
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            group_index(4, (1, 1, 2))
-        with pytest.raises(ValidationError):
-            group_index(0, (1, 1, 2))
-
-    def test_matches_one_hot_contraction(self):
-        col = (1, 2, 1, 3)
-        for k in range(1, 5):
-            one_hot = np.eye(4)[k - 1]
-            assert group_index(k, col) == int(one_hot @ np.array(col))
 
 
 class TestRefinement:

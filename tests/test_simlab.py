@@ -584,18 +584,25 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("folds", [2, 5])
     def test_fold_statistics_match_training_rows(self, folds):
-        data, _ = gen_independent(SimSpec("ind-unequal-var", n=53, p=30, K=4, seed=6))
-        data = Dataset.from_arrays(data.X * 3.0 + 50.0,
-                                   [data.class_labels[c - 1] for c in data.y])
-        test_sets = _stratified_folds(data.y, folds, np.random.default_rng(1))
-        for test_idx, (test, train) in zip(test_sets, _cv_folds(data, test_sets)):
-            assert np.array_equal(test.X, data.X[test_idx])
-            want = accumulate_stats(
-                data.subset(np.setdiff1d(np.arange(data.n), test_idx)))
-            assert train.n == want.n
-            assert np.array_equal(train.n_k, want.n_k)
-            np.testing.assert_allclose(train.mean, want.mean, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(train.m2, want.m2, rtol=1e-12, atol=0)
+        # far from zero too: fold statistics merged about their own rounded
+        # means put m2 off by 8.9e-5 relative at an offset of 1e12
+        drawn, _ = gen_independent(SimSpec("ind-unequal-var", n=53, p=30, K=4, seed=6))
+        for offset in (50.0, 1e8, 1e12, -1e12):
+            data = Dataset.from_arrays(drawn.X * 3.0 + offset,
+                                       [drawn.class_labels[c - 1] for c in drawn.y])
+            centre = np.array([data.X[data.y == k].mean(axis=0) for k in range(1, 5)])
+            test_sets = _stratified_folds(data.y, folds, np.random.default_rng(1))
+            for test_idx, (test, train) in zip(test_sets, _cv_folds(data, test_sets, centre)):
+                assert np.array_equal(test.X, data.X[test_idx])
+                want = accumulate_stats(
+                    data.subset(np.setdiff1d(np.arange(data.n), test_idx)))
+                assert train.n == want.n
+                assert np.array_equal(train.n_k, want.n_k)
+                assert train.class_labels == want.class_labels
+                np.testing.assert_allclose(train.mean, want.mean, rtol=1e-12, atol=0,
+                                           err_msg=str(offset))
+                np.testing.assert_allclose(train.m2, want.m2, rtol=1e-12, atol=0,
+                                           err_msg=str(offset))
 
     def test_training_set_checks(self):
         # 2 folds of 2 samples per class leave 3 training rows for K = 3
