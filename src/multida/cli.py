@@ -11,8 +11,11 @@ that ``SimSpec`` lists as read by some scenarios only, the ``--seed`` of
 ``train`` and ``predict``, and ``train --threads``, which is checked but
 not used.  ``train`` streams its CSV into class statistics
 (``data_io.load_class_stats``) and fits them with ``estimator.fit``, the
-one fit entry.  A ``--scheme user:<csv>`` file is read as UTF-8 with or
-without a byte order mark.  ``cv`` and ``simulate`` cross-validate with
+one fit entry.  A ``--scheme user:<csv>`` file is read by
+``data_io.load_matrix`` like every other CSV (UTF-8 with or without a
+byte order mark, a bad cell named by row and column), and its entries
+must be integers; row k of S is the k-th class label in order of first
+appearance in the training data.  ``cv`` and ``simulate`` cross-validate with
 ``estimator.cross_validate``; ``simulate`` draws its data with
 ``simlab.generate`` and ``consistency`` runs ``simlab.consistency_sweep``.
 The library refuses a seed that is not a non-negative integer, and a
@@ -32,7 +35,6 @@ import json
 import os
 import sys
 import time
-import warnings
 
 import click
 import numpy as np
@@ -106,24 +108,15 @@ def _resolve_seed(ctx, param, seed: int | None) -> int:
 
 def _parse_scheme(scheme: str) -> str | np.ndarray:
     """The hypothesis set a --scheme value names: a scheme name, or the
-    matrix S read from the file of ``user:<path>``, as UTF-8 with or
-    without a byte order mark.  An empty file reads as a matrix of no
-    rows, which ``build_partition_set`` refuses."""
-    if scheme.startswith("user:"):
-        path = scheme.split(":", 1)[1]
-        if not path:
-            raise ValidationError("--scheme user:<path> needs a file path")
-        try:
-            with warnings.catch_warnings():  # loadtxt warns of an empty file
-                warnings.simplefilter("ignore")
-                matrix = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2,
-                                    encoding="utf-8-sig")
-        except OSError as exc:
-            raise ValidationError(f"cannot read partition matrix: {exc}") from None
-        except ValueError as exc:
-            raise FormatError(f"{path}: not an integer CSV matrix ({exc})") from None
-        return matrix
-    return scheme
+    matrix S read from the file of ``user:<path>`` by ``load_matrix``, as
+    every CSV is read, headerless with no label column.  Its entries are
+    checked by ``build_partition_set``."""
+    if not scheme.startswith("user:"):
+        return scheme
+    path = scheme.split(":", 1)[1]
+    if not path:
+        raise ValidationError("--scheme user:<path> needs a file path")
+    return load_matrix(path, CsvSchema(has_header=False, label_column=None))[0]
 
 
 def _schema(label_col: str, no_header: bool, delimiter: str, *,

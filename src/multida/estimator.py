@@ -249,7 +249,8 @@ class SufficientStats:
     ``m2`` is the sum of squared deviations from the class mean, by the
     corrected two-pass of ``accumulate_stats`` (or ``_merge_stats`` of
     such sums).  Every other fitted quantity derives from these, the
-    sample count ``n`` included.  Building them checks that there are K
+    sample count ``n`` included.  Building them checks that ``n_k`` is
+    1-D, that ``mean`` and ``m2`` are both K x p, and that there are K
     distinct labels and p names.  The arrays are made read-only, and a
     view is copied first, so no model derived from them can change under
     the caller who passed them.
@@ -264,7 +265,14 @@ class SufficientStats:
     def __post_init__(self):
         for name in ("n_k", "mean", "m2"):
             object.__setattr__(self, name, _owned_readonly(getattr(self, name)))
-        K, p = len(self.n_k), self.mean.shape[1]
+        if self.n_k.ndim != 1:
+            raise ValidationError(f"class counts must be 1-D, got shape {self.n_k.shape}")
+        K = len(self.n_k)
+        if self.mean.ndim != 2 or len(self.mean) != K or self.m2.shape != self.mean.shape:
+            raise ValidationError(f"means of shape {self.mean.shape} and sums of squares of "
+                                  f"shape {self.m2.shape} for {K} class counts: both must be "
+                                  "K x p")
+        p = self.mean.shape[1]
         if len(self.class_labels) != K:
             raise ValidationError("class label count does not match K")
         if len(set(self.class_labels)) != K:
@@ -649,7 +657,15 @@ class StatsAccumulator:
         self._p = 0
 
     def add(self, labels: Sequence, rows: np.ndarray) -> None:
-        """Take one chunk: ``rows`` (n x p) and their ``labels``."""
+        """Take one chunk: ``rows`` (n x p) and their ``labels``.  A chunk
+        that is not n x p, n the label count and p the width of earlier
+        chunks, is refused with ``ValidationError``."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or len(rows) != len(labels):
+            raise ValidationError(f"a chunk of {len(labels)} labels needs as many rows, "
+                                  f"got an array of shape {rows.shape}")
+        if self._codes and rows.shape[1] != self._p:
+            raise ValidationError(f"a chunk of {rows.shape[1]} features after chunks of {self._p}")
         codes = np.empty(len(labels), dtype=np.int64)
         for i, lab in enumerate(labels):
             codes[i] = code = self._codes.setdefault(str(lab), len(self._codes))
@@ -657,7 +673,6 @@ class StatsAccumulator:
                 self._held.append([])
                 self._held_rows.append(0)
                 self._folded.append(None)
-        rows = np.asarray(rows, dtype=np.float64)
         self._p = rows.shape[1]
         counts = np.bincount(codes)
         for k in np.flatnonzero(counts).tolist():
@@ -941,9 +956,10 @@ def model_from_stats(
     """The one checked entry from per-class sufficient statistics, the
     hypothesis set and the config to a model; ``fit``, ``cross_validate``
     and ``load_model`` all call it, so a loaded model is bit-identical to
-    the fitted one.  It raises ``ValidationError`` unless there are K >= 2
-    classes, n >= K+1 samples (over ``stats.n_k``), p >= 1 features and a
-    known ``prior_term_mode``, resolves ``penalty`` against ``stats.n``
+    the fitted one.  It raises ``ValidationError`` unless ``parts`` is a
+    set for the K classes of ``stats``, K >= 2, there are n >= K+1
+    samples (over ``stats.n_k``) and p >= 1 features, and
+    ``prior_term_mode`` is known.  It resolves ``penalty`` against ``stats.n``
     and p, and returns the model checked by ``validate_model``.
 
     The derivation is one pass over blocks of features (``_block_mles``,
@@ -987,6 +1003,9 @@ def _model_from_stats(
     all its folds, or None for one of this call's own, freed before the
     model is validated."""
     K, p, n = len(stats.n_k), stats.mean.shape[1], stats.n
+    if parts.K != K:
+        raise ValidationError(f"the hypothesis set is for K={parts.K} classes, "
+                              f"the statistics have {K}")
     if K < 2:
         raise ValidationError("training data must contain at least 2 classes")
     if n < K + 1:

@@ -274,18 +274,31 @@ class PartitionSet:
         return "|".join(str(v) for v in self.columns[m - 1])
 
 
-def _validate_user_matrix(matrix: np.ndarray, k: int) -> list[Column]:
+def _entry(v, i: int, j: int) -> int:
+    """Entry (i, j) of S as given, before any cast: an int that is no bool,
+    or an integral finite float such as ``2.0``."""
+    if not isinstance(v, (bool, np.bool_)) and (isinstance(v, (int, np.integer)) or (
+            isinstance(v, (float, np.floating)) and float(v).is_integer())):
+        return int(v)
+    raise ValidationError(f"user partition matrix entry {v!r} at row {i + 1}, "
+                          f"column {j + 1} is not an integer")
+
+
+def _validate_user_matrix(scheme, k: int) -> list[Column]:
+    matrix = np.array(scheme, dtype=object)  # each entry as given
+    # numpy stacks rows of one length only, else holds the rows themselves
+    widths = [len(row) for row in matrix if isinstance(row, (list, tuple, np.ndarray))]
+    if len(set(widths)) > 1:
+        raise ValidationError(f"user partition matrix has rows of different lengths {widths}")
     if matrix.ndim != 2:
         raise ValidationError("user partition matrix must be 2-dimensional")
     if matrix.shape[0] != k:
-        raise ValidationError(
-            f"user partition matrix has {matrix.shape[0]} rows, expected K={k}"
-        )
+        raise ValidationError(f"user partition matrix has {matrix.shape[0]} rows, expected K={k}")
     if matrix.shape[1] == 0:
         raise ValidationError("user partition matrix has zero columns")
     columns: list[Column] = []
     for j in range(matrix.shape[1]):
-        col = tuple(int(v) for v in matrix[:, j])
+        col = tuple(_entry(v, i, j) for i, v in enumerate(matrix[:, j]))
         groups = set(col)
         if groups != set(range(1, len(groups) + 1)):
             raise ValidationError(
@@ -312,7 +325,11 @@ def build_partition_set(
 ) -> PartitionSet:
     """Construct the hypothesis set for ``k`` classes.
 
-    ``scheme`` is a scheme name or the K x M integer matrix S itself.
+    ``scheme`` is a scheme name or the K x M integer matrix S itself:
+    any array or nested sequence, each entry an int or an integral finite
+    float such as ``2.0``.  S whose rows differ in length, or that holds
+    any other entry (a fraction, NaN, infinity, a bool, a string), is
+    refused with ``ValidationError`` naming the first bad one.
     ``exhaustive`` enumerates all B_k partitions (K <= ``MAX_CLASSES`` = 9,
     see ``enumerate_exhaustive``), ``onevsrest`` the null plus every
     single-class-versus-rest split and ``ordinal`` all contiguous interval
@@ -333,7 +350,7 @@ def build_partition_set(
                 "or the K x M partition matrix itself"
             )
         return _partition_set_from_columns(_NAMED_SCHEMES[scheme](k), scheme, variance_mode)
-    raw = _validate_user_matrix(np.asarray(scheme, dtype=np.int64), k)
+    raw = _validate_user_matrix(scheme, k)
     # the null column has the fewest groups, so it sorts first
     columns = sorted({(1,) * k} | {canonicalize(c) for c in raw}, key=_column_sort_key)
     return _partition_set_from_columns(columns, "user", variance_mode)

@@ -177,11 +177,17 @@ class TestTrain:
         assert result.exit_code == 0, result.output
         assert "M=2" in result.output
 
+    # the file is read as every CSV is, so a bad cell is named by row and
+    # column, and S's entries are checked by build_partition_set
     @pytest.mark.parametrize("content, message", [
         (None, "--scheme user:<path> needs a file path"),
-        ("1,1\n1,2\n1,x\n", "not an integer CSV matrix"),
-        ("1,1\n1,2\n1,2.5\n", "not an integer CSV matrix"),
-    ], ids=["no-path", "text-cell", "float-cell"])
+        ("1,1\n1,2\n1,x\n", "{path}: non-numeric cell 'x' at row 3, column x2"),
+        ("1,1\n1,2\n1,2.5\n",
+         "user partition matrix entry 2.5 at row 3, column 2 is not an integer"),
+        ("1,1\n1\n1,2\n", "{path}: row 2 has 1 cells, expected 2"),
+        ("# S\n1,1\n1,2\n1,2\n", "{path}: non-numeric cell '# S' at row 1, column x1"),
+        ("1,1\n1,nan\n1,2\n", "{path}: non-finite cell 'nan' at row 2, column x2"),
+    ], ids=["no-path", "text-cell", "float-cell", "ragged", "comment", "nan-cell"])
     def test_bad_user_scheme_exits_2(self, runner, wide_csv, tmp_path, content, message):
         path = ""
         if content is not None:
@@ -192,8 +198,21 @@ class TestTrain:
             main, ["train", wide_csv, "--scheme", f"user:{path}", "--seed", "1",
                    "--out", str(out), "--features-out", str(tmp_path / "f.csv")],
         )
-        assert_one_error_line(result, message if content is None else f"{path}: {message}")
+        assert_one_error_line(result, message.format(path=path))
+        assert result.stderr.splitlines()[1] == "error: " + message.format(path=path)
         assert not out.exists()
+
+    def test_integral_float_user_scheme_reads_as_integers(self, runner, wide_csv, tmp_path):
+        models = []
+        for name, text in (("int", "1,1\n1,2\n1,2\n"), ("float", "1.0,1\n1,2.0\n1,2e0\n")):
+            smat, model = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            smat.write_text(text)
+            result = runner.invoke(main, ["train", wide_csv, "--scheme", f"user:{smat}",
+                                          "--seed", "1", "--out", str(model),
+                                          "--features-out", str(tmp_path / f"{name}_f.csv")])
+            assert result.exit_code == 0, result.output
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
 
     def test_user_scheme_with_byte_order_mark(self, runner, wide_csv, tmp_path):
         # spreadsheets' "CSV UTF-8" export starts the file with one
@@ -220,7 +239,8 @@ class TestTrain:
                 main, ["train", wide_csv, "--scheme", f"user:{path}", "--seed", "1",
                        "--out", str(tmp_path / "m.json"),
                        "--features-out", str(tmp_path / "f.csv")])
-        assert_one_error_line(result, "user partition matrix has 0 rows, expected K=3")
+        assert_one_error_line(result, f"{path}: file is empty")
+        assert result.stderr.splitlines()[1] == f"error: {path}: file is empty"
 
     def test_train_fits_through_the_cli_name_once(self, runner, wide_csv, tmp_path):
         # a tracer wraps cli.fit, so train must look its one fit up there
@@ -1080,13 +1100,15 @@ class TestSimulate:
         assert not out.exists()
 
     def test_missing_user_scheme_exits_2(self, runner, tmp_path):
-        out = tmp_path / "x.csv"
+        out, missing = tmp_path / "x.csv", tmp_path / "missing.csv"
         result = runner.invoke(
             main, ["simulate", "--scenario", "ind-equal-var", "--n", "20", "--p", "6",
-                   "--k", "2", "--scheme", f"user:{tmp_path / 'missing.csv'}",
+                   "--k", "2", "--scheme", f"user:{missing}",
                    "--seed", "1", "--out", str(out)],
         )
-        assert_one_error_line(result, "cannot read partition matrix")
+        message = f"[Errno 2] No such file or directory: '{missing}'"
+        assert_one_error_line(result, message)
+        assert result.stderr.splitlines()[1] == "error: " + message
         assert not out.exists()
 
     def test_scheme_reaches_cross_validation(self, runner, tmp_path):

@@ -153,6 +153,31 @@ class TestSufficientStats:
             SufficientStats(n_k=np.array([2, 2]), mean=np.zeros((2, 2)), m2=np.ones((2, 2)),
                             class_labels=labels, feature_names=names)
 
+    @pytest.mark.parametrize("n_k, mean, m2, message", [
+        ([[2, 2]], (2, 2), (2, 2), r"class counts must be 1-D, got shape \(1, 2\)"),
+        ([2, 2], (3, 2), (3, 2), r"means of shape \(3, 2\) and sums of squares of shape "
+                                 r"\(3, 2\) for 2 class counts: both must be K x p"),
+        ([2, 2], (2, 2), (2, 3), r"sums of squares of shape \(2, 3\) for 2 class counts"),
+        ([2, 2], (2,), (2,), r"means of shape \(2,\)"),
+    ], ids=["counts-2d", "means-rows", "m2-width", "means-1d"])
+    def test_shapes_are_checked(self, n_k, mean, m2, message):
+        with pytest.raises(ValidationError, match=message):
+            SufficientStats(n_k=np.array(n_k), mean=np.zeros(mean), m2=np.ones(m2),
+                            class_labels=("a", "b"), feature_names=("x1", "x2"))
+
+    @pytest.mark.parametrize("chunks, message", [
+        ([(["a", "b"], np.zeros(2))], r"a chunk of 2 labels needs as many rows, "
+                                      r"got an array of shape \(2,\)"),
+        ([(["a", "b"], np.zeros((3, 2)))], r"got an array of shape \(3, 2\)"),
+        ([(["a"], np.zeros((1, 2))), (["b"], np.zeros((1, 3)))],
+         "a chunk of 3 features after chunks of 2"),
+    ], ids=["rows-1d", "label-count", "width"])
+    def test_malformed_chunk_refused(self, chunks, message):
+        acc = StatsAccumulator()
+        with pytest.raises(ValidationError, match=message):
+            for labels, rows in chunks:
+                acc.add(labels, rows)
+
     def test_hand_accumulation(self, toy_data, toy_parts):
         stats = accumulate_stats(toy_data)
         # class a holds 0, 2; class b holds 4, 6
@@ -603,6 +628,20 @@ class TestFit:
         with pytest.raises(ValidationError, match="threads must be >= 0"):
             fit(toy_data, threads=-1)
 
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1, 1], [1, 2], [1, 2.7]], "entry 2.7 at row 3, column 2 is not an integer"),
+        ([[1, 1], [1, True], [1, 2]], "entry True at row 2, column 2 is not an integer"),
+        ([[1, 1], [1, "1"], [1, 2]], "entry '1' at row 2, column 2 is not an integer"),
+        (np.array([[1, 1], [1, np.nan], [1, 2]]), "entry nan at row 2, column 2"),
+        ([[1, 1], [1], [1, 2]], r"has rows of different lengths \[2, 1, 2\]"),
+    ], ids=["fraction", "bool", "string", "nan", "ragged"])
+    def test_bad_user_matrix_refused(self, matrix, message):
+        data = random_dataset(np.random.default_rng(4), 30, 3, 3, min_per_class=4)
+        with pytest.raises(ValidationError, match=message):
+            fit(data, scheme=matrix)
+        with pytest.raises(ValidationError, match=message):
+            cross_validate(data, 3, 1, seed=1, scheme=matrix)
+
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_overflowing_statistics_raise(self, variance_mode, threads):
@@ -739,6 +778,13 @@ class TestModelFromStats:
         parts = build_partition_set(k, "exhaustive")
         with pytest.raises(ValidationError, match=message):
             self._derive(stats, parts, prior_term_mode=prior)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_set_for_another_class_count_rejected(self, k):
+        stats = labelled(np.array([3, 3, 3]), np.zeros((3, 2)), np.ones((3, 2)))
+        with pytest.raises(ValidationError, match=f"^the hypothesis set is for K={k} "
+                                                  "classes, the statistics have 3$"):
+            self._derive(stats, build_partition_set(k, "exhaustive"))
 
     def test_first_bad_feature_named(self):
         # the first bad cell of the stored K x p means is feature 4's; every
@@ -969,6 +1015,50 @@ class TestShiftScaleInvariance:
                     variance_mode=variance_mode)
         np.testing.assert_allclose(moved.gamma, base.gamma, rtol=0.0, atol=1e-6)
         assert predict(moved, a + b * q).labels == predict(base, q).labels
+
+
+class TestClassOrderInvariance:
+    """Exhaustive and one-vs-rest sets are closed under relabelling the
+    classes, so a training set in another row order, whose classes get
+    other codes, gives the same model up to rounding."""
+
+    @staticmethod
+    def _partition(model, m):
+        # hypothesis m (1-based) as a set of groups of class labels
+        col = model.parts.columns[m - 1]
+        return frozenset(frozenset(lab for lab, g in zip(model.class_labels, col) if g == h)
+                         for h in set(col))
+
+    @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
+    @pytest.mark.parametrize("scheme", ["exhaustive", "onevsrest"])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_row_order_changes_nothing(self, k, scheme, variance_mode):
+        rng = np.random.default_rng([k, len(scheme), len(variance_mode)])
+        y = np.repeat([f"c{i}" for i in range(k)], 12)
+        X = rng.normal(size=(len(y), 30))
+        code = np.arange(len(y)) // 12
+        X[:, :4] += 3.0 * (code == 0)[:, None]  # class c0 against the rest
+        X[:, 4:6] += 3.0 * (code % 2)[:, None]  # the odd classes against the even ones
+        perm = rng.permutation(len(y))
+        config = {"scheme": scheme, "variance_mode": variance_mode}
+        model = fit(Dataset.from_arrays(X, y), **config)
+        moved = fit(Dataset.from_arrays(X[perm], y[perm]), **config)
+        assert moved.class_labels != model.class_labels  # the classes got other codes
+        query = rng.normal(size=(20, 30)) + 1.5 * rng.integers(0, 2, size=(20, 1))
+        want, got = predict(model, query), predict(moved, query)
+        assert got.labels == want.labels
+        by_label = [moved.class_labels.index(lab) for lab in model.class_labels]
+        np.testing.assert_allclose(got.probabilities[:, by_label], want.probabilities,
+                                   rtol=0, atol=1e-12)
+        selected = {name: (self._partition(model, m), w)
+                    for name, m, w in selected_features(model)}
+        assert selected
+        moved_selected = {name: (self._partition(moved, m), w)
+                          for name, m, w in selected_features(moved)}
+        assert moved_selected.keys() == selected.keys()
+        for name, (partition, weight) in selected.items():
+            assert moved_selected[name][0] == partition
+            assert abs(moved_selected[name][1] - weight) <= 1e-12
 
 
 class TestPredict:

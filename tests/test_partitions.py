@@ -301,6 +301,35 @@ class TestSchemes:
         with pytest.raises(ValidationError, match="must be 2-dimensional"):
             build_partition_set(3, np.array([1, 2, 2]))
 
+    # each entry is checked as given, before any cast to integers
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1, 1], [1, 2], [1, 2.7]], "entry 2.7 at row 3, column 2 is not an integer"),
+        (np.array([[1, 1], [1, 2], [1, 2.7]]), "entry 2.7 at row 3, column 2 is not an integer"),
+        ([[1, 1], [1, True], [1, 2]], "entry True at row 2, column 2 is not an integer"),
+        (np.ones((3, 2), dtype=bool), "entry True at row 1, column 1 is not an integer"),
+        ([[1, 1], [1, "1"], [1, 2]], "entry '1' at row 2, column 2 is not an integer"),
+        ([[1, 1], [1, float("nan")], [1, 2]], "entry nan at row 2, column 2 is not an integer"),
+        (np.array([[1, 1], [1, np.inf], [1, 2]]),
+         "entry inf at row 2, column 2 is not an integer"),
+        ([[1, 1], [1, [2]], [1, 2]], r"entry \[2\] at row 2, column 2 is not an integer"),
+        ([[1, 1], [1], [1, 2]], r"has rows of different lengths \[2, 1, 2\]$"),
+        ([(1, 1), (1, 2), (1, 2, 2)], r"has rows of different lengths \[2, 2, 3\]$"),
+    ], ids=["fraction", "fraction-array", "bool", "bool-array", "string", "nan",
+            "inf-array", "nested", "short-row", "long-row"])
+    def test_bad_user_entries_refused(self, matrix, message):
+        with pytest.raises(ValidationError, match=message):
+            build_partition_set(3, matrix)
+
+    def test_integral_floats_give_the_integer_set(self):
+        matrix = [[1, 1, 1], [1, 2, 1], [1, 2, 2]]
+        built = build_partition_set(3, matrix)
+        for same in (np.array(matrix, dtype=float), [[1.0, 1, 1], [1, 2.0, 1], [1, 2, 2.0]],
+                     np.array(matrix, dtype=np.uint8)):
+            assert build_partition_set(3, same).columns == built.columns
+        # an integral float past int64 is a gap, not a wrapped cast
+        with pytest.raises(ValidationError, match=r"column 2 .* \[1, 2, 10000000000000000000\]"):
+            build_partition_set(3, [[1, 1], [1, 2], [1, 1e19]])
+
 
 class TestRefinement:
     def test_examples(self):
