@@ -9,15 +9,17 @@ reproduced bit-exactly from its log, except the wall-clock
 it takes, with these exceptions: the scenario settings of ``simulate``
 that ``SimSpec`` lists as read by some scenarios only, the ``--seed`` of
 ``train`` and ``predict``, and ``train --threads``, which is checked but
-not used.  ``train`` streams its CSV into class statistics
-(``data_io.load_class_stats``) and fits them with ``estimator.fit``, the
-one fit entry.  A ``--scheme user:<csv>`` file is read by
-``data_io.load_matrix`` like every other CSV (UTF-8 with or without a
-byte order mark, a bad cell named by row and column), and its entries
-must be integers; row k of S is the k-th class label in order of first
-appearance in the training data.  ``cv`` and ``simulate`` cross-validate with
-``estimator.cross_validate``; ``simulate`` draws its data with
-``simlab.generate`` and ``consistency`` runs ``simlab.consistency_sweep``.
+not used.  ``train`` checks every option before it opens its CSV, then
+streams the CSV into class statistics (``data_io.load_class_stats``) and
+fits them with ``estimator.fit``, the one fit entry.  A ``--scheme
+user:<csv>`` file is read by ``data_io.load_matrix`` like every other CSV
+(UTF-8 with or without a byte order mark, a bad cell named by row and
+column), and its entries must be integers (a bad one is refused naming
+the file, before any data are read); row k of S is the k-th class label
+in order of first appearance in the training data.  ``cv`` and
+``simulate`` cross-validate with ``estimator.cross_validate``;
+``simulate`` draws its data with ``simlab.generate`` and ``consistency``
+runs ``simlab.consistency_sweep``.
 The library refuses a seed that is not a non-negative integer, and a
 sweep size below K, before it draws, so those exit 2 too.  Every output
 file is checked before the command's work, so one that cannot be
@@ -51,8 +53,15 @@ from .data_io import (
     save_model,
 )
 from .errors import FormatError, NumericError, ValidationError
-from .estimator import cross_validate, fit, predict, selected_features
-from .partitions import build_partition_set
+from .estimator import (
+    check_fit_options,
+    check_threshold,
+    cross_validate,
+    fit,
+    predict,
+    selected_features,
+)
+from .partitions import build_partition_set, check_scheme
 from .simlab import (
     SCENARIOS,
     SimSpec,
@@ -109,14 +118,22 @@ def _resolve_seed(ctx, param, seed: int | None) -> int:
 def _parse_scheme(scheme: str) -> str | np.ndarray:
     """The hypothesis set a --scheme value names: a scheme name, or the
     matrix S read from the file of ``user:<path>`` by ``load_matrix``, as
-    every CSV is read, headerless with no label column.  Its entries are
-    checked by ``build_partition_set``."""
+    every CSV is read, headerless with no label column.  Either is checked
+    by ``check_scheme`` before any data are read, and a fault of S is
+    refused naming its file; only S's row count waits for the class count
+    of the data (``build_partition_set``)."""
     if not scheme.startswith("user:"):
+        check_scheme(scheme)
         return scheme
     path = scheme.split(":", 1)[1]
     if not path:
         raise ValidationError("--scheme user:<path> needs a file path")
-    return load_matrix(path, CsvSchema(has_header=False, label_column=None))[0]
+    matrix = load_matrix(path, CsvSchema(has_header=False, label_column=None))[0]
+    try:
+        check_scheme(matrix)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return matrix
 
 
 def _schema(label_col: str, no_header: bool, delimiter: str, *,
@@ -227,13 +244,24 @@ def main():
 @_guarded
 def train(input, out, features_out, threshold, penalty, variance, scheme,
           prior_term, label_col, no_header, delimiter, seed, threads):
-    """Fit a model on a labeled CSV and write it to disk."""
+    """Fit a model on a labeled CSV and write it to disk.  Every option is
+    checked before the CSV is read.
+
+    \f
+    The checks (the scheme and S's entries, the penalty, --threads and
+    --threshold) are those the fit and the selection make, so a bad option
+    costs no read of a large file; only S's row count waits for the
+    classes.  The CSV then streams into the class statistics
+    (``load_class_stats``), so no n x p matrix is held, and ``fit`` derives
+    the model from them in a one-off workspace of half of
+    ``estimator._BLOCK_BYTES``."""
     scheme = _parse_scheme(scheme)
-    # the CSV streams into the class statistics: no n x p matrix is held
+    check_fit_options(penalty, threads)
+    check_threshold(threshold)
     model = fit(load_class_stats(input, _schema(label_col, no_header, delimiter)),
                 scheme=scheme, penalty=penalty, variance_mode=variance,
                 prior_term_mode=prior_term, threads=threads)
-    rows = selected_features(model, threshold)  # checks --threshold
+    rows = selected_features(model, threshold)
     save_model(model, out)
     _write_csv(
         features_out,

@@ -141,20 +141,61 @@ def _has_long_cell(line: str, delimiter: str, limit: int) -> bool:
 
 
 #: Text per ``np.loadtxt`` call of the plain reader, in characters; a
-#: chunk is as many lines as reach it, at least one.  The row reader hands
-#: over as many rows as take this many bytes as floats.
-_CHUNK_CHARS = 1 << 18
+#: chunk is as many lines as reach it, at least one, so a line of more than
+#: 2^16 characters (a row of 10000 values written by ``save_dataset`` takes
+#: about 196 K) is parsed on its own.  The row reader hands over as many
+#: rows as take this many bytes as floats.
+_CHUNK_CHARS = 1 << 16
 
 
-def _loadtxt(lines: list[str], delimiter: str, p: int) -> np.ndarray:
-    """The values of ``lines``, each p cells, by numpy's C reader; raises
-    ``ValueError`` unless every line has p cells that parse to finite
-    values."""
+def _no_value(cell: str) -> float:
+    """What ``np.loadtxt`` reads for a label cell, which is dropped."""
+    return 0.0
+
+
+def _loadtxt(lines: list[str], delimiter: str, label_idx: int, p: int) -> np.ndarray:
+    """The values of ``lines`` but for their label cell (``label_idx``, -1
+    for none), by numpy's C reader, which reads the label cell as
+    ``_no_value`` rather than parsing it; raises ``ValueError`` unless every
+    line gives p values that are finite.  A first-column label is dropped
+    by a view, which the sink copies its rows from, any other by a copy."""
+    # encoding=None, numpy 2's default: numpy 1 would encode each label
+    # cell to latin-1 for the converter, and fail on any other character
     values = np.loadtxt(lines, delimiter=delimiter, dtype=np.float64, ndmin=2,
-                        comments=None, quotechar=None)
+                        comments=None, quotechar=None, encoding=None,
+                        converters=None if label_idx < 0 else {label_idx: _no_value})
+    if label_idx == 0:
+        values = values[:, 1:]
+    elif label_idx > 0:
+        values = np.delete(values, label_idx, axis=1)
     if values.shape != (len(lines), p) or not np.isfinite(values).all():
         raise ValueError("not plain CSV")
     return values
+
+
+def _text_end(line: str) -> int:
+    """Where the text of ``line`` ends: before its line break, if any."""
+    end = len(line) - line.endswith("\n")
+    return end - line.endswith("\r", 0, end)
+
+
+def _cell(line: str, delimiter: str, index: int, width: int) -> str:
+    """Cell ``index`` of a line of ``width`` cells, found from the nearer
+    end of the line, so the line is not split: the label cell is the first
+    or the last one in most files.  Raises ``ValueError`` when the
+    delimiters run out first; a line of more cells than ``width`` gives
+    some cell, and ``_loadtxt`` refuses its width."""
+    start, stop = 0, _text_end(line)
+    if 2 * index < width:
+        for _ in range(index):
+            start = line.index(delimiter, start) + 1
+        if index < width - 1:
+            stop = line.index(delimiter, start)
+    else:
+        for _ in range(width - 1 - index):
+            stop = line.rindex(delimiter, 0, stop)
+        start = line.rfind(delimiter, 0, stop) + 1
+    return line[start:stop]
 
 
 def _read_plain(path: str | Path, fh, schema: CsvSchema, labeled: bool,
@@ -163,8 +204,9 @@ def _read_plain(path: str | Path, fh, schema: CsvSchema, labeled: bool,
     """Parse the body of an open file into ``sink()``, one ``np.loadtxt``
     call on each chunk of about ``_CHUNK_CHARS`` characters of lines.
 
-    The header goes through ``csv.reader``; each body line has its label
-    cell split off and the rest goes to numpy's C reader.  A label cell
+    The header goes through ``csv.reader``.  Each body line goes to numpy's
+    C reader as it was read, line break included, and the label cell is
+    sliced out of it (``_cell``), so no line is copied.  A label cell
     wrapped in one pair of quotes with no quote inside (R's ``write.csv``
     quotes every label) loses the pair, as it does in the csv module.
     Raises whenever the row reader might see the file differently: any
@@ -177,43 +219,41 @@ def _read_plain(path: str | Path, fh, schema: CsvSchema, labeled: bool,
     if schema.has_header:
         header = next((row for row in csv.reader(fh, delimiter=delim) if row), None)
     # the csv module ends a row at "\n", "\r" or "\r\n" and skips empty rows
-    lines = (line for line in (line.rstrip("\r\n") for line in fh) if line)
+    lines = (line for line in fh if line not in ("\n", "\r", "\r\n"))
     first = next(lines, None)
     if first is None:
         raise ValueError("no body")
-    width, label_idx, names = _layout(path, schema, labeled, header, first.split(delim))
+    width, label_idx, names = _layout(path, schema, labeled, header,
+                                      first[:_text_end(first)].split(delim))
     limit = csv.field_size_limit()
-    n_split = min(label_idx + 2, width)
     out = sink()
     labels: list[str] = []
     chunk: list[str] = []
     size = 0
-    for line in itertools.chain([first], lines):
+    lines = itertools.chain([first], lines)
+    del header, first  # a body line is held by its chunk only
+    for line in lines:
         # Python 3.10's csv module rejects NUL
         if "\0" in line or _has_long_cell(line, delim, limit):
             raise ValueError("not plain CSV")
+        quoted = False
         if label_idx >= 0:
-            cells = line.split(delim, label_idx + 1)
-            if len(cells) != n_split:
-                raise ValueError("ragged row")
-            label = cells.pop(label_idx)
-            if len(label) > 1 and label[0] == label[-1] == '"':
+            label = _cell(line, delim, label_idx, width)
+            quoted = len(label) > 1 and label[0] == label[-1] == '"'
+            if quoted:
                 label = label[1:-1]
             if '"' in label:
                 raise ValueError("quote inside a label")
             labels.append(label)
-            line = delim.join(cells)
-        if '"' in line:
+        if '"' in line and line.count('"') != 2 * quoted:
             raise ValueError("quoted cell")
-        if not line:
-            raise ValueError("empty row")  # loadtxt would skip it
         chunk.append(line)
         size += len(line)
         if size >= _CHUNK_CHARS:
-            out.add(labels, _loadtxt(chunk, delim, len(names)))
+            out.add(labels, _loadtxt(chunk, delim, label_idx, len(names)))
             labels, chunk, size = [], [], 0
     if chunk:
-        out.add(labels, _loadtxt(chunk, delim, len(names)))
+        out.add(labels, _loadtxt(chunk, delim, label_idx, len(names)))
     return names, out
 
 

@@ -42,8 +42,8 @@ Conventions used throughout:
 * Memory is bounded by ``_BLOCK_BYTES`` where n or p could make it grow:
   ``StatsAccumulator`` takes the statistics of rows handed over in chunks
   (``multida train`` streams its CSV into one) and holds at most that
-  many bytes of rows before it folds a class, and a one-off derivation
-  keeps its whole workspace within it.
+  many bytes of rows before it folds a class, in place, and a one-off
+  derivation keeps its whole workspace within half of it.
 * Fitting runs on one thread; only ``predict`` splits its rows over
   worker threads.
 """
@@ -71,15 +71,15 @@ PRIOR_TERM_MODES = ("log", "plogp")
 _LOG_2PI = math.log(2.0 * math.pi)
 
 #: The memory limit of the bounded stages, in bytes: the rows a
-#: ``StatsAccumulator`` holds over all its classes, the whole workspace of
-#: a one-off derivation (``_Workspace``), and the widest array of one
-#: block of a derivation that shares its workspace: a row per hypothesis
-#: or class subset, whichever are more, and a column per feature (see
-#: ``_block_width``).
+#: ``StatsAccumulator`` holds over all its classes, and the widest array
+#: of one block of a derivation that shares its workspace: a row per
+#: hypothesis or class subset, whichever are more, and a column per
+#: feature (see ``_block_width``).  The whole workspace of a one-off
+#: derivation (``_Workspace``) gets half of it.
 _BLOCK_BYTES = 1 << 21
 
 #: The narrowest block a one-off derivation cuts to keep its workspace
-#: within ``_BLOCK_BYTES``, unless ``_block_width`` is narrower still.
+#: within half of ``_BLOCK_BYTES``, unless ``_block_width`` is narrower still.
 #: Narrower blocks cost time: at K=5, p=20000 (exhaustive, equal
 #: variances; 2-core VM, best of 35) a derivation at this width took
 #: 23.2 ms against 21.0 ms at ``_block_width`` (5041 features).
@@ -476,22 +476,27 @@ class _Block:
 class _Workspace:
     """The scratch memory of a p-feature derivation under ``parts``: its
     ``blocks``, slices of ``width`` features as ``_column_blocks`` lays
-    them out, and one buffer, allocated once and sized for the widest
-    block, that ``block`` splits into the disjoint regions of a
-    ``_Block``.  ``rows`` gives each region's row count; ``gather`` holds
-    what one step gathers and is done with before it returns: the two
-    operands of a merge run or the rows of one subset or class sum,
-    whichever is most, and hypothesis sums gather through it in parts.
-    Every block step writes into those views, so a derivation allocates
-    its block temporaries once, however many blocks it has, and no array a
-    model keeps is a view of it.
+    them out, and the ``regions`` of a ``_Block``, one array each,
+    allocated once and sized for the widest block.  ``rows`` gives each
+    region's row count; ``gather`` holds what one step gathers and is done
+    with before it returns: the two operands of a merge run or the rows of
+    one subset or class sum, whichever is most, and hypothesis sums gather
+    through it in parts.  Every block step writes into views of them, so a
+    derivation allocates its block temporaries once, however many blocks
+    it has, and no array a model keeps is a view of them.
 
-    Without a ``width`` the workspace is a one-off derivation's: its whole
-    buffer is kept within ``_BLOCK_BYTES``, but no block is narrower than
-    ``_block_width`` or ``_MIN_BLOCK_WIDTH``, whichever is smaller.  At
-    K=4 (exhaustive, p=10000) that gives blocks of 2621 features and a
-    2 MiB buffer, against one block and 7.6 MiB at ``_block_width``; from
-    K=6 on (exhaustive) the width is ``_block_width``'s.  A workspace
+    Without a ``width`` the workspace is a one-off derivation's: its
+    regions together are kept within half of ``_BLOCK_BYTES`` (1 MiB), but
+    no block is narrower than ``_block_width`` or ``_MIN_BLOCK_WIDTH``,
+    whichever is smaller.  At K=4 (exhaustive, p=10000) the floor binds:
+    blocks of 2048 features in 1.6 MB, against one block and 7.6 MiB at
+    ``_block_width``; from K=6 on (exhaustive) the width is
+    ``_block_width``'s.  The workspace is small, and each region (at most
+    240 KiB there) smaller still, so that after ``multida train`` has
+    streamed its rows it fits in the memory they freed rather than in
+    fresh pages: glibc maps an allocation above its mmap threshold to
+    fresh pages, and the parser's buffers raise that threshold to about
+    1 MB, below a 1.6 MB buffer but above every region.  A workspace
     shared by many derivations (``cross_validate``) passes
     ``_block_width``: narrower blocks would cost each of them time."""
 
@@ -505,19 +510,16 @@ class _Workspace:
                      "lam": n_hyp, "floor": 1, "reduce": 1}
         if width is None:
             width = max(min(_block_width(parts), _MIN_BLOCK_WIDTH),
-                        _BLOCK_BYTES // (8 * sum(self.rows.values())))
+                        _BLOCK_BYTES // 2 // (8 * sum(self.rows.values())))
         self.width = width
         self.blocks = _column_blocks(p, width)
         widest = max((c.stop - c.start for c in self.blocks), default=0)
-        self.buf = np.empty(sum(self.rows.values()) * widest)
+        self.regions = {name: np.empty(rows * widest) for name, rows in self.rows.items()}
 
     def block(self, b: int) -> _Block:
         """The views of a block ``b`` features wide."""
-        views, start = {}, 0
-        for name, rows in self.rows.items():
-            views[name] = self.buf[start:start + rows * b].reshape(rows, b)
-            start += rows * b
-        return _Block(**views)
+        return _Block(**{name: self.regions[name][:rows * b].reshape(rows, b)
+                         for name, rows in self.rows.items()})
 
 
 def _block_width(parts: PartitionSet) -> int:
@@ -556,6 +558,16 @@ def _resolve_threads(threads: int) -> int:
     return usable if threads == 0 else min(threads, usable)
 
 
+def check_fit_options(penalty: str | PenaltyConfig, threads: int) -> None:
+    """Raise ``ValidationError`` for a penalty request or a thread count
+    that ``fit`` refuses whatever its data.  A request that resolves at
+    n = p = 1 resolves at every n, p >= 1 (C is log n, 2, log n + 2 log p
+    or the custom constant), so it is resolved there.  ``fit`` calls it
+    first, and ``multida train`` before it reads its CSV."""
+    PenaltyConfig.resolve(penalty, 1, 1)
+    _resolve_threads(threads)
+
+
 def check_seed(seed: int) -> None:
     """Raise ``ValidationError`` unless ``seed`` is a non-negative
     integer, as numpy's seed sequences need; checked before any draw."""
@@ -563,25 +575,59 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _fold(xk: np.ndarray, mean: np.ndarray, m2: np.ndarray, d_sum: np.ndarray) -> None:
+def _fold(chunks: list[np.ndarray], mean: np.ndarray, m2: np.ndarray,
+          d_sum: np.ndarray) -> None:
     """The corrected two-pass of Chan, Golub & LeVeque (1983) over one
-    class's rows ``xk`` (n_k x p, overwritten): the mean first, then the
-    sum of the squared deviations d from it less (sum d)**2 / n_k.  Writes
-    the mean, the sum of squares and sum d (p each) to ``mean``, ``m2`` and
-    ``d_sum``.  The correction removes the rounding of the mean, which the
-    plain two-pass lets into the sum of squares far from zero (a relative
-    error near 1e-7 at an offset of 1e12), so the result stays within
-    rounding of the exact one wherever the data sit.  A sum below 0 (a
-    constant column can round there) is clamped to 0."""
-    n = xk.shape[0]
-    np.divide(xk.sum(axis=0), n, out=mean)
-    xk -= mean
-    xk.sum(axis=0, out=d_sum)
-    np.square(xk, out=xk).sum(axis=0, out=m2)
-    correction = np.square(d_sum, out=xk[0])  # the rows are spent: no allocation
+    class's rows, held as C-contiguous ``chunks`` (rows x p each, in file
+    order, overwritten): the mean first, then the sum of the squared
+    deviations d from it less (sum d)**2 / n_k.  Writes the mean, the sum
+    of squares and sum d (p each) to ``mean``, ``m2`` and ``d_sum``.  The
+    correction removes the rounding of the mean, which the plain two-pass
+    lets into the sum of squares far from zero (a relative error near 1e-7
+    at an offset of 1e12), so the result stays within rounding of the
+    exact one wherever the data sit.  A sum below 0 (a constant column can
+    round there) is clamped to 0.
+
+    The chunks are worked on where they lie, with no class-sized copy
+    (``_row_sum``), and give the bits of one chunk of all the rows, which
+    ``accumulate_stats`` passes.  A single column is the exception: numpy
+    sums it pairwise, not row by row, so its chunks are joined first; that
+    copy is n_k values."""
+    if len(chunks) > 1 and chunks[0].shape[1] == 1:
+        chunks = [np.concatenate(chunks)]
+    n = sum(len(c) for c in chunks)
+    carry = None
+    if len(chunks) > 1:  # room for the sum so far and the longest later chunk
+        carry = np.empty((max(len(c) for c in chunks[1:]) + 1, mean.shape[0]))
+    _row_sum(chunks, carry, mean)
+    mean /= n
+    for c in chunks:
+        c -= mean
+    _row_sum(chunks, carry, d_sum)
+    for c in chunks:
+        np.square(c, out=c)
+    _row_sum(chunks, carry, m2)
+    correction = np.square(d_sum, out=chunks[0][0])  # the rows are spent: no allocation
     correction /= n
     m2 -= correction
     np.maximum(m2, 0.0, out=m2)
+
+
+def _row_sum(chunks: list[np.ndarray], carry: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """The axis-0 sum of the rows of ``chunks`` (p > 1 columns each) in
+    file order, written to ``out``.  numpy's axis-0 sum of a C-contiguous
+    matrix adds it row by row, so the sum so far goes into the first row of
+    ``carry`` and the next chunk's rows below it, and the sum of those rows
+    goes on where the last one stopped: the bits of one sum over every row,
+    with a copy of one chunk at a time and no loop over rows."""
+    first, *rest = chunks
+    first.sum(axis=0, out=out)
+    for c in rest:
+        part = carry[:len(c) + 1]
+        part[0] = out
+        part[1:] = c
+        part.sum(axis=0, out=out)
+    return out
 
 
 def accumulate_stats(data: Dataset) -> SufficientStats:
@@ -602,7 +648,7 @@ def accumulate_stats(data: Dataset) -> SufficientStats:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(data.K):
             xk = data.X[data.y == k + 1]
-            _fold(xk, mean[k], m2[k], d_sum)
+            _fold([xk], mean[k], m2[k], d_sum)
             del xk  # before the next class's copy is taken
     return SufficientStats(n_k=data.class_counts, mean=mean, m2=m2,
                            class_labels=data.class_labels, feature_names=data.feature_names)
@@ -628,13 +674,17 @@ class StatsAccumulator:
     ``finish`` gives the ``SufficientStats``, its classes coded 1..K in
     order of first appearance as ``Dataset.from_arrays`` codes them.
 
-    Rows wait in per-class buffers, copied from the chunks.  Whenever the
-    rows held, over all classes, take more than ``_BLOCK_BYTES``, the
-    class holding the most rows (the first of them on a tie) folds: its
-    rows go through ``_fold`` and are released.  ``finish`` folds every
-    class that still holds rows.  So a class that folds once gets the bits
-    ``accumulate_stats`` gives it; that is every class whose rows come in
-    one run that fits the limit, wherever the run lies in the file.
+    Rows wait in per-class lists of the pieces of chunks that hold them,
+    copied from the chunks.  Whenever the rows held, over all classes,
+    take more than ``_BLOCK_BYTES``, the class holding the most rows (the
+    first of them on a tie) folds: ``_fold`` works on its pieces where
+    they lie, with no copy of the class, and they are released.
+    ``finish`` folds every class that still holds rows.  So a class that
+    folds once gets the bits ``accumulate_stats`` gives it; that is every
+    class whose rows come in one run that fits the limit, wherever the run
+    lies in the file.  Where a class folds is set by the rows held after
+    each chunk, so the bits of a class that folds more than once depend on
+    how its rows were chunked.
 
     A class that folds again is merged by ``_chan_merge`` on means shifted
     by its first fold's mean s.  A fold's shifted mean is (mean - s) plus
@@ -682,14 +732,12 @@ class StatsAccumulator:
             self._fold_class(self._held_rows.index(max(self._held_rows)))
 
     def _fold_class(self, k: int) -> None:
-        held, self._held[k], self._held_rows[k] = self._held[k], [], 0
-        xk = held[0] if len(held) == 1 else np.concatenate(held)
-        del held
-        n = xk.shape[0]
+        held, n = self._held[k], self._held_rows[k]
+        self._held[k], self._held_rows[k] = [], 0
         mean, m2, d_sum = (np.empty(self._p) for _ in range(3))
         with np.errstate(over="ignore", invalid="ignore"):
-            _fold(xk, mean, m2, d_sum)
-            del xk
+            _fold(held, mean, m2, d_sum)
+            del held
             d_sum /= n  # the fold's mean less its rounded mean
             a = self._folded[k]
             if a is None:
@@ -800,8 +848,8 @@ def fit_mles(stats: SufficientStats, parts: PartitionSet) -> Mles:
     multiLDA: n <= G_m) are flagged inadmissible.  Work runs
     subset-major; ``mu`` and ``sigma2`` gather it to the slots.  This is
     ``_block_mles`` over one block of all p features (``_Workspace`` with
-    ``width=p``), so the per-feature arrays are views of one buffer
-    allocated for this call.
+    ``width=p``), so the per-feature arrays are views of the workspace
+    regions allocated for this call.
     """
     p = stats.mean.shape[1]
     return next(_block_mles(stats, parts, _Workspace(parts, p, width=p)))[2]
@@ -915,8 +963,10 @@ def fit(
     under the hypothesis set that ``build_partition_set`` builds from
     ``scheme`` (a scheme name or the K x M matrix S) and ``variance_mode``
     for the K classes.  The fit runs on one thread; ``threads`` is only
-    checked (>= 0), so the output is identical for any thread count.
-    Warns when no non-null hypothesis is admissible.
+    checked (>= 0), so the output is identical for any thread count.  The
+    penalty and ``threads`` are checked first (``check_fit_options``),
+    before any statistics are taken.  Warns when no non-null hypothesis is
+    admissible.
 
     The model needs only the per-class statistics, so ``fit`` lets go of
     ``data`` once it has them, before the derivation allocates its
@@ -927,10 +977,10 @@ def fit(
     ``multida train`` holds no matrix at all: it streams its CSV into the
     statistics, ``fit(data_io.load_class_stats(path))``.
     """
+    check_fit_options(penalty, threads)
     stats = data if isinstance(data, SufficientStats) else accumulate_stats(data)
     del data
     parts = build_partition_set(len(stats.n_k), scheme, variance_mode=variance_mode)
-    _resolve_threads(threads)
     model = model_from_stats(stats, parts, penalty=penalty, prior_term_mode=prior_term_mode)
     _warn_if_null_only(model)
     return model
@@ -1250,6 +1300,14 @@ def cross_validate(
     return CvResult(rows=tuple(rows), per_trial=per_trial, mean=mean, sd=sd)
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ``ValidationError`` unless the selection ``threshold`` lies in
+    (0, 1]; ``selected_features`` checks it, and ``multida train`` before
+    it reads its CSV."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValidationError("threshold must lie in (0, 1]")
+
+
 def selected_features(
     model: FittedModel, threshold: float = 0.5
 ) -> list[tuple[str, int, float]]:
@@ -1257,8 +1315,7 @@ def selected_features(
     with weight (``model.top_weight``) at least ``threshold``, as (name,
     hypothesis index, weight) sorted by weight descending; gamma is not
     derived."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValidationError("threshold must lie in (0, 1]")
+    check_threshold(threshold)
     top, weight = model.top, model.top_weight
     keep = (top != 0) & (weight >= threshold)
     rows = [

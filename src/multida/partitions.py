@@ -284,7 +284,10 @@ def _entry(v, i: int, j: int) -> int:
                           f"column {j + 1} is not an integer")
 
 
-def _validate_user_matrix(scheme, k: int) -> list[Column]:
+def _user_columns(scheme) -> list[Column]:
+    """The columns of the user matrix S, checked for all but its row count:
+    rows of one length, at least one column, every entry an integer
+    (``_entry``) and the group labels of each column 1..G with no gaps."""
     matrix = np.array(scheme, dtype=object)  # each entry as given
     # numpy stacks rows of one length only, else holds the rows themselves
     widths = [len(row) for row in matrix if isinstance(row, (list, tuple, np.ndarray))]
@@ -292,8 +295,6 @@ def _validate_user_matrix(scheme, k: int) -> list[Column]:
         raise ValidationError(f"user partition matrix has rows of different lengths {widths}")
     if matrix.ndim != 2:
         raise ValidationError("user partition matrix must be 2-dimensional")
-    if matrix.shape[0] != k:
-        raise ValidationError(f"user partition matrix has {matrix.shape[0]} rows, expected K={k}")
     if matrix.shape[1] == 0:
         raise ValidationError("user partition matrix has zero columns")
     columns: list[Column] = []
@@ -317,6 +318,20 @@ _NAMED_SCHEMES = {
 }
 
 
+def check_scheme(scheme: str | np.ndarray | Sequence[Sequence[int]]) -> None:
+    """Raise ``ValidationError`` for a scheme that ``build_partition_set``
+    refuses whatever the class count: a name it does not know, or a matrix
+    S that fails any of its checks but that of S's row count against K.
+    ``multida`` calls it on ``--scheme`` before it reads any data."""
+    if not isinstance(scheme, str):
+        _user_columns(scheme)
+    elif scheme not in _NAMED_SCHEMES:
+        raise ValidationError(
+            f"unknown scheme {scheme!r}; expected one of {tuple(_NAMED_SCHEMES)} "
+            "or the K x M partition matrix itself"
+        )
+
+
 def build_partition_set(
     k: int,
     scheme: str | np.ndarray | Sequence[Sequence[int]] = "exhaustive",
@@ -329,8 +344,9 @@ def build_partition_set(
     any array or nested sequence, each entry an int or an integral finite
     float such as ``2.0``.  S whose rows differ in length, or that holds
     any other entry (a fraction, NaN, infinity, a bool, a string), is
-    refused with ``ValidationError`` naming the first bad one.
-    ``exhaustive`` enumerates all B_k partitions (K <= ``MAX_CLASSES`` = 9,
+    refused with ``ValidationError`` naming the first bad one, and so is
+    S without K rows, after those checks (``check_scheme`` makes them
+    alone).  ``exhaustive`` enumerates all B_k partitions (K <= ``MAX_CLASSES`` = 9,
     see ``enumerate_exhaustive``), ``onevsrest`` the null plus every
     single-class-versus-rest split and ``ordinal`` all contiguous interval
     partitions.  A matrix is canonicalized and deduplicated, with the null
@@ -344,13 +360,11 @@ def build_partition_set(
         raise ValidationError(f"K={k} classes is more than the {MAX_INDEXED_CLASSES} a "
                               "hypothesis set takes, as it stores class subsets as 64-bit masks")
     if isinstance(scheme, str):
-        if scheme not in _NAMED_SCHEMES:
-            raise ValidationError(
-                f"unknown scheme {scheme!r}; expected one of {tuple(_NAMED_SCHEMES)} "
-                "or the K x M partition matrix itself"
-            )
+        check_scheme(scheme)
         return _partition_set_from_columns(_NAMED_SCHEMES[scheme](k), scheme, variance_mode)
-    raw = _validate_user_matrix(scheme, k)
+    raw = _user_columns(scheme)
+    if len(raw[0]) != k:
+        raise ValidationError(f"user partition matrix has {len(raw[0])} rows, expected K={k}")
     # the null column has the fewest groups, so it sorts first
     columns = sorted({(1,) * k} | {canonicalize(c) for c in raw}, key=_column_sort_key)
     return _partition_set_from_columns(columns, "user", variance_mode)

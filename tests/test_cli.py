@@ -178,12 +178,13 @@ class TestTrain:
         assert "M=2" in result.output
 
     # the file is read as every CSV is, so a bad cell is named by row and
-    # column, and S's entries are checked by build_partition_set
+    # column, and S's entries are checked as build_partition_set checks
+    # them, naming the file
     @pytest.mark.parametrize("content, message", [
         (None, "--scheme user:<path> needs a file path"),
         ("1,1\n1,2\n1,x\n", "{path}: non-numeric cell 'x' at row 3, column x2"),
         ("1,1\n1,2\n1,2.5\n",
-         "user partition matrix entry 2.5 at row 3, column 2 is not an integer"),
+         "{path}: user partition matrix entry 2.5 at row 3, column 2 is not an integer"),
         ("1,1\n1\n1,2\n", "{path}: row 2 has 1 cells, expected 2"),
         ("# S\n1,1\n1,2\n1,2\n", "{path}: non-numeric cell '# S' at row 1, column x1"),
         ("1,1\n1,nan\n1,2\n", "{path}: non-finite cell 'nan' at row 2, column x2"),
@@ -252,6 +253,45 @@ class TestTrain:
         assert fits.call_count == 1
         assert isinstance(fits.call_args.args[0], SufficientStats)
 
+    # a bad option is refused before the training CSV is opened, by the
+    # check the fit or the selection would make after reading it
+    @pytest.mark.parametrize("args, s_file, message", [
+        (["--penalty", "bogus"], None, "unknown penalty 'bogus'"),
+        (["--penalty", "custom:-1"], None, "penalty constant must be finite and >= 0"),
+        (["--threshold", "0"], None, "threshold must lie in (0, 1]"),
+        (["--threads", "-1"], None, "threads must be >= 0"),
+        (["--scheme", "bogus"], None, "unknown scheme 'bogus'"),
+        ([], "1,1\n1,2\n1,2.5\n",
+         "{path}: user partition matrix entry 2.5 at row 3, column 2 is not an integer"),
+        ([], "1,1\n1,2\n1,1.5\n1,2\n",  # four rows for three classes: the entry goes first
+         "{path}: user partition matrix entry 1.5 at row 3, column 2 is not an integer"),
+    ], ids=["penalty", "custom-negative", "threshold", "threads", "scheme", "s-fraction",
+            "s-fraction-and-rows"])
+    def test_bad_option_refused_before_the_csv_is_read(self, runner, wide_csv, tmp_path,
+                                                       args, s_file, message):
+        path = tmp_path / "s.csv"
+        if s_file is not None:
+            path.write_text(s_file)
+            args = ["--scheme", f"user:{path}"]
+        out = tmp_path / "m.json"
+        with mock.patch.object(cli, "load_class_stats") as ingest:
+            result = runner.invoke(main, ["train", wide_csv, "--seed", "1", "--out", str(out),
+                                          "--features-out", str(tmp_path / "f.csv"), *args])
+        assert not ingest.called
+        assert_one_error_line(result, message.format(path=path))
+        assert not out.exists()
+
+    def test_s_row_count_waits_for_the_classes(self, runner, wide_csv, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1,1\n1,2\n")
+        with mock.patch.object(cli, "load_class_stats", wraps=cli.load_class_stats) as ingest:
+            result = runner.invoke(main, ["train", wide_csv, "--seed", "1",
+                                          "--scheme", f"user:{path}",
+                                          "--out", str(tmp_path / "m.json"),
+                                          "--features-out", str(tmp_path / "f.csv")])
+        assert ingest.call_count == 1
+        assert_one_error_line(result, "user partition matrix has 2 rows, expected K=3")
+
 
 def test_train_predict_and_cv_derive_no_gamma(runner, wide_csv, tmp_path, no_gamma):
     model, features = str(tmp_path / "m.json"), tmp_path / "f.csv"
@@ -304,9 +344,9 @@ class TestStreamedTrain:
         line at a time."""
         calls = []
 
-        def fold(xk, *args, _fold=estimator._fold):
-            calls.append(len(xk))
-            return _fold(xk, *args)
+        def fold(chunks, *args, _fold=estimator._fold):
+            calls.append(sum(map(len, chunks)))
+            return _fold(chunks, *args)
 
         monkeypatch.setattr(data_io, "_CHUNK_CHARS", 1)
         monkeypatch.setattr(estimator, "_fold", fold)

@@ -230,6 +230,58 @@ class TestSufficientStats:
                 assert streamed.m2.tobytes() == stats.m2.tobytes()
                 assert streamed.mean.tobytes() == stats.mean.tobytes()
 
+    @pytest.mark.parametrize("order", ["file", "dealt"])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e12])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 5, None], ids=["1", "2", "5", "class"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 64, 1000])
+    def test_chunks_fold_as_one_matrix(self, p, rows_per_chunk, offset, order):
+        # every class fits the row limit, so it folds once, in finish, from
+        # the chunks its rows came in (a chunk of rows_per_chunk rows, or
+        # each class whole); its sums add the rows in order through the
+        # carry, or pairwise for one column, as accumulate_stats's do
+        rng = np.random.default_rng(p)
+        y = np.repeat([1, 2, 3], [17, 30, 41])
+        if order == "dealt":
+            y = y[rng.permutation(len(y))]
+        X = rng.normal(size=(len(y), p)) * 3.0 + offset
+        labels = [str(v) for v in y]
+        want = accumulate_stats(Dataset.from_arrays(X, labels))
+        if rows_per_chunk is None:  # one chunk per run of a class
+            bounds = np.flatnonzero(np.diff(y)) + 1
+        else:
+            bounds = np.arange(rows_per_chunk, len(y), rows_per_chunk)
+        acc = StatsAccumulator()
+        for part in np.split(np.arange(len(y)), bounds):
+            acc.add([labels[i] for i in part], X[part])
+        got = acc.finish(want.feature_names)
+        assert got.class_labels == want.class_labels
+        assert got.n_k.tolist() == want.n_k.tolist()
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.m2.tobytes() == want.m2.tobytes()
+
+    def test_fold_makes_no_copy_of_the_class(self):
+        import tracemalloc
+
+        # 25 rows of 10000 values (2.0 MB, within the row limit) held in
+        # chunks of one row, as `multida train` reads a wide file; folding
+        # them allocates their statistics and a carry of two rows
+        n, p = 25, 10000
+        X = np.random.default_rng(36).normal(size=(n, p))
+        acc = StatsAccumulator()
+        for i in range(n):
+            acc.add(["a"], X[i:i + 1])
+        names = tuple(f"x{j + 1}" for j in range(p))
+        tracemalloc.start()
+        try:
+            stats = acc.finish(names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 4
+        want = accumulate_stats(Dataset.from_arrays(X, ["a"] * n, names))
+        assert stats.mean.tobytes() == want.mean.tobytes()
+        assert stats.m2.tobytes() == want.m2.tobytes()
+
     @pytest.mark.parametrize("offset", [0.0, 1e12])
     def test_matches_the_corrected_two_pass_bit_for_bit(self, offset):
         rng = np.random.default_rng(33)
@@ -738,18 +790,27 @@ class TestModelFromStats:
             assert np.allclose(model.c, ref.c, rtol=1e-12, atol=0)
 
     def test_one_off_workspace_stays_within_the_limit(self):
-        # its whole buffer within _BLOCK_BYTES unless the width floor,
-        # _block_width or _MIN_BLOCK_WIDTH, whichever is smaller, binds
+        def nbytes(ws):
+            return sum(r.nbytes for r in ws.regions.values())
+
+        # its regions together within half of _BLOCK_BYTES unless the width
+        # floor, _block_width or _MIN_BLOCK_WIDTH, whichever is smaller, binds
         for k, scheme, variance_mode in itertools.product(
                 (3, 4, 5, 6, 8), ("exhaustive", "onevsrest", "ordinal"), ("equal", "unequal")):
             parts = build_partition_set(k, scheme, variance_mode=variance_mode)
             ws = _Workspace(parts, 20000)
             floor = min(_block_width(parts), estimator._MIN_BLOCK_WIDTH)
             assert ws.width >= floor
-            assert ws.width == floor or ws.buf.nbytes <= estimator._BLOCK_BYTES
+            assert ws.width == floor or nbytes(ws) <= estimator._BLOCK_BYTES // 2
             if k >= 6 and scheme == "exhaustive":
                 assert ws.width == _block_width(parts)
-        assert _Workspace(build_partition_set(4, "exhaustive"), 10000).width == 2621
+        # the floor binds at K=4: 100 rows of 2048 features, 1.6 MB, in
+        # regions of at most 15 rows
+        ws = _Workspace(build_partition_set(4, "exhaustive"), 10000)
+        assert ws.width == 2048 and nbytes(ws) == 100 * 2048 * 8
+        assert max(r.nbytes for r in ws.regions.values()) == 15 * 2048 * 8
+        ws = _Workspace(build_partition_set(3, "exhaustive"), 10000)
+        assert ws.width > 2048 and nbytes(ws) <= estimator._BLOCK_BYTES // 2
 
     def _derive(self, stats, parts, **config):
         return model_from_stats(stats, parts, **{"penalty": "ebic", "prior_term_mode": "log",
@@ -839,7 +900,8 @@ class TestModelFromStats:
             assert not np.array_equal(other.Q, model.Q)
             for f in fields:
                 assert np.array_equal(getattr(model, f), kept[f]), f
-                assert not np.shares_memory(getattr(model, f), shared.buf), f
+                for region in shared.regions.values():
+                    assert not np.shares_memory(getattr(model, f), region), f
 
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
     def test_model_cannot_change_under_its_caller(self, variance_mode):
