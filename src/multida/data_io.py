@@ -10,8 +10,9 @@ readers hand the rows over in chunks (``_CHUNK_CHARS``):
 (``estimator.StatsAccumulator``), which carry the class labels and
 feature names and are all ``fit`` needs, so ``multida train`` holds no n
 x p matrix.  A model is stored as one JSON document of its config, its
-hypothesis matrix S and per-class statistics, floats written with full
-round-trip precision.
+hypothesis matrix S and per-class statistics, each class row of means and
+of centred sums of squares as the base64 of its little-endian float64
+bytes, so the bits round-trip exactly.
 Loading builds the set and the model with the checked entries ``fit``
 uses, ``partitions.build_partition_set`` (by name, or from S for ``user``)
 and ``estimator.model_from_stats``, so save/load/predict is bit-identical
@@ -23,6 +24,7 @@ labels, non-finite statistics) is rejected.
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import itertools
@@ -39,7 +41,7 @@ from .estimator import Dataset, FittedModel, PenaltyConfig, StatsAccumulator, Su
 from .partitions import PartitionSet, build_partition_set
 from . import estimator
 
-MODEL_SCHEMA_VERSION = 2
+MODEL_SCHEMA_VERSION = 3
 
 
 def _check_delimiter(delimiter: str) -> None:
@@ -501,17 +503,23 @@ def filter_features(data: Dataset, rule: str) -> tuple[Dataset, list[int]]:
     return reduced, kept
 
 
-def save_model(model: FittedModel, path: str | Path) -> None:
-    """Persist a fitted model as a JSON document (schema version 2): the
-    config, the hypothesis matrix ``S`` and the per-class counts, means
-    and centred sums of squares.  ``load_model`` re-derives everything
-    else with the code ``fit`` uses.
+def _encode_row(row: np.ndarray) -> str:
+    """The standard base64 of a row's little-endian float64 bytes."""
+    return base64.b64encode(row.astype("<f8", copy=False).tobytes()).decode("ascii")
 
-    The bytes are those of one ``json.dumps`` of the whole document, but
-    the document is streamed: the fields before ``class_means`` go through
-    one ``json.dumps``, then ``class_means`` and ``class_m2`` are written
-    one class row at a time, so neither the document's text nor a K x p
-    list of Python floats is held."""
+
+def save_model(model: FittedModel, path: str | Path) -> None:
+    """Persist a fitted model as a JSON document (schema version 3): the
+    config, the hypothesis matrix ``S``, the per-class counts, and the
+    per-class means and centred sums of squares, each class row one string,
+    the base64 of its little-endian float64 bytes.  ``load_model``
+    re-derives everything else with the code ``fit`` uses.
+
+    The bytes are those of one ``json.dumps`` of the whole document (a
+    base64 string needs no escape), but the document is streamed: the
+    fields before ``class_means`` go through one ``json.dumps``, then
+    ``class_means`` and ``class_m2`` are written one class row at a time,
+    so the document's text is not held whole."""
     stats = model.stats
     head = {
         "schema_version": MODEL_SCHEMA_VERSION,
@@ -530,9 +538,8 @@ def save_model(model: FittedModel, path: str | Path) -> None:
         fh.write(json.dumps(head)[:-1])  # the closing brace comes last
         for key, rows in (("class_means", stats.mean), ("class_m2", stats.m2)):
             fh.write(f', "{key}": [')
-            fh.write(json.dumps(rows[0].tolist()))
-            for row in rows[1:]:
-                fh.write(", " + json.dumps(row.tolist()))
+            for i, row in enumerate(rows):
+                fh.write(f'{", " if i else ""}"{_encode_row(row)}"')
             fh.write("]")
         fh.write("}")
 
@@ -584,17 +591,32 @@ def _hypothesis_set(doc: dict, k: int) -> PartitionSet:
 
 
 def _class_array(doc: dict, key: str, k: int, p: int) -> np.ndarray:
-    values = np.array(_require(doc, key), dtype=np.float64)
-    if values.shape != (k, p):
-        raise FormatError(f"model field {key!r} must be a K x p = {k} x {p} matrix")
+    """The K x p matrix of a class-statistics field: K strings, each the
+    strict base64 (``validate=True``: no character outside the alphabet,
+    correct padding) of one row's 8·p little-endian float64 bytes."""
+    rows = _require(doc, key)
+    if not (isinstance(rows, list) and len(rows) == k
+            and all(isinstance(row, str) for row in rows)):
+        raise FormatError(f"model field {key!r} must be a K x p = {k} x {p} matrix, "
+                          "one base64 string per class")
+    values = np.empty((k, p))
+    for i, row in enumerate(rows):
+        try:
+            raw = base64.b64decode(row, validate=True)
+        except ValueError as exc:  # binascii.Error, or a character outside ASCII
+            raise FormatError(f"model field {key!r} row {i + 1} is not base64 ({exc})") from None
+        if len(raw) != 8 * p:
+            raise FormatError(f"model field {key!r} row {i + 1} holds {len(raw)} bytes, "
+                              f"not 8 x p = {8 * p}")
+        values[i] = np.frombuffer(raw, "<f8")
     return values
 
 
-def _model_from_doc(doc: dict) -> FittedModel:
-    """Derive a FittedModel from a parsed document; field errors raise
-    ``FormatError``, values of the wrong type ``TypeError``/``ValueError``,
-    and what ``build_partition_set`` or ``model_from_stats`` rejects
-    ``ValidationError``/``NumericError``."""
+def _fit_inputs(doc: dict) -> tuple[SufficientStats, PartitionSet, PenaltyConfig, str]:
+    """The statistics, hypothesis set, penalty and prior term mode that
+    ``model_from_stats`` derives a model from, read from a parsed document; field errors raise ``FormatError``, values
+    of the wrong type ``TypeError``/``ValueError``, and what
+    ``build_partition_set`` rejects ``ValidationError``."""
     version = _require(doc, "schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise FormatError(
@@ -628,14 +650,15 @@ def _model_from_doc(doc: dict) -> FittedModel:
     )
     if stats.n != n:
         raise ValidationError("class counts must be positive and sum to n")
-    return estimator.model_from_stats(stats, parts, penalty=penalty,
-                                      prior_term_mode=_require(doc, "prior_term_mode"))
+    return stats, parts, penalty, _require(doc, "prior_term_mode")
 
 
 def load_model(path: str | Path) -> FittedModel:
     """Load a model document and derive the model from its per-class
     statistics with ``model_from_stats``, which checks them as a fit
-    does; every fault in the document raises ``FormatError``."""
+    does; every fault in the document raises ``FormatError``.  The
+    document, its class rows' base64 text included, is dropped before the
+    derivation allocates its scratch."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -644,7 +667,10 @@ def load_model(path: str | Path) -> FittedModel:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: model document must be a JSON object")
     try:
-        return _model_from_doc(doc)
+        stats, parts, penalty, prior_term_mode = _fit_inputs(doc)
+        del doc
+        return estimator.model_from_stats(stats, parts, penalty=penalty,
+                                          prior_term_mode=prior_term_mode)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

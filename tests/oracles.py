@@ -13,11 +13,15 @@ per-class sums one row at a time, in the order the fast sums must keep.
 ``independent_X`` and ``dependent_X`` build the simulators' data with the
 n x p gathers of class means and sds that the generators no longer make.
 ``exact_class_m2`` computes the class sums of squares in exact rational
-arithmetic on the same float data.
+arithmetic on the same float data.  ``encode_rows`` and ``decode_rows``
+write and read a model document's class rows with ``struct``, not numpy,
+and ``edit_rows`` edits one such field as lists of floats.
 """
 
 from __future__ import annotations
 
+import base64
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -320,3 +324,22 @@ def exact_class_m2(X: np.ndarray, y: np.ndarray) -> np.ndarray:
             mu = sum(xs, Fraction(0)) / len(xs)
             m2[i, j] = float(sum(((x - mu) ** 2 for x in xs), Fraction(0)))
     return m2
+
+
+def encode_rows(rows) -> list[str]:
+    """Rows of floats as a model document stores them: each row the
+    base64 of its values packed as little-endian float64."""
+    return [base64.b64encode(struct.pack(f"<{len(row)}d", *row)).decode("ascii")
+            for row in rows]
+
+
+def decode_rows(rows: list[str]) -> list[list[float]]:
+    """A model document's class rows as lists of floats."""
+    return [list(struct.unpack(f"<{len(raw) // 8}d", raw))
+            for raw in map(base64.b64decode, rows)]
+
+
+def edit_rows(doc: dict, key: str, edit) -> dict:
+    """A copy of a model document whose class-row field ``key`` is
+    ``edit`` of its rows as lists of floats."""
+    return {**doc, key: encode_rows(edit(decode_rows(doc[key])))}

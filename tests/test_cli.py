@@ -19,6 +19,7 @@ from multida.data_io import load_class_stats, load_dataset, load_model, save_mod
 from multida.estimator import (SufficientStats, cross_validate, fit, predict,
                                selected_features)
 from multida.simlab import SimSpec, consistency_sweep, generate
+from oracles import decode_rows, edit_rows, encode_rows
 
 
 TOY = "label,x1\na,0\na,2\nb,4\nb,6\n"
@@ -601,13 +602,15 @@ class TestBadModelSubprocess:
     real process."""
 
     @pytest.mark.parametrize("mutate, message", [
-        (lambda doc: {**doc, "class_means": [[1e308] + doc["class_means"][0][1:],
-                                             [-1e308] + doc["class_means"][1][1:]]},
+        (lambda doc: edit_rows(doc, "class_means",
+                               lambda v: [[1e308] + v[0][1:], [-1e308] + v[1][1:]]),
          "invariant violation: mu holds a non-finite value for feature 'x1'"),
-        (lambda doc: {**doc, "class_m2": [[1e308] + row[1:] for row in doc["class_m2"]]},
+        (lambda doc: edit_rows(doc, "class_m2", lambda v: [[1e308] + row[1:] for row in v]),
          "invariant violation: gamma holds a non-finite value for feature 'x1'"),
         (None, "not a valid model document"),
-    ], ids=["means-overflow", "m2-overflow", "truncated"])
+        (lambda doc: {**doc, "class_m2": [row[:4] + "!" + row[4:] for row in doc["class_m2"]]},
+         "model field 'class_m2' row 1 is not base64"),
+    ], ids=["means-overflow", "m2-overflow", "truncated", "m2-not-base64"])
     def test_bad_model_exits_2(self, tmp_path, mutate, message):
         query = tmp_path / "q.csv"
         query.write_text(GOOD)
@@ -897,7 +900,9 @@ class TestPredict:
     def test_non_finite_model_exits_2(self, runner, toy_csv, tmp_path, field, value):
         model_path = self.fitted(runner, toy_csv, tmp_path)
         doc = json.loads(model_path.read_text())
-        doc[field][1][0] = value
+        rows = decode_rows(doc[field])
+        rows[1][0] = value
+        doc[field] = encode_rows(rows)
         model_path.write_text(json.dumps(doc))
         out = tmp_path / "p.csv"
         result = runner.invoke(
@@ -936,7 +941,7 @@ class TestPredict:
         # well-formed documents that no fit could have written
         {"class_counts": [1, 1], "n": 2},
         {"K": 1, "S": [[1]], "n": 2, "class_label_map": ["a"], "class_counts": [2],
-         "class_means": [[1.0]], "class_m2": [[2.0]]},
+         "class_means": encode_rows([[1.0]]), "class_m2": encode_rows([[2.0]])},
     ], ids=["K0", "S-float", "S-str", "n-str", "pi-str", "mu-str", "m2-1d",
             "labels-repeated", "scheme-empty", "n-below-K+1", "one-class"])
     def test_malformed_model_exits_2(self, runner, toy_csv, tmp_path, edit):

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import sys
@@ -24,6 +25,7 @@ from multida.estimator import (Dataset, SufficientStats, _column_blocks, _Worksp
                                fit_mles, gamma_weights, lrt, model_from_stats, predict,
                                selected_features, validate_model)
 from multida.partitions import build_partition_set
+from oracles import decode_rows, edit_rows, encode_rows
 
 
 TOY = "label,x1\na,0\na,2\nb,4\nb,6\n"
@@ -513,19 +515,27 @@ class TestModelRoundTrip:
         assert list(doc) == ["schema_version", "n", "K", "class_label_map", "scheme",
                              "S", "variance_mode", "penalty", "prior_term_mode",
                              "feature_names", "class_counts", "class_means", "class_m2"]
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["class_counts"] == [6, 6, 1]
-        assert np.array(doc["class_means"]).shape == (3, p)
+        assert np.array(decode_rows(doc["class_means"])).shape == (3, p)
 
     @staticmethod
     def _stats_model(k, p, scheme="exhaustive"):
         """A model derived from random class statistics whose floats span
         many magnitudes, with labels and feature names that are non-ASCII
-        or hold quotes and backslashes, which ``json`` escapes."""
+        or hold quotes and backslashes, which ``json`` escapes.  Some
+        statistics sit at the edges of the float range: a mean of -0.0, a
+        sum of squares of the smallest subnormal and, from p = 3 on, a
+        subnormal mean and features whose class means are all the largest
+        float or all its negative."""
         rng = np.random.default_rng(100 * k + p)
         mean = rng.normal(size=(k, p)) * 10.0 ** rng.integers(-8, 9, size=(k, p))
         mean[0, 0], mean[-1, -1] = -0.0, 3.0
         m2 = rng.uniform(0.5, 2.0, size=(k, p)) * 10.0 ** rng.integers(-6, 7, size=(k, p))
+        m2[0, 0] = 5e-324
+        if p >= 3:
+            mean[:, 1], mean[:, 2] = 1.7976931348623157e308, -1.7976931348623157e308
+            mean[1, 0], m2[-1, 1] = 5e-324, 1.7976931348623157e308
         stats = SufficientStats(
             n_k=np.arange(3, k + 3), mean=mean, m2=m2,
             class_labels=tuple(f'c"{i}\\é\t' for i in range(k - 1)) + ("日本 🙂",),
@@ -539,7 +549,7 @@ class TestModelRoundTrip:
         of one ``json.dumps`` of it."""
         stats = model.stats
         return {
-            "schema_version": 2,
+            "schema_version": 3,
             "n": model.n,
             "K": model.K,
             "class_label_map": list(model.class_labels),
@@ -550,8 +560,8 @@ class TestModelRoundTrip:
             "prior_term_mode": model.prior_term_mode,
             "feature_names": list(model.feature_names),
             "class_counts": stats.n_k.tolist(),
-            "class_means": stats.mean.tolist(),
-            "class_m2": stats.m2.tolist(),
+            "class_means": encode_rows(stats.mean.tolist()),
+            "class_m2": encode_rows(stats.m2.tolist()),
         }
 
     @pytest.mark.parametrize("scheme", ["named", "user"])
@@ -568,6 +578,23 @@ class TestModelRoundTrip:
         path = tmp_path / "m.json"
         save_model(model, path)
         assert path.read_bytes() == json.dumps(self._document(model)).encode("ascii")
+        loaded = load_model(path)
+        for f in ("Q", "L", "c", "mu_null", "top", "top_weight"):
+            a, b = getattr(loaded, f), getattr(model, f)
+            assert a.dtype == b.dtype and a.shape == b.shape, f
+            assert a.tobytes() == b.tobytes(), f
+        for f in ("n_k", "mean", "m2"):
+            assert getattr(loaded.stats, f).tobytes() == getattr(model.stats, f).tobytes(), f
+
+    def test_rows_are_little_endian_float64(self, tmp_path):
+        model = self._stats_model(4, 3)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        for key, want in (("class_means", model.stats.mean), ("class_m2", model.stats.m2)):
+            assert len(doc[key]) == 4
+            for row, values in zip(doc[key], want):
+                assert np.frombuffer(base64.b64decode(row), "<f8").tobytes() == values.tobytes()
 
     def test_save_holds_no_list_of_every_float(self, tmp_path):
         k, p = 6, 20000
@@ -581,8 +608,31 @@ class TestModelRoundTrip:
         # one K x p list of Python floats: a float object and a pointer each
         assert peak < k * p * (sys.getsizeof(1.0) + 8)
 
+    def test_load_holds_no_list_of_every_float(self, tmp_path):
+        # one-vs-rest keeps the derivation's scratch small (the exhaustive
+        # set's takes about 8 MB at K=6, in a fit too), so the peak is the
+        # document's and the model's
+        k, p = 6, 20000
+        model = self._stats_model(k, p, "onevsrest")
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        del model
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stats = loaded.stats
+        own = sum(v.nbytes for v in (*vars(loaded).values(), *vars(stats).values())
+                  if isinstance(v, np.ndarray))
+        own += sum(map(sys.getsizeof, (*stats.feature_names, *stats.class_labels)))
+        # less than one K x p list of Python floats beside the model itself
+        assert peak - own < k * p * (sys.getsizeof(1.0) + 8)
+
     def test_file_size_per_feature(self, tmp_path):
-        # K=4 stores 8 floats per feature; the derived arrays are not stored
+        # K=4 stores 8 floats per feature, about 10.7 characters of base64
+        # each; the derived arrays are not stored
         rng = np.random.default_rng(5)
         y = np.repeat([1, 2, 3, 4], 25)
         X = rng.normal(size=(100, 2000))
@@ -590,7 +640,7 @@ class TestModelRoundTrip:
         model = fit(Dataset.from_arrays(X, [str(v) for v in y]))
         path = tmp_path / "m.json"
         save_model(model, path)
-        assert path.stat().st_size <= 250 * 2000
+        assert path.stat().st_size <= 100 * 2000
 
     # ids name the fitted quantity that the edited statistic feeds
     @pytest.mark.parametrize("field, edit, message", [
@@ -662,6 +712,8 @@ class TestModelRoundTrip:
         doc = json.loads(path.read_text())
         if field is None:
             doc = edit(doc)
+        elif field in ("class_means", "class_m2"):
+            doc = edit_rows(doc, field, edit)
         else:
             doc[field] = edit(doc[field])
         path.write_text(json.dumps(doc))
@@ -680,7 +732,24 @@ class TestModelRoundTrip:
         ({"class_counts": {"a": 1}}, "'class_counts' must be a list"),
         ({"class_m2": 3}, "'class_m2' must be a K x p = 3 x 6 matrix"),
         ({"class_means": [[0.0] * 6] * 2}, "'class_means' must be a K x p"),
-        ({"class_means": [[0.0] * 6, [0.0] * 5, [0.0] * 6]}, "malformed model document"),
+        ({"class_means": encode_rows([[0.0] * 6, [0.0] * 5, [0.0] * 6])},
+         r"'class_means' row 2 holds 40 bytes, not 8 x p = 48"),
+        # schema 2 rows: lists of floats, not strings
+        ({"class_means": [[0.0] * 6] * 3}, "'class_means' must be a K x p = 3 x 6 matrix"),
+        ({"class_m2": encode_rows([[1.0] * 6] * 2) + [None]}, "'class_m2' must be a K x p"),
+        ({"class_m2": encode_rows([[1.0] * 6] * 2)}, "'class_m2' must be a K x p = 3 x 6"),
+        # without validate=True, b64decode would drop the newline and the "!"
+        ({"class_means": encode_rows([[0.0] * 6] * 2)
+          + ["AAAA\n" + encode_rows([[0.0] * 6])[0][4:]]},
+         "'class_means' row 3 is not base64"),
+        ({"class_m2": ["!" + row for row in encode_rows([[1.0] * 6] * 3)]},
+         "'class_m2' row 1 is not base64"),
+        ({"class_m2": [row[:-1] for row in encode_rows([[1.0] * 6] * 3)]},
+         r"'class_m2' row 1 is not base64 \(Incorrect padding\)"),
+        ({"class_m2": ["é" + row[1:] for row in encode_rows([[1.0] * 6] * 3)]},
+         "'class_m2' row 1 is not base64"),
+        ({"class_m2": [base64.b64encode(bytes(52)).decode("ascii")] * 3},
+         r"'class_m2' row 1 holds 52 bytes, not 8 x p = 48"),
         ({"feature_names": []}, "'feature_names' is empty"),
         ({"class_counts": [12, 12, 2**70]}, "malformed model document"),
         # strings would otherwise load as one name or label per character
@@ -691,7 +760,9 @@ class TestModelRoundTrip:
         ({"penalty": {"kind": "ebic", "C": "1e3"}}, "'penalty.C' must be a number, got '1e3'"),
         ({"penalty": {"kind": "ebic", "C": None}}, "'penalty.C' must be a number, got None"),
     ], ids=["K0", "S-not-rg", "S-ragged", "S-bool", "n-float", "pi-dict", "m2-int",
-            "means-rows", "means-ragged", "no-features", "count-huge",
+            "means-rows", "means-ragged", "means-lists", "m2-not-string", "m2-rows",
+            "means-newline", "m2-outside-alphabet", "m2-padding", "m2-non-ascii", "m2-52-bytes",
+            "no-features", "count-huge",
             "features-string", "labels-string", "C-bool", "C-string", "C-null"])
     def test_malformed_fields_rejected(self, tmp_path, edit, message):
         model = self._model()
@@ -753,19 +824,22 @@ class TestModelRoundTrip:
             load_model(path)
 
     def test_v1_document_rejected(self, tmp_path):
-        # schema 1 stored the derived arrays; no reader for it remains
+        # schema 1 stored the derived arrays and schema 2 the class rows as
+        # lists of float reprs; no reader for either remains
         model = self._model()
         path = tmp_path / "m.json"
         save_model(model, path)
-        doc = json.loads(path.read_text())
-        for key in ("class_counts", "class_means", "class_m2"):
-            del doc[key]
-        doc.update(schema_version=1, pi=model.pi.tolist(), gamma_hat=model.gamma.tolist(),
-                   mu=model.mu.tolist(), sigma2=model.sigma2.tolist())
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="unsupported schema_version 1; "
-                                              "this build reads version 2"):
-            load_model(path)
+        v3 = json.loads(path.read_text())
+        v1 = {k: v for k, v in v3.items() if k not in ("class_counts", "class_means", "class_m2")}
+        v1.update(schema_version=1, pi=model.pi.tolist(), gamma_hat=model.gamma.tolist(),
+                  mu=model.mu.tolist(), sigma2=model.sigma2.tolist())
+        v2 = {**v3, "schema_version": 2, "class_means": model.stats.mean.tolist(),
+              "class_m2": model.stats.m2.tolist()}
+        for version, doc in ((1, v1), (2, v2)):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(FormatError, match=f"unsupported schema_version {version}; "
+                                                  "this build reads version 3"):
+                load_model(path)
 
     def test_tampered_counts_rejected(self, tmp_path):
         model = self._model()
