@@ -2,11 +2,11 @@
 
 Training CSVs carry one label column (named ``label`` unless overridden)
 plus numeric feature columns; prediction CSVs are purely numeric.  A CSV
-body is parsed by numpy's C reader; a file that reader does not take
-whole is read again row by row, which names the first bad cell.  Both
-readers hand the rows over in chunks (``_CHUNK_CHARS``):
-``load_dataset`` and ``load_matrix`` gather them into one matrix, and
-``load_class_stats`` folds them into per-class statistics
+body is read once: ``np.fromstring`` parses its lines in batches, and a
+line or batch it might read otherwise than the csv module goes through
+``csv.reader``, which names the first bad cell.  The rows go on in chunks
+(``_CHUNK_CHARS``): ``load_dataset`` and ``load_matrix`` gather them into
+one matrix, and ``load_class_stats`` folds them into per-class statistics
 (``estimator.StatsAccumulator``), which carry the class labels and
 feature names and are all ``fit`` needs, so ``multida train`` holds no n
 x p matrix.  A model is stored as one JSON document of its config, its
@@ -25,18 +25,21 @@ labels, non-finite statistics) is rejected.
 from __future__ import annotations
 
 import base64
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
+import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import FormatError, MultidaError, NumericError, ValidationError
+from .errors import FormatError, NumericError, ValidationError
 from .estimator import Dataset, FittedModel, PenaltyConfig, StatsAccumulator, SufficientStats
 from .partitions import PartitionSet, build_partition_set
 from . import estimator
@@ -113,7 +116,8 @@ def _layout(path: str | Path, schema: CsvSchema, labeled: bool,
             ) -> tuple[int, int, list[str]]:
     """Width, label index and feature names of a table, given its header
     (None without one) and the cells of its first data row (None when
-    there is none)."""
+    there is none).  A header that names a feature twice is refused, as
+    a model and its features table name each feature once."""
     if first is None:
         raise FormatError(
             f"{path}: no data rows" if header else f"{path}: file is empty"
@@ -124,6 +128,9 @@ def _layout(path: str | Path, schema: CsvSchema, labeled: bool,
         raise ValidationError(f"{path}: no feature columns beside the label")
     if header is not None:
         names = [name for j, name in enumerate(header) if j != label_idx]
+        repeated = [name for name, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise ValidationError(f"{path}: repeated feature names in the header: {repeated}")
     else:
         names = [f"x{j + 1}" for j in range(width - int(label_idx >= 0))]
     return width, label_idx, names
@@ -142,168 +149,153 @@ def _has_long_cell(line: str, delimiter: str, limit: int) -> bool:
     return max(map(len, line.split(delimiter))) > limit
 
 
-#: Text per ``np.loadtxt`` call of the plain reader, in characters; a
-#: chunk is as many lines as reach it, at least one, so a line of more than
-#: 2^16 characters (a row of 10000 values written by ``save_dataset`` takes
-#: about 196 K) is parsed on its own.  The row reader hands over as many
-#: rows as take this many bytes as floats.
+#: Text per chunk of rows handed to the sink, in characters: a chunk is as
+#: many lines as reach it, at least one, so a line of more than 2^16
+#: characters (a row of 10000 values written by ``save_dataset`` takes
+#: about 196 K) goes on its own.
 _CHUNK_CHARS = 1 << 16
 
 
-def _no_value(cell: str) -> float:
-    """What ``np.loadtxt`` reads for a label cell, which is dropped."""
-    return 0.0
+def _split_label(line: str, delimiter: str, label_idx: int, width: int, p: int,
+                 limit: int) -> tuple[str, str] | None:
+    """The label cell ("" without one) and the body of a body line, its
+    value cells as they stand in the line, joined by the delimiter, with no
+    line break; or None where ``csv.reader`` might split the line otherwise
+    or the line cannot be a row: a quote but one pair around the label cell
+    (dropped, as the csv module drops it), a NUL (Python 3.10's csv module
+    refuses it), a label cell over the csv field size limit, or a body of
+    other than p - 1 delimiters.  The label is split off at its nearer end
+    of the line, so the rest of the line stays whole."""
+    label, quotes, body = "", 0, line.rstrip("\r\n")  # a line holds one line break at most
+    if label_idx >= 0:
+        right = width - label_idx  # the label cell and those after it
+        cells = (body.split(delimiter, label_idx + (right > 1)) if label_idx < right
+                 else body.rsplit(delimiter, right))
+        try:
+            label = cells.pop(label_idx if label_idx < right else -right)
+        except IndexError:  # too few cells
+            return None
+        if len(label) > 1 and label[0] == label[-1] == '"':
+            label, quotes = label[1:-1], 2
+        body = delimiter.join(cells)
+    if (('"' in line and line.count('"') != quotes) or "\0" in line or len(label) > limit
+            or body.count(delimiter) != p - 1):
+        return None
+    return label, body
 
 
-def _loadtxt(lines: list[str], delimiter: str, label_idx: int, p: int) -> np.ndarray:
-    """The values of ``lines`` but for their label cell (``label_idx``, -1
-    for none), by numpy's C reader, which reads the label cell as
-    ``_no_value`` rather than parsing it; raises ``ValueError`` unless every
-    line gives p values that are finite.  A first-column label is dropped
-    by a view, which the sink copies its rows from, any other by a copy."""
-    # encoding=None, numpy 2's default: numpy 1 would encode each label
-    # cell to latin-1 for the converter, and fail on any other character
-    values = np.loadtxt(lines, delimiter=delimiter, dtype=np.float64, ndmin=2,
-                        comments=None, quotechar=None, encoding=None,
-                        converters=None if label_idx < 0 else {label_idx: _no_value})
-    if label_idx == 0:
-        values = values[:, 1:]
-    elif label_idx > 0:
-        values = np.delete(values, label_idx, axis=1)
-    if values.shape != (len(lines), p) or not np.isfinite(values).all():
-        raise ValueError("not plain CSV")
-    return values
+def _parse_bodies(path: str | Path, lines: list[str], bodies: list[str], row_no: int,
+                  delimiter: str, width: int, label_idx: int, names: list[str],
+                  limit: int) -> np.ndarray:
+    """The n x p values of n consecutive body lines that ``_split_label``
+    took, the first at row ``row_no``, by one ``np.fromstring`` over their
+    bodies joined by the delimiter.  Taken only when the text holds no
+    whitespace but the delimiter (a cell of it alone reads as -1) and no
+    cell over the csv field size limit, and gives n·p values, all finite.
+    Then each of its n·p cells is one value read to its end: every value
+    but the first follows a separator, which takes one delimiter at least,
+    and there are n·p - 1 delimiters.  So an empty cell, which gives no
+    value (``np.fromstring`` refuses it, drops a last one and reads a run of
+    whitespace delimiters as one), or a number read across a delimiter
+    falls short.  Otherwise each line goes through ``csv.reader`` and
+    ``_row_values``, which names the first bad cell.  A numpy before 2
+    warns where it cannot read the text, and the caller makes that warning
+    an error."""
+    text, n, p = delimiter.join(bodies), len(bodies), len(names)
+    if not (any(c in text for c in " \t\v\f\r\n" if c != delimiter)
+            or _has_long_cell(text, delimiter, limit)):
+        with contextlib.suppress(ValueError, DeprecationWarning):  # unread text
+            values = np.fromstring(text, sep=delimiter)
+            if len(values) == n * p and np.isfinite(values).all():
+                return values.reshape(n, p)
+    return np.array([_row_values(path, next(csv.reader([line], delimiter=delimiter)),
+                                 row_no + i, width, label_idx, names)[1]
+                     for i, line in enumerate(lines)])
 
 
-def _text_end(line: str) -> int:
-    """Where the text of ``line`` ends: before its line break, if any."""
-    end = len(line) - line.endswith("\n")
-    return end - line.endswith("\r", 0, end)
+def _row_values(path: str | Path, row: list[str], row_no: int, width: int,
+                label_idx: int, names: list[str]) -> tuple[str, np.ndarray]:
+    """The label cell and values of a row of the csv module's cells, by one
+    ``np.array`` call, which parses ``str`` cells as ``float`` does; a bad
+    width or cell raises ``FormatError`` naming the row and the first one."""
+    if len(row) != width:
+        raise FormatError(f"{path}: row {row_no} has {len(row)} cells, expected {width}")
+    label = row.pop(label_idx) if label_idx >= 0 else ""
+    with contextlib.suppress(ValueError):  # a cell float does not read: named below
+        values = np.array(row, dtype=np.float64)
+        if np.isfinite(values).all():
+            return label, values
+    return label, np.array([_parse_cell(path, text, row_no, name)
+                            for text, name in zip(row, names)])
 
 
-def _cell(line: str, delimiter: str, index: int, width: int) -> str:
-    """Cell ``index`` of a line of ``width`` cells, found from the nearer
-    end of the line, so the line is not split: the label cell is the first
-    or the last one in most files.  Raises ``ValueError`` when the
-    delimiters run out first; a line of more cells than ``width`` gives
-    some cell, and ``_loadtxt`` refuses its width."""
-    start, stop = 0, _text_end(line)
-    if 2 * index < width:
-        for _ in range(index):
-            start = line.index(delimiter, start) + 1
-        if index < width - 1:
-            stop = line.index(delimiter, start)
-    else:
-        for _ in range(width - 1 - index):
-            stop = line.rindex(delimiter, 0, stop)
-        start = line.rfind(delimiter, 0, stop) + 1
-    return line[start:stop]
-
-
-def _read_plain(path: str | Path, fh, schema: CsvSchema, labeled: bool,
+def _read_table(path: str | Path, schema: CsvSchema, *, labeled: bool,
                 sink: Callable[[], _Rows | StatsAccumulator]
                 ) -> tuple[list[str], _Rows | StatsAccumulator]:
-    """Parse the body of an open file into ``sink()``, one ``np.loadtxt``
-    call on each chunk of about ``_CHUNK_CHARS`` characters of lines.
+    """Read a delimited file into a new ``sink()``, whose ``_hold`` takes
+    the label cells and values of one chunk of rows at a time, in file
+    order, as arrays the reader drops; returns the feature names and the
+    sink.
 
-    The header goes through ``csv.reader``.  Each body line goes to numpy's
-    C reader as it was read, line break included, and the label cell is
-    sliced out of it (``_cell``), so no line is copied.  A label cell
-    wrapped in one pair of quotes with no quote inside (R's ``write.csv``
-    quotes every label) loses the pair, as it does in the csv module.
-    Raises whenever the row reader might see the file differently: any
-    other quote, a NUL character, a cell over the csv field size limit, a
-    ragged row, an empty body, or a cell that ``loadtxt`` cannot parse or
-    that is not finite.
-    """
-    delim = schema.delimiter
-    header = None
-    if schema.has_header:
-        header = next((row for row in csv.reader(fh, delimiter=delim) if row), None)
-    # the csv module ends a row at "\n", "\r" or "\r\n" and skips empty rows
-    lines = (line for line in fh if line not in ("\n", "\r", "\r\n"))
-    first = next(lines, None)
-    if first is None:
-        raise ValueError("no body")
-    width, label_idx, names = _layout(path, schema, labeled, header,
-                                      first[:_text_end(first)].split(delim))
-    limit = csv.field_size_limit()
-    out = sink()
-    labels: list[str] = []
-    chunk: list[str] = []
-    size = 0
-    lines = itertools.chain([first], lines)
-    del header, first  # a body line is held by its chunk only
-    for line in lines:
-        # Python 3.10's csv module rejects NUL
-        if "\0" in line or _has_long_cell(line, delim, limit):
-            raise ValueError("not plain CSV")
-        quoted = False
-        if label_idx >= 0:
-            label = _cell(line, delim, label_idx, width)
-            quoted = len(label) > 1 and label[0] == label[-1] == '"'
-            if quoted:
-                label = label[1:-1]
-            if '"' in label:
-                raise ValueError("quote inside a label")
-            labels.append(label)
-        if '"' in line and line.count('"') != 2 * quoted:
-            raise ValueError("quoted cell")
-        chunk.append(line)
-        size += len(line)
-        if size >= _CHUNK_CHARS:
-            out.add(labels, _loadtxt(chunk, delim, label_idx, len(names)))
-            labels, chunk, size = [], [], 0
-    if chunk:
-        out.add(labels, _loadtxt(chunk, delim, label_idx, len(names)))
-    return names, out
-
-
-def _read_rows(path: str | Path, schema: CsvSchema, *, labeled: bool,
-               sink: Callable[[], _Rows | StatsAccumulator]
-               ) -> tuple[list[str], _Rows | StatsAccumulator]:
-    """The row reader: every row goes through ``csv.reader``, and the rows
-    go to ``sink()`` in chunks of about ``_CHUNK_CHARS`` bytes of values.
-
-    Rows are checked for width and converted one at a time, so the file's
-    text is never held whole.  Each row goes through one ``np.array``
-    call, which parses ``str`` cells exactly as ``float`` does; a row that
-    fails, or holds a non-finite value, is scanned cell by cell to report
-    the first bad cell.  Row numbers count non-empty lines from 1,
-    header included.
-    """
+    The body is read once, line by line.  The first data row goes through
+    ``csv.reader``, so the layout is the one the csv module sees.  A later
+    line that ``_split_label`` takes waits in a batch, parsed by
+    ``_parse_bodies`` when the chunk ends or a line it refuses comes; that
+    line goes through ``csv.reader`` (``_row_values``), which reads on
+    where a quoted cell spans lines.  Rows go on in chunks of about
+    ``_CHUNK_CHARS`` characters, a line that fills one alone as parsed.
+    Row numbers count non-empty rows from 1, header included.  A UTF-8
+    BOM is dropped."""
+    delim, limit = schema.delimiter, csv.field_size_limit()
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = (row for row in csv.reader(fh, delimiter=schema.delimiter) if row)
-            header = next(rows, None) if schema.has_header else None
-            first = next(rows, None)
-            width, label_idx, names = _layout(path, schema, labeled, header, first)
-            chunk_rows = max(1, _CHUNK_CHARS // (8 * max(1, len(names))))
-            out = sink()
-            row_no = 1 + int(schema.has_header)
-            labels: list[str] = []
-            values: list[np.ndarray] = []
-            for row in itertools.chain([first], rows):
-                if len(row) != width:
-                    raise FormatError(
-                        f"{path}: row {row_no} has {len(row)} cells, expected {width}"
-                    )
-                if label_idx >= 0:
-                    labels.append(row.pop(label_idx))
-                try:
-                    vals = np.array(row, dtype=np.float64)
-                except ValueError:
-                    vals = None
-                if vals is None or not np.isfinite(vals).all():
-                    vals = np.array([_parse_cell(path, text, row_no, name)
-                                     for text, name in zip(row, names)])
-                values.append(vals)
+        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            # numpy 1 warns and returns the values before text it cannot read
+            warnings.filterwarnings("error", category=DeprecationWarning, module=__name__)
+            header = (next((row for row in csv.reader(fh, delimiter=delim) if row), None)
+                      if schema.has_header else None)
+            names = None
+            labels, blocks, lines, bodies, size = [], [], [], [], 0
+            row_no = int(schema.has_header)
+
+            def parse_batch() -> None:  # row_no is the row of the batch's last line
+                if bodies:
+                    blocks.append(_parse_bodies(path, lines, bodies, row_no + 1 - len(lines),
+                                                delim, width, label_idx, names, limit))
+                    lines.clear()
+                    bodies.clear()
+
+            for line in fh:
+                if line in ("\n", "\r", "\r\n"):  # the csv module skips an empty row
+                    continue
+                split = names is not None and _split_label(line, delim, label_idx, width,
+                                                           len(names), limit)
+                if split:
+                    label = split[0]
+                    lines.append(line)
+                    bodies.append(split[1])
+                else:  # a quoted cell may span lines: the csv module reads on in the file
+                    parse_batch()
+                    cells = next(csv.reader(itertools.chain([line], fh), delimiter=delim))
+                    if names is None:  # the first row sets the layout, as the csv module reads it
+                        width, label_idx, names = _layout(path, schema, labeled, header, cells)
+                        out = sink()
+                    label, values = _row_values(path, cells, row_no + 1, width, label_idx, names)
+                    del cells  # the first row's cells, which may be many
+                    blocks.append(values[None])
                 row_no += 1
-                if len(values) == chunk_rows:
-                    out.add(labels, np.array(values, dtype=np.float64))
-                    labels, values = [], []
-            if values:
-                out.add(labels, np.array(values, dtype=np.float64))
+                if label_idx >= 0:
+                    labels.append(label)
+                size += len(line)
+                del line, split  # a line's text is held by its batch alone, till it is parsed
+                if size >= _CHUNK_CHARS:
+                    parse_batch()
+                    out._hold(labels, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+                    labels, blocks, size = [], [], 0
+            if names is None:
+                _layout(path, schema, labeled, header, None)  # raises: no data rows
+            parse_batch()
+            if blocks:
+                out._hold(labels, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
     except csv.Error as exc:
@@ -311,48 +303,22 @@ def _read_rows(path: str | Path, schema: CsvSchema, *, labeled: bool,
     return names, out
 
 
-def _read_table(path: str | Path, schema: CsvSchema, *, labeled: bool,
-                sink: Callable[[], _Rows | StatsAccumulator]
-                ) -> tuple[list[str], _Rows | StatsAccumulator]:
-    """Read a delimited file into a new ``sink()``, whose ``add`` takes the
-    label cells and values of one chunk of rows at a time, in file order;
-    returns the feature names and the sink.
-
-    The body is parsed by numpy's C reader (``_read_plain``).  Any file
-    it does not take whole, bad ones included, is read again from the
-    start by the row reader (``_read_rows``) into a sink of its own, and
-    the first one is dropped; the row reader names the first bad cell.
-    Both give bit-identical values for every file they accept.  A leading
-    UTF-8 byte order mark is dropped.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            return _read_plain(path, fh, schema, labeled, sink)
-    except (ValueError, csv.Error, MultidaError):  # UnicodeDecodeError is a ValueError
-        pass
-    return _read_rows(path, schema, labeled=labeled, sink=sink)
-
-
 class _Rows:
-    """A sink that gathers the chunks of a table into one matrix.  The
-    matrix grows in place by a quarter of its rows at a time, as numpy's
-    own reader grows its result, so a table of n rows never holds much
-    more than n rows' values."""
+    """A sink that gathers the chunks of a table into one matrix, which
+    grows in place by a quarter of its rows at a time, so a table of n rows
+    never holds much more than n rows' values."""
 
     def __init__(self) -> None:
         self.labels: list[str] = []
-        self.values: np.ndarray | None = None
+        self.values = np.empty((0, 0))  # a matrix of its own, which resize may grow
         self.n = 0
 
-    def add(self, labels: list[str], values: np.ndarray) -> None:
+    def _hold(self, labels: list[str], values: np.ndarray) -> None:
         self.labels += labels
-        if self.values is None:
-            self.values = values.copy()  # a matrix of its own, which resize may grow
-        else:
-            if self.n + len(values) > len(self.values):
-                rows = max(self.n + len(values), len(self.values) + len(self.values) // 4)
-                self.values.resize((rows, values.shape[1]), refcheck=False)
-            self.values[self.n:self.n + len(values)] = values
+        if self.n + len(values) > len(self.values):
+            rows = max(self.n + len(values), len(self.values) + len(self.values) // 4)
+            self.values.resize((rows, values.shape[1]), refcheck=False)
+        self.values[self.n:self.n + len(values)] = values
         self.n += len(values)
 
     def matrix(self) -> np.ndarray:

@@ -675,10 +675,12 @@ class StatsAccumulator:
     order of first appearance as ``Dataset.from_arrays`` codes them.
 
     Rows wait in per-class lists of the pieces of chunks that hold them,
-    copied from the chunks.  Whenever the rows held, over all classes,
-    take more than ``_BLOCK_BYTES``, the class holding the most rows (the
-    first of them on a tie) folds: ``_fold`` works on its pieces where
-    they lie, with no copy of the class, and they are released.
+    copied from the chunks (``_hold``, for a reader that drops each chunk,
+    holds a chunk of one class as it is).  Whenever the rows held, over
+    all classes, take more than ``_BLOCK_BYTES``, the class holding the
+    most rows (the first of them on a tie) folds: ``_fold`` works on its
+    pieces where they lie, with no copy of the class, and they are
+    released.
     ``finish`` folds every class that still holds rows.  So a class that
     folds once gets the bits ``accumulate_stats`` gives it; that is every
     class whose rows come in one run that fits the limit, wherever the run
@@ -707,10 +709,16 @@ class StatsAccumulator:
         self._p = 0
 
     def add(self, labels: Sequence, rows: np.ndarray) -> None:
-        """Take one chunk: ``rows`` (n x p) and their ``labels``.  A chunk
-        that is not n x p, n the label count and p the width of earlier
-        chunks, is refused with ``ValidationError``."""
-        rows = np.asarray(rows, dtype=np.float64)
+        """Take one chunk: ``rows`` (n x p) and their ``labels``.  The rows
+        are copied, so the caller's array is left as it is.  A chunk that is
+        not n x p, n the label count and p the width of earlier chunks, is
+        refused with ``ValidationError``."""
+        self._hold(labels, np.array(rows, dtype=np.float64, order="C"))
+
+    def _hold(self, labels: Sequence, rows: np.ndarray) -> None:
+        """``add`` of a C-contiguous, writable float64 chunk that the caller
+        drops after the call: a chunk of one class is held as it is, not
+        copied, and its class's fold overwrites it."""
         if rows.ndim != 2 or len(rows) != len(labels):
             raise ValidationError(f"a chunk of {len(labels)} labels needs as many rows, "
                                   f"got an array of shape {rows.shape}")
@@ -726,7 +734,7 @@ class StatsAccumulator:
         self._p = rows.shape[1]
         counts = np.bincount(codes)
         for k in np.flatnonzero(counts).tolist():
-            self._held[k].append(rows[codes == k])
+            self._held[k].append(rows if counts[k] == len(rows) else rows[codes == k])
             self._held_rows[k] += int(counts[k])
         while sum(self._held_rows) * self._p * 8 > _BLOCK_BYTES:
             self._fold_class(self._held_rows.index(max(self._held_rows)))

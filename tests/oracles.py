@@ -15,18 +15,24 @@ n x p gathers of class means and sds that the generators no longer make.
 ``exact_class_m2`` computes the class sums of squares in exact rational
 arithmetic on the same float data.  ``encode_rows`` and ``decode_rows``
 write and read a model document's class rows with ``struct``, not numpy,
-and ``edit_rows`` edits one such field as lists of floats.
+and ``edit_rows`` edits one such field as lists of floats.  ``read_rows``
+reads a CSV with ``csv.reader`` and ``float`` alone.
 """
 
 from __future__ import annotations
 
 import base64
+import csv
+import itertools
 import struct
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import norm
+
+from multida import data_io
+from multida.errors import FormatError
 
 
 def bell_triangle(k: int) -> int:
@@ -343,3 +349,29 @@ def edit_rows(doc: dict, key: str, edit) -> dict:
     """A copy of a model document whose class-row field ``key`` is
     ``edit`` of its rows as lists of floats."""
     return {**doc, key: encode_rows(edit(decode_rows(doc[key])))}
+
+
+def read_rows(path, schema, *, labeled):
+    """A CSV's (values, feature names, labels), every row read by
+    ``csv.reader`` and every cell by ``float``, with the package's layout
+    and messages.  Row numbers count non-empty rows from 1, header
+    included."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = (row for row in csv.reader(fh, delimiter=schema.delimiter) if row)
+            header = next(rows, None) if schema.has_header else None
+            first = next(rows, None)
+            width, label_idx, names = data_io._layout(path, schema, labeled, header, first)
+            labels, values = [], []
+            for i, row in enumerate(itertools.chain([first], rows), 1 + schema.has_header):
+                if len(row) != width:
+                    raise FormatError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+                if label_idx >= 0:
+                    labels.append(row.pop(label_idx))
+                values.append([data_io._parse_cell(path, text, i, name)
+                               for text, name in zip(row, names)])
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: malformed CSV ({exc})") from None
+    return np.array(values, dtype=np.float64), names, labels

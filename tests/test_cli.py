@@ -579,7 +579,8 @@ class TestBadCsvSubprocess:
         (b"label,x1,x2\na,0,1\na,2,\xff\nb,4,5\n", "not UTF-8 text ("),
         (b"label,x1,x2\n\n", "no data rows"),
         (b"label,x1\na,\nb,\n", "non-numeric cell '' at row 2, column x1"),
-    ], ids=["missing", "overflow", "ragged", "non-utf8", "empty-body", "empty-cells"])
+        (b"label,g0,g0\na,0,1\nb,4,5\n", "repeated feature names in the header: ['g0']"),
+    ], ids=["missing", "overflow", "ragged", "non-utf8", "empty-body", "empty-cells", "repeated"])
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_bad_csv_exits_2(self, tmp_path, command, content, message):
         path = tmp_path / "bad.csv"
@@ -595,6 +596,7 @@ class TestBadCsvSubprocess:
             args = ["predict", path, "--model", model, "--out", tmp_path / "p.csv",
                     "--seed", "1"]
         assert_one_error_line(run_cli(*args), f"{path}: {message}")
+        assert not (tmp_path / ("m.json" if command == "train" else "p.csv")).exists()
 
 
 class TestBadModelSubprocess:

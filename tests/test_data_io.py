@@ -25,7 +25,7 @@ from multida.estimator import (Dataset, SufficientStats, _column_blocks, _Worksp
                                fit_mles, gamma_weights, lrt, model_from_stats, predict,
                                selected_features, validate_model)
 from multida.partitions import build_partition_set
-from oracles import decode_rows, edit_rows, encode_rows
+from oracles import decode_rows, edit_rows, encode_rows, read_rows
 
 
 TOY = "label,x1\na,0\na,2\nb,4\nb,6\n"
@@ -192,7 +192,7 @@ class TestStreamingReader:
         "label,{long}\na,1\nb,2\n", "x1,x2\n{long},1\nb,2\n",
     ], ids=["zeros", "label", "header", "no-label-column"])
     def test_cell_over_field_limit_rejected(self, tmp_path, text):
-        # numpy's reader would parse the zeros as 0.0 and keep the label;
+        # np.fromstring would parse the zeros as 0.0 and keep the label;
         # the csv module fails on the first long cell, before the label
         # column is looked up
         long = "0" * (csv.field_size_limit() + 1)
@@ -205,12 +205,7 @@ class TestStreamingReader:
     def test_odd_delimiter_reads_as_row_reader(self, tmp_path, delimiter):
         path = tmp_path / "col.csv"
         path.write_text("x1\n1\n2\n")
-        schema = CsvSchema(label_column=None, delimiter=delimiter)
-        outcomes = []
-        for read in (data_io._read_table, data_io._read_rows):
-            names, rows = read(path, schema, labeled=False, sink=data_io._Rows)
-            outcomes.append((names, rows.matrix().tobytes()))
-        assert outcomes[0] == outcomes[1]
+        _read_as_oracle(path, CsvSchema(label_column=None, delimiter=delimiter))
 
     # the csv module ends a row at "\n" or "\r", whatever the delimiter
     @pytest.mark.parametrize("delimiter", ["ab", "", None, "\n", "\r"])
@@ -225,13 +220,15 @@ class TestStreamingReader:
         ("\ufeffx1,x2,label\r\n1,2,a\r\n3,4,b\r\n", CsvSchema()),
     ], ids=["label-inside", "no-header-tab", "unlabeled", "bom-crlf"])
     def test_plain_file_skips_row_reader(self, tmp_path, text, schema):
+        # only the first data row goes through the csv module
         path = tmp_path / "plain.csv"
         path.write_bytes(text.encode())
-        with mock.patch.object(data_io, "_read_rows", side_effect=AssertionError):
-            names, rows = data_io._read_table(path, schema, labeled=False, sink=data_io._Rows)
+        with mock.patch.object(data_io, "_row_values", wraps=data_io._row_values) as rows:
+            X, names, labels = _read_as_oracle(path, schema)
+        assert rows.call_count == 1 and rows.call_args.args[2] == 1 + schema.has_header
         assert names == ["x1", "x2"]
-        assert rows.labels == ([] if schema.label_column is None else ["a", "b"])
-        assert rows.matrix().tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+        assert labels == ([] if schema.label_column is None else ["a", "b"])
+        assert X.tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
 
     def test_quoted_file_goes_to_row_reader(self, tmp_path):
         # quotes the label split cannot undo: a quoted value, a quote inside
@@ -241,20 +238,72 @@ class TestStreamingReader:
                              ('"a""x",0\nb,1\n', ('a"x', "b")),
                              ('"a,x",0\nb,1\n', ("a,x", "b")),
                              ('"a"x,0\nb,1\n', ("ax", "b"))]:
-            path.write_text("label,x1\n" + body)
-            with mock.patch.object(data_io, "_read_rows", wraps=data_io._read_rows) as rows:
-                data = load_dataset(path)
-            assert rows.call_count == 1, body
-            assert data.class_labels == labels
+            path.write_text("label,x1\nc,2\n" + body)  # the quotes on a later line
+            _, _, got = _read_as_oracle(path, CsvSchema(), labeled=True)
+            assert tuple(got) == ("c", *labels), body
 
     def test_quoted_labels_stay_on_numpy_reader(self, tmp_path):
         path = tmp_path / "quoted.csv"
         path.write_text('"label","x1"\n"a",0\n"b",1\nc,2\n"",3\n')
-        with mock.patch.object(data_io, "_read_rows", wraps=data_io._read_rows) as rows:
-            data = load_dataset(path)
-        assert rows.call_count == 0
-        assert data.class_labels == ("a", "b", "c", "")
-        assert data.X.tobytes() == np.array([[0.0], [1.0], [2.0], [3.0]]).tobytes()
+        with mock.patch.object(data_io, "_row_values", wraps=data_io._row_values) as rows:
+            X, _, labels = _read_as_oracle(path, CsvSchema(), labeled=True)
+        assert rows.call_count == 1 and rows.call_args.args[2] == 2
+        assert labels == ["a", "b", "c", ""]
+        assert X.tobytes() == np.array([[0.0], [1.0], [2.0], [3.0]]).tobytes()
+
+    @pytest.mark.parametrize("delimiter, text", [
+        (",", "lab,x1,x2,x3\nb,1,2,3\na,1,2,\n"), (",", "lab,x1,x2,x3\nb,1,2,3\na,1, ,2\n"),
+        (",", "lab,x1,x2,x3\nb,1,2,3\na,1,2, \r\n"), (",", "x1,x2,lab,x3\n1,2,b,3\n1,\v,a,2\n"),
+        ("\t", "lab\tx1\tx2\nb\t1\t2\na\t1\t\t2\n"), ("e", "labex1ex2\nbe1e2\nae1e5e2\n"),
+        (".", "lab.x1\nb.1\na.1.5\n"), (",", "lab\n1\na,2\n"),
+        (",", "lab,x1,x2,x3\nb,1,2,3\na,1,2\nc,1,2,3,4\n"),
+        ("\t", "lab\tx1\tx2\tx3\nb\t1\t2\t3\na\t1\t\t2\nc\t1\t2\t3\n"),
+    ], ids=["trailing", "space", "trailing-space", "vtab", "tab-run", "e", "dot", "one-column",
+            "ragged-pair", "tab-run-in-batch"])
+    def test_blank_or_extra_cell_refused_as_oracle_does(self, tmp_path, delimiter, text):
+        # np.fromstring reads a cell of whitespace as -1, drops an empty last
+        # cell, takes a run of tabs as one and reads a number across "e" or
+        # "."; lines are parsed together, so a short and a long row give as
+        # many values as two good ones
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        schema = CsvSchema(delimiter=delimiter, label_column="lab")
+        want = _outcome(lambda *args: read_rows(*args, labeled=False)[:2], path, schema)
+        assert want[0] is FormatError
+        assert _outcome(load_matrix, path, schema) == want
+        want = _outcome(_oracle_dataset, path, schema)
+        assert _outcome(load_dataset, path, schema) == want
+        assert _outcome(data_io.load_class_stats, path, schema) == want
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\n\nb", "a\r\nb"], ids=["lf", "blank", "crlf"])
+    def test_label_spanning_lines_reads_as_oracle(self, tmp_path, label):
+        # the lines a quoted label spans are one row, and rows are counted
+        path = tmp_path / "span.csv"
+        text = f'label,x1,x2\nc,1,2\n"{label}",3,4\nc,5,6\n'
+        path.write_bytes(text.encode())
+        X, _, labels = _read_as_oracle(path, CsvSchema(), labeled=True)
+        assert labels == ["c", label, "c"]
+        assert X.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        path.write_bytes((text + "d,7,oops\n").encode())
+        want = (FormatError, f"{path}: non-numeric cell 'oops' at row 5, column x2")
+        assert _outcome(_oracle_dataset, path, CsvSchema()) == want
+        assert _outcome(load_dataset, path, CsvSchema()) == want
+
+    def test_repeated_feature_names_refused(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("label,g0,g1,g0,g1,g2\na,1,2,3,4,5\nb,1,2,3,4,5\n")
+        for read in (load_dataset, data_io.load_class_stats, load_matrix):
+            with pytest.raises(ValidationError) as exc:
+                read(path, CsvSchema())
+            assert str(exc.value) == f"{path}: repeated feature names in the header: ['g0', 'g1']"
+
+
+def _read_as_oracle(path, schema, labeled=False):
+    """The reader's (values, names, labels), checked against the oracle's."""
+    names, rows = data_io._read_table(path, schema, labeled=labeled, sink=data_io._Rows)
+    want = read_rows(path, schema, labeled=labeled)
+    assert (rows.matrix().tobytes(), names, rows.labels) == (want[0].tobytes(), *want[1:])
+    return want
 
 
 def _save_dataset_per_cell(data, path, *, label_name="label", delimiter=","):
@@ -913,31 +962,34 @@ def test_mutated_document_loads_or_raises_format_error(k3_model_file, data):
     assert list(model.feature_names) == doc["feature_names"]
 
 
-def _dataset_outcome(path, schema):
-    """What ``load_dataset`` returns or raises, as comparable values."""
-    try:
-        data = load_dataset(path, schema)
-    except MultidaError as exc:
-        return type(exc), str(exc)
-    return (data.X.dtype, data.X.shape, data.X.tobytes(), data.y.tobytes(),
-            data.class_labels, data.feature_names)
+def _oracle_dataset(path, schema):
+    """``load_dataset`` with the oracle's reader."""
+    X, names, labels = read_rows(path, schema, labeled=True)
+    data = Dataset.from_arrays(X, labels, feature_names=names)
+    data_io._check_classes(path, data.K)
+    return data
 
 
-def _matrix_outcome(path, schema):
-    """What ``load_matrix`` returns or raises, as comparable values."""
+def _outcome(load, path, schema):
+    """What ``load`` returns (a Dataset or a matrix and its names) or
+    raises, as comparable values."""
     try:
-        X, names = load_matrix(path, schema)
+        got = load(path, schema)
     except MultidaError as exc:
         return type(exc), str(exc)
-    return X.dtype, X.shape, X.tobytes(), names
+    if isinstance(got, Dataset):
+        return (got.X.dtype, got.X.shape, got.X.tobytes(), got.y.tobytes(),
+                got.class_labels, got.feature_names)
+    return got[0].dtype, got[0].shape, got[0].tobytes(), got[1]
 
 
 #: what a corrupted cell is set to; the csv module of Python 3.10 rejects
-#: NUL, and the zeros exceed its field size limit
-ODD_CELLS = ["", "nan", "inf", "1e400", "1_000", '"1"', "#", "\u0661", "\uff11",
+#: NUL, the zeros exceed its field size limit, and np.fromstring reads a
+#: cell of whitespace alone as -1
+ODD_CELLS = ["", "nan", "inf", "1e400", "1_000", '"1"', "#", "\u0661", "\uff11", " ", "\v", "\f",
              " 1 ", "1\xa0", "-0", "1e-400", "0x10", "1\x00", "0" * (csv.field_size_limit() + 1)]
 CORRUPTIONS = ["none", "cell", "ragged", "blank-line", "lone-cr", "crlf", "quoted-label",
-               "non-utf8", "label-moved", "label-dropped", "empty-body"]
+               "non-utf8", "label-moved", "label-dropped", "empty-body", "trailing-delimiter"]
 
 
 @st.composite
@@ -961,6 +1013,8 @@ def corrupted_csvs(draw):
         rows[i][draw(st.integers(0, p))] = draw(st.sampled_from(ODD_CELLS))
     elif how == "ragged":
         rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    elif how == "trailing-delimiter":
+        rows[i] = rows[i] + [""]
     elif how == "quoted-label":
         rows[i][label_idx] = draw(st.sampled_from(
             [f'"x{delim}y"', '"a"', '""', '"a""b"', '"a"b', '"', ' "a"', '"a" ']))
@@ -996,11 +1050,10 @@ def fuzz_csv(tmp_path_factory):
 @given(data=st.data())
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_corrupted_csv_reads_as_row_reader_does(fuzz_csv, data):
-    """numpy's reader with its fallback returns bit-identical tables to
-    the row reader's, or raises the same error."""
+    """The line reader returns bit-identical tables to the oracle's
+    (``read_rows``), or raises the same error."""
     content, schema = data.draw(corrupted_csvs())
     fuzz_csv.write_bytes(content)
-    got = _dataset_outcome(fuzz_csv, schema), _matrix_outcome(fuzz_csv, schema)
-    with mock.patch.object(data_io, "_read_table", data_io._read_rows):
-        want = _dataset_outcome(fuzz_csv, schema), _matrix_outcome(fuzz_csv, schema)
-    assert got == want
+    for load, oracle in ((load_dataset, _oracle_dataset),
+                         (load_matrix, lambda *args: read_rows(*args, labeled=False)[:2])):
+        assert _outcome(load, fuzz_csv, schema) == _outcome(oracle, fuzz_csv, schema)

@@ -282,6 +282,21 @@ class TestSufficientStats:
         assert stats.mean.tobytes() == want.mean.tobytes()
         assert stats.m2.tobytes() == want.m2.tobytes()
 
+    def test_only_hold_keeps_the_callers_array(self):
+        # the CSV reader drops each chunk it hands over, so `_hold` keeps a
+        # chunk of one class as it is; `add` copies it, and a fold then
+        # leaves the caller's rows as they were
+        rows = np.random.default_rng(37).normal(size=(3, 4))
+        before = rows.copy()
+        acc = StatsAccumulator()
+        acc.add(["a"] * 3, rows)
+        assert not np.shares_memory(acc._held[0][0], rows)
+        acc.finish(("w", "x", "y", "z"))
+        assert rows.tobytes() == before.tobytes()
+        acc = StatsAccumulator()
+        acc._hold(["a"] * 3, rows)
+        assert acc._held[0][0] is rows
+
     @pytest.mark.parametrize("offset", [0.0, 1e12])
     def test_matches_the_corrected_two_pass_bit_for_bit(self, offset):
         rng = np.random.default_rng(33)
