@@ -17,9 +17,12 @@ user:<csv>`` file is read by ``data_io.load_matrix`` like every other CSV
 column), and its entries must be integers (a bad one is refused naming
 the file, before any data are read); row k of S is the k-th class label
 in order of first appearance in the training data.  ``cv`` and
-``simulate`` cross-validate with ``estimator.cross_validate``;
+``simulate`` cross-validate with ``estimator.cross_validate``, and check
+the penalty and ``--threads`` before they read or draw their data;
 ``simulate`` draws its data with ``simlab.generate`` and ``consistency``
-runs ``simlab.consistency_sweep``.
+runs ``simlab.consistency_sweep``.  ``predict`` refuses a query header
+that does not name the model's features in order (its label column
+dropped), and takes a headerless query by position.
 The library refuses a seed that is not a non-negative integer, and a
 sweep size below K, before it draws, so those exit 2 too.  Every output
 file is checked before the command's work, so one that cannot be
@@ -289,9 +292,16 @@ def train(input, out, features_out, threshold, penalty, variance, scheme,
 @_run_options
 @_guarded
 def predict_cmd(input, model, out, label_col, no_header, delimiter, seed, threads):
-    """Predict labels and class probabilities for query rows."""
+    """Predict labels and class probabilities for query rows.  A header
+    must name the model's features in order (a label column is dropped
+    first); without one, columns are taken by position."""
     fitted = load_model(model)
-    X, _ = load_matrix(input, _schema(label_col, no_header, delimiter, labeled=False))
+    X, names = load_matrix(input, _schema(label_col, no_header, delimiter, labeled=False))
+    if not no_header and len(names) == fitted.p and tuple(names) != fitted.feature_names:
+        j = next(j for j, (a, b) in enumerate(zip(names, fitted.feature_names)) if a != b)
+        raise ValidationError(f"{input}: feature column {j + 1} is {names[j]!r} where the model "
+                              f"has {fitted.feature_names[j]!r}; the header must name the "
+                              f"model's features in order")
     pred = predict(fitted, X, threads=threads)
     header = ["label"] + [f"prob_{c}" for c in fitted.class_labels]
     _write_csv(
@@ -318,6 +328,7 @@ def cv(input, folds, trials, out, penalty, variance, scheme, prior_term,
        label_col, no_header, delimiter, seed, threads):
     """Repeated stratified k-fold cross-validation on a labeled CSV."""
     scheme = _parse_scheme(scheme)
+    check_fit_options(penalty, threads)
     data = load_dataset(input, _schema(label_col, no_header, delimiter))
     result = cross_validate(
         data, folds, trials, seed=seed, scheme=scheme,
@@ -355,6 +366,7 @@ def simulate(scenario, n, p, k, folds, trials, frac, mean_shift, variance_scale,
     The scale and block settings reach only the scenarios that draw with
     them (see ``SimSpec``)."""
     scheme = _parse_scheme(scheme)
+    check_fit_options(penalty, threads)
     spec = SimSpec(
         scenario=scenario,
         n=n,

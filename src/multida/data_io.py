@@ -40,7 +40,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import FormatError, NumericError, ValidationError
-from .estimator import Dataset, FittedModel, PenaltyConfig, StatsAccumulator, SufficientStats
+from .estimator import (Dataset, FittedModel, PenaltyConfig, RowBuffer, StatsAccumulator,
+                        SufficientStats)
 from .partitions import PartitionSet, build_partition_set
 from . import estimator
 
@@ -230,12 +231,11 @@ def _row_values(path: str | Path, row: list[str], row_no: int, width: int,
 
 
 def _read_table(path: str | Path, schema: CsvSchema, *, labeled: bool,
-                sink: Callable[[], _Rows | StatsAccumulator]
-                ) -> tuple[list[str], _Rows | StatsAccumulator]:
-    """Read a delimited file into a new ``sink()``, whose ``_hold`` takes
+                sink: Callable[[], RowBuffer | StatsAccumulator]
+                ) -> tuple[list[str], RowBuffer | StatsAccumulator]:
+    """Read a delimited file into a new ``sink()``, whose ``add`` takes
     the label cells and values of one chunk of rows at a time, in file
-    order, as arrays the reader drops; returns the feature names and the
-    sink.
+    order, and copies the values; returns the feature names and the sink.
 
     The body is read once, line by line.  The first data row goes through
     ``csv.reader``, so the layout is the one the csv module sees.  A later
@@ -289,41 +289,18 @@ def _read_table(path: str | Path, schema: CsvSchema, *, labeled: bool,
                 del line, split  # a line's text is held by its batch alone, till it is parsed
                 if size >= _CHUNK_CHARS:
                     parse_batch()
-                    out._hold(labels, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+                    out.add(labels, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
                     labels, blocks, size = [], [], 0
             if names is None:
                 _layout(path, schema, labeled, header, None)  # raises: no data rows
             parse_batch()
             if blocks:
-                out._hold(labels, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+                out.add(labels, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
     except csv.Error as exc:
         raise FormatError(f"{path}: malformed CSV ({exc})") from None
     return names, out
-
-
-class _Rows:
-    """A sink that gathers the chunks of a table into one matrix, which
-    grows in place by a quarter of its rows at a time, so a table of n rows
-    never holds much more than n rows' values."""
-
-    def __init__(self) -> None:
-        self.labels: list[str] = []
-        self.values = np.empty((0, 0))  # a matrix of its own, which resize may grow
-        self.n = 0
-
-    def _hold(self, labels: list[str], values: np.ndarray) -> None:
-        self.labels += labels
-        if self.n + len(values) > len(self.values):
-            rows = max(self.n + len(values), len(self.values) + len(self.values) // 4)
-            self.values.resize((rows, values.shape[1]), refcheck=False)
-        self.values[self.n:self.n + len(values)] = values
-        self.n += len(values)
-
-    def matrix(self) -> np.ndarray:
-        self.values.resize((self.n, self.values.shape[1]), refcheck=False)
-        return self.values
 
 
 def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
@@ -334,7 +311,7 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
     feature cell is rejected with its position.
     """
     _check_labeled(schema)
-    names, rows = _read_table(path, schema, labeled=True, sink=_Rows)
+    names, rows = _read_table(path, schema, labeled=True, sink=RowBuffer)
     data = Dataset.from_arrays(rows.matrix(), rows.labels, feature_names=names)
     _check_classes(path, data.K)
     return data
@@ -373,7 +350,7 @@ def load_matrix(
 
     When the schema names a label column that is present, it is ignored.
     """
-    names, rows = _read_table(path, schema, labeled=False, sink=_Rows)
+    names, rows = _read_table(path, schema, labeled=False, sink=RowBuffer)
     return rows.matrix(), names
 
 

@@ -575,59 +575,30 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _fold(chunks: list[np.ndarray], mean: np.ndarray, m2: np.ndarray,
-          d_sum: np.ndarray) -> None:
+def _fold(x: np.ndarray, mean: np.ndarray, m2: np.ndarray, d_sum: np.ndarray) -> None:
     """The corrected two-pass of Chan, Golub & LeVeque (1983) over one
-    class's rows, held as C-contiguous ``chunks`` (rows x p each, in file
-    order, overwritten): the mean first, then the sum of the squared
-    deviations d from it less (sum d)**2 / n_k.  Writes the mean, the sum
-    of squares and sum d (p each) to ``mean``, ``m2`` and ``d_sum``.  The
-    correction removes the rounding of the mean, which the plain two-pass
-    lets into the sum of squares far from zero (a relative error near 1e-7
-    at an offset of 1e12), so the result stays within rounding of the
-    exact one wherever the data sit.  A sum below 0 (a constant column can
-    round there) is clamped to 0.
-
-    The chunks are worked on where they lie, with no class-sized copy
-    (``_row_sum``), and give the bits of one chunk of all the rows, which
-    ``accumulate_stats`` passes.  A single column is the exception: numpy
-    sums it pairwise, not row by row, so its chunks are joined first; that
-    copy is n_k values."""
-    if len(chunks) > 1 and chunks[0].shape[1] == 1:
-        chunks = [np.concatenate(chunks)]
-    n = sum(len(c) for c in chunks)
-    carry = None
-    if len(chunks) > 1:  # room for the sum so far and the longest later chunk
-        carry = np.empty((max(len(c) for c in chunks[1:]) + 1, mean.shape[0]))
-    _row_sum(chunks, carry, mean)
+    class's rows ``x`` (n_k x p, C-contiguous, overwritten): the mean
+    first, then the sum of the squared deviations d from it less
+    (sum d)**2 / n_k.  Writes the mean, the sum of squares and sum d (p
+    each) to ``mean``, ``m2`` and ``d_sum``.  The correction removes the
+    rounding of the mean, which the plain two-pass lets into the sum of
+    squares far from zero (a relative error near 1e-7 at an offset of
+    1e12), so the result stays within rounding of the exact one wherever
+    the data sit.  A sum below 0 (a constant column can round there) is
+    clamped to 0.  numpy sums the columns of a C-contiguous matrix row by
+    row in order, and a single column pairwise, so the bits depend only on
+    the rows and their order."""
+    n = len(x)
+    x.sum(axis=0, out=mean)
     mean /= n
-    for c in chunks:
-        c -= mean
-    _row_sum(chunks, carry, d_sum)
-    for c in chunks:
-        np.square(c, out=c)
-    _row_sum(chunks, carry, m2)
-    correction = np.square(d_sum, out=chunks[0][0])  # the rows are spent: no allocation
+    x -= mean
+    x.sum(axis=0, out=d_sum)
+    np.square(x, out=x)
+    x.sum(axis=0, out=m2)
+    correction = np.square(d_sum, out=x[0])  # the rows are spent: no allocation
     correction /= n
     m2 -= correction
     np.maximum(m2, 0.0, out=m2)
-
-
-def _row_sum(chunks: list[np.ndarray], carry: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-    """The axis-0 sum of the rows of ``chunks`` (p > 1 columns each) in
-    file order, written to ``out``.  numpy's axis-0 sum of a C-contiguous
-    matrix adds it row by row, so the sum so far goes into the first row of
-    ``carry`` and the next chunk's rows below it, and the sum of those rows
-    goes on where the last one stopped: the bits of one sum over every row,
-    with a copy of one chunk at a time and no loop over rows."""
-    first, *rest = chunks
-    first.sum(axis=0, out=out)
-    for c in rest:
-        part = carry[:len(c) + 1]
-        part[0] = out
-        part[1:] = c
-        part.sum(axis=0, out=out)
-    return out
 
 
 def accumulate_stats(data: Dataset) -> SufficientStats:
@@ -648,7 +619,7 @@ def accumulate_stats(data: Dataset) -> SufficientStats:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(data.K):
             xk = data.X[data.y == k + 1]
-            _fold([xk], mean[k], m2[k], d_sum)
+            _fold(xk, mean[k], m2[k], d_sum)
             del xk  # before the next class's copy is taken
     return SufficientStats(n_k=data.class_counts, mean=mean, m2=m2,
                            class_labels=data.class_labels, feature_names=data.feature_names)
@@ -668,19 +639,48 @@ class _Folded:
     once: bool = True
 
 
+class RowBuffer:
+    """Rows handed over in chunks, gathered into one C-contiguous matrix,
+    which grows in place by a quarter of its rows at a time (or to fit the
+    chunk), so n rows never hold much more than n rows' values.  It keeps
+    the chunks' labels too, for the CSV reader's ``load_dataset`` and
+    ``load_matrix``; a ``StatsAccumulator`` keeps one per class, for its
+    waiting rows."""
+
+    def __init__(self) -> None:
+        self.labels: list[str] = []
+        self.values = np.empty((0, 0))  # a matrix of its own, which resize may grow
+        self.n = 0
+
+    def room(self, rows: int, p: int) -> np.ndarray:
+        """The next ``rows`` rows of p values, counted as held, for the
+        caller to fill before the next call."""
+        if self.n + rows > len(self.values):
+            size = max(self.n + rows, len(self.values) + len(self.values) // 4)
+            self.values.resize((size, p), refcheck=False)
+        self.n += rows
+        return self.values[self.n - rows:self.n]
+
+    def add(self, labels: list[str], values: np.ndarray) -> None:
+        self.labels += labels
+        self.room(len(values), values.shape[1])[:] = values
+
+    def matrix(self) -> np.ndarray:
+        self.values.resize((self.n, self.values.shape[1]), refcheck=False)
+        return self.values
+
+
 class StatsAccumulator:
     """Per-class statistics of rows handed over in chunks, without all of
     them held at once: ``add`` takes each chunk's labels and rows, and
     ``finish`` gives the ``SufficientStats``, its classes coded 1..K in
     order of first appearance as ``Dataset.from_arrays`` codes them.
 
-    Rows wait in per-class lists of the pieces of chunks that hold them,
-    copied from the chunks (``_hold``, for a reader that drops each chunk,
-    holds a chunk of one class as it is).  Whenever the rows held, over
-    all classes, take more than ``_BLOCK_BYTES``, the class holding the
-    most rows (the first of them on a tie) folds: ``_fold`` works on its
-    pieces where they lie, with no copy of the class, and they are
-    released.
+    Each class's waiting rows are copied from the chunks into one growing
+    matrix of its own (a ``RowBuffer``).  Whenever the rows held, over all
+    classes, take more than ``_BLOCK_BYTES``, the class holding the most
+    rows (the first of them on a tie) folds: ``_fold`` works on its matrix
+    where it lies, and the matrix is released.
     ``finish`` folds every class that still holds rows.  So a class that
     folds once gets the bits ``accumulate_stats`` gives it; that is every
     class whose rows come in one run that fits the limit, wherever the run
@@ -703,22 +703,17 @@ class StatsAccumulator:
 
     def __init__(self) -> None:
         self._codes: dict[str, int] = {}
-        self._held: list[list[np.ndarray]] = []  # per class: its waiting rows
-        self._held_rows: list[int] = []
+        self._held: list[RowBuffer] = []  # per class: its waiting rows
         self._folded: list[_Folded | None] = []
         self._p = 0
 
     def add(self, labels: Sequence, rows: np.ndarray) -> None:
-        """Take one chunk: ``rows`` (n x p) and their ``labels``.  The rows
-        are copied, so the caller's array is left as it is.  A chunk that is
-        not n x p, n the label count and p the width of earlier chunks, is
-        refused with ``ValidationError``."""
-        self._hold(labels, np.array(rows, dtype=np.float64, order="C"))
-
-    def _hold(self, labels: Sequence, rows: np.ndarray) -> None:
-        """``add`` of a C-contiguous, writable float64 chunk that the caller
-        drops after the call: a chunk of one class is held as it is, not
-        copied, and its class's fold overwrites it."""
+        """Take one chunk: ``rows`` (n x p) and their ``labels``.  Each row
+        is copied once, into its class's matrix, and the caller's array is
+        neither held nor changed.  A chunk that is not n x p, n the label
+        count and p the width of earlier chunks, is refused with
+        ``ValidationError``."""
+        rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or len(rows) != len(labels):
             raise ValidationError(f"a chunk of {len(labels)} labels needs as many rows, "
                                   f"got an array of shape {rows.shape}")
@@ -728,23 +723,21 @@ class StatsAccumulator:
         for i, lab in enumerate(labels):
             codes[i] = code = self._codes.setdefault(str(lab), len(self._codes))
             if code == len(self._held):
-                self._held.append([])
-                self._held_rows.append(0)
+                self._held.append(RowBuffer())
                 self._folded.append(None)
         self._p = rows.shape[1]
         counts = np.bincount(codes)
         for k in np.flatnonzero(counts).tolist():
-            self._held[k].append(rows if counts[k] == len(rows) else rows[codes == k])
-            self._held_rows[k] += int(counts[k])
-        while sum(self._held_rows) * self._p * 8 > _BLOCK_BYTES:
-            self._fold_class(self._held_rows.index(max(self._held_rows)))
+            np.compress(codes == k, rows, axis=0, out=self._held[k].room(int(counts[k]), self._p))
+        while sum(h.n for h in self._held) * self._p * 8 > _BLOCK_BYTES:
+            self._fold_class(max(range(len(self._held)), key=lambda k: self._held[k].n))
 
     def _fold_class(self, k: int) -> None:
-        held, n = self._held[k], self._held_rows[k]
-        self._held[k], self._held_rows[k] = [], 0
+        held, n = self._held[k].values, self._held[k].n
+        self._held[k] = RowBuffer()
         mean, m2, d_sum = (np.empty(self._p) for _ in range(3))
         with np.errstate(over="ignore", invalid="ignore"):
-            _fold(held, mean, m2, d_sum)
+            _fold(held[:n], mean, m2, d_sum)
             del held
             d_sum /= n  # the fold's mean less its rounded mean
             a = self._folded[k]
@@ -760,8 +753,8 @@ class StatsAccumulator:
     def finish(self, feature_names: tuple[str, ...]) -> SufficientStats:
         """The statistics of every row taken, its features named
         ``feature_names``."""
-        for k, rows in enumerate(self._held_rows):
-            if rows:
+        for k in range(len(self._held)):
+            if self._held[k].n:  # no name keeps a folded class's rows
                 self._fold_class(k)
         n_k = np.array([a.n for a in self._folded], dtype=np.int64)
         mean = np.empty((len(n_k), self._p))
@@ -1274,8 +1267,11 @@ def cross_validate(
     or refitted.  All folds derive in one workspace, allocated
     here, so no fold allocates the derivation's block memory again, and
     each fold's model is released before the next one is derived.
-    ``threads`` splits each fold's prediction rows.
+    ``threads`` splits each fold's prediction rows.  The penalty and
+    ``threads`` are checked first (``check_fit_options``), as ``fit``
+    checks them.
     """
+    check_fit_options(penalty, threads)
     if folds < 2:
         raise ValidationError("need at least 2 folds")
     if trials < 1:

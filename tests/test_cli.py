@@ -345,9 +345,9 @@ class TestStreamedTrain:
         line at a time."""
         calls = []
 
-        def fold(chunks, *args, _fold=estimator._fold):
-            calls.append(sum(map(len, chunks)))
-            return _fold(chunks, *args)
+        def fold(x, *args, _fold=estimator._fold):
+            calls.append(len(x))
+            return _fold(x, *args)
 
         monkeypatch.setattr(data_io, "_CHUNK_CHARS", 1)
         monkeypatch.setattr(estimator, "_fold", fold)
@@ -881,6 +881,43 @@ class TestPredict:
         assert result.exit_code == 2
         assert "p=1" in result.stderr
 
+    @staticmethod
+    def write_rows(path, names, X, labels):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["label", *names])
+            writer.writerows([lab, *map(repr, row)] for lab, row in zip(labels, X.tolist()))
+
+    @pytest.mark.parametrize("order, names, message", [
+        (None, None, None),
+        ([1, 0, 2, 3, 4, 5], None, "feature column 1 is 'g1' where the model has 'g0'"),
+        (None, [f"zz{j}" for j in range(6)], "feature column 1 is 'zz0' where the model has 'g0'"),
+    ], ids=["training-header", "reordered", "unknown-names"])
+    def test_header_must_name_the_models_features_in_order(self, tmp_path, order, names,
+                                                            message):
+        # K=3, 20 rows per class, class a shifted on g0 and b on g1: taken
+        # by position, the reordered query would predict b for a's rows
+        rng = np.random.default_rng(3)
+        y = np.repeat(["a", "b", "c"], 20)
+        X = rng.normal(size=(60, 6))
+        X[:20, 0] += 4.0
+        X[20:40, 1] += 4.0
+        features = [f"g{j}" for j in range(6)]
+        train, model = tmp_path / "train.csv", tmp_path / "m.json"
+        self.write_rows(train, features, X, y)
+        save_model(fit(load_dataset(train)), model)
+        order = list(range(6)) if order is None else order
+        query, out = tmp_path / "query.csv", tmp_path / "p.csv"
+        self.write_rows(query, names or [features[j] for j in order], X[:10, order], y[:10])
+        result = run_cli("predict", query, "--model", model, "--out", out, "--seed", "1")
+        if message is None:
+            assert result.returncode == 0, result.stderr
+            want = predict(load_model(model), X[:10]).labels
+            assert [row[0] for row in read_csv(out)[1:]] == list(want)
+        else:
+            assert_one_error_line(result, f"{query}: {message}")
+            assert not out.exists()
+
     def test_unlabeled_query(self, runner, toy_csv, tmp_path):
         model_path = self.fitted(runner, toy_csv, tmp_path)
         q = tmp_path / "q.csv"
@@ -978,6 +1015,24 @@ class TestCv:
         )
         assert result.exit_code == 0
         assert "mean error" in result.output
+
+
+@pytest.mark.parametrize("option", [["--penalty", "bogus"], ["--threads", "-1"]],
+                         ids=["penalty", "threads"])
+@pytest.mark.parametrize("command", ["cv", "simulate"])
+def test_cv_and_simulate_check_fit_options_before_the_data(runner, wide_csv, tmp_path,
+                                                           command, option):
+    # cv reads no CSV and simulate draws nothing for an option the fit refuses
+    out = tmp_path / "out.csv"
+    args = ([command, wide_csv] if command == "cv"
+            else [command, "--scenario", "ind-equal-var", "--n", "20", "--p", "6", "--k", "2"])
+    source = "load_dataset" if command == "cv" else "generate"
+    with mock.patch.object(cli, source) as data:
+        result = runner.invoke(main, [*args, "--seed", "1", "--out", str(out), *option])
+    assert not data.called
+    assert_one_error_line(result, "unknown penalty 'bogus'" if option[0] == "--penalty"
+                          else "threads must be >= 0")
+    assert not out.exists()
 
 
 class TestSimulate:

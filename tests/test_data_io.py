@@ -300,7 +300,7 @@ class TestStreamingReader:
 
 def _read_as_oracle(path, schema, labeled=False):
     """The reader's (values, names, labels), checked against the oracle's."""
-    names, rows = data_io._read_table(path, schema, labeled=labeled, sink=data_io._Rows)
+    names, rows = data_io._read_table(path, schema, labeled=labeled, sink=data_io.RowBuffer)
     want = read_rows(path, schema, labeled=labeled)
     assert (rows.matrix().tobytes(), names, rows.labels) == (want[0].tobytes(), *want[1:])
     return want

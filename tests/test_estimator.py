@@ -237,8 +237,8 @@ class TestSufficientStats:
     def test_chunks_fold_as_one_matrix(self, p, rows_per_chunk, offset, order):
         # every class fits the row limit, so it folds once, in finish, from
         # the chunks its rows came in (a chunk of rows_per_chunk rows, or
-        # each class whole); its sums add the rows in order through the
-        # carry, or pairwise for one column, as accumulate_stats's do
+        # each class whole), gathered in one matrix; its sums add the rows
+        # in order, or pairwise for one column, as accumulate_stats's do
         rng = np.random.default_rng(p)
         y = np.repeat([1, 2, 3], [17, 30, 41])
         if order == "dealt":
@@ -264,7 +264,7 @@ class TestSufficientStats:
 
         # 25 rows of 10000 values (2.0 MB, within the row limit) held in
         # chunks of one row, as `multida train` reads a wide file; folding
-        # them allocates their statistics and a carry of two rows
+        # them allocates their statistics alone
         n, p = 25, 10000
         X = np.random.default_rng(36).normal(size=(n, p))
         acc = StatsAccumulator()
@@ -282,20 +282,17 @@ class TestSufficientStats:
         assert stats.mean.tobytes() == want.mean.tobytes()
         assert stats.m2.tobytes() == want.m2.tobytes()
 
-    def test_only_hold_keeps_the_callers_array(self):
-        # the CSV reader drops each chunk it hands over, so `_hold` keeps a
-        # chunk of one class as it is; `add` copies it, and a fold then
-        # leaves the caller's rows as they were
-        rows = np.random.default_rng(37).normal(size=(3, 4))
-        before = rows.copy()
-        acc = StatsAccumulator()
-        acc.add(["a"] * 3, rows)
-        assert not np.shares_memory(acc._held[0][0], rows)
-        acc.finish(("w", "x", "y", "z"))
-        assert rows.tobytes() == before.tobytes()
-        acc = StatsAccumulator()
-        acc._hold(["a"] * 3, rows)
-        assert acc._held[0][0] is rows
+    def test_add_never_holds_the_callers_array(self):
+        # a chunk of one class and a chunk of two are copied into the
+        # classes' matrices, so a fold leaves the caller's rows as they were
+        for labels in (["a"] * 3, ["a", "b", "a"]):
+            rows = np.random.default_rng(37).normal(size=(3, 4))
+            before = rows.copy()
+            acc = StatsAccumulator()
+            acc.add(labels, rows)
+            assert not any(np.shares_memory(held.values, rows) for held in acc._held)
+            acc.finish(("w", "x", "y", "z"))
+            assert rows.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("offset", [0.0, 1e12])
     def test_matches_the_corrected_two_pass_bit_for_bit(self, offset):

@@ -551,6 +551,17 @@ class TestCrossValidate:
         with pytest.raises(ValidationError, match="need at least 1 trial"):
             cross_validate(self._separated(20), folds=2, trials=0, seed=0)
 
+    @pytest.mark.parametrize("option, message", [
+        ({"penalty": "bogus"}, "unknown penalty 'bogus'"),
+        ({"threads": -1}, "threads must be >= 0"),
+    ], ids=["penalty", "threads"])
+    def test_fit_options_checked_first(self, option, message):
+        # before the fold count, the partition set or any class mean
+        with mock.patch.object(estimator, "build_partition_set") as build:
+            with pytest.raises(ValidationError, match=message):
+                cross_validate(self._separated(20), folds=1, trials=1, seed=0, **option)
+        assert not build.called
+
     @pytest.mark.parametrize("seed", [-1, 0.5])
     def test_bad_seed_refused(self, seed):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
