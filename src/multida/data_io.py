@@ -4,15 +4,16 @@ Training CSVs carry one label column (named ``label`` unless overridden)
 plus numeric feature columns; prediction CSVs are purely numeric.  A CSV
 body is read once: ``np.fromstring`` parses its lines in batches, and a
 line or batch it might read otherwise than the csv module goes through
-``csv.reader``, which names the first bad cell.  The rows go on in chunks
-(``_CHUNK_CHARS``): ``load_dataset`` and ``load_matrix`` gather them into
-one matrix, and ``load_class_stats`` folds them into per-class statistics
-(``estimator.StatsAccumulator``), which carry the class labels and
-feature names and are all ``fit`` needs, so ``multida train`` holds no n
-x p matrix.  A model is stored as one JSON document of its config, its
-hypothesis matrix S and per-class statistics, each class row of means and
-of centred sums of squares as the base64 of its little-endian float64
-bytes, so the bits round-trip exactly.
+``csv.reader``, which names the first bad cell.  Each parsed batch
+(``_CHUNK_CHARS``), and each line that goes through ``csv.reader`` on its
+own, goes straight to a sink: ``load_dataset`` and ``load_matrix`` gather
+the rows into one matrix, and ``load_class_stats`` folds them into
+per-class statistics (``estimator.StatsAccumulator``), which carry the
+class labels and feature names and are all ``fit`` needs, so ``multida
+train`` holds no n x p matrix.  A model is stored as one JSON document of
+its config, its hypothesis matrix S and per-class statistics, each class
+row of means and of centred sums of squares as the base64 of its
+little-endian float64 bytes, so the bits round-trip exactly.
 Loading builds the set and the model with the checked entries ``fit``
 uses, ``partitions.build_partition_set`` (by name, or from S for ``user``)
 and ``estimator.model_from_stats``, so save/load/predict is bit-identical
@@ -150,10 +151,11 @@ def _has_long_cell(line: str, delimiter: str, limit: int) -> bool:
     return max(map(len, line.split(delimiter))) > limit
 
 
-#: Text per chunk of rows handed to the sink, in characters: a chunk is as
-#: many lines as reach it, at least one, so a line of more than 2^16
-#: characters (a row of 10000 values written by ``save_dataset`` takes
-#: about 196 K) goes on its own.
+#: Text per batch of lines parsed together, in characters: a batch ends
+#: where the lines read since the last batch that ended here reach it
+#: (lines that go through ``csv.reader`` on their own count too), so a
+#: line of more than 2^16 characters (a row of 10000 values written by
+#: ``save_dataset`` takes about 196 K) goes alone.
 _CHUNK_CHARS = 1 << 16
 
 
@@ -234,18 +236,19 @@ def _read_table(path: str | Path, schema: CsvSchema, *, labeled: bool,
                 sink: Callable[[], RowBuffer | StatsAccumulator]
                 ) -> tuple[list[str], RowBuffer | StatsAccumulator]:
     """Read a delimited file into a new ``sink()``, whose ``add`` takes
-    the label cells and values of one chunk of rows at a time, in file
-    order, and copies the values; returns the feature names and the sink.
+    the label cells and values of some rows at a time, in file order, and
+    copies the values; returns the feature names and the sink.
 
     The body is read once, line by line.  The first data row goes through
     ``csv.reader``, so the layout is the one the csv module sees.  A later
     line that ``_split_label`` takes waits in a batch, parsed by
-    ``_parse_bodies`` when the chunk ends or a line it refuses comes; that
-    line goes through ``csv.reader`` (``_row_values``), which reads on
-    where a quoted cell spans lines.  Rows go on in chunks of about
-    ``_CHUNK_CHARS`` characters, a line that fills one alone as parsed.
-    Row numbers count non-empty rows from 1, header included.  A UTF-8
-    BOM is dropped."""
+    ``_parse_bodies`` when the batch's lines reach ``_CHUNK_CHARS``
+    characters or a line it refuses comes; that line goes through
+    ``csv.reader`` (``_row_values``), which reads on where a quoted cell
+    spans lines.  Each parsed batch goes to ``add`` as it is, its text let
+    go first, and so does the row of each line the batches refuse.  Row
+    numbers count non-empty rows from 1, header included.  A UTF-8 BOM is
+    dropped."""
     delim, limit = schema.delimiter, csv.field_size_limit()
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
@@ -254,15 +257,17 @@ def _read_table(path: str | Path, schema: CsvSchema, *, labeled: bool,
             header = (next((row for row in csv.reader(fh, delimiter=delim) if row), None)
                       if schema.has_header else None)
             names = None
-            labels, blocks, lines, bodies, size = [], [], [], [], 0
+            labels, lines, bodies, size = [], [], [], 0
             row_no = int(schema.has_header)
 
             def parse_batch() -> None:  # row_no is the row of the batch's last line
                 if bodies:
-                    blocks.append(_parse_bodies(path, lines, bodies, row_no + 1 - len(lines),
-                                                delim, width, label_idx, names, limit))
-                    lines.clear()
+                    values = _parse_bodies(path, lines, bodies, row_no + 1 - len(lines),
+                                           delim, width, label_idx, names, limit)
+                    lines.clear()  # the batch's text goes before the sink copies its values
                     bodies.clear()
+                    out.add(labels, values)
+                    labels.clear()
 
             for line in fh:
                 if line in ("\n", "\r", "\r\n"):  # the csv module skips an empty row
@@ -270,9 +275,10 @@ def _read_table(path: str | Path, schema: CsvSchema, *, labeled: bool,
                 split = names is not None and _split_label(line, delim, label_idx, width,
                                                            len(names), limit)
                 if split:
-                    label = split[0]
                     lines.append(line)
                     bodies.append(split[1])
+                    if label_idx >= 0:
+                        labels.append(split[0])
                 else:  # a quoted cell may span lines: the csv module reads on in the file
                     parse_batch()
                     cells = next(csv.reader(itertools.chain([line], fh), delimiter=delim))
@@ -280,22 +286,17 @@ def _read_table(path: str | Path, schema: CsvSchema, *, labeled: bool,
                         width, label_idx, names = _layout(path, schema, labeled, header, cells)
                         out = sink()
                     label, values = _row_values(path, cells, row_no + 1, width, label_idx, names)
-                    del cells  # the first row's cells, which may be many
-                    blocks.append(values[None])
+                    out.add([label] if label_idx >= 0 else [], values[None])
+                    del cells, values  # the first row's cells and values, which may be many
                 row_no += 1
-                if label_idx >= 0:
-                    labels.append(label)
                 size += len(line)
                 del line, split  # a line's text is held by its batch alone, till it is parsed
                 if size >= _CHUNK_CHARS:
                     parse_batch()
-                    out.add(labels, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
-                    labels, blocks, size = [], [], 0
+                    size = 0
             if names is None:
                 _layout(path, schema, labeled, header, None)  # raises: no data rows
             parse_batch()
-            if blocks:
-                out.add(labels, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
     except csv.Error as exc:
@@ -321,7 +322,7 @@ def load_class_stats(path: str | Path, schema: CsvSchema = CsvSchema()) -> Suffi
     """The per-class statistics of a labeled training matrix, with its
     class labels and feature names, read as ``load_dataset`` reads the
     file and refused where it refuses it, but with no n x p matrix: each
-    chunk of rows goes into a ``StatsAccumulator``.  So ``fit`` of the
+    batch of rows goes into a ``StatsAccumulator``.  So ``fit`` of the
     result is ``fit(load_dataset(path))`` bit for bit wherever each class
     folds once, as when every class's rows come in one run that fits
     ``estimator._BLOCK_BYTES``; elsewhere the statistics agree within

@@ -419,19 +419,12 @@ class Prediction:
     eta: np.ndarray             # n* x K
 
 
-def _hypothesis_sums(
-    rows: np.ndarray, parts: PartitionSet, out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
-) -> np.ndarray:
+def _hypothesis_sums(rows: np.ndarray, parts: PartitionSet, out: np.ndarray,
+                     tmp: np.ndarray) -> np.ndarray:
     """Sums (M x b) of subset rows (S x b) over each hypothesis's groups,
-    added group by group in slot order, into ``out`` when given.  Each
-    rank's group rows are gathered into ``tmp`` (allocated when not
-    given), as many at a time as it has rows."""
+    added group by group in slot order, into ``out``.  Each rank's group
+    rows are gathered into ``tmp``, as many at a time as it has rows."""
     (_, first), *rest = parts.subsets.column_groups
-    if out is None:
-        out = np.empty((len(first), rows.shape[1]))
-    if tmp is None:
-        tmp = np.empty_like(out)
     np.take(rows, first, axis=0, out=out, mode="clip")  # "clip": no buffered copy
     for hyps, groups in rest:
         acc = out[hyps]  # a suffix slice, so a view
@@ -441,17 +434,13 @@ def _hypothesis_sums(
     return out
 
 
-def _gather_sums(
-    rows: np.ndarray, index: Sequence[np.ndarray], out: np.ndarray,
-    tmp: np.ndarray | None = None,
-) -> np.ndarray:
+def _gather_sums(rows: np.ndarray, index: Sequence[np.ndarray], out: np.ndarray,
+                 tmp: np.ndarray) -> np.ndarray:
     """Write to each row ``out[i]`` the sum of the ``rows`` that
-    ``index[i]`` lists, gathered in that order into ``tmp`` (allocated
-    when not given) and summed along axis 0; zero where it lists none.
-    With ``parts.subsets.row_columns`` it sums hypothesis rows (M x b) to
+    ``index[i]`` lists, gathered in that order into ``tmp`` and summed
+    along axis 0; zero where it lists none.  With
+    ``parts.subsets.row_columns`` it sums hypothesis rows (M x b) to
     subsets (S x b), with ``class_rows`` subset rows to classes (K x b)."""
-    if tmp is None:
-        tmp = np.empty_like(rows)
     for acc, held in zip(out, index):
         np.sum(np.take(rows, held, axis=0, out=tmp[:len(held)], mode="clip"), axis=0, out=acc)
     return out
@@ -738,6 +727,8 @@ class StatsAccumulator:
         mean, m2, d_sum = (np.empty(self._p) for _ in range(3))
         with np.errstate(over="ignore", invalid="ignore"):
             _fold(held[:n], mean, m2, d_sum)
+            # shrunk first: glibc raises its mmap threshold to the size of a freed mmapped block
+            held.resize((0, self._p), refcheck=False)
             del held
             d_sum /= n  # the fold's mean less its rounded mean
             a = self._folded[k]
@@ -897,13 +888,10 @@ def _block_mles(stats: SufficientStats, parts: PartitionSet,
                                 variance_floor=floor, admissible=admissible)
 
 
-def _lrt_rows(
-    mles: Mles, out: np.ndarray, terms: np.ndarray | None = None, tmp: np.ndarray | None = None
-) -> np.ndarray:
+def _lrt_rows(mles: Mles, out: np.ndarray, terms: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """``lrt``'s statistics as hypothesis rows (M x p), written to ``out``.
     Under unequal variances each subset's term (S x p) goes to ``terms``
-    and ``_hypothesis_sums`` gathers into ``tmp``; both are allocated when
-    not given."""
+    and ``_hypothesis_sums`` gathers into ``tmp``."""
     parts = mles.parts
     n = mles.count[-1]
     if parts.variance_mode == "equal":
@@ -911,7 +899,7 @@ def _lrt_rows(
         out *= n
     else:
         # the null's one group holds all n samples, so row 0 is n * log(s2_null)
-        terms = np.multiply(mles.log_var, mles.count[:, None], out=terms)
+        np.multiply(mles.log_var, mles.count[:, None], out=terms)
         _hypothesis_sums(terms, parts, out=out, tmp=tmp)
         np.subtract(out[0], out[1:], out=out[1:])
     out[0] = 0.0
@@ -924,7 +912,8 @@ def lrt(mles: Mles) -> np.ndarray:
     against the null, as a p x M matrix; n is the count of the last subset,
     which holds every class.  Column 1 is exactly zero; inadmissible
     columns are ``-inf`` so they carry no weight downstream."""
-    return _lrt_rows(mles, np.empty((mles.parts.M, mles.mean.shape[1]))).T
+    out = np.empty((mles.parts.M, mles.mean.shape[1]))
+    return _lrt_rows(mles, out, np.empty_like(mles.log_var), np.empty_like(out)).T
 
 
 def _softmax_rows(lam: np.ndarray, nu: np.ndarray, C: float, row: np.ndarray) -> np.ndarray:

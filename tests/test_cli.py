@@ -996,6 +996,63 @@ class TestPredict:
         assert "m.json" in result.stderr
 
 
+#: numpy's SIMD dispatch held to its AVX2 group (x86-64-v3, named ``X86_V3``
+#: from numpy 2.4 on); the variable acts when numpy is imported
+AVX2_DISPATCH = "X86_V3"
+
+#: prints the dispatch targets numpy enabled in this process
+_DISPATCH_TARGETS = """
+try:
+    from numpy._core import _multiarray_umath as u
+except ImportError:  # numpy 1
+    from numpy.core import _multiarray_umath as u
+print(sorted(k for k in u.__cpu_dispatch__ if u.__cpu_features__.get(k)))
+"""
+
+#: ``fit MODEL QUERY`` fits, saves the model and the query rows; both modes
+#: then load the model and print its predictions and selected features
+_CROSS_DISPATCH_SIDE = """
+import json, sys
+import numpy as np
+from multida import data_io, estimator, simlab
+mode, model_path, query_path = sys.argv[1:]
+if mode == "fit":
+    spec = simlab.SimSpec("ind-unequal-var", n=100, p=2000, K=4, mean_shift=1.5, seed=901)
+    data = simlab.generate(spec)[0]
+    data_io.save_model(estimator.fit(data, variance_mode="unequal"), model_path)
+    np.save(query_path, data.X[::2])
+model = data_io.load_model(model_path)
+pred = estimator.predict(model, np.load(query_path))
+print(json.dumps({"labels": pred.labels, "probabilities": pred.probabilities.tolist(),
+                  "selected": estimator.selected_features(model)}))
+"""
+
+
+def test_model_predicts_alike_across_simd_dispatch(tmp_path):
+    # the model file's bits do not depend on the dispatch target; np.log and
+    # np.exp do, so the predictions agree within rounding, not bit for bit
+    envs = {"default": {"NPY_ENABLE_CPU_FEATURES": ""},
+            "avx2": {"NPY_ENABLE_CPU_FEATURES": AVX2_DISPATCH}}
+    targets = {side: _python("-c", _DISPATCH_TARGETS, env=env) for side, env in envs.items()}
+    for result in targets.values():
+        assert result.returncode == 0, result.stderr
+    if targets["default"].stdout == targets["avx2"].stdout:
+        pytest.skip(f"NPY_ENABLE_CPU_FEATURES={AVX2_DISPATCH} leaves the dispatch targets "
+                    f"{targets['default'].stdout.strip()}")
+    paths = (tmp_path / "model.json", tmp_path / "query.npy")
+    fitted, loaded = (_python("-c", _CROSS_DISPATCH_SIDE, mode, *paths, env=envs[side])
+                      for mode, side in (("fit", "default"), ("load", "avx2")))
+    assert fitted.returncode == 0, fitted.stderr
+    assert loaded.returncode == 0, loaded.stderr
+    want, got = json.loads(fitted.stdout), json.loads(loaded.stdout)
+    assert got["labels"] == want["labels"]
+    assert [f[:2] for f in got["selected"]] == [f[:2] for f in want["selected"]]
+    assert got["selected"], "no feature selected"
+    np.testing.assert_allclose(got["probabilities"], want["probabilities"], rtol=1e-12, atol=0)
+    np.testing.assert_allclose([f[2] for f in got["selected"]],
+                               [f[2] for f in want["selected"]], rtol=1e-12, atol=0)
+
+
 class TestCv:
     def test_table_shape(self, runner, wide_csv, tmp_path):
         out = tmp_path / "cv.csv"

@@ -258,8 +258,9 @@ class TestStreamingReader:
         (".", "lab.x1\nb.1\na.1.5\n"), (",", "lab\n1\na,2\n"),
         (",", "lab,x1,x2,x3\nb,1,2,3\na,1,2\nc,1,2,3,4\n"),
         ("\t", "lab\tx1\tx2\tx3\nb\t1\t2\t3\na\t1\t\t2\nc\t1\t2\t3\n"),
+        (",", "x1,lab,x2\n1,b,2\n7\n"),
     ], ids=["trailing", "space", "trailing-space", "vtab", "tab-run", "e", "dot", "one-column",
-            "ragged-pair", "tab-run-in-batch"])
+            "ragged-pair", "tab-run-in-batch", "one-cell-mid-label"])
     def test_blank_or_extra_cell_refused_as_oracle_does(self, tmp_path, delimiter, text):
         # np.fromstring reads a cell of whitespace as -1, drops an empty last
         # cell, takes a run of tabs as one and reads a number across "e" or

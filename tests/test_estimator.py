@@ -101,6 +101,15 @@ class TestDataset:
         assert d.y.tolist() == [1, 2, 1, 3]
         assert d.class_counts.tolist() == [2, 1, 1]
 
+    @pytest.mark.parametrize("X, labels, names, message", [
+        (np.zeros(4), "abab", None, "feature matrix must be 2-dimensional"),
+        (np.zeros((4, 2)), "aba", None, "3 labels for 4 rows"),
+        (np.zeros((4, 2)), "abab", ("x1",), "1 feature names for 2 columns"),
+    ], ids=["1d", "label-count", "name-count"])
+    def test_malformed_arrays_refused(self, X, labels, names, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Dataset.from_arrays(X, list(labels), feature_names=names)
+
     def test_rejects_non_finite(self):
         X = np.array([[0.0], [np.nan]])
         with pytest.raises(ValidationError, match="row 2, column 1"):
@@ -501,13 +510,15 @@ class TestSummationOrder:
             subset_rows, hyp_rows = (
                 rng.normal(size=(n, width)) * 10.0 ** rng.uniform(-8, 8, size=(n, width))
                 for n in (len(parts.subsets.masks), parts.M))
-            assert np.array_equal(_hypothesis_sums(subset_rows, parts),
+            out, tmp = np.full((2, parts.M, width), np.nan)
+            assert np.array_equal(_hypothesis_sums(subset_rows, parts, out, tmp),
                                   slot_order_hypothesis_sums(subset_rows, parts))
             out = np.full((len(parts.subsets.masks), width), np.nan)
-            _gather_sums(hyp_rows, parts.subsets.row_columns, out)
+            _gather_sums(hyp_rows, parts.subsets.row_columns, out, np.full_like(hyp_rows, np.nan))
             assert np.array_equal(out, slot_order_subset_sums(hyp_rows, parts))
             out = np.full((k, width), np.nan)
-            _gather_sums(subset_rows, parts.subsets.class_rows, out)
+            _gather_sums(subset_rows, parts.subsets.class_rows, out,
+                         np.full_like(subset_rows, np.nan))
             assert np.array_equal(out, slot_order_class_sums(subset_rows, parts))
 
     @pytest.mark.parametrize("variance_mode", ["equal", "unequal"])
@@ -519,7 +530,8 @@ class TestSummationOrder:
         rows *= 10.0 ** np.arange(-8, 9, 4)
         want = slot_order_hypothesis_sums(rows, parts)
         for n_tmp in (1, 3, parts.M - 2):
-            got = _hypothesis_sums(rows, parts, tmp=np.full((n_tmp, 5), np.nan))
+            got = _hypothesis_sums(rows, parts, np.full((parts.M, 5), np.nan),
+                                   np.full((n_tmp, 5), np.nan))
             assert np.array_equal(got, want), n_tmp
 
 

@@ -384,6 +384,13 @@ class TestSelectionError:
         assert 1 < u < model.M
         assert calls.call_count <= u * model.M
 
+    def test_other_hypothesis_columns_refused(self):
+        # a K=3 model against the truth of a K=2 set
+        model = FakeModel(enumerate_exhaustive(3), np.full((4, 5), 0.2))
+        with pytest.raises(ValidationError, match="^model hypothesis columns do not match "
+                                                  "the truth assignment$"):
+            selection_error(model, truth_for(enumerate_exhaustive(2), [0] * 4, 4))
+
     def test_exact_match_is_zero(self):
         cols = enumerate_exhaustive(3)
         gamma = np.zeros((4, 5))
